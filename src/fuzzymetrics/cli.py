@@ -278,7 +278,7 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
     if family is None:
         raise ParseError("family-report needs a finite family file")
-    grid = None if args.grid is None else _parse_grid(args.grid, False).levels
+    grid = None if args.grid in (None, "default") else _parse_grid(args.grid, False).levels
     diagnostics = compactness_conditions_report(
         family,
         alpha_grid=grid,

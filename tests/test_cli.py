@@ -188,6 +188,12 @@ class TestFamilyReportVerb:
         ) == 0
         assert read_json(a)["diagnostics"] == read_json(b)["diagnostics"]
 
+    def test_grid_default_is_the_default(self, family_file, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["family-report", family_file, "--out", str(a)]) == 0
+        assert run(["family-report", family_file, "--grid", "default", "--out", str(b)]) == 0
+        assert read_json(a)["diagnostics"] == read_json(b)["diagnostics"]
+
     def test_bad_delta_grid_spec(self, family_file, capsys):
         assert run(["family-report", family_file, "--delta-grid", "pow2:x..y"]) == 1
 
