@@ -42,6 +42,7 @@ from .metrics import (
     level_distance_profile,
 )
 from .serialize import (
+    csv_table,
     decode_any,
     decode_family,
     dumps,
@@ -160,17 +161,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         passed = report.passed
         report_dict = report.to_dict()
     if args.format == "csv":
-        lines = ["check,alpha,passed,measured"]
-        for c in report_dict["checks"]:
-            lines.append(
-                "{},{},{},{}".format(
-                    c["name"],
-                    "" if c.get("alpha") is None else repr(c["alpha"]),
-                    "true" if c["passed"] else "false",
-                    "" if c.get("measured") is None else repr(c["measured"]),
-                )
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        rows = [(c["name"], c.get("alpha"), c["passed"], c.get("measured")) for c in report_dict["checks"]]
+        _emit(args, csv_table(("check", "alpha", "passed", "measured"), rows))
     else:
         _emit(args, dumps({"header": _header(args, ["input", "tol"]), "validation": report_dict}))
     if args.strict and not passed:
@@ -190,13 +182,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         enc = d_infty_parametric(u, v, tol=args.tol, max_depth=args.max_depth)
         body = {"method": "parametric-bisection", "enclosure": enc.to_dict()}
     if args.format == "csv":
-        lines = ["key,value"]
-        if "d_infty" in body:
-            lines.append(f"d_infty,{repr(body['d_infty'])}")
-        else:
-            for k, val in body["enclosure"].items():
-                lines.append(f"{k},{val if isinstance(val, bool) else repr(val)}")
-        _emit(args, "\n".join(lines) + "\n")
+        rows = body["enclosure"].items() if "enclosure" in body else [("d_infty", body["d_infty"])]
+        _emit(args, csv_table(("key", "value"), rows))
     else:
         _emit(args, dumps({"header": header, **body}))
     return 0
@@ -248,16 +235,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid, aware)
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
     if args.format == "csv":
-        lines = ["alpha,first_index,reached"]
-        for e in report.entries:
-            lines.append(
-                "{},{},{}".format(
-                    repr(e.alpha),
-                    "" if e.first_index is None else e.first_index,
-                    "true" if e.reached else "false",
-                )
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]
+        _emit(args, csv_table(("alpha", "first_index", "reached"), rows))
     else:
         _emit(
             args,

@@ -23,6 +23,7 @@ from .metrics import (
     default_report_grid,
     level_convergence_report,
 )
+from .serialize import csv_table
 
 __all__ = [
     "make_un",
@@ -223,19 +224,6 @@ def pairwise_dinf_oracle(n: int, m: int, grid_size: int = 1_000_000) -> float:
     return float(np.max(vals))
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-def _csv_table(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def _equi_witness_delta(alpha: float, eps: float) -> float:
     """A level offset certified to keep every member's modulus within eps."""
     margin = alpha - ONE_THIRD
@@ -317,8 +305,8 @@ def refutation_report(
         "scan_window": scan_window,
         "converged": convergence.converged,
         "failing_alphas": list(convergence.failing_alphas),
-        "table_csv": _csv_table(
-            "alpha,first_index",
+        "table_csv": csv_table(
+            ("alpha", "first_index"),
             [(e.alpha, e.first_index) for e in convergence.entries],
         ),
     }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "encode_body",
     "decode_any",
     "dumps",
+    "csv_table",
     "profile_csv",
     "sequence_profile_csv",
 ]
@@ -132,15 +133,22 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
+def csv_table(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text: a header line of ``columns``, then one line per row.
+
+    Cells are empty for None, ``true``/``false`` for booleans, the shortest
+    round-trip repr for floats and ``str`` of anything else.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def profile_csv(profile: LevelProfile) -> str:
     """Level distance profile as plottable rows: alpha,H."""
-    lines = ["alpha,H"]
-    lines.extend(f"{_fmt(a)},{_fmt(h)}" for a, h in profile)
-    return "\n".join(lines) + "\n"
+    return csv_table(("alpha", "H"), profile)
 
 
 def sequence_profile_csv(rows) -> str:
     """Per-member profile rows: alpha,n,H."""
-    lines = ["alpha,n,H"]
-    lines.extend(f"{_fmt(a)},{_fmt(n)},{_fmt(h)}" for a, n, h in rows)
-    return "\n".join(lines) + "\n"
+    return csv_table(("alpha", "n", "H"), rows)
