@@ -37,7 +37,6 @@ from .metrics import (
     d_infty_parametric,
     d_infty_sampled,
     default_report_grid,
-    is_counterexample_object,
     level_convergence_report,
     level_distance_profile,
 )
@@ -63,41 +62,43 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_input(spec: str):
-    """A file path or an inline constructor token."""
-    if spec == "counterexample-limit":
-        return make_limit()
-    if spec.startswith("counterexample-un:"):
+def _kind(obj) -> str:
+    if isinstance(obj, list):
+        return "family"
+    if isinstance(obj, FuzzyBody2D):
+        return "2-D body"
+    return "sequence" if callable(obj) else "fuzzy number"
+
+
+def _load(spec: str, command: str, *kinds: str):
+    """Load an inline constructor token or a JSON file.
+
+    The result is a fuzzy number, a 2-D body, a family (a JSON array, loaded
+    as a list) or, for ``counterexample-seq``, the streamed member
+    constructor.  A ParseError names the kind when ``command`` does not take
+    it, that is when it is not one of ``kinds``.
+    """
+    if spec == "counterexample-seq":
+        obj = member_sequence()
+    elif spec == "counterexample-limit":
+        obj = make_limit()
+    elif spec.startswith("counterexample-un:"):
         try:
-            return make_un(int(spec.split(":", 1)[1]))
+            obj = make_un(int(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise ParseError(f"bad member index in {spec!r}") from exc
-    return decode_any(_load_json(spec))
+    else:
+        doc = _load_json(spec)
+        obj = decode_family(doc) if isinstance(doc, list) else decode_any(doc)
+    kind = _kind(obj)
+    if kind not in kinds:
+        raise ParseError(f"{command} cannot take {spec}: it is a {kind}, expected a {' or '.join(kinds)}")
+    return obj
 
 
-def _load_input_or_family(spec: str, n_max: int):
-    """Returns (object, None) for single inputs, (None, members) for
-    family files or the inline member-sequence token."""
-    if spec == "counterexample-seq":
-        return None, [make_un(n) for n in range(1, n_max + 1)]
-    if spec == "counterexample-limit" or spec.startswith("counterexample-un:"):
-        return _load_input(spec), None
-    doc = _load_json(spec)
-    if isinstance(doc, list):
-        return None, decode_family(doc)
-    return decode_any(doc), None
-
-
-def _load_family(spec: str):
-    if spec == "counterexample-seq":
-        return None  # callable sequence, resolved by the caller
-    doc = _load_json(spec)
-    return decode_family(doc)
-
-
-def _parse_grid(spec: str | None, aware: bool):
+def _parse_grid(spec: str | None, inputs: list):
     if spec is None or spec == "default":
-        return default_report_grid(counterexample_aware=aware)
+        return default_report_grid(inputs)
     try:
         return as_grid(np.linspace(0.0, 1.0, int(spec)))
     except ValueError:
@@ -151,7 +152,7 @@ def _require_json(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    obj = _load_input(args.input)
+    obj = _load(args.input, args.command, "fuzzy number", "2-D body")
     if isinstance(obj, FuzzyBody2D):
         checks = [{"name": "body_reconstruction", "passed": True}]
         passed = True
@@ -171,10 +172,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    u = _load_input(args.a)
-    v = _load_input(args.b)
-    if isinstance(u, FuzzyBody2D) or isinstance(v, FuzzyBody2D):
-        raise ParseError("dist expects 1-D fuzzy numbers")
+    u = _load(args.a, args.command, "fuzzy number")
+    v = _load(args.b, args.command, "fuzzy number")
     header = _header(args, ["a", "b", "tol", "max_depth"])
     if isinstance(u, SampledFuzzy1D) and isinstance(v, SampledFuzzy1D):
         body = {"method": "sampled-grid-max", "d_infty": d_infty_sampled(u, v)}
@@ -190,15 +189,14 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    u, seq = _load_input_or_family(args.a, args.n_max)
-    v = _load_input(args.b)
-    if isinstance(u, FuzzyBody2D) or isinstance(v, FuzzyBody2D):
-        raise ParseError("profile expects 1-D fuzzy numbers")
-    members = [u] if seq is None else seq
-    aware = is_counterexample_object(v) or any(is_counterexample_object(m) for m in members)
-    grid = _parse_grid(args.grid, aware)
+    u = _load(args.a, args.command, "fuzzy number", "family", "sequence")
+    v = _load(args.b, args.command, "fuzzy number")
+    if callable(u):
+        u = [u(n) for n in range(1, args.n_max + 1)]
+    members = u if isinstance(u, list) else [u]
+    grid = _parse_grid(args.grid, [*members, v])
     header = _header(args, ["a", "b", "grid", "n_max"])
-    if seq is None:
+    if not isinstance(u, list):
         profile = level_distance_profile(u, v, grid)
         if args.format == "json":
             _emit(
@@ -209,7 +207,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             _emit(args, profile_csv(profile))
         return 0
     rows = []
-    for n, member in enumerate(seq, start=1):
+    for n, member in enumerate(members, start=1):
         rows.extend((a, n, h) for a, h in level_distance_profile(member, v, grid))
     if args.format == "json":
         _emit(
@@ -222,17 +220,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if args.seq == "counterexample-seq":
-        seq = member_sequence()
-        seq_is_ce = True
-    else:
-        seq = _load_family(args.seq)
-        seq_is_ce = any(is_counterexample_object(m) for m in seq)
-    limit = _load_input(args.limit)
-    if isinstance(limit, FuzzyBody2D):
-        raise ParseError("converge expects a 1-D limit")
-    aware = seq_is_ce or is_counterexample_object(limit)
-    grid = _parse_grid(args.grid, aware)
+    seq = _load(args.seq, args.command, "family", "sequence")
+    limit = _load(args.limit, args.command, "fuzzy number")
+    # a streamed sequence declares its hint levels through its first member
+    members = [seq(1)] if callable(seq) else seq
+    grid = _parse_grid(args.grid, [*members, limit])
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
     if args.format == "csv":
         rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]
@@ -254,10 +246,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_family_report(args: argparse.Namespace) -> int:
     _require_json(args)
-    family = _load_family(args.family)
-    if family is None:
-        raise ParseError("family-report needs a finite family file")
-    grid = None if args.grid in (None, "default") else _parse_grid(args.grid, False).levels
+    family = _load(args.family, args.command, "family")
+    grid = None if args.grid in (None, "default") else _parse_grid(args.grid, family).levels
     diagnostics = compactness_conditions_report(
         family,
         alpha_grid=grid,

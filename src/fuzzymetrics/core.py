@@ -27,9 +27,9 @@ __all__ = [
     "as_grid",
     "make_sampled_1d",
     "alpha_cut",
-    "cut_endpoints",
     "membership_at",
     "as_curve",
+    "densify_levels",
     "sample_curve",
     "refine_to_grid",
     "ValidationCheck",
@@ -78,6 +78,10 @@ class AlphaGrid:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlphaGrid) and np.array_equal(self.levels, other.levels)
+
+    def __hash__(self) -> int:
+        # float hashing equates 0.0 and -0.0, as array_equal does
+        return hash(tuple(self.levels.tolist()))
 
 
 GridLike = Union[AlphaGrid, Sequence[float], np.ndarray]
@@ -164,7 +168,9 @@ class CutCurve1D:
     declared monotonicity is what certifies range bounds in the adaptive
     supremum search).  All genuine discontinuities must be declared; the
     callables should accept numpy arrays, scalar-only callables are wrapped
-    on demand.
+    on demand.  ``hint_levels`` names levels where the cut map changes
+    character; default level grids are densified around them (see
+    :func:`densify_levels`).
     """
 
     lower_fn: Callable[[np.ndarray], np.ndarray]
@@ -172,6 +178,7 @@ class CutCurve1D:
     jumps: tuple[DeclaredJump, ...] = ()
     lower_nondecreasing: bool = True
     upper_nonincreasing: bool = True
+    hint_levels: tuple[float, ...] = ()
     key: tuple | None = field(default=None, compare=False)
 
     def endpoints(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +260,6 @@ def alpha_cut(u: FuzzyNumber1D, alpha: float) -> Interval:
     return Interval(float(lo), float(hi))
 
 
-def cut_endpoints(u: FuzzyNumber1D, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cut endpoints at each level in ``alphas``."""
-    return u.endpoints(np.asarray(alphas, dtype=float))
-
-
 def _crossing_level(levels: np.ndarray, values: np.ndarray, x: float, increasing: bool) -> float:
     """Largest alpha at which a monotone piecewise-linear endpoint still
     admits ``x`` on the inner side; 1.0 if it never crosses."""
@@ -315,8 +317,22 @@ def as_curve(u: FuzzyNumber1D) -> CutCurve1D:
 def sample_curve(u: FuzzyNumber1D, grid: GridLike) -> SampledFuzzy1D:
     """Sample a fuzzy number onto a grid (piecewise-linear approximant)."""
     g = as_grid(grid)
-    lo, hi = cut_endpoints(u, g.levels)
+    lo, hi = u.endpoints(g.levels)
     return make_sampled_1d(g, lo, hi)
+
+
+def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.ndarray:
+    """``levels`` densified around every hint level the inputs declare.
+
+    Each hint adds itself and offsets of 1e-2 .. 1e-6 on both sides, kept
+    in (0, 1]; ``levels`` come back unchanged when no input declares one.
+    """
+    hints = sorted({h for u in inputs if isinstance(u, CutCurve1D) for h in u.hint_levels})
+    if not hints:
+        return levels
+    offsets = 10.0 ** -np.arange(2, 7)
+    extra = np.concatenate([np.concatenate([h + offsets, h - offsets, [h]]) for h in hints])
+    return np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
 
 
 def refine_to_grid(u: SampledFuzzy1D, grid: GridLike) -> SampledFuzzy1D:
@@ -423,7 +439,7 @@ def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TO
     if not tol > 0:
         raise OutOfRange("tol must be positive")
     levels = _probe_levels(u)
-    lo, hi = cut_endpoints(u, levels)
+    lo, hi = u.endpoints(levels)
     jumps = tuple(j.alpha for j in u.jumps) if isinstance(u, CutCurve1D) else ()
     checks: list[ValidationCheck] = []
 

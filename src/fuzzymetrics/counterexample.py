@@ -78,7 +78,7 @@ def _zeros(alphas) -> np.ndarray:
 
 
 def make_un(n: int) -> CutCurve1D:
-    """Member n of the sequence; continuous cuts, no declared jumps."""
+    """Member n of the sequence; continuous cuts with a kink at one third."""
     if int(n) != n or n < 1:
         raise BadIndex(f"member index must be a positive integer, got {n}")
     n = int(n)
@@ -86,6 +86,7 @@ def make_un(n: int) -> CutCurve1D:
         lower_fn=_zeros,
         upper_fn=lambda a, _n=n: _member_upper(a, _n),
         jumps=(),
+        hint_levels=(ONE_THIRD,),
         key=("counterexample-un", n),
     )
 
@@ -96,6 +97,7 @@ def make_limit() -> CutCurve1D:
         lower_fn=_zeros,
         upper_fn=_limit_upper,
         jumps=(DeclaredJump(alpha=ONE_THIRD, lower_right=0.0, upper_right=0.0),),
+        hint_levels=(ONE_THIRD,),
         key=("counterexample-limit",),
     )
 
@@ -250,7 +252,7 @@ def refutation_report(
         raise OutOfRange("n_max must be at least 2 to exhibit a sequence")
     fam = members(n_max)
     limit = make_limit()
-    grid = default_report_grid(counterexample_aware=True)
+    grid = default_report_grid([limit])
 
     radius, bounded = family_mod.support_bound(fam)
     support_section = {

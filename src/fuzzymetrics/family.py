@@ -15,14 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber1D, SampledFuzzy1D, cut_endpoints, make_sampled_1d
+from .core import FuzzyNumber1D, SampledFuzzy1D, densify_levels, make_sampled_1d
 from .errors import EmptyFamily, OutOfRange
-from .metrics import is_counterexample_object
 
 __all__ = [
     "DEFAULT_DELTA_GRID",
     "DEFAULT_EPS",
-    "default_alpha_grid",
     "support_bound",
     "left_modulus",
     "right_modulus_at_zero",
@@ -46,14 +44,10 @@ DEFAULT_EPS = 0.1
 CLOSEDNESS_MARKER = "not evaluated - supplied by caller assertion"
 
 
-def default_alpha_grid(counterexample_aware: bool = False) -> np.ndarray:
-    """101 uniform levels on (0, 1], densified near one third when asked."""
-    levels = np.arange(1, 102) / 101.0
-    if counterexample_aware:
-        offsets = 10.0 ** -np.arange(2, 7)
-        extra = np.concatenate([1.0 / 3.0 + offsets, 1.0 / 3.0 - offsets, [1.0 / 3.0]])
-        levels = np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
-    return levels
+def _tamed(modulus: float, eps: float) -> bool:
+    """The witness convention shared by every equi-continuity search: a
+    modulus of exactly ``eps`` passes."""
+    return modulus <= eps
 
 
 def _require_members(family: Sequence[FuzzyNumber1D]) -> list[FuzzyNumber1D]:
@@ -72,15 +66,15 @@ def support_bound(family: Sequence[FuzzyNumber1D]) -> tuple[float, bool]:
     members = _require_members(family)
     radius = 0.0
     for u in members:
-        lo, hi = cut_endpoints(u, np.asarray(0.0))
+        lo, hi = u.endpoints(0.0)
         radius = max(radius, abs(float(lo)), abs(float(hi)))
     return radius, True
 
 
 def _pair_moduli(u: FuzzyNumber1D, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """H(cut(alpha_i), cut(beta_i)) for one member, vectorized."""
-    lo_a, hi_a = cut_endpoints(u, alphas)
-    lo_b, hi_b = cut_endpoints(u, betas)
+    lo_a, hi_a = u.endpoints(alphas)
+    lo_b, hi_b = u.endpoints(betas)
     return np.maximum(np.abs(lo_a - lo_b), np.abs(hi_a - hi_b))
 
 
@@ -179,14 +173,15 @@ def equi_continuity_report(
 
     Reports, per level in (0, 1], the largest tested delta whose modulus
     stays within eps (witness), or no witness if even the smallest tested
-    delta fails; plus the analogous right-side entry at level 0.
+    delta fails; plus the analogous right-side entry at level 0.  Without
+    ``alpha_grid`` the levels are k/101, k = 1..101, densified around the
+    members' hint levels.
     """
     if not eps > 0:
         raise OutOfRange("eps must be positive")
     members = _require_members(family)
     if alpha_grid is None:
-        aware = any(is_counterexample_object(u) for u in members)
-        alpha_grid = default_alpha_grid(counterexample_aware=aware)
+        alpha_grid = densify_levels(np.arange(1, 102) / 101.0, members)
     alphas = np.unique(np.asarray(alpha_grid, dtype=float))
     alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
     if alphas.size == 0:
@@ -207,7 +202,7 @@ def equi_continuity_report(
         for j in range(deltas.size):  # largest tested delta first
             if np.isnan(row[j]):
                 continue
-            if row[j] <= eps:
+            if _tamed(row[j], eps):
                 witness = float(deltas[j])
                 modulus = float(row[j])
                 break
@@ -220,7 +215,7 @@ def equi_continuity_report(
         if d > 1.0:
             continue
         m = right_modulus_at_zero(members, d)
-        if m <= eps:
+        if _tamed(m, eps):
             zero_witness, zero_modulus = d, m
             break
         zero_modulus = m
@@ -263,7 +258,7 @@ def eventually_equi_left(
         b = np.asarray([alpha - d])
         last_violation = 0
         for k, u in enumerate(members, start=1):
-            if float(_pair_moduli(u, a, b)[0]) >= eps:
+            if not _tamed(float(_pair_moduli(u, a, b)[0]), eps):
                 last_violation = k
         if last_violation < len(members):
             k0 = last_violation + 1

@@ -25,9 +25,10 @@ from .core import (
     GridLike,
     Interval,
     SampledFuzzy1D,
+    _interval_distance,
     as_curve,
     as_grid,
-    cut_endpoints,
+    densify_levels,
     refine_to_grid,
 )
 from .bodies import PlanarSupport
@@ -47,7 +48,6 @@ __all__ = [
     "ConvergenceReport",
     "level_convergence_report",
     "default_report_grid",
-    "is_counterexample_object",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -94,8 +94,8 @@ class LevelProfile:
 def level_distance_profile(u: FuzzyNumber1D, v: FuzzyNumber1D, grid: GridLike) -> LevelProfile:
     """H(cut(u, a), cut(v, a)) at every grid level."""
     g = as_grid(grid)
-    lo_u, hi_u = cut_endpoints(u, g.levels)
-    lo_v, hi_v = cut_endpoints(v, g.levels)
+    lo_u, hi_u = u.endpoints(g.levels)
+    lo_v, hi_v = v.endpoints(g.levels)
     h = np.maximum(np.abs(lo_u - lo_v), np.abs(hi_u - hi_v))
     return LevelProfile(g.levels, h)
 
@@ -141,10 +141,6 @@ class Enclosure:
 
     def to_dict(self) -> dict:
         return {"lower": self.lower, "upper": self.upper, "attained": self.attained}
-
-
-def _pair_h(cut_u: tuple[float, float], cut_v: tuple[float, float]) -> float:
-    return max(abs(cut_u[0] - cut_v[0]), abs(cut_u[1] - cut_v[1]))
 
 
 def _segment_bound(
@@ -219,7 +215,7 @@ def d_infty_parametric(
 
     cuts = {x: (eval_u(x), eval_v(x)) for x in points}
     for x, (a_, b_) in cuts.items():
-        h = _pair_h(a_, b_)
+        h = _interval_distance(a_, b_)
         if h > best_point:
             best_point, best_point_at = h, x
 
@@ -230,7 +226,7 @@ def d_infty_parametric(
             rl_u, rl_v = cu.right_limit(left), cv.right_limit(left)
             lu = (rl_u.lo, rl_u.hi)
             lv = (rl_v.lo, rl_v.hi)
-            h = _pair_h(lu, lv)
+            h = _interval_distance(lu, lv)
             if h > best_limit:
                 best_limit, best_limit_at = h, left
         else:
@@ -257,7 +253,7 @@ def d_infty_parametric(
         nodes += 1
         m = 0.5 * (a + b)
         mu, mv = eval_u(m), eval_v(m)
-        h = _pair_h(mu, mv)
+        h = _interval_distance(mu, mv)
         if h > best_point:
             best_point, best_point_at = h, m
         lower = max(best_point, best_limit, 0.0)
@@ -345,13 +341,13 @@ def level_convergence_report(
 
     g = as_grid(grid)
     alphas = g.levels
-    lo_u, hi_u = cut_endpoints(u, alphas)
+    lo_u, hi_u = u.endpoints(alphas)
     last_violation = np.zeros(alphas.size, dtype=np.int64)
     keep_trace = n_max <= TRACE_WINDOW_CAP
     trace = np.empty((n_max, alphas.size)) if keep_trace else None
     h = np.zeros(alphas.size)
     for n in range(1, n_max + 1):
-        lo, hi = cut_endpoints(member(n), alphas)
+        lo, hi = member(n).endpoints(alphas)
         h = np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
         last_violation[h > eps] = n
         if keep_trace:
@@ -383,18 +379,8 @@ def level_convergence_report(
     )
 
 
-def is_counterexample_object(u) -> bool:
-    """True for fuzzy numbers built by the counterexample constructors."""
-    key = getattr(u, "key", None)
-    return isinstance(key, tuple) and bool(key) and str(key[0]).startswith("counterexample")
-
-
-def default_report_grid(counterexample_aware: bool = False, base_count: int = 101) -> AlphaGrid:
-    """Uniform report grid, densified around the one-third level for
-    counterexample runs (where the interesting behavior concentrates)."""
-    levels = np.linspace(0.0, 1.0, base_count)
-    if counterexample_aware:
-        offsets = 10.0 ** -np.arange(2, 7)
-        extra = np.concatenate([1.0 / 3.0 + offsets, 1.0 / 3.0 - offsets, [1.0 / 3.0]])
-        levels = np.union1d(levels, extra[(extra > 0.0) & (extra < 1.0)])
-    return AlphaGrid(levels)
+def default_report_grid(inputs: Sequence[FuzzyNumber1D] = ()) -> AlphaGrid:
+    """101 uniform levels on [0, 1], densified around the hint levels the
+    inputs declare (for the counterexample: one third, where the
+    interesting behavior concentrates)."""
+    return AlphaGrid(densify_levels(np.linspace(0.0, 1.0, 101), inputs))

@@ -90,6 +90,10 @@ class TestDistVerb:
         assert enc["lower"] <= 1.0 <= enc["upper"]
         assert enc["attained"] is False
 
+    def test_sequence_rejected_by_kind(self, capsys):
+        assert run(["dist", "counterexample-seq", "counterexample-limit"]) == 1
+        assert "it is a sequence, expected a fuzzy number" in capsys.readouterr().err
+
     def test_mixed_inputs_use_enclosure(self, tri_file, capsys):
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)

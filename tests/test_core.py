@@ -63,6 +63,10 @@ class TestAlphaGrid:
         g = AlphaGrid(np.array([0.0, 0.5, 1.0])).union(AlphaGrid(np.array([0.0, 0.25, 1.0])))
         assert np.array_equal(g.levels, [0.0, 0.25, 0.5, 1.0])
 
+    def test_hash_consistent_with_eq(self):
+        assert hash(AlphaGrid.uniform(3)) == hash(AlphaGrid(np.array([-0.0, 0.5, 1.0])))
+        assert len({AlphaGrid.uniform(3), AlphaGrid.uniform(3), AlphaGrid.uniform(4)}) == 2
+
 
 class TestInterval:
     def test_rejects_inverted(self):

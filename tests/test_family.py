@@ -193,6 +193,14 @@ class TestEventuallyEquiLeft:
         assert delta is not None
         assert eventually_equi_left(fam, 0.8, 0.1, delta_grid=[delta]) == (1, delta)
 
+    def test_modulus_equal_to_eps_is_a_witness_in_both_searches(self):
+        # the cut moves from [0.25, 1] at level 1 to [0.125, 1] at level 0.5
+        fam = [make_sampled_1d([0, 1], [0, 0.25], [1, 1])]
+        report = equi_continuity_report(fam, alpha_grid=[1.0], delta_grid=[0.5], eps=0.125)
+        assert report.entries[0].modulus == 0.125
+        assert report.entries[0].witness_delta == 0.5
+        assert eventually_equi_left(fam, 1.0, 0.125, delta_grid=[0.5]) == (1, 0.5)
+
 
 class TestCompactnessReport:
     def test_counterexample_family_all_checkable_pass(self):

@@ -19,7 +19,6 @@ from fuzzymetrics import (
     random_family,
     sample_curve,
 )
-from fuzzymetrics.metrics import is_counterexample_object
 
 
 def triangular():
@@ -239,9 +238,10 @@ class TestReportGrid:
         assert len(g) == 101
 
     def test_counterexample_detection(self):
-        assert is_counterexample_object(make_un(2))
-        assert is_counterexample_object(make_limit())
-        assert not is_counterexample_object(triangular())
-        g = default_report_grid(counterexample_aware=True)
-        assert 1 / 3 in g.levels
-        assert 1 / 3 + 1e-4 in g.levels
+        assert make_un(2).hint_levels == (1 / 3,)
+        assert make_limit().hint_levels == (1 / 3,)
+        assert default_report_grid([triangular()]) == default_report_grid()
+        for inputs in ([make_un(2)], [triangular(), make_limit()]):
+            g = default_report_grid(inputs)
+            assert 1 / 3 in g.levels
+            assert 1 / 3 + 1e-4 in g.levels
