@@ -36,6 +36,9 @@ TRI_UN1 = ["dist", "tri.json", "counterexample-un:1", "--tol", "1e-6"]
 SEQ_PROFILE = ["profile", "counterexample-seq", "counterexample-limit", "--n-max", "3"]
 CE_PROFILE = ["profile", "ce_family.json", "counterexample-limit", "--grid", "11"]
 SEQ_CONVERGE = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "2000"]
+# short enough to keep the per-level distance traces (h_values), long enough
+# to span several blocks of the batched member scan
+SEQ_CONVERGE_TRACE = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "600", "--grid", "5"]
 FAMILY_CONVERGE = ["converge", "family.json", "tri.json", "--eps", "0.5"]
 FAMILY_SMALL = ["family-report", "family.json", "--grid", "11", "--delta-grid", "pow2:2..6", "--eps", "0.2"]
 # three offsets keep the default-grid reports small; ce_family.json is also
@@ -66,6 +69,7 @@ CASES = {
     "profile-seq-limit.json": [*SEQ_PROFILE, *JSON],
     "converge-seq-limit.json": SEQ_CONVERGE,
     "converge-seq-limit.csv": [*SEQ_CONVERGE, *CSV],
+    "converge-seq-limit-trace.json": SEQ_CONVERGE_TRACE,
     "converge-ce_family-limit.json": ["converge", "ce_family.json", "counterexample-limit"],
     "converge-ce_family-limit.csv": ["converge", "ce_family.json", "counterexample-limit", *CSV],
     "converge-family-tri.json": FAMILY_CONVERGE,
