@@ -335,6 +335,38 @@ def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.nd
     return np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
 
 
+# A block of endpoint rows holds at most this many members (enough to
+# amortize per-call overhead) and, on long level vectors, about this many
+# values per array (so that a block stays near half a MB).
+_ROW_BLOCK = 256
+_ROW_BLOCK_CELLS = 1 << 16
+
+
+def _member_rows(seq, count: int, alphas):
+    """Cut endpoints of members 1..count of ``seq``, one block at a time.
+
+    ``seq`` is a finite sequence or a 1-based index -> member callable.
+    Yields ``(ns, lo, hi)``: ``lo`` and ``hi`` have shape
+    ``(len(ns), len(alphas))`` and row i belongs to member ``ns[i]``.  A
+    sequence with a batch method ``endpoints(ns, alphas)`` fills each block
+    in one call; any other is evaluated member by member.
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    batch = getattr(seq, "endpoints", None)
+    member = seq if callable(seq) else (lambda k: seq[k - 1])
+    step = max(1, min(_ROW_BLOCK, _ROW_BLOCK_CELLS // max(alphas.size, 1)))
+    for start in range(1, count + 1, step):
+        ns = np.arange(start, min(start + step, count + 1))
+        if batch is not None:
+            lo, hi = batch(ns, alphas)
+        else:
+            lo = np.empty((ns.size, alphas.size))
+            hi = np.empty((ns.size, alphas.size))
+            for i, n in enumerate(ns.tolist()):
+                lo[i], hi[i] = member(n).endpoints(alphas)
+        yield ns, lo, hi
+
+
 def refine_to_grid(u: SampledFuzzy1D, grid: GridLike) -> SampledFuzzy1D:
     """Re-express a sampled number on a refinement of its grid.
 

@@ -102,16 +102,54 @@ def make_limit() -> CutCurve1D:
     )
 
 
-def members(n_max: int) -> list[CutCurve1D]:
-    """The finite family of the first ``n_max`` members."""
+def _members_endpoints(ns, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of members ``ns`` (rows) at levels ``alphas`` (columns).
+
+    Row i equals ``make_un(ns[i]).endpoints(alphas)`` bit for bit: the log
+    is taken once per level and divided by each index, as member by member.
+    """
+    n = np.asarray(ns)
+    if n.ndim != 1 or not np.all((n >= 1) & (n == np.floor(n))):
+        raise BadIndex("member indices must be positive integers")
+    t = np.atleast_1d(_inner(alphas))
+    pos = t > 0.0
+    hi = np.ones((n.size, t.size))
+    hi[:, pos] = 1.0 - np.exp(np.log(t[pos])[None, :] / n.astype(float)[:, None])
+    return np.zeros_like(hi), hi
+
+
+class _Members(tuple):
+    """Members 1..n_max; ``endpoints(ns, alphas)`` evaluates many at once."""
+
+    def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
+        if np.size(ns) and np.max(ns) > len(self):
+            raise BadIndex(f"member index above the family's {len(self)} members")
+        return _members_endpoints(ns, alphas)
+
+
+class _MemberSequence:
+    """The whole sequence: ``seq(n)`` is ``make_un(n)``, and
+    ``endpoints(ns, alphas)`` evaluates many members at once."""
+
+    def __call__(self, n: int) -> CutCurve1D:
+        return make_un(n)
+
+    def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
+        return _members_endpoints(ns, alphas)
+
+
+def members(n_max: int) -> tuple[CutCurve1D, ...]:
+    """The finite family of the first ``n_max`` members (a tuple that also
+    carries the batch ``endpoints``)."""
     if n_max < 1:
         raise BadIndex("n_max must be at least 1")
-    return [make_un(n) for n in range(1, n_max + 1)]
+    return _Members(make_un(n) for n in range(1, n_max + 1))
 
 
-def member_sequence():
-    """1-based index -> member callable, for streaming sequence scans."""
-    return make_un
+def member_sequence() -> _MemberSequence:
+    """1-based index -> member callable with batch ``endpoints``, for
+    streaming sequence scans."""
+    return _MemberSequence()
 
 
 def exact_H_profile(n: int, alpha):

@@ -10,12 +10,13 @@ tested grids, never a claim about the underlying topological property.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber1D, SampledFuzzy1D, densify_levels, make_sampled_1d
+from .core import FuzzyNumber1D, SampledFuzzy1D, _member_rows, densify_levels, make_sampled_1d
 from .errors import EmptyFamily, OutOfRange
 
 __all__ = [
@@ -44,14 +45,16 @@ DEFAULT_EPS = 0.1
 CLOSEDNESS_MARKER = "not evaluated - supplied by caller assertion"
 
 
-def _tamed(modulus: float, eps: float) -> bool:
+def _tamed(modulus, eps: float):
     """The witness convention shared by every equi-continuity search: a
-    modulus of exactly ``eps`` passes."""
+    modulus of exactly ``eps`` passes (elementwise on arrays)."""
     return modulus <= eps
 
 
-def _require_members(family: Sequence[FuzzyNumber1D]) -> list[FuzzyNumber1D]:
-    members = list(family)
+def _require_members(family: Sequence[FuzzyNumber1D]) -> Sequence[FuzzyNumber1D]:
+    """The family as a sequence; a sequence is kept as it is, so that its
+    batch ``endpoints`` (if any) still serves the member rows."""
+    members = family if isinstance(family, abc.Sequence) else list(family)
     if not members:
         raise EmptyFamily("family has no members")
     return members
@@ -65,17 +68,23 @@ def support_bound(family: Sequence[FuzzyNumber1D]) -> tuple[float, bool]:
     """
     members = _require_members(family)
     radius = 0.0
-    for u in members:
-        lo, hi = u.endpoints(0.0)
-        radius = max(radius, abs(float(lo)), abs(float(hi)))
+    for _, lo, hi in _member_rows(members, len(members), [0.0]):
+        radius = max(radius, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     return radius, True
 
 
-def _pair_moduli(u: FuzzyNumber1D, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """H(cut(alpha_i), cut(beta_i)) for one member, vectorized."""
-    lo_a, hi_a = u.endpoints(alphas)
-    lo_b, hi_b = u.endpoints(betas)
-    return np.maximum(np.abs(lo_a - lo_b), np.abs(hi_a - hi_b))
+def _cut_moves(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """Per-row H(cut(column i), cut(column k + i)) for i < k."""
+    return np.maximum(np.abs(lo[:, :k] - lo[:, k:]), np.abs(hi[:, :k] - hi[:, k:]))
+
+
+def _worst_moduli(members: Sequence[FuzzyNumber1D], alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Worst member's H(cut(alpha_i), cut(beta_i)), one row block at a time."""
+    k = alphas.size
+    worst = np.zeros(k)
+    for _, lo, hi in _member_rows(members, len(members), np.concatenate([alphas, betas])):
+        worst = np.maximum(worst, np.max(_cut_moves(lo, hi, k), axis=0))
+    return worst
 
 
 def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) -> float:
@@ -89,9 +98,7 @@ def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) ->
     if not (0.0 < delta <= alpha):
         raise OutOfRange(f"delta={delta} outside (0, alpha]")
     members = _require_members(family)
-    a = np.asarray([alpha])
-    b = np.asarray([alpha - delta])
-    return max(float(_pair_moduli(u, a, b)[0]) for u in members)
+    return float(_worst_moduli(members, np.asarray([alpha]), np.asarray([alpha - delta]))[0])
 
 
 def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> float:
@@ -99,24 +106,27 @@ def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> floa
     if not (0.0 < delta <= 1.0):
         raise OutOfRange(f"delta={delta} outside (0, 1]")
     members = _require_members(family)
-    a = np.asarray([0.0])
-    b = np.asarray([delta])
-    return max(float(_pair_moduli(u, a, b)[0]) for u in members)
+    return float(_worst_moduli(members, np.asarray([0.0]), np.asarray([delta]))[0])
 
 
-def _moduli_table(
-    members: list[FuzzyNumber1D], alphas: np.ndarray, deltas: np.ndarray
-) -> np.ndarray:
-    """Family moduli on the (alpha, delta) lattice; NaN where delta > alpha."""
+def _moduli(
+    members: Sequence[FuzzyNumber1D], alphas: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Family moduli on the (alpha, delta) lattice, NaN where delta > alpha,
+    and right moduli at level 0 per delta, NaN where delta > 1; one pass
+    over the members."""
     pairs_a = np.repeat(alphas, deltas.size)
     pairs_d = np.tile(deltas, alphas.size)
     valid = pairs_d <= pairs_a
     pairs_b = np.where(valid, pairs_a - pairs_d, pairs_a)
-    worst = np.zeros(pairs_a.size)
-    for u in members:
-        worst = np.maximum(worst, _pair_moduli(u, pairs_a, pairs_b))
-    worst[~valid] = np.nan
-    return worst.reshape(alphas.size, deltas.size)
+    zero_valid = deltas <= 1.0
+    worst = _worst_moduli(
+        members,
+        np.concatenate([pairs_a, np.zeros(deltas.size)]),
+        np.concatenate([pairs_b, np.where(zero_valid, deltas, 0.0)]),
+    )
+    worst[~np.concatenate([valid, zero_valid])] = np.nan
+    return worst[: pairs_a.size].reshape(alphas.size, deltas.size), worst[pairs_a.size :]
 
 
 @dataclass(frozen=True)
@@ -177,6 +187,17 @@ def equi_continuity_report(
     ``alpha_grid`` the levels are k/101, k = 1..101, densified around the
     members' hint levels.
     """
+    return _equi_continuity(family, alpha_grid, delta_grid, eps)[0]
+
+
+def _equi_continuity(
+    family: Sequence[FuzzyNumber1D],
+    alpha_grid: Sequence[float] | np.ndarray | None,
+    delta_grid: Sequence[float] | np.ndarray | None,
+    eps: float,
+) -> tuple[EquiContinuityReport, np.ndarray, np.ndarray]:
+    """The equi-continuity report plus the moduli it was read from (see
+    :func:`_moduli`)."""
     if not eps > 0:
         raise OutOfRange("eps must be positive")
     members = _require_members(family)
@@ -193,7 +214,7 @@ def equi_continuity_report(
     if deltas.size == 0 or np.any(deltas <= 0):
         raise OutOfRange("delta grid must hold positive offsets")
 
-    table = _moduli_table(members, alphas, deltas)
+    table, zero_moduli = _moduli(members, alphas, deltas)
     entries = []
     for i, a in enumerate(alphas.tolist()):
         row = table[i]
@@ -211,21 +232,21 @@ def equi_continuity_report(
 
     zero_witness = None
     zero_modulus = np.nan
-    for d in deltas.tolist():
+    for d, m in zip(deltas.tolist(), zero_moduli.tolist()):
         if d > 1.0:
             continue
-        m = right_modulus_at_zero(members, d)
         if _tamed(m, eps):
             zero_witness, zero_modulus = d, m
             break
         zero_modulus = m
     right_entry = EquiEntry(alpha=0.0, witness_delta=zero_witness, modulus=float(zero_modulus))
-    return EquiContinuityReport(
+    report = EquiContinuityReport(
         entries=tuple(entries),
         right_at_zero=right_entry,
         eps=eps,
         delta_grid=tuple(deltas.tolist()),
     )
+    return report, table, zero_moduli
 
 
 def eventually_equi_left(
@@ -245,25 +266,24 @@ def eventually_equi_left(
         raise OutOfRange(f"alpha={alpha} outside (0, 1]")
     if not eps > 0:
         raise OutOfRange("eps must be positive")
-    members = list(seq)
-    if n_max is not None:
-        members = members[:n_max]
-    members = _require_members(members)
-    deltas = [d for d in (DEFAULT_DELTA_GRID if delta_grid is None else delta_grid) if d <= alpha]
+    members = _require_members(seq)
+    count = len(members) if n_max is None else min(n_max, len(members))
+    if count < 1:
+        raise EmptyFamily("family has no members")
+    # smallest delta first, so ties keep it
+    deltas = sorted(d for d in (DEFAULT_DELTA_GRID if delta_grid is None else delta_grid) if d <= alpha)
     if not deltas:
         return None
-    a = np.asarray([alpha])
+    k = len(deltas)
+    levels = np.concatenate([np.full(k, float(alpha)), alpha - np.asarray(deltas, dtype=float)])
+    last_violation = np.zeros(k, dtype=np.int64)
+    for ns, lo, hi in _member_rows(members, count, levels):
+        wild = ~_tamed(_cut_moves(lo, hi, k), eps)
+        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns[:, None], 0), axis=0))
     best: tuple[int, float] | None = None
-    for d in sorted(deltas):  # smallest delta first, so ties keep it
-        b = np.asarray([alpha - d])
-        last_violation = 0
-        for k, u in enumerate(members, start=1):
-            if not _tamed(float(_pair_moduli(u, a, b)[0]), eps):
-                last_violation = k
-        if last_violation < len(members):
-            k0 = last_violation + 1
-            if best is None or k0 < best[0]:
-                best = (k0, d)
+    for d, last in zip(deltas, last_violation.tolist()):
+        if last < count and (best is None or last + 1 < best[0]):
+            best = (last + 1, d)
     return best
 
 
@@ -325,11 +345,10 @@ def compactness_conditions_report(
     """
     members = _require_members(family)
     radius, bounded = support_bound(members)
-    report = equi_continuity_report(members, alpha_grid, delta_grid, eps)
+    report, table, zero_table = _equi_continuity(members, alpha_grid, delta_grid, eps)
 
     deltas = np.asarray(report.delta_grid)
     alphas = np.asarray([e.alpha for e in report.entries])
-    table = _moduli_table(members, alphas, deltas)
     left_moduli = {
         float(a): {
             float(d): float(table[i, j])
@@ -338,8 +357,9 @@ def compactness_conditions_report(
         }
         for i, a in enumerate(alphas.tolist())
     }
-    zero_deltas = [d for d in deltas.tolist() if d <= 1.0]
-    zero_moduli = {float(d): right_modulus_at_zero(members, d) for d in zero_deltas}
+    zero_moduli = {
+        float(d): float(m) for d, m in zip(deltas.tolist(), zero_table.tolist()) if d <= 1.0
+    }
 
     support_verdict = {"radius": radius, "bounded": bounded, "passed": bool(bounded)}
     left_verdict = {

@@ -26,6 +26,7 @@ from .core import (
     Interval,
     SampledFuzzy1D,
     _interval_distance,
+    _member_rows,
     as_curve,
     as_grid,
     densify_levels,
@@ -324,7 +325,9 @@ def level_convergence_report(
 ) -> ConvergenceReport:
     """Scan a sequence for levelwise Hausdorff convergence to ``u``.
 
-    ``seq`` is a finite sequence or a 1-based index -> member callable.  At
+    ``seq`` is a finite sequence or a 1-based index -> member callable; one
+    that carries a batch ``endpoints(ns, alphas)`` is evaluated a block of
+    members at a time, and the report does not depend on the block.  At
     each grid level the report records the first index N after which every
     scanned distance stays within ``eps``; "not reached" means the last
     scanned index still violates.  No claim is made beyond the window.
@@ -333,11 +336,8 @@ def level_convergence_report(
         raise OutOfRange("eps must be positive")
     if n_max < 1:
         raise OutOfRange("n_max must be at least 1")
-    if callable(seq):
-        member = seq
-    else:
+    if not callable(seq):
         n_max = min(n_max, len(seq))
-        member = lambda k: seq[k - 1]
 
     g = as_grid(grid)
     alphas = g.levels
@@ -346,12 +346,12 @@ def level_convergence_report(
     keep_trace = n_max <= TRACE_WINDOW_CAP
     trace = np.empty((n_max, alphas.size)) if keep_trace else None
     h = np.zeros(alphas.size)
-    for n in range(1, n_max + 1):
-        lo, hi = member(n).endpoints(alphas)
-        h = np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
-        last_violation[h > eps] = n
+    for ns, lo, hi in _member_rows(seq, n_max, alphas):
+        block = np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
+        last_violation = np.maximum(last_violation, np.max(np.where(block > eps, ns[:, None], 0), axis=0))
         if keep_trace:
-            trace[n - 1] = h
+            trace[ns[0] - 1 : ns[-1]] = block
+        h = block[-1]
 
     entries = []
     failing = []

@@ -21,6 +21,7 @@ from fuzzymetrics import (
     refutation_report,
     uniform_modulus_bound,
 )
+from fuzzymetrics.counterexample import member_sequence, members
 
 
 class TestMembers:
@@ -50,6 +51,43 @@ class TestMembers:
             expected = 1 / 3 + 2 / 3 * (1 - x) ** 3
             assert membership_at(u, x) == pytest.approx(expected, abs=1e-9)
         assert membership_at(u, 0.0) == 1.0
+
+
+class TestBatchEndpoints:
+    LEVELS = np.array(
+        [0.0, 1 / 3, 1.0]
+        + [1 / 3 + 10.0**-k for k in range(1, 17)]
+        + [1 / 3 - 10.0**-k for k in range(1, 17)]
+    )
+
+    def assert_rows_match(self, rows, ns):
+        lo, hi = rows
+        assert lo.shape == hi.shape == (len(ns), self.LEVELS.size)
+        for i, n in enumerate(ns):
+            lo_n, hi_n = make_un(n).endpoints(self.LEVELS)
+            assert lo[i].tobytes() == lo_n.tobytes()
+            assert hi[i].tobytes() == hi_n.tobytes()
+
+    def test_sequence_rows_equal_members_bit_for_bit(self):
+        ns = [1, 2, 255, 256, 257, 99_999]
+        self.assert_rows_match(member_sequence().endpoints(np.array(ns), self.LEVELS), ns)
+
+    def test_finite_family_rows_equal_members_bit_for_bit(self):
+        fam = members(300)
+        ns = [1, 2, 255, 256, 257, 300]
+        self.assert_rows_match(fam.endpoints(np.array(ns), self.LEVELS), ns)
+        assert [u.key for u in fam] == [make_un(n).key for n in range(1, 301)]
+
+    def test_sequence_still_builds_members(self):
+        seq = member_sequence()
+        assert seq(7).key == make_un(7).key
+
+    def test_bad_indices(self):
+        for bad in ([0], [-1], [1.5]):
+            with pytest.raises(BadIndex):
+                member_sequence().endpoints(np.array(bad), self.LEVELS)
+        with pytest.raises(BadIndex):
+            members(5).endpoints(np.array([6]), self.LEVELS)
 
 
 class TestLimit:

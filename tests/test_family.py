@@ -19,6 +19,7 @@ from fuzzymetrics import (
     support_bound,
     validate_representation,
 )
+from fuzzymetrics.counterexample import members
 from fuzzymetrics.serialize import dumps
 
 
@@ -67,6 +68,54 @@ class TestSupportBound:
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamily):
             support_bound([])
+
+
+class TestEmptyFamily:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            support_bound,
+            lambda fam: left_modulus(fam, 0.5, 0.25),
+            lambda fam: right_modulus_at_zero(fam, 0.25),
+            equi_continuity_report,
+            compactness_conditions_report,
+            lambda fam: eventually_equi_left(fam, 0.5, 0.1),
+        ],
+    )
+    @pytest.mark.parametrize("empty", [list, tuple, iter])
+    def test_rejected_everywhere(self, check, empty):
+        with pytest.raises(EmptyFamily):
+            check(empty([]))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(EmptyFamily):
+            eventually_equi_left(members(3), 0.5, 0.1, n_max=0)
+
+
+class TestBatchFamily:
+    """A family carrying batch ``endpoints`` gives the same numbers as the
+    member-by-member evaluation of the same members."""
+
+    def test_moduli_and_support(self):
+        batch = members(300)
+        plain = list(batch)
+        for fam in (batch, plain):
+            assert support_bound(fam) == (1.0, True)
+        assert left_modulus(batch, 0.8, 0.05) == left_modulus(plain, 0.8, 0.05)
+        assert right_modulus_at_zero(batch, 0.5) == right_modulus_at_zero(plain, 0.5)
+        for n_max in (None, 257, 10):
+            assert eventually_equi_left(batch, 0.8, 0.01, n_max=n_max) == eventually_equi_left(
+                plain, 0.8, 0.01, n_max=n_max
+            )
+
+    def test_compactness_report_bytes(self):
+        batch = members(40)
+        deltas = [2.0 ** -k for k in range(1, 8)]
+        texts = {
+            dumps(compactness_conditions_report(fam, delta_grid=deltas).to_dict())
+            for fam in (batch, list(batch))
+        }
+        assert len(texts) == 1
 
 
 class TestLeftModulus:
@@ -234,6 +283,17 @@ class TestCompactnessReport:
             assert lt["equi_continuity"]["left"] is sm["equi_left_continuity"]
             assert dumps(lt["support_bounded"]) == dumps(sm["support_bounded"])
             assert dumps(lt["equi_continuity"]["left"]) == dumps(sm["equi_left_continuity"])
+
+    def test_right_moduli_match_the_public_function(self):
+        fam = random_family(seed=5, count=30)
+        deltas = [2.0, 1.0] + [2.0 ** -k for k in range(1, 9)]
+        diag = compactness_conditions_report(fam, delta_grid=deltas)
+        assert sorted(diag.right_modulus_at_zero) == sorted(d for d in deltas if d <= 1.0)
+        for d, value in diag.right_modulus_at_zero.items():
+            assert value == right_modulus_at_zero(fam, d)
+        for a, row in diag.left_moduli.items():
+            for d, value in row.items():
+                assert value == left_modulus(fam, a, d)
 
     def test_moduli_tables_shape(self):
         diag = compactness_conditions_report(random_family(seed=9, count=3))

@@ -19,6 +19,8 @@ from fuzzymetrics import (
     random_family,
     sample_curve,
 )
+from fuzzymetrics.counterexample import member_sequence, members
+from fuzzymetrics.serialize import dumps
 
 
 def triangular():
@@ -216,6 +218,18 @@ class TestLevelConvergence:
         )
         by_callable = level_convergence_report(make_un, make_limit(), grid, eps=0.05, n_max=30)
         assert [e.first_index for e in by_list.entries] == [e.first_index for e in by_callable.entries]
+
+    def test_streamed_list_and_callable_agree_across_blocks(self):
+        # 600 members span several blocks of the batched scan and still keep
+        # their distance traces
+        grid = default_report_grid([make_limit()])
+        reports = [
+            level_convergence_report(seq, make_limit(), grid, eps=1e-3, n_max=600)
+            for seq in (member_sequence(), members(600), list(members(600)), make_un)
+        ]
+        assert reports[0].entries[0].h_values is not None
+        texts = {dumps(r.to_dict()) for r in reports}
+        assert len(texts) == 1
 
     def test_traces_kept_for_short_windows(self):
         report = level_convergence_report(
