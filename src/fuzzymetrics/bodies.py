@@ -28,6 +28,9 @@ __all__ = [
 
 # 1 degree resolution; even count keeps 0 and pi on the grid exactly.
 DEFAULT_DIRECTIONS = 360
+# a level's body counts as empty only below this Chebyshev radius, so that
+# LP round-off on a degenerate (segment or point) body is not an error
+_RECONSTRUCTION_TOL = 1e-9
 
 
 def direction_angles(count: int) -> np.ndarray:
@@ -110,11 +113,7 @@ class FuzzyBody2D:
         return PlanarSupport(self.support[level_index])
 
 
-def make_body_2d(
-    grid: GridLike,
-    support: np.ndarray,
-    reconstruction_tol: float = 1e-9,
-) -> FuzzyBody2D:
+def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     """Build a validated fuzzy body from per-level support samples.
 
     Checks nestedness (support nonincreasing in alpha, directionwise) and
@@ -131,7 +130,7 @@ def make_body_2d(
     body = FuzzyBody2D(g, s)
     for i in range(len(g)):
         r = chebyshev_radius(body.body(i))
-        if r < -reconstruction_tol:
+        if r < -_RECONSTRUCTION_TOL:
             raise EmptyCut(f"support samples at alpha={g.levels[i]} bound an empty region (radius {r})")
     return body
 

@@ -354,9 +354,6 @@ def run(argv: list[str] | None = None) -> int:
     except VerdictFailure as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FuzzyMetricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,7 @@ A fuzzy number is stored through its alpha-cuts: a nested family of closed
 intervals indexed by membership level alpha in [0, 1].  Two carriers are
 provided: ``SampledFuzzy1D`` holds endpoint samples on a finite grid
 (piecewise-linear in between), ``CutCurve1D`` holds closed-form endpoint
-callables plus metadata about monotonicity and declared jump points.
+callables, monotone as the cut axioms require, plus declared jump points.
 """
 
 from __future__ import annotations
@@ -164,20 +164,18 @@ class DeclaredJump:
 class CutCurve1D:
     """Parametric fuzzy number: endpoint evaluators on [0, 1] plus metadata.
 
-    ``lower_fn`` must be nondecreasing and ``upper_fn`` nonincreasing (the
-    declared monotonicity is what certifies range bounds in the adaptive
-    supremum search).  All genuine discontinuities must be declared; the
-    callables should accept numpy arrays, scalar-only callables are wrapped
-    on demand.  ``hint_levels`` names levels where the cut map changes
-    character; default level grids are densified around them (see
-    :func:`densify_levels`).
+    ``lower_fn`` must be nondecreasing and ``upper_fn`` nonincreasing, as
+    the cut axioms require; that monotonicity is what certifies range
+    bounds in the adaptive supremum search.  All genuine discontinuities
+    must be declared; the callables should accept numpy arrays, scalar-only
+    callables are wrapped on demand.  ``hint_levels`` names levels where the
+    cut map changes character; default level grids are densified around
+    them (see :func:`densify_levels`).
     """
 
     lower_fn: Callable[[np.ndarray], np.ndarray]
     upper_fn: Callable[[np.ndarray], np.ndarray]
     jumps: tuple[DeclaredJump, ...] = ()
-    lower_nondecreasing: bool = True
-    upper_nonincreasing: bool = True
     hint_levels: tuple[float, ...] = ()
     key: tuple | None = field(default=None, compare=False)
 
@@ -242,21 +240,11 @@ def _check_level(alpha: float) -> float:
 def alpha_cut(u: FuzzyNumber1D, alpha: float) -> Interval:
     """The cut of ``u`` at level ``alpha``.
 
-    Sampled numbers interpolate endpoints linearly between grid nodes and
-    return stored samples exactly at the nodes; parametric numbers evaluate
-    their endpoint callables.
+    Read from ``u.endpoints``: sampled numbers interpolate linearly between
+    grid nodes and return stored samples exactly at the nodes; parametric
+    numbers evaluate their endpoint callables.
     """
-    a = _check_level(alpha)
-    if isinstance(u, SampledFuzzy1D):
-        levels = u.grid.levels
-        i = int(np.searchsorted(levels, a))
-        if i < levels.size and levels[i] == a:
-            return Interval(float(u.lower[i]), float(u.upper[i]))
-        lo0, lo1 = u.lower[i - 1], u.lower[i]
-        hi0, hi1 = u.upper[i - 1], u.upper[i]
-        t = (a - levels[i - 1]) / (levels[i] - levels[i - 1])
-        return Interval(float(lo0 + t * (lo1 - lo0)), float(hi0 + t * (hi1 - hi0)))
-    lo, hi = u.endpoints(np.asarray(a))
+    lo, hi = u.endpoints(np.asarray(_check_level(alpha)))
     return Interval(float(lo), float(hi))
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "members",
     "member_sequence",
     "exact_H_profile",
-    "exact_dinf_to_limit",
     "dgn_bound",
     "uniform_modulus_bound",
     "family_modulus_oracle",
@@ -41,8 +40,8 @@ __all__ = [
 
 ONE_THIRD = 1.0 / 3.0
 
-# default window for the level-convergence scan inside the refutation report
-DEFAULT_SCAN_WINDOW = 100_000
+# window of the level-convergence scan inside the refutation report
+SCAN_WINDOW = 100_000
 DEFAULT_EPS = 1e-3
 
 
@@ -171,18 +170,6 @@ def exact_H_profile(n: int, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def exact_dinf_to_limit(n: int) -> tuple[float, bool]:
-    """Supremum distance from member n to the limit: exactly 1, not attained.
-
-    The cut distance is 0 at or below one third, strictly below 1 above it,
-    and increases to 1 as the level decreases to one third, so the supremum
-    is 1 and is only approached.
-    """
-    if int(n) != n or n < 1:
-        raise BadIndex(f"member index must be a positive integer, got {n}")
-    return 1.0, False
-
-
 def dgn_bound(alpha: float, delta: float, beta: float) -> float:
     """Displayed modulus bound (3(a-d)/2 - 1/2)^(-1) * (a - b).
 
@@ -273,7 +260,6 @@ def _equi_witness_delta(alpha: float, eps: float) -> float:
 def refutation_report(
     n_max: int,
     eps: float = DEFAULT_EPS,
-    scan_window: int = DEFAULT_SCAN_WINDOW,
     tol: float = 1e-9,
 ) -> dict:
     """Machine-checked evidence that the family breaks the published
@@ -339,10 +325,10 @@ def refutation_report(
         "entries": equi_entries,
     }
 
-    convergence = level_convergence_report(member_sequence(), limit, grid, eps, scan_window)
+    convergence = level_convergence_report(member_sequence(), limit, grid, eps, SCAN_WINDOW)
     convergence_section = {
         "eps": eps,
-        "scan_window": scan_window,
+        "scan_window": SCAN_WINDOW,
         "converged": convergence.converged,
         "failing_alphas": list(convergence.failing_alphas),
         "table_csv": csv_table(
@@ -356,16 +342,16 @@ def refutation_report(
     none_attained = True
     grid_alphas = grid.levels
     for n in range(1, n_max + 1):
-        value, attained = exact_dinf_to_limit(n)
         enc: Enclosure = d_infty_parametric(make_un(n), limit, tol=tol)
         grid_max = float(np.max(exact_H_profile(n, grid_alphas)))
-        all_one = all_one and value == 1.0 and enc.lower <= 1.0 <= enc.upper and enc.width <= tol
-        none_attained = none_attained and not attained and not enc.attained
+        all_one = all_one and enc.lower <= 1.0 <= enc.upper and enc.width <= tol
+        none_attained = none_attained and not enc.attained
         sup_entries.append(
             {
                 "n": n,
-                "value": value,
-                "attained": attained,
+                # the closed form (module docstring): exactly 1, never attained
+                "value": 1.0,
+                "attained": False,
                 "enclosure_lower": enc.lower,
                 "enclosure_upper": enc.upper,
                 "grid_max": grid_max,
@@ -415,7 +401,7 @@ def refutation_report(
     return {
         "n_max": n_max,
         "eps": eps,
-        "scan_window": scan_window,
+        "scan_window": SCAN_WINDOW,
         "tol": tol,
         "support_bound": support_section,
         "equi_left_continuity": equi_section,

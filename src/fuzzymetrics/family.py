@@ -10,6 +10,7 @@ tested grids, never a claim about the underlying topological property.
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -190,6 +191,23 @@ def equi_continuity_report(
     return _equi_continuity(family, alpha_grid, delta_grid, eps)[0]
 
 
+def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[float | None, float]:
+    """The largest tested delta whose modulus is tamed, with that modulus.
+
+    ``deltas`` run largest first; a NaN modulus marks an offset that does
+    not apply and is skipped.  Without a witness the modulus is the last
+    applicable one (NaN when none applies).
+    """
+    modulus = math.nan
+    for d, m in zip(deltas, moduli):
+        if math.isnan(m):
+            continue
+        if _tamed(m, eps):
+            return d, m
+        modulus = m
+    return None, modulus
+
+
 def _equi_continuity(
     family: Sequence[FuzzyNumber1D],
     alpha_grid: Sequence[float] | np.ndarray | None,
@@ -215,36 +233,15 @@ def _equi_continuity(
         raise OutOfRange("delta grid must hold positive offsets")
 
     table, zero_moduli = _moduli(members, alphas, deltas)
-    entries = []
-    for i, a in enumerate(alphas.tolist()):
-        row = table[i]
-        witness = None
-        modulus = np.nan
-        for j in range(deltas.size):  # largest tested delta first
-            if np.isnan(row[j]):
-                continue
-            if _tamed(row[j], eps):
-                witness = float(deltas[j])
-                modulus = float(row[j])
-                break
-            modulus = float(row[j])
-        entries.append(EquiEntry(alpha=a, witness_delta=witness, modulus=float(modulus)))
-
-    zero_witness = None
-    zero_modulus = np.nan
-    for d, m in zip(deltas.tolist(), zero_moduli.tolist()):
-        if d > 1.0:
-            continue
-        if _tamed(m, eps):
-            zero_witness, zero_modulus = d, m
-            break
-        zero_modulus = m
-    right_entry = EquiEntry(alpha=0.0, witness_delta=zero_witness, modulus=float(zero_modulus))
+    offsets = deltas.tolist()
+    entries = tuple(
+        EquiEntry(a, *_witness(offsets, row.tolist(), eps)) for a, row in zip(alphas.tolist(), table)
+    )
     report = EquiContinuityReport(
-        entries=tuple(entries),
-        right_at_zero=right_entry,
+        entries=entries,
+        right_at_zero=EquiEntry(0.0, *_witness(offsets, zero_moduli.tolist(), eps)),
         eps=eps,
-        delta_grid=tuple(deltas.tolist()),
+        delta_grid=tuple(offsets),
     )
     return report, table, zero_moduli
 
@@ -411,18 +408,17 @@ def random_family(
     seed: int,
     count: int,
     levels: int = 9,
-    spread: float = 1.0,
-    center_range: tuple[float, float] = (-1.0, 1.0),
     jump_at: float | None = None,
     jump_size: float = 0.5,
 ) -> list[SampledFuzzy1D]:
     """Deterministic generator of valid sampled fuzzy numbers.
 
-    Endpoint monotonicity is guaranteed by sorting random offsets around a
-    random center.  With ``jump_at`` set, every member's upper endpoint
-    drops by at least ``jump_size`` across a squeezed grid gap just below
-    that level, which defeats equi-left-continuity there while each member
-    stays a perfectly valid fuzzy number.
+    Endpoint monotonicity is guaranteed by sorting random offsets in
+    [0, 1) around a random center in [-1, 1).  With ``jump_at`` set, every
+    member's upper endpoint drops by at least ``jump_size`` across a
+    squeezed grid gap just below that level, which defeats
+    equi-left-continuity there while each member stays a perfectly valid
+    fuzzy number.
     """
     if count < 1:
         raise OutOfRange("count must be at least 1")
@@ -438,9 +434,9 @@ def random_family(
         grid_levels = np.union1d(grid_levels, [jump_at - 1e-6, jump_at])
     members = []
     for _ in range(count):
-        center = rng.uniform(*center_range)
-        down = np.sort(rng.uniform(0.0, spread, grid_levels.size))[::-1]
-        up = np.sort(rng.uniform(0.0, spread, grid_levels.size))[::-1]
+        center = rng.uniform(-1.0, 1.0)
+        down = np.sort(rng.uniform(0.0, 1.0, grid_levels.size))[::-1]
+        up = np.sort(rng.uniform(0.0, 1.0, grid_levels.size))[::-1]
         lower = center - down
         upper = center + up
         if jump_at is not None:

@@ -3,11 +3,11 @@
 The supremum metric between fuzzy numbers is the sup over levels of the
 Hausdorff distance between matching cuts.  On sampled data the sup is a
 finite max over grid nodes; on parametric curves it is bracketed by an
-adaptive branch-and-bound search whose range bounds come from the declared
-endpoint monotonicity.  Declared jump points are never straddled: they are
-forced split points whose one-sided limit cuts enter as explicit supremum
-candidates, so a sup that is approached (but not attained) at a jump is
-still enclosed exactly.
+adaptive branch-and-bound search whose range bounds come from the endpoint
+monotonicity that the cut axioms require.  Declared jump points are never
+straddled: they are forced split points whose one-sided limit cuts enter as
+explicit supremum candidates, so a sup that is approached (but not
+attained) at a jump is still enclosed exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .core import (
     as_curve,
     as_grid,
     densify_levels,
-    refine_to_grid,
 )
 from .bodies import PlanarSupport
 from .errors import GridMismatch, OutOfRange
@@ -107,13 +106,7 @@ def d_infty_sampled(u: SampledFuzzy1D, v: SampledFuzzy1D) -> float:
     Endpoint differences are piecewise linear in alpha, so the sup over
     [0, 1] is attained at a node of the union grid.
     """
-    if u.grid != v.grid:
-        g = u.grid.union(v.grid)
-        u = refine_to_grid(u, g)
-        v = refine_to_grid(v, g)
-    return float(
-        np.max(np.maximum(np.abs(u.lower - v.lower), np.abs(u.upper - v.upper)))
-    )
+    return level_distance_profile(u, v, u.grid.union(v.grid)).max()
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,7 @@ def d_infty_parametric(
     """Certified enclosure of the supremum metric between cut curves.
 
     Branch and bound on the level axis: each segment's sup is bounded above
-    through the declared endpoint monotonicity, declared jumps force split
+    through the monotone cut endpoints, declared jumps force split
     points whose right-limit cuts are evaluated as explicit candidates, and
     segments are bisected until the bracket is narrower than ``tol``.  When
     ``max_depth`` or ``max_nodes`` stops refinement first, the bracket is
@@ -194,10 +187,6 @@ def d_infty_parametric(
     if not tol > 0:
         raise OutOfRange("tol must be positive")
     cu, cv = as_curve(u), as_curve(v)
-    if not (cu.lower_nondecreasing and cu.upper_nonincreasing):
-        raise OutOfRange("parametric supremum needs declared endpoint monotonicity")
-    if not (cv.lower_nondecreasing and cv.upper_nonincreasing):
-        raise OutOfRange("parametric supremum needs declared endpoint monotonicity")
     if cu is cv or (cu.key is not None and cu.key == cv.key):
         return Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)
 

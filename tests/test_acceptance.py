@@ -16,7 +16,6 @@ from fuzzymetrics import (
     d_infty_sampled,
     dgn_bound,
     exact_H_profile,
-    exact_dinf_to_limit,
     family_modulus_oracle,
     hausdorff_interval,
     hausdorff_support_2d,
@@ -39,9 +38,6 @@ def test_criterion_1_counterexample_distance_exactly_one():
     start = time.perf_counter()
     lim = make_limit()
     for n in range(1, 101):
-        value, attained = exact_dinf_to_limit(n)
-        assert value == 1.0
-        assert attained is False
         enc = d_infty_parametric(make_un(n), lim, tol=1e-9)
         assert enc.lower <= 1.0 <= enc.upper
         assert enc.width <= 1e-9

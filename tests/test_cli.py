@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,7 +78,7 @@ class TestValidateVerb:
 class TestDistVerb:
     def test_same_sampled_number_is_zero(self, tri_file, tmp_path, capsys):
         other = tmp_path / "tri2.json"
-        other.write_text(open(tri_file).read())
+        other.write_text(Path(tri_file).read_text())
         assert run(["dist", tri_file, str(other)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "sampled-grid-max"

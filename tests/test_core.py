@@ -126,6 +126,14 @@ class TestAlphaCut:
                 cut = alpha_cut(u, a)
                 assert cut.lo == u.lower[i] and cut.hi == u.upper[i]
 
+    def test_agrees_with_endpoints_bit_for_bit(self):
+        # a non-dyadic grid: two ways to interpolate can differ in the last bit
+        u = make_sampled_1d([0.0, 0.3, 0.7, 1.0], [-1.0, -0.7, 0.1, 0.3], [2.0, 1.1, 0.9, 0.3])
+        levels = np.linspace(0.0, 1.0, 101)
+        lo, hi = u.endpoints(levels)
+        for a, x, y in zip(levels.tolist(), lo.tolist(), hi.tolist()):
+            assert alpha_cut(u, a) == Interval(x, y)
+
     def test_nestedness(self):
         rng = np.random.default_rng(5)
         for u in random_family(seed=23, count=10):

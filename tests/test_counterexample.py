@@ -11,7 +11,6 @@ from fuzzymetrics import (
     d_infty_parametric,
     dgn_bound,
     exact_H_profile,
-    exact_dinf_to_limit,
     family_modulus_oracle,
     level_distance_profile,
     make_limit,
@@ -145,21 +144,12 @@ class TestExactProfile:
 
 
 class TestExactDistance:
-    def test_constant_one_never_attained(self):
-        for n in (1, 2, 50, 100):
-            value, attained = exact_dinf_to_limit(n)
-            assert value == 1.0 and attained is False
-
     def test_enclosure_cross_check(self):
         lim = make_limit()
         for n in (1, 10, 100):
             enc = d_infty_parametric(make_un(n), lim, tol=1e-9)
             assert enc.lower <= 1.0 <= enc.upper
             assert not enc.attained
-
-    def test_bad_index(self):
-        with pytest.raises(BadIndex):
-            exact_dinf_to_limit(0)
 
 
 class TestQuotientBound:
