@@ -186,7 +186,9 @@ class CutCurve1D:
             hi = np.asarray(self.upper_fn(a), dtype=float)
             if lo.shape != a.shape or hi.shape != a.shape:
                 raise TypeError
-        except TypeError:
+        except (TypeError, ValueError):
+            # scalar-only callables: a type error, or an ambiguous truth value
+            # where the callable branches on its argument
             lo = np.array([float(self.lower_fn(x)) for x in np.atleast_1d(a)])
             hi = np.array([float(self.upper_fn(x)) for x in np.atleast_1d(a)])
             lo = lo.reshape(a.shape)

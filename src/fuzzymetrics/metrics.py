@@ -4,7 +4,10 @@ The supremum metric between fuzzy numbers is the sup over levels of the
 Hausdorff distance between matching cuts.  On sampled data the sup is a
 finite max over grid nodes; on parametric curves it is bracketed by an
 adaptive branch-and-bound search whose range bounds come from the endpoint
-monotonicity that the cut axioms require.  Declared jump points are never
+monotonicity that the cut axioms require.  The search bisects its open
+segments a round at a time, with one array call per curve for all the
+midpoints of a round, and checks the monotonicity at every point it
+evaluates (a violation raises NonNested).  Declared jump points are never
 straddled: they are forced split points whose one-sided limit cuts enter as
 explicit supremum candidates, so a sup that is approached (but not
 attained) at a jump is still enclosed exactly.
@@ -12,7 +15,6 @@ attained) at a jump is still enclosed exactly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -32,7 +34,7 @@ from .core import (
     densify_levels,
 )
 from .bodies import PlanarSupport
-from .errors import GridMismatch, OutOfRange
+from .errors import GridMismatch, NonNested, OutOfRange
 
 __all__ = [
     "DEFAULT_TOL",
@@ -91,13 +93,26 @@ class LevelProfile:
         return float(np.max(self.h))
 
 
+def _cuts(u: FuzzyNumber1D, v: FuzzyNumber1D, levels: np.ndarray) -> np.ndarray:
+    """Rows (lower_u, lower_v, -upper_u, -upper_v): both cuts at every level.
+
+    The upper endpoints are negated (exactly) so that the cut axioms make
+    every row nondecreasing in the level.
+    """
+    lo_u, hi_u = u.endpoints(levels)
+    lo_v, hi_v = v.endpoints(levels)
+    return np.array((lo_u, lo_v, -hi_u, -hi_v))
+
+
+def _cut_distance(cuts: np.ndarray) -> np.ndarray:
+    """H between the two cuts in each column of ``_cuts`` rows."""
+    return np.maximum(np.abs(cuts[0] - cuts[1]), np.abs(cuts[2] - cuts[3]))
+
+
 def level_distance_profile(u: FuzzyNumber1D, v: FuzzyNumber1D, grid: GridLike) -> LevelProfile:
     """H(cut(u, a), cut(v, a)) at every grid level."""
     g = as_grid(grid)
-    lo_u, hi_u = u.endpoints(g.levels)
-    lo_v, hi_v = v.endpoints(g.levels)
-    h = np.maximum(np.abs(lo_u - lo_v), np.abs(hi_u - hi_v))
-    return LevelProfile(g.levels, h)
+    return LevelProfile(g.levels, _cut_distance(_cuts(u, v, g.levels)))
 
 
 def d_infty_sampled(u: SampledFuzzy1D, v: SampledFuzzy1D) -> float:
@@ -137,35 +152,31 @@ class Enclosure:
         return {"lower": self.lower, "upper": self.upper, "attained": self.attained}
 
 
-def _segment_bound(
-    left_u: tuple[float, float],
-    left_v: tuple[float, float],
-    right_u: tuple[float, float],
-    right_v: tuple[float, float],
-) -> float:
-    """Upper bound for sup H over a segment, from monotone endpoint ranges.
+# A frontier holds one column per open segment [a, b]: its two levels, then
+# the ``_cuts`` rows at a and at b.
+_A, _B, _LEFT, _RIGHT = 0, 1, slice(2, 6), slice(6, 10)
 
-    On [a, b] the lower endpoints range over [lower(a), lower(b)] and the
-    upper endpoints over [upper(b), upper(a)]; the sup of |x - y| over two
-    intervals is max(x_max - y_min, y_max - x_min).
+
+def _check_nested(seg: np.ndarray) -> None:
+    """Raise NonNested unless both cuts shrink from each segment's left end
+    to its right end, as the monotone range bounds assume."""
+    nested = seg[_LEFT] <= seg[_RIGHT]
+    if not nested.all():
+        i = int(np.argmin(nested.all(axis=0)))
+        raise NonNested(
+            f"cut endpoints are not monotone between levels {float(seg[_A, i])!r} and {float(seg[_B, i])!r}"
+        )
+
+
+def _segment_bound(seg: np.ndarray) -> np.ndarray:
+    """Upper bound for sup H over each segment, from monotone endpoint ranges.
+
+    On [a, b] each ``_cuts`` row ranges over [row(a), row(b)]; the sup of
+    |x - y| over two intervals is max(x_max - y_min, y_max - x_min).
     """
-    bound_lo = max(right_u[0] - left_v[0], right_v[0] - left_u[0])
-    bound_hi = max(left_u[1] - right_v[1], left_v[1] - right_u[1])
-    return max(bound_lo, bound_hi, 0.0)
-
-
-def _point_evaluator(curve: CutCurve1D):
-    """Scalar (lower, upper) evaluator avoiding per-call array wrapping."""
-    lf, uf = curve.lower_fn, curve.upper_fn
-
-    def ev(x: float) -> tuple[float, float]:
-        try:
-            return float(lf(x)), float(uf(x))
-        except (TypeError, ValueError):
-            lo, hi = curve.endpoints(np.asarray(x, dtype=float))
-            return float(lo), float(hi)
-
-    return ev
+    left, right = seg[_LEFT], seg[_RIGHT]
+    gaps = np.maximum(right[0::2] - left[1::2], right[1::2] - left[0::2])
+    return np.maximum(gaps.max(axis=0), 0.0)
 
 
 def d_infty_parametric(
@@ -180,9 +191,13 @@ def d_infty_parametric(
     Branch and bound on the level axis: each segment's sup is bounded above
     through the monotone cut endpoints, declared jumps force split
     points whose right-limit cuts are evaluated as explicit candidates, and
-    segments are bisected until the bracket is narrower than ``tol``.  When
-    ``max_depth`` or ``max_nodes`` stops refinement first, the bracket is
-    still certified, just wider than requested.
+    segments are bisected until the bracket is narrower than ``tol``.  Each
+    round bisects every segment whose bound exceeds the best candidate by
+    more than ``tol`` and evaluates all its midpoints in one ``endpoints``
+    call per curve; when the rounds would exceed ``max_nodes``, the highest
+    bounds are bisected first.  A segment whose endpoints are not monotone
+    raises NonNested.  When ``max_depth`` or ``max_nodes`` stops refinement
+    first, the bracket is still certified, just wider than requested.
     """
     if not tol > 0:
         raise OutOfRange("tol must be positive")
@@ -194,67 +209,61 @@ def d_infty_parametric(
         {j.alpha for j in cu.jumps if j.alpha < 1.0}
         | {j.alpha for j in cv.jumps if j.alpha < 1.0}
     )
-    points = sorted({0.0, 1.0, *jump_levels})
-    eval_u = _point_evaluator(cu)
-    eval_v = _point_evaluator(cv)
-
-    best_point = -1.0
-    best_point_at = 0.0
+    points = np.array(sorted({0.0, 1.0, *jump_levels}))
+    cuts = _cuts(cu, cv, points)
+    h = _cut_distance(cuts)
+    i = int(np.argmax(h))
+    best_point, best_point_at = float(h[i]), float(points[i])
     best_limit = -1.0
     best_limit_at = 0.0
 
-    cuts = {x: (eval_u(x), eval_v(x)) for x in points}
-    for x, (a_, b_) in cuts.items():
-        h = _interval_distance(a_, b_)
-        if h > best_point:
-            best_point, best_point_at = h, x
-
-    heap: list[tuple] = []
-    counter = 0
-    for left, right in zip(points[:-1], points[1:]):
-        if left in jump_levels:
-            rl_u, rl_v = cu.right_limit(left), cv.right_limit(left)
-            lu = (rl_u.lo, rl_u.hi)
-            lv = (rl_v.lo, rl_v.hi)
-            h = _interval_distance(lu, lv)
+    left = cuts[:, :-1].copy()
+    for k, x in enumerate(points[:-1].tolist()):
+        if x in jump_levels:
+            rl_u, rl_v = cu.right_limit(x), cv.right_limit(x)
+            left[:, k] = rl_u.lo, rl_v.lo, -rl_u.hi, -rl_v.hi
+            h = _interval_distance((rl_u.lo, rl_u.hi), (rl_v.lo, rl_v.hi))
             if h > best_limit:
-                best_limit, best_limit_at = h, left
-        else:
-            lu, lv = cuts[left]
-        ru, rv = cuts[right]
-        bound = _segment_bound(lu, lv, ru, rv)
-        heapq.heappush(heap, (-bound, counter, left, right, lu, lv, ru, rv, 0))
-        counter += 1
+                best_limit, best_limit_at = h, x
+    seg = np.concatenate((points[None, :-1], points[None, 1:], left, cuts[:, 1:]))
 
     frozen = 0.0
+    unexpanded = 0.0  # largest bound among segments dropped without bisection
     nodes = 0
-    while heap:
+    depth = 0  # the segments of one round share their depth
+    while True:
+        _check_nested(seg)
+        bound = _segment_bound(seg)
         lower = max(best_point, best_limit, 0.0)
-        top = -heap[0][0]
+        # lower only rises, so a segment within tol of it is never bisected:
+        # drop it and keep only its bound, for upper
+        is_open = bound - lower > tol
+        unexpanded = max(unexpanded, float(bound.max(initial=0.0, where=~is_open)))
+        seg, bound = seg[:, is_open], bound[is_open]
+        top = float(bound.max(initial=0.0))
         if max(top, frozen) - lower <= tol or nodes >= max_nodes:
             break
-        neg_bound, _, a, b, lu, lv, ru, rv, depth = heapq.heappop(heap)
-        bound = -neg_bound
-        if bound <= lower:
-            continue
         if depth >= max_depth:
-            frozen = max(frozen, bound)
-            continue
-        nodes += 1
-        m = 0.5 * (a + b)
-        mu, mv = eval_u(m), eval_v(m)
-        h = _interval_distance(mu, mv)
-        if h > best_point:
-            best_point, best_point_at = h, m
-        lower = max(best_point, best_limit, 0.0)
-        for seg in ((a, m, lu, lv, mu, mv), (m, b, mu, mv, ru, rv)):
-            child = _segment_bound(seg[2], seg[3], seg[4], seg[5])
-            if child > lower:
-                heapq.heappush(heap, (-child, counter, *seg, depth + 1))
-                counter += 1
+            frozen = top  # every open segment sits at this depth
+            break
+        budget = max_nodes - nodes
+        if bound.size > budget:
+            # highest bounds first, ties in level order
+            order = np.argsort(-bound, kind="stable")
+            unexpanded = max(unexpanded, float(bound[order[budget]]))
+            seg = seg[:, np.sort(order[:budget])]
+        nodes += seg.shape[1]
+        m = 0.5 * (seg[_A] + seg[_B])
+        mid = _cuts(cu, cv, m)
+        h = _cut_distance(mid)
+        i = int(np.argmax(h))
+        if h[i] > best_point:
+            best_point, best_point_at = float(h[i]), float(m[i])
+        halves = (np.vstack((seg[_A], m, seg[_LEFT], mid)), np.vstack((m, seg[_B], mid, seg[_RIGHT])))
+        seg = np.stack(halves, axis=2).reshape(seg.shape[0], -1)
+        depth += 1
 
-    lower = max(best_point, best_limit, 0.0)
-    upper = max(lower, frozen, -heap[0][0] if heap else 0.0)
+    upper = max(lower, frozen, unexpanded, top)
     attained = best_point >= best_limit
     witness = best_point_at if attained else best_limit_at
     return Enclosure(lower, upper, attained=attained, witness_alpha=witness, nodes=nodes)

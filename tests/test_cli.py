@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzymetrics.cli import run
 from fuzzymetrics.serialize import decode_fuzzy
-from fuzzymetrics import d_infty_sampled
+from fuzzymetrics import CutCurve1D, d_infty_sampled, make_sampled_1d
 
 
 @pytest.fixture
@@ -94,6 +95,15 @@ class TestDistVerb:
     def test_sequence_rejected_by_kind(self, capsys):
         assert run(["dist", "counterexample-seq", "counterexample-limit"]) == 1
         assert "it is a sequence, expected a fuzzy number" in capsys.readouterr().err
+
+    def test_non_monotone_curve_is_an_input_error(self, monkeypatch, capsys):
+        sine = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 + 0.5 * np.sin(40 * a))
+        crisp = make_sampled_1d([0, 1], [0, 0], [1, 1])
+        monkeypatch.setattr("fuzzymetrics.cli._load", lambda spec, *kinds: sine if spec == "sine" else crisp)
+        assert run(["dist", "sine", "crisp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cut endpoints are not monotone")
 
     def test_mixed_inputs_use_enclosure(self, tri_file, capsys):
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0

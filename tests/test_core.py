@@ -245,6 +245,15 @@ class TestValidation:
         with pytest.raises(OutOfRange):
             validate_representation(triangular(), tol=0.0)
 
+    def test_scalar_only_branching_callable_is_wrapped(self):
+        # `a > 0.6` on an array raises ValueError, not TypeError
+        u = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 - 0.3 * a - (0.2 if a > 0.6 else 0.0))
+        lo, hi = u.endpoints(np.array([0.5, 0.6, 0.7]))
+        assert lo.tolist() == [0.0, 0.0, 0.0]
+        assert hi.tolist() == [1 - 0.3 * 0.5, 1 - 0.3 * 0.6, 1 - 0.3 * 0.7 - 0.2]
+        nested = [c.passed for c in validate_representation(u).checks if c.name.startswith("nested")]
+        assert nested == [True, True]
+
 
 class TestResampling:
     def test_refine_preserves_function(self):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymetrics import (
+    CutCurve1D,
     Interval,
+    NonNested,
     OutOfRange,
     as_curve,
     d_infty_parametric,
@@ -20,6 +24,7 @@ from fuzzymetrics import (
     sample_curve,
 )
 from fuzzymetrics.counterexample import member_sequence, members
+from fuzzymetrics.metrics import DEFAULT_MAX_NODES
 from fuzzymetrics.serialize import dumps
 
 
@@ -29,6 +34,10 @@ def triangular():
 
 def crisp(x):
     return make_sampled_1d([0, 1], [x, x], [x, x])
+
+
+def crisp_interval(lo, hi):
+    return make_sampled_1d([0, 1], [lo, lo], [hi, hi])
 
 
 class TestHausdorffInterval:
@@ -178,6 +187,97 @@ class TestDInftyParametric:
     def test_rejects_bad_tol(self):
         with pytest.raises(OutOfRange):
             d_infty_parametric(make_un(1), make_un(2), tol=0.0)
+
+    def test_scalar_only_branching_curve(self):
+        # `a > 0.6` is ambiguous on an array, so endpoints fall back to one call per level
+        curve = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 - 0.3 * a - (0.2 if a > 0.6 else 0.0))
+        prof = level_distance_profile(curve, make_un(2), [0.0, 0.5, 1.0])
+        assert prof.h.tolist() == [0.0, 0.35, 0.49999999999999994]
+        enc = d_infty_parametric(curve, make_un(2), tol=1e-6)
+        assert (enc.lower, enc.upper, enc.attained) == (0.49999999999999994, 0.5000005722045899, True)
+
+    def test_non_monotone_upper_endpoint_raises(self):
+        # declared monotone, but 1 + 0.5 sin(40a) rises from a = 0 to a = 1; its
+        # sup distance to [0, 1] is 0.5, not the 0.3726 read off the two ends
+        sine = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 + 0.5 * np.sin(40 * a))
+        with pytest.raises(NonNested):
+            d_infty_parametric(sine, crisp_interval(0.0, 1.0))
+
+    def test_non_monotone_midpoint_raises(self):
+        # the lower endpoint is 0 at both ends of [0, 1] but 0.2 at the first midpoint
+        bump = CutCurve1D(lower_fn=lambda a: 0.2 * np.sin(np.pi * a), upper_fn=make_un(1).upper_fn)
+        with pytest.raises(NonNested, match="between levels 0.5 and 1.0"):
+            d_infty_parametric(bump, make_un(2))
+
+
+class TestPinnedEnclosures:
+    """Enclosures recorded from the best-first search that preceded the
+    round-at-a-time one; both return the same (lower, upper, attained)."""
+
+    @pytest.mark.parametrize(
+        "tol, expected",
+        [
+            (1e-9, (0.25, 0.25000000099998687, True)),
+            (1e-8, (0.25, 0.25000000999973715, True)),
+            (1e-6, (0.25, 0.25000099994689085, True)),
+        ],
+    )
+    def test_first_two_members(self, tol, expected):
+        enc = d_infty_parametric(make_un(1), make_un(2), tol=tol)
+        assert (enc.lower, enc.upper, enc.attained) == expected
+
+    def test_first_two_members_node_count(self):
+        assert d_infty_parametric(make_un(1), make_un(2), tol=1e-9).nodes <= 146_342
+
+    def test_members_two_and_six(self):
+        enc = d_infty_parametric(make_un(2), make_un(6), tol=1e-6)
+        assert (enc.lower, enc.upper, enc.attained) == (0.38490017945951716, 0.3849011776049506, True)
+
+    def test_triangle_and_first_member(self):
+        enc = d_infty_parametric(triangular(), make_un(1), tol=1e-6)
+        assert (enc.lower, enc.upper, enc.attained) == (0.5, 0.5000009536743164, True)
+
+    @pytest.mark.parametrize(
+        "depth, expected",
+        [
+            (4, (0.25, 0.34375, True)),
+            (8, (0.25, 0.255859375, True)),
+            (12, (0.25, 0.2503662109375, True)),
+            (16, (0.25, 0.25002288818359375, True)),
+        ],
+    )
+    def test_depth_caps(self, depth, expected):
+        enc = d_infty_parametric(make_un(1), make_un(2), tol=1e-15, max_depth=depth, max_nodes=3000)
+        assert (enc.lower, enc.upper, enc.attained) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 100, 1000])
+    def test_member_and_limit(self, n):
+        enc = d_infty_parametric(make_un(n), make_limit(), tol=1e-9)
+        assert (enc.lower, enc.upper, enc.attained, enc.nodes) == (1.0, 1.0, False, 0)
+
+
+@st.composite
+def monotone_sampled(draw):
+    """A valid sampled number: nondecreasing lower, nonincreasing upper endpoints."""
+    # inner levels on a 1/1000 lattice: gaps stay far wider than the depth cap resolves
+    inner = draw(st.lists(st.integers(1, 999), max_size=6, unique=True))
+    levels = [0.0, *(k / 1000 for k in sorted(inner)), 1.0]
+    steps = st.lists(st.floats(0.0, 2.0), min_size=len(levels) - 1, max_size=len(levels) - 1)
+    lower = np.cumsum([draw(st.floats(-3.0, 3.0)), *draw(steps)])
+    top = lower[-1] + draw(st.floats(0.0, 2.0))
+    upper = top + np.append(np.cumsum(draw(steps)[::-1])[::-1], 0.0)
+    return make_sampled_1d(levels, lower, upper)
+
+
+class TestParametricEnclosesSampled:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(monotone_sampled(), monotone_sampled(), st.sampled_from([1e-6, 1e-9]))
+    def test_encloses_the_exact_sampled_distance(self, u, v, tol):
+        exact = d_infty_sampled(u, v)
+        enc = d_infty_parametric(as_curve(u), as_curve(v), tol=tol)
+        assert enc.lower - 1e-12 <= exact <= enc.upper + 1e-12
+        # a bracket cut by the node budget is certified but may stay wider than tol
+        assert enc.width <= tol or enc.nodes >= DEFAULT_MAX_NODES
 
 
 class TestLevelConvergence:
