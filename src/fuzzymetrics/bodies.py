@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import AlphaGrid, GridLike, SampledFuzzy1D, as_grid, _check_level
 from .errors import EmptyCut, GridMismatch, NonNested, OutOfRange
@@ -72,8 +71,13 @@ def chebyshev_radius(body: PlanarSupport) -> float:
     """Radius of the largest disk inside the halfplane intersection.
 
     Negative when the sampled halfplanes have empty intersection, zero for
-    degenerate (lower-dimensional) bodies.
+    degenerate (lower-dimensional) bodies.  Smaller support values shrink
+    every halfplane, so across the nested levels of a fuzzy body the radius
+    is nonincreasing in alpha.  scipy is imported here, on the first solve,
+    so that only code that builds a body loads it.
     """
+    from scipy.optimize import linprog
+
     th = direction_angles(body.directions)
     a = np.column_stack([np.cos(th), np.sin(th), np.ones_like(th)])
     res = linprog(
@@ -116,8 +120,11 @@ class FuzzyBody2D:
 def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     """Build a validated fuzzy body from per-level support samples.
 
-    Checks nestedness (support nonincreasing in alpha, directionwise) and
-    that each level's halfplane intersection is a nonempty bounded polygon.
+    Checks that the samples are finite, nested (support nonincreasing in
+    alpha, directionwise) and that each level's halfplane intersection is a
+    nonempty bounded polygon.  Nested levels have nested halfplane sets, so
+    the top level is the smallest: one LP there validates every level, and
+    only a rejected body bisects for its first empty level.
     """
     g = as_grid(grid)
     s = np.asarray(support, dtype=float)
@@ -125,14 +132,24 @@ def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
         raise GridMismatch("support matrix must have one row per grid level")
     if s.shape[1] < 3:
         raise OutOfRange("need at least 3 directions")
+    if not np.all(np.isfinite(s)):
+        raise OutOfRange("support values must be finite")
     if np.any(np.diff(s, axis=0) > 0):
         raise NonNested("support values must be nonincreasing in alpha in every direction")
     body = FuzzyBody2D(g, s)
-    for i in range(len(g)):
-        r = chebyshev_radius(body.body(i))
-        if r < -_RECONSTRUCTION_TOL:
-            raise EmptyCut(f"support samples at alpha={g.levels[i]} bound an empty region (radius {r})")
-    return body
+    # levels up to index ok are nonempty; level empty is empty, radius r
+    ok, empty = -1, len(g) - 1
+    r = chebyshev_radius(body.body(empty))
+    if r >= -_RECONSTRUCTION_TOL:
+        return body
+    while empty - ok > 1:
+        mid = (ok + empty) // 2
+        r_mid = chebyshev_radius(body.body(mid))
+        if r_mid < -_RECONSTRUCTION_TOL:
+            empty, r = mid, r_mid
+        else:
+            ok = mid
+    raise EmptyCut(f"support samples at alpha={g.levels[empty]} bound an empty region (radius {r})")
 
 
 def support_function_value(body: FuzzyBody2D, alpha: float, theta: float) -> float:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymetrics import (
     EmptyCut,
@@ -14,7 +17,14 @@ from fuzzymetrics import (
     make_sampled_1d,
     support_function_value,
 )
-from fuzzymetrics.bodies import DEFAULT_DIRECTIONS, chebyshev_radius, direction_angles
+from fuzzymetrics import bodies
+from fuzzymetrics.bodies import (
+    _RECONSTRUCTION_TOL,
+    DEFAULT_DIRECTIONS,
+    PlanarSupport,
+    chebyshev_radius,
+    direction_angles,
+)
 
 
 def polygon_support(vertices, directions=DEFAULT_DIRECTIONS):
@@ -22,6 +32,29 @@ def polygon_support(vertices, directions=DEFAULT_DIRECTIONS):
     th = direction_angles(directions)
     p = np.stack([np.cos(th), np.sin(th)])
     return np.max(np.asarray(vertices, dtype=float) @ p, axis=0)
+
+
+def empty_cut_message(levels, support):
+    """Oracle: the Chebyshev radius of every level in order; the EmptyCut message
+    naming the first empty level, or None when every level is nonempty."""
+    for a, row in zip(levels, support):
+        r = chebyshev_radius(PlanarSupport(row))
+        if r < -_RECONSTRUCTION_TOL:
+            return f"support samples at alpha={a} bound an empty region (radius {r})"
+    return None
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the LPs make_body_2d solves."""
+    calls = []
+
+    def counting(body):
+        calls.append(body)
+        return chebyshev_radius(body)
+
+    monkeypatch.setattr(bodies, "chebyshev_radius", counting)
+    return calls
 
 
 def unit_square_body(levels=3):
@@ -70,8 +103,23 @@ class TestMakeBody:
         # h(p) + h(-p) < 0 forces an empty halfplane intersection
         th = direction_angles(8)
         h = np.where(np.abs(np.cos(th)) > 0.9, -1.0, 2.0)
-        with pytest.raises(EmptyCut):
-            make_body_2d([0.0, 1.0], np.tile(h, (2, 1)))
+        support = np.tile(h, (2, 1))
+        with pytest.raises(EmptyCut) as exc:
+            make_body_2d([0.0, 1.0], support)
+        assert str(exc.value) == empty_cut_message([0.0, 1.0], support)
+
+    @pytest.mark.parametrize(
+        "cells, value",
+        [((2, 7), np.nan), ((slice(None), 3), np.inf), ((slice(None), 3), -np.inf)],
+        ids=["nan-in-a-middle-row", "inf-column", "minus-inf-column"],
+    )
+    def test_non_finite_support_rejected(self, cells, value):
+        support = np.tile(polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]], 16), (5, 1))
+        support[cells] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="support values must be finite"):
+                make_body_2d(np.linspace(0.0, 1.0, 5), support)
 
     def test_chebyshev_radii(self):
         assert chebyshev_radius(unit_square_body().body(0)) == pytest.approx(0.5, abs=1e-6)
@@ -79,6 +127,56 @@ class TestMakeBody:
         assert chebyshev_radius(disk.body(0)) == pytest.approx(1.0, abs=1e-6)
         seg = lift_segment(make_sampled_1d([0, 1], [0, 0], [1, 1]))
         assert chebyshev_radius(seg.body(0)) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestTopLevelLP:
+    def test_valid_body_solves_one_lp(self, lp_calls):
+        levels = np.linspace(0.0, 1.0, 101)
+        square = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
+        make_body_2d(levels, square[None, :] + (1.0 - levels)[:, None])
+        assert len(lp_calls) == 1
+        assert np.array_equal(lp_calls[0].values, square)
+
+    def test_first_empty_middle_level_named(self, lp_calls):
+        # the square's radius 0.5 plus the offset 0.2 - alpha drops below zero above alpha = 0.7
+        levels = np.linspace(0.0, 1.0, 101)
+        square = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
+        support = square[None, :] + (0.2 - levels)[:, None]
+        with pytest.raises(EmptyCut, match=r"alpha=0\.71 bound an empty region \(radius -0\.0100") as exc:
+            make_body_2d(levels, support)
+        assert len(lp_calls) <= 1 + math.ceil(math.log2(101))
+        assert str(exc.value) == empty_cut_message(levels, support)
+
+
+@st.composite
+def nested_bodies(draw):
+    """A polygon around a random center plus a disk offset that turns negative at a random level."""
+    directions = draw(st.integers(8, 32))
+    count = draw(st.integers(2, 20))
+    inner = draw(st.lists(st.integers(1, 999), min_size=count - 2, max_size=count - 2, unique=True))
+    levels = np.array([0.0, *(k / 1000 for k in sorted(inner)), 1.0])
+    cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    vertices = [(cx + x, cy + y) for x, y in draw(st.lists(corner, min_size=1, max_size=6))]
+    # the offset is positive below level `negative_from` and negative from it on
+    negative_from = draw(st.integers(0, count))
+    step = draw(st.floats(0.01, 0.5))
+    offset = step * (negative_from - np.arange(count)) - step / 2
+    return levels, polygon_support(vertices, directions)[None, :] + offset[:, None]
+
+
+class TestBisectionAgreesWithEveryLevel:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(nested_bodies())
+    def test_same_verdict_and_level_as_the_per_level_check(self, case):
+        levels, support = case
+        expected = empty_cut_message(levels, support)
+        if expected is None:
+            make_body_2d(levels, support)
+            return
+        with pytest.raises(EmptyCut) as exc:
+            make_body_2d(levels, support)
+        assert str(exc.value) == expected
 
 
 class TestHausdorffSupport:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuzzymetrics
 from fuzzymetrics.cli import run
 from fuzzymetrics.serialize import decode_fuzzy
 from fuzzymetrics import CutCurve1D, d_infty_sampled, make_sampled_1d
@@ -74,6 +79,18 @@ class TestValidateVerb:
 
     def test_missing_file(self, capsys):
         assert run(["validate", "no-such-file.json"]) == 1
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_body_is_an_input_error(self, value, tmp_path, capsys):
+        support = np.ones((3, 8))
+        support[1, 4] = value
+        support[:, 6] = value
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"type": "body2d", "alphas": [0, 0.5, 1], "directions": 8, "support": support.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: invalid body2d object: support values must be finite\n"
 
 
 class TestDistVerb:
@@ -232,6 +249,25 @@ class TestCounterexampleVerb:
         assert run(["counterexample", "--n-max", "3", "--out", str(a)]) == 0
         assert run(["counterexample", "--n-max", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def loads_scipy(argv):
+    """Run the CLI in a fresh interpreter; whether it imported scipy."""
+    src = str(Path(fuzzymetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys; from fuzzymetrics.cli import run; assert run({argv!r}) == 0; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip() == "True"
+
+
+class TestLazyScipy:
+    def test_one_dimensional_verb_does_not_load_scipy(self, tmp_path):
+        argv = ["dist", "counterexample-un:1", "counterexample-un:2", "--out", str(tmp_path / "d.json")]
+        assert not loads_scipy(argv)
+
+    def test_building_a_body_loads_scipy(self, tmp_path):
+        body = Path(__file__).parent / "golden" / "body.json"
+        assert loads_scipy(["validate", str(body), "--out", str(tmp_path / "v.json")])
 
 
 class TestArgHandling:
