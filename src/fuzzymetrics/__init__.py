@@ -2,131 +2,20 @@
 
 __version__ = "0.1.0"
 
-from .core import (
-    AlphaGrid,
-    CutCurve1D,
-    DeclaredJump,
-    Interval,
-    SampledFuzzy1D,
-    ValidationReport,
-    alpha_cut,
-    as_curve,
-    as_grid,
-    make_sampled_1d,
-    membership_at,
-    refine_to_grid,
-    sample_curve,
-    validate_representation,
-)
-from .bodies import (
-    FuzzyBody2D,
-    PlanarSupport,
-    lift_segment,
-    make_body_2d,
-    support_function_value,
-)
-from .metrics import (
-    ConvergenceReport,
-    Enclosure,
-    LevelProfile,
-    d_infty_parametric,
-    d_infty_sampled,
-    default_report_grid,
-    hausdorff_interval,
-    hausdorff_support_2d,
-    level_convergence_report,
-    level_distance_profile,
-)
-from .family import (
-    FamilyDiagnostics,
-    compactness_conditions_report,
-    equi_continuity_report,
-    eventually_equi_left,
-    left_modulus,
-    path_family,
-    random_family,
-    right_modulus_at_zero,
-    support_bound,
-)
-from .counterexample import (
-    dgn_bound,
-    exact_H_profile,
-    family_modulus_oracle,
-    make_limit,
-    make_un,
-    pairwise_dinf_oracle,
-    refutation_report,
-    uniform_modulus_bound,
-)
-from .errors import (
-    BadGrid,
-    BadIndex,
-    EmptyCut,
-    EmptyFamily,
-    FuzzyMetricsError,
-    GridMismatch,
-    NonNested,
-    OutOfRange,
-    ParseError,
-    VerdictFailure,
-)
+from . import bodies, core, counterexample, errors, family, metrics
+from .core import *  # noqa: F403
+from .bodies import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .family import *  # noqa: F403
+from .counterexample import *  # noqa: F403
+from .errors import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "AlphaGrid",
-    "Interval",
-    "SampledFuzzy1D",
-    "CutCurve1D",
-    "DeclaredJump",
-    "FuzzyBody2D",
-    "PlanarSupport",
-    "Enclosure",
-    "LevelProfile",
-    "ConvergenceReport",
-    "FamilyDiagnostics",
-    "ValidationReport",
-    "alpha_cut",
-    "as_curve",
-    "as_grid",
-    "make_sampled_1d",
-    "membership_at",
-    "refine_to_grid",
-    "sample_curve",
-    "validate_representation",
-    "lift_segment",
-    "make_body_2d",
-    "support_function_value",
-    "hausdorff_interval",
-    "hausdorff_support_2d",
-    "level_distance_profile",
-    "d_infty_sampled",
-    "d_infty_parametric",
-    "level_convergence_report",
-    "default_report_grid",
-    "support_bound",
-    "left_modulus",
-    "right_modulus_at_zero",
-    "equi_continuity_report",
-    "eventually_equi_left",
-    "compactness_conditions_report",
-    "path_family",
-    "random_family",
-    "make_un",
-    "make_limit",
-    "exact_H_profile",
-    "dgn_bound",
-    "uniform_modulus_bound",
-    "family_modulus_oracle",
-    "pairwise_dinf_oracle",
-    "refutation_report",
-    "BadGrid",
-    "BadIndex",
-    "EmptyCut",
-    "EmptyFamily",
-    "FuzzyMetricsError",
-    "GridMismatch",
-    "NonNested",
-    "OutOfRange",
-    "ParseError",
-    "VerdictFailure",
+    *core.__all__,
+    *bodies.__all__,
+    *metrics.__all__,
+    *family.__all__,
+    *counterexample.__all__,
+    *errors.__all__,
 ]

@@ -18,14 +18,8 @@ import numpy as np
 from . import __version__
 from .core import SampledFuzzy1D, as_grid, validate_representation
 from .bodies import FuzzyBody2D
-from .counterexample import (
-    DEFAULT_EPS as CONVERGENCE_EPS,
-    make_limit,
-    make_un,
-    member_sequence,
-    refutation_report,
-)
-from .errors import FuzzyMetricsError, ParseError, VerdictFailure
+from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
+from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
 from .family import (
     DEFAULT_DELTA_GRID,
     DEFAULT_EPS as FAMILY_EPS,
@@ -34,20 +28,13 @@ from .family import (
 from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
+    _distance_rows,
     d_infty_parametric,
     d_infty_sampled,
     default_report_grid,
     level_convergence_report,
-    level_distance_profile,
 )
-from .serialize import (
-    csv_table,
-    decode_any,
-    decode_family,
-    dumps,
-    profile_csv,
-    sequence_profile_csv,
-)
+from .serialize import csv_table, decode_any, decode_family, dumps
 
 __all__ = ["main", "run"]
 
@@ -73,23 +60,16 @@ def _kind(obj) -> str:
 def _load(spec: str, command: str, *kinds: str):
     """Load an inline constructor token or a JSON file.
 
-    The result is a fuzzy number, a 2-D body, a family (a JSON array, loaded
-    as a list) or, for ``counterexample-seq``, the streamed member
-    constructor.  A ParseError names the kind when ``command`` does not take
-    it, that is when it is not one of ``kinds``.
+    A token is decoded as the JSON object it names.  The result is a fuzzy
+    number, a 2-D body, a family (a JSON array, loaded as a list) or a
+    streamed sequence such as ``counterexample-seq``.  A ParseError names the
+    kind when ``command`` does not take it, that is when it is not one of
+    ``kinds``.
     """
-    if spec == "counterexample-seq":
-        obj = member_sequence()
-    elif spec == "counterexample-limit":
-        obj = make_limit()
-    elif spec.startswith("counterexample-un:"):
-        try:
-            obj = make_un(int(spec.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ParseError(f"bad member index in {spec!r}") from exc
-    else:
+    doc = token_form(spec)
+    if doc is None:
         doc = _load_json(spec)
-        obj = decode_family(doc) if isinstance(doc, list) else decode_any(doc)
+    obj = decode_family(doc) if isinstance(doc, list) else decode_any(doc)
     kind = _kind(obj)
     if kind not in kinds:
         raise ParseError(f"{command} cannot take {spec}: it is a {kind}, expected a {' or '.join(kinds)}")
@@ -108,6 +88,12 @@ def _parse_grid(spec: str | None, inputs: list):
         return as_grid(doc)
     except FuzzyMetricsError as exc:
         raise ParseError(f"bad grid file {spec}: {exc}") from exc
+
+
+def _sequence_grid(spec: str | None, seq, other):
+    """The levels for a family or sequence and one more input; a streamed
+    sequence declares its hint levels through its first member."""
+    return _parse_grid(spec, [*([seq(1)] if callable(seq) else seq), other])
 
 
 def _parse_delta_grid(spec: str | None):
@@ -153,6 +139,8 @@ def _require_json(args: argparse.Namespace) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     obj = _load(args.input, args.command, "fuzzy number", "2-D body")
+    if not args.tol > 0:
+        raise OutOfRange("tol must be positive")
     if isinstance(obj, FuzzyBody2D):
         checks = [{"name": "body_reconstruction", "passed": True}]
         passed = True
@@ -191,40 +179,31 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     u = _load(args.a, args.command, "fuzzy number", "family", "sequence")
     v = _load(args.b, args.command, "fuzzy number")
-    if callable(u):
-        u = [u(n) for n in range(1, args.n_max + 1)]
-    members = u if isinstance(u, list) else [u]
-    grid = _parse_grid(args.grid, [*members, v])
-    header = _header(args, ["a", "b", "grid", "n_max"])
-    if not isinstance(u, list):
-        profile = level_distance_profile(u, v, grid)
-        if args.format == "json":
-            _emit(
-                args,
-                dumps({"header": header, "profile": [{"alpha": a, "H": h} for a, h in profile]}),
-            )
-        else:
-            _emit(args, profile_csv(profile))
-        return 0
-    rows = []
-    for n, member in enumerate(members, start=1):
-        rows.extend((a, n, h) for a, h in level_distance_profile(member, v, grid))
+    if args.n_max < 1:
+        raise OutOfRange("n_max must be at least 1")
+    pair = _kind(u) == "fuzzy number"
+    seq = [u] if pair else u
+    grid = _sequence_grid(args.grid, seq, v)
+    alphas = grid.levels.tolist()
+    columns = ("alpha", "H") if pair else ("alpha", "n", "H")
+    rows = [
+        (a, h) if pair else (a, n, h)
+        for ns, block in _distance_rows(seq, args.n_max if callable(seq) else len(seq), v, grid.levels)
+        for n, row in zip(ns.tolist(), block.tolist())
+        for a, h in zip(alphas, row)
+    ]
     if args.format == "json":
-        _emit(
-            args,
-            dumps({"header": header, "profile": [{"alpha": a, "n": n, "H": h} for a, n, h in rows]}),
-        )
+        profile = [dict(zip(columns, row)) for row in rows]
+        _emit(args, dumps({"header": _header(args, ["a", "b", "grid", "n_max"]), "profile": profile}))
     else:
-        _emit(args, sequence_profile_csv(rows))
+        _emit(args, csv_table(columns, rows))
     return 0
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     seq = _load(args.seq, args.command, "family", "sequence")
     limit = _load(args.limit, args.command, "fuzzy number")
-    # a streamed sequence declares its hint levels through its first member
-    members = [seq(1)] if callable(seq) else seq
-    grid = _parse_grid(args.grid, [*members, limit])
+    grid = _sequence_grid(args.grid, seq, limit)
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
     if args.format == "csv":
         rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]

@@ -408,8 +408,9 @@ class ValidationReport:
         }
 
 
-def _interval_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+def hausdorff_interval(i: Interval, j: Interval) -> float:
+    """Hausdorff distance between closed intervals: the larger endpoint gap."""
+    return max(abs(i.lo - j.lo), abs(i.hi - j.hi))
 
 
 def _one_sided_gap(u: FuzzyNumber1D, alpha: float, side: int, jumps: tuple[float, ...]) -> tuple[float, int]:
@@ -421,7 +422,6 @@ def _one_sided_gap(u: FuzzyNumber1D, alpha: float, side: int, jumps: tuple[float
     estimate and the number of retained probes.
     """
     base = alpha_cut(u, alpha)
-    here = (base.lo, base.hi)
     deltas, values = [], []
     for k in range(PROBE_K_MIN, PROBE_K_MAX + 1):
         d = 2.0 ** -k
@@ -431,9 +431,8 @@ def _one_sided_gap(u: FuzzyNumber1D, alpha: float, side: int, jumps: tuple[float
         window = (min(alpha, probe), max(alpha, probe))
         if any(window[0] < j < window[1] for j in jumps if j != alpha):
             continue
-        cut = alpha_cut(u, probe)
         deltas.append(d)
-        values.append(_interval_distance(here, (cut.lo, cut.hi)))
+        values.append(hausdorff_interval(base, alpha_cut(u, probe)))
     if not values:
         return 0.0, 0
     gap = values[-1]

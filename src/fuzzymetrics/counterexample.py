@@ -12,10 +12,13 @@ for the supremum metric.
 
 from __future__ import annotations
 
+import json
+import numbers
+
 import numpy as np
 
 from .core import CutCurve1D, DeclaredJump
-from .errors import BadIndex, OutOfRange
+from .errors import BadIndex, OutOfRange, ParseError
 from . import family as family_mod
 from .metrics import (
     Enclosure,
@@ -54,16 +57,6 @@ def _inner(alphas) -> np.ndarray:
     return 1.5 * np.asarray(alphas, dtype=float) - 0.5
 
 
-def _member_upper(alphas, n: int) -> np.ndarray:
-    a = np.asarray(alphas, dtype=float)
-    t = np.atleast_1d(_inner(a))
-    out = np.ones_like(t)
-    pos = t > 0.0
-    # exp(log(t)/n) with the nonpositive branch short-circuited before log
-    out[pos] = 1.0 - np.exp(np.log(t[pos]) / n)
-    return out.reshape(a.shape)
-
-
 def _limit_upper(alphas) -> np.ndarray:
     a = np.asarray(alphas, dtype=float)
     t = np.atleast_1d(_inner(a))
@@ -76,14 +69,21 @@ def _zeros(alphas) -> np.ndarray:
     return np.zeros_like(a)
 
 
+def _index(n) -> int:
+    """``n`` as a member index: a positive integer (an integral float counts,
+    a boolean does not)."""
+    whole = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
+    if isinstance(n, bool) or not whole or n < 1:
+        raise BadIndex(f"member index must be a positive integer, got {n}")
+    return int(n)
+
+
 def make_un(n: int) -> CutCurve1D:
     """Member n of the sequence; continuous cuts with a kink at one third."""
-    if int(n) != n or n < 1:
-        raise BadIndex(f"member index must be a positive integer, got {n}")
-    n = int(n)
+    n = _index(n)
     return CutCurve1D(
         lower_fn=_zeros,
-        upper_fn=lambda a, _n=n: _member_upper(a, _n),
+        upper_fn=lambda a, _n=n: _upper(a, _n),
         jumps=(),
         hint_levels=(ONE_THIRD,),
         key=("counterexample-un", n),
@@ -101,19 +101,28 @@ def make_limit() -> CutCurve1D:
     )
 
 
+def _upper(alphas, n) -> np.ndarray:
+    """Upper endpoint 1 - t^(1/n), t = 3a/2 - 1/2, where t > 0, and 1 elsewhere.
+
+    ``n`` broadcasts against the levels: a column of indices gives one row
+    per member, with the log taken once per level.
+    """
+    t = _inner(alphas)
+    pos = t > 0.0
+    # a nonpositive t never reaches the log: 1 stands in for it
+    return np.where(pos, 1.0 - np.exp(np.log(np.where(pos, t, 1.0)) / n), 1.0)
+
+
 def _members_endpoints(ns, alphas) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of members ``ns`` (rows) at levels ``alphas`` (columns).
 
-    Row i equals ``make_un(ns[i]).endpoints(alphas)`` bit for bit: the log
-    is taken once per level and divided by each index, as member by member.
+    Row i equals ``make_un(ns[i]).endpoints(alphas)`` bit for bit: both
+    evaluate :func:`_upper`.
     """
     n = np.asarray(ns)
     if n.ndim != 1 or not np.all((n >= 1) & (n == np.floor(n))):
         raise BadIndex("member indices must be positive integers")
-    t = np.atleast_1d(_inner(alphas))
-    pos = t > 0.0
-    hi = np.ones((n.size, t.size))
-    hi[:, pos] = 1.0 - np.exp(np.log(t[pos])[None, :] / n.astype(float)[:, None])
+    hi = _upper(np.atleast_1d(alphas), n.astype(float)[:, None])
     return np.zeros_like(hi), hi
 
 
@@ -151,21 +160,53 @@ def member_sequence() -> _MemberSequence:
     return _MemberSequence()
 
 
+# Constructor forms: JSON type -> (constructor, parameter names).  The object
+# {"type": T, "p": x, ...}, the command-line token "T:x:..." and a curve key
+# (T, x, ...) all name the object that constructor(x, ...) builds.
+FORMS = {
+    "counterexample-un": (make_un, ("n",)),
+    "counterexample-limit": (make_limit, ()),
+    "counterexample-seq": (member_sequence, ()),
+}
+
+
+def key_form(key) -> dict | None:
+    """The JSON form of a curve key, or None when it names no constructor."""
+    if not (isinstance(key, tuple) and key and key[0] in FORMS):
+        return None
+    return {"type": key[0], **dict(zip(FORMS[key[0]][1], key[1:]))}
+
+
+def token_form(spec: str) -> dict | None:
+    """The JSON form a command-line token names (arguments read as JSON
+    values), or None when ``spec`` names no constructor."""
+    kind, *args = spec.split(":")
+    if kind not in FORMS:
+        return None
+    params = FORMS[kind][1]
+    if len(args) != len(params):
+        raise ParseError(f"bad constructor token {spec!r}: expected {len(params)} argument(s)")
+    try:
+        values = [json.loads(a) for a in args]
+    except ValueError as exc:
+        raise ParseError(f"bad constructor token {spec!r}: {exc}") from exc
+    return {"type": kind, **dict(zip(params, values))}
+
+
 def exact_H_profile(n: int, alpha):
     """Closed-form cut distance between member n and the limit.
 
     Equals 1 - (3a/2 - 1/2)^(1/n) above one third and 0 at or below;
     accepts scalars or arrays.
     """
-    if int(n) != n or n < 1:
-        raise BadIndex(f"member index must be a positive integer, got {n}")
+    n = _index(n)
     a = np.asarray(alpha, dtype=float)
     if np.any(a < 0.0) or np.any(a > 1.0):
         raise OutOfRange("alpha outside [0, 1]")
     t = np.atleast_1d(_inner(a))
     out = np.zeros_like(t)
     pos = t > 0.0
-    out[pos] = 1.0 - np.exp(np.log(t[pos]) / int(n))
+    out[pos] = 1.0 - np.exp(np.log(t[pos]) / n)
     out = out.reshape(a.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -278,11 +319,11 @@ def refutation_report(
     limit = make_limit()
     grid = default_report_grid([limit])
 
-    radius, bounded = family_mod.support_bound(fam)
+    radius = family_mod.support_bound(fam)
     support_section = {
         "radius": radius,
-        "bounded": bounded,
-        "passed": bool(bounded and radius <= 1.0),
+        "bounded": True,
+        "passed": radius <= 1.0,
         "note": "every member's 0-cut is [0, 1] by the closed form, so the whole infinite family shares this radius",
     }
 

@@ -39,3 +39,6 @@ class ParseError(FuzzyMetricsError):
 
 class VerdictFailure(FuzzyMetricsError):
     """A strict-mode run produced a failing verdict."""
+
+
+__all__ = [name for name, obj in list(globals().items()) if isinstance(obj, type) and issubclass(obj, FuzzyMetricsError)]

@@ -61,7 +61,7 @@ def _require_members(family: Sequence[FuzzyNumber1D]) -> Sequence[FuzzyNumber1D]
     return members
 
 
-def support_bound(family: Sequence[FuzzyNumber1D]) -> tuple[float, bool]:
+def support_bound(family: Sequence[FuzzyNumber1D]) -> float:
     """Smallest origin-centered radius containing every member's 0-cut.
 
     Finite families are always bounded; the radius is what matters for
@@ -71,7 +71,16 @@ def support_bound(family: Sequence[FuzzyNumber1D]) -> tuple[float, bool]:
     radius = 0.0
     for _, lo, hi in _member_rows(members, len(members), [0.0]):
         radius = max(radius, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    return radius, True
+    return radius
+
+
+def _offsets(delta_grid: Sequence[float] | None) -> list[float]:
+    """The tested level offsets, largest first: at least one, each finite
+    and positive."""
+    deltas = sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True)
+    if not deltas or not all(0.0 < d < math.inf for d in deltas):
+        raise OutOfRange("delta grid must hold finite positive offsets")
+    return deltas
 
 
 def _cut_moves(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
@@ -225,12 +234,7 @@ def _equi_continuity(
     alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
     if alphas.size == 0:
         raise OutOfRange("alpha grid has no levels inside (0, 1]")
-    deltas = np.asarray(
-        sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True),
-        dtype=float,
-    )
-    if deltas.size == 0 or np.any(deltas <= 0):
-        raise OutOfRange("delta grid must hold positive offsets")
+    deltas = np.asarray(_offsets(delta_grid), dtype=float)
 
     table, zero_moduli = _moduli(members, alphas, deltas)
     offsets = deltas.tolist()
@@ -268,7 +272,7 @@ def eventually_equi_left(
     if count < 1:
         raise EmptyFamily("family has no members")
     # smallest delta first, so ties keep it
-    deltas = sorted(d for d in (DEFAULT_DELTA_GRID if delta_grid is None else delta_grid) if d <= alpha)
+    deltas = [d for d in reversed(_offsets(delta_grid)) if d <= alpha]
     if not deltas:
         return None
     k = len(deltas)
@@ -297,7 +301,6 @@ class FamilyDiagnostics:
     """
 
     support_radius: float
-    bounded: bool
     left_moduli: dict
     right_modulus_at_zero: dict
     condition_verdicts: dict
@@ -305,7 +308,7 @@ class FamilyDiagnostics:
     def to_dict(self) -> dict:
         return {
             "support_radius": self.support_radius,
-            "bounded": self.bounded,
+            "bounded": True,
             "left_moduli": [
                 {
                     "alpha": a,
@@ -341,7 +344,7 @@ def compactness_conditions_report(
     caller-asserted because no finite sample can decide it.
     """
     members = _require_members(family)
-    radius, bounded = support_bound(members)
+    radius = support_bound(members)
     report, table, zero_table = _equi_continuity(members, alpha_grid, delta_grid, eps)
 
     deltas = np.asarray(report.delta_grid)
@@ -358,7 +361,7 @@ def compactness_conditions_report(
         float(d): float(m) for d, m in zip(deltas.tolist(), zero_table.tolist()) if d <= 1.0
     }
 
-    support_verdict = {"radius": radius, "bounded": bounded, "passed": bool(bounded)}
+    support_verdict = {"radius": radius, "bounded": True, "passed": True}
     left_verdict = {
         "passed": report.left_passed,
         "eps": report.eps,
@@ -383,7 +386,6 @@ def compactness_conditions_report(
     }
     return FamilyDiagnostics(
         support_radius=radius,
-        bounded=bounded,
         left_moduli=left_moduli,
         right_modulus_at_zero=zero_moduli,
         condition_verdicts=verdicts,

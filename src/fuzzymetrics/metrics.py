@@ -22,16 +22,14 @@ import numpy as np
 
 from .core import (
     AlphaGrid,
-    CutCurve1D,
     FuzzyNumber1D,
     GridLike,
-    Interval,
     SampledFuzzy1D,
-    _interval_distance,
     _member_rows,
     as_curve,
     as_grid,
     densify_levels,
+    hausdorff_interval,
 )
 from .bodies import PlanarSupport
 from .errors import GridMismatch, NonNested, OutOfRange
@@ -57,11 +55,6 @@ DEFAULT_MAX_DEPTH = 60
 DEFAULT_MAX_NODES = 200_000
 # level-convergence reports keep the full distance traces only for short scans
 TRACE_WINDOW_CAP = 1024
-
-
-def hausdorff_interval(i: Interval, j: Interval) -> float:
-    """Hausdorff distance between closed intervals: the larger endpoint gap."""
-    return max(abs(i.lo - j.lo), abs(i.hi - j.hi))
 
 
 def hausdorff_support_2d(a: PlanarSupport, b: PlanarSupport) -> float:
@@ -201,6 +194,8 @@ def d_infty_parametric(
     """
     if not tol > 0:
         raise OutOfRange("tol must be positive")
+    if max_depth < 0:
+        raise OutOfRange("max_depth must be nonnegative")
     cu, cv = as_curve(u), as_curve(v)
     if cu is cv or (cu.key is not None and cu.key == cv.key):
         return Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)
@@ -222,7 +217,7 @@ def d_infty_parametric(
         if x in jump_levels:
             rl_u, rl_v = cu.right_limit(x), cv.right_limit(x)
             left[:, k] = rl_u.lo, rl_v.lo, -rl_u.hi, -rl_v.hi
-            h = _interval_distance((rl_u.lo, rl_u.hi), (rl_v.lo, rl_v.hi))
+            h = hausdorff_interval(rl_u, rl_v)
             if h > best_limit:
                 best_limit, best_limit_at = h, x
     seg = np.concatenate((points[None, :-1], points[None, 1:], left, cuts[:, 1:]))
@@ -314,6 +309,14 @@ class ConvergenceReport:
 SequenceLike = Union[Sequence[FuzzyNumber1D], Callable[[int], FuzzyNumber1D]]
 
 
+def _distance_rows(seq: SequenceLike, count: int, u: FuzzyNumber1D, alphas: np.ndarray):
+    """H(cut(member n, a), cut(u, a)) for members 1..count of ``seq``, a block
+    of rows at a time: yields ``(ns, h)`` as :func:`_member_rows` does."""
+    lo_u, hi_u = u.endpoints(alphas)
+    for ns, lo, hi in _member_rows(seq, count, alphas):
+        yield ns, np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
+
+
 def level_convergence_report(
     seq: SequenceLike,
     u: FuzzyNumber1D,
@@ -337,15 +340,12 @@ def level_convergence_report(
     if not callable(seq):
         n_max = min(n_max, len(seq))
 
-    g = as_grid(grid)
-    alphas = g.levels
-    lo_u, hi_u = u.endpoints(alphas)
+    alphas = as_grid(grid).levels
     last_violation = np.zeros(alphas.size, dtype=np.int64)
     keep_trace = n_max <= TRACE_WINDOW_CAP
     trace = np.empty((n_max, alphas.size)) if keep_trace else None
     h = np.zeros(alphas.size)
-    for ns, lo, hi in _member_rows(seq, n_max, alphas):
-        block = np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
+    for ns, block in _distance_rows(seq, n_max, u, alphas):
         last_violation = np.maximum(last_violation, np.max(np.where(block > eps, ns[:, None], 0), axis=0))
         if keep_trace:
             trace[ns[0] - 1 : ns[-1]] = block

@@ -16,7 +16,6 @@ import numpy as np
 from .bodies import FuzzyBody2D, make_body_2d
 from .core import CutCurve1D, FuzzyNumber1D, SampledFuzzy1D, make_sampled_1d
 from .errors import FuzzyMetricsError, ParseError
-from .metrics import LevelProfile
 
 __all__ = [
     "encode_fuzzy",
@@ -26,8 +25,6 @@ __all__ = [
     "decode_any",
     "dumps",
     "csv_table",
-    "profile_csv",
-    "sequence_profile_csv",
 ]
 
 
@@ -57,6 +54,8 @@ def dumps(obj: Any) -> str:
 def encode_fuzzy(u: FuzzyNumber1D) -> dict:
     """Encode a fuzzy number; parametric counterexample objects round-trip
     through their constructor form."""
+    from .counterexample import key_form
+
     if isinstance(u, SampledFuzzy1D):
         return {
             "type": "sampled1d",
@@ -65,12 +64,10 @@ def encode_fuzzy(u: FuzzyNumber1D) -> dict:
             "upper": u.upper.tolist(),
         }
     if isinstance(u, CutCurve1D):
-        key = u.key
-        if isinstance(key, tuple) and key and key[0] == "counterexample-un":
-            return {"type": "counterexample-un", "n": int(key[1])}
-        if isinstance(key, tuple) and key and key[0] == "counterexample-limit":
-            return {"type": "counterexample-limit"}
-        raise ParseError("only counterexample curves have a JSON constructor form")
+        form = key_form(u.key)
+        if form is None:
+            raise ParseError("only counterexample curves have a JSON constructor form")
+        return form
     raise ParseError(f"cannot encode object of type {type(u).__name__}")
 
 
@@ -86,14 +83,14 @@ def encode_body(body: FuzzyBody2D) -> dict:
 def decode_fuzzy(doc: Any) -> FuzzyNumber1D:
     """Decode a 1-D fuzzy number from its JSON object form."""
     obj = decode_any(doc)
-    if isinstance(obj, FuzzyBody2D):
-        raise ParseError("expected a 1-D fuzzy number, got a 2-D body")
+    if not isinstance(obj, (SampledFuzzy1D, CutCurve1D)):
+        raise ParseError(f"expected a 1-D fuzzy number, got a {doc['type']} object")
     return obj
 
 
 def decode_any(doc: Any):
     """Decode any supported object; invariant violations become ParseError."""
-    from .counterexample import make_limit, make_un
+    from .counterexample import FORMS
 
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("expected an object with a 'type' field")
@@ -101,18 +98,17 @@ def decode_any(doc: Any):
     try:
         if kind == "sampled1d":
             return make_sampled_1d(doc["alphas"], doc["lower"], doc["upper"])
-        if kind == "counterexample-un":
-            return make_un(int(doc["n"]))
-        if kind == "counterexample-limit":
-            return make_limit()
         if kind == "body2d":
             support = np.asarray(doc["support"], dtype=float)
             if support.ndim != 2 or support.shape[1] != int(doc["directions"]):
                 raise ParseError("support matrix shape does not match the declared direction count")
             return make_body_2d(doc["alphas"], support)
+        if kind in FORMS:
+            make, params = FORMS[kind]
+            return make(*(doc[p] for p in params))
     except ParseError:
         raise
-    except (FuzzyMetricsError, ValueError, TypeError, KeyError) as exc:
+    except (FuzzyMetricsError, ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ParseError(f"invalid {kind} object: {exc}") from exc
     raise ParseError(f"unknown object type: {kind!r}")
 
@@ -142,13 +138,3 @@ def csv_table(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def profile_csv(profile: LevelProfile) -> str:
-    """Level distance profile as plottable rows: alpha,H."""
-    return csv_table(("alpha", "H"), profile)
-
-
-def sequence_profile_csv(rows) -> str:
-    """Per-member profile rows: alpha,n,H."""
-    return csv_table(("alpha", "n", "H"), rows)

@@ -80,6 +80,15 @@ class TestValidateVerb:
     def test_missing_file(self, capsys):
         assert run(["validate", "no-such-file.json"]) == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("kind", ["body", "tri"])
+    def test_non_positive_tol_is_an_input_error(self, kind, tol, capsys):
+        path = Path(__file__).parent / "golden" / f"{kind}.json"
+        assert run(["validate", str(path), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be positive\n"
+
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_body_is_an_input_error(self, value, tmp_path, capsys):
         support = np.ones((3, 8))
@@ -122,6 +131,30 @@ class TestDistVerb:
         assert captured.out == ""
         assert captured.err.startswith("error: cut endpoints are not monotone")
 
+    @pytest.mark.parametrize("n", ["1.5", "true", "0"])
+    def test_member_index_from_file_or_token(self, n, tmp_path, capsys):
+        path = tmp_path / "un.json"
+        path.write_text(f'{{"type": "counterexample-un", "n": {n}}}')
+        assert run(["dist", str(path), "counterexample-limit"]) == 1
+        assert run(["dist", f"counterexample-un:{n}", "counterexample-limit"]) == 1
+        file_err, token_err = capsys.readouterr().err.splitlines()
+        expected = f"error: invalid counterexample-un object: member index must be a positive integer, got {json.loads(n)}"
+        assert file_err == token_err == expected
+
+    @pytest.mark.parametrize(
+        "token", ["counterexample-un", "counterexample-un:1:2", "counterexample-limit:1", "counterexample-un:x"]
+    )
+    def test_malformed_token(self, token, capsys):
+        assert run(["dist", token, "counterexample-limit"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad constructor token {token!r}")
+
+    def test_negative_max_depth_is_an_input_error(self, capsys):
+        assert run(["dist", "counterexample-un:1", "counterexample-un:2", "--max-depth", "-3"]) == 1
+        assert capsys.readouterr().err == "error: max_depth must be nonnegative\n"
+        assert run(["dist", "counterexample-un:1", "counterexample-un:2", "--max-depth", "0"]) == 0
+        enc = json.loads(capsys.readouterr().out)["enclosure"]
+        assert enc["lower"] <= enc["upper"]
+
     def test_mixed_inputs_use_enclosure(self, tri_file, capsys):
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -155,6 +188,14 @@ class TestProfileVerb:
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_is_an_input_error(self, n_max, capsys):
+        argv = ["profile", "counterexample-seq", "counterexample-limit", "--n-max", n_max]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_max must be at least 1\n"
 
 
 class TestConvergeVerb:
@@ -228,6 +269,11 @@ class TestFamilyReportVerb:
 
     def test_bad_delta_grid_spec(self, family_file, capsys):
         assert run(["family-report", family_file, "--delta-grid", "pow2:x..y"]) == 1
+
+    @pytest.mark.parametrize("spec", ["0.5,nan", "0.5,inf", "0.5,-0.25"])
+    def test_non_finite_delta_grid_is_an_input_error(self, spec, family_file, capsys):
+        assert run(["family-report", family_file, "--delta-grid", spec]) == 1
+        assert capsys.readouterr().err == "error: delta grid must hold finite positive offsets\n"
 
     def test_deterministic_bytes(self, family_file, tmp_path):
         a, b = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -55,15 +55,13 @@ def closed_form_modulus(alpha, beta, n_values):
 
 class TestSupportBound:
     def test_crisp_zero(self):
-        assert support_bound([crisp(0.0)]) == (0.0, True)
+        assert support_bound([crisp(0.0)]) == 0.0
 
     def test_counterexample_unit_radius(self):
-        radius, bounded = support_bound([make_un(n) for n in range(1, 30)])
-        assert bounded and radius == 1.0
+        assert support_bound([make_un(n) for n in range(1, 30)]) == 1.0
 
     def test_magnitude_of_endpoints(self):
-        radius, _ = support_bound([triangular(-3.0, 0.0, 2.0)])
-        assert radius == 3.0
+        assert support_bound([triangular(-3.0, 0.0, 2.0)]) == 3.0
 
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamily):
@@ -100,7 +98,7 @@ class TestBatchFamily:
         batch = members(300)
         plain = list(batch)
         for fam in (batch, plain):
-            assert support_bound(fam) == (1.0, True)
+            assert support_bound(fam) == 1.0
         assert left_modulus(batch, 0.8, 0.05) == left_modulus(plain, 0.8, 0.05)
         assert right_modulus_at_zero(batch, 0.5) == right_modulus_at_zero(plain, 0.5)
         for n_max in (None, 257, 10):
@@ -148,7 +146,7 @@ class TestLeftModulus:
         small = [make_un(n) for n in range(1, 5)]
         big = small + [make_un(n) for n in range(5, 30)]
         assert left_modulus(small, 0.6, 0.1) <= left_modulus(big, 0.6, 0.1)
-        assert support_bound(small)[0] <= support_bound(big)[0]
+        assert support_bound(small) <= support_bound(big)
 
     def test_range_checks(self):
         fam = [crisp(0.0)]
@@ -156,6 +154,14 @@ class TestLeftModulus:
             left_modulus(fam, 0.0, 0.1)
         with pytest.raises(OutOfRange):
             left_modulus(fam, 0.5, 0.6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 0.0])
+    def test_offsets_must_be_finite_and_positive(self, bad):
+        fam = [make_un(n) for n in range(1, 5)]
+        with pytest.raises(OutOfRange, match="finite positive offsets"):
+            equi_continuity_report(fam, delta_grid=[0.5, bad])
+        with pytest.raises(OutOfRange, match="finite positive offsets"):
+            eventually_equi_left(fam, 0.8, 0.1, delta_grid=[0.5, bad])
 
 
 class TestRightModulusAtZero:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzymetrics import (
+    CutCurve1D,
     ParseError,
     d_infty_parametric,
     d_infty_sampled,
@@ -11,7 +12,6 @@ from fuzzymetrics import (
     make_un,
     random_family,
 )
-from fuzzymetrics.metrics import LevelProfile
 from fuzzymetrics.serialize import (
     decode_any,
     decode_family,
@@ -19,8 +19,6 @@ from fuzzymetrics.serialize import (
     dumps,
     encode_body,
     encode_fuzzy,
-    profile_csv,
-    sequence_profile_csv,
 )
 
 
@@ -76,6 +74,30 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             decode_family([])
 
+    @pytest.mark.parametrize("n", [1.5, True, 0, -2, "3", float("inf"), None])
+    def test_member_index_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParseError, match="invalid counterexample-un object"):
+            decode_any({"type": "counterexample-un", "n": n})
+
+    def test_integral_float_index_is_the_member(self):
+        assert decode_any({"type": "counterexample-un", "n": 3.0}).key == ("counterexample-un", 3)
+
+    def test_missing_member_index(self):
+        with pytest.raises(ParseError, match="invalid counterexample-un object"):
+            decode_any({"type": "counterexample-un"})
+
+    def test_sequence_is_not_a_fuzzy_number(self):
+        assert callable(decode_any({"type": "counterexample-seq"}))
+        with pytest.raises(ParseError, match="expected a 1-D fuzzy number"):
+            decode_family([{"type": "counterexample-seq"}])
+
+    def test_curve_without_constructor_form(self):
+        curve = make_un(2)
+        with pytest.raises(ParseError, match="constructor form"):
+            encode_fuzzy(CutCurve1D(curve.lower_fn, curve.upper_fn))
+        with pytest.raises(ParseError, match="constructor form"):
+            encode_fuzzy(CutCurve1D(curve.lower_fn, curve.upper_fn, key=("other", 2)))
+
     def test_body_expected_number(self):
         body_doc = encode_body(lift_segment(make_sampled_1d([0, 1], [0, 0], [1, 1]), directions=8))
         with pytest.raises(ParseError):
@@ -97,11 +119,3 @@ class TestDeterministicText:
         assert '"x": 0.1' in text
         assert '"y": 1e-09' in text
         assert '"z": 0.6666666666666666' in text
-
-    def test_profile_csv(self):
-        prof = LevelProfile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.0]))
-        assert profile_csv(prof) == "alpha,H\n0.0,0.0\n0.5,0.25\n1.0,0.0\n"
-
-    def test_sequence_profile_csv(self):
-        rows = [(0.5, 1, 0.25), (0.5, 2, 0.125)]
-        assert sequence_profile_csv(rows) == "alpha,n,H\n0.5,1,0.25\n0.5,2,0.125\n"
