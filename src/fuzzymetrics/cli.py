@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import abc
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .family import (
 from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
+    _check_search,
     _distance_rows,
     d_infty_parametric,
     d_infty_sampled,
@@ -50,7 +52,7 @@ def _load_json(path: str):
 
 
 def _kind(obj) -> str:
-    if isinstance(obj, list):
+    if isinstance(obj, abc.Sequence):
         return "family"
     if isinstance(obj, FuzzyBody2D):
         return "2-D body"
@@ -61,7 +63,7 @@ def _load(spec: str, command: str, *kinds: str):
     """Load an inline constructor token or a JSON file.
 
     A token is decoded as the JSON object it names.  The result is a fuzzy
-    number, a 2-D body, a family (a JSON array, loaded as a list) or a
+    number, a 2-D body, a family (a JSON array; see ``decode_family``) or a
     streamed sequence such as ``counterexample-seq``.  A ParseError names the
     kind when ``command`` does not take it, that is when it is not one of
     ``kinds``.
@@ -163,6 +165,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     u = _load(args.a, args.command, "fuzzy number")
     v = _load(args.b, args.command, "fuzzy number")
     header = _header(args, ["a", "b", "tol", "max_depth"])
+    _check_search(args.tol, args.max_depth)
     if isinstance(u, SampledFuzzy1D) and isinstance(v, SampledFuzzy1D):
         body = {"method": "sampled-grid-max", "d_infty": d_infty_sampled(u, v)}
     else:
@@ -340,3 +343,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,17 +5,21 @@ intervals indexed by membership level alpha in [0, 1].  Two carriers are
 provided: ``SampledFuzzy1D`` holds endpoint samples on a finite grid
 (piecewise-linear in between), ``CutCurve1D`` holds closed-form endpoint
 callables, monotone as the cut axioms require, plus declared jump points.
+``SampledFamily`` holds many sampled numbers on one shared grid as two
+arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import BadGrid, EmptyCut, NonNested, OutOfRange
+from .errors import BadGrid, BadIndex, EmptyCut, NonNested, OutOfRange
 
 __all__ = [
     "AlphaGrid",
@@ -26,6 +30,8 @@ __all__ = [
     "FuzzyNumber1D",
     "as_grid",
     "make_sampled_1d",
+    "SampledFamily",
+    "make_sampled_family",
     "alpha_cut",
     "membership_at",
     "as_curve",
@@ -232,6 +238,97 @@ def make_sampled_1d(grid: GridLike, lower: Sequence[float], upper: Sequence[floa
     return SampledFuzzy1D(g, lo, hi)
 
 
+@dataclass(frozen=True, eq=False)
+class SampledFamily(abc.Sequence):
+    """Sampled fuzzy numbers on one shared grid, held as two arrays.
+
+    ``lower`` and ``upper`` have shape ``(count, len(grid))``; row i holds
+    the samples of item i, which indexing returns as the usual
+    :class:`SampledFuzzy1D` (a slice gives a family).  Built through
+    :func:`make_sampled_family`, which validates every member; direct
+    construction assumes already-valid data.
+    """
+
+    grid: AlphaGrid
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    def __len__(self) -> int:
+        return self.lower.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampledFamily(self.grid, self.lower[index], self.upper[index])
+        i = operator.index(index)
+        return SampledFuzzy1D(self.grid, self.lower[i], self.upper[i])
+
+    def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints of members ``ns`` (1-based, rows) at levels ``alphas``
+        (columns).
+
+        Row i equals ``self[ns[i] - 1].endpoints(alphas)`` bit for bit.  The
+        segment and offset of each level are found once per call; each array
+        then gathers the slope and the sample of those segments and takes one
+        multiply-add in ``np.interp``'s own formula, slope * (alpha - level)
+        + sample, and the stored sample at every node (a segment formula can
+        miss the last bit at level 1).
+        """
+        ns = np.asarray(ns)
+        if ns.dtype.kind not in "iu" or ns.ndim != 1 or not np.all((ns >= 1) & (ns <= len(self))):
+            raise BadIndex(f"member indices must be integers in 1..{len(self)}")
+        rows = ns - 1
+        levels = self.grid.levels
+        # np.interp holds the end samples outside [0, 1]
+        a = np.clip(np.atleast_1d(np.asarray(alphas, dtype=float)), 0.0, 1.0)
+        at = np.searchsorted(levels, a, side="right") - 1  # levels[at] <= a
+        node = levels[at] == a
+        seg = np.minimum(at, levels.size - 2)
+        offset = a - levels[seg]
+        widths = np.diff(levels)
+
+        def interp(samples: np.ndarray) -> np.ndarray:
+            fp = samples[rows]
+            out = np.take(np.diff(fp, axis=1) / widths, seg, axis=1)
+            out *= offset
+            out += np.take(fp, seg, axis=1)
+            out[:, node] = fp[:, at[node]]
+            return out
+
+        return interp(self.lower), interp(self.upper)
+
+
+def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) -> SampledFamily:
+    """Build a validated family of sampled numbers on one grid.
+
+    ``lower`` and ``upper`` hold one row of samples per member.  Every
+    member is checked in one vectorized pass; the first bad member raises
+    the error :func:`make_sampled_1d` raises for it.
+    """
+    g = as_grid(grid)
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
+        raise ValueError(f"endpoint sequences must match the grid length {len(g)}")
+    bad = (
+        ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
+        | (lo > hi).any(axis=1)
+        | (np.diff(lo, axis=1) < 0).any(axis=1)
+        | (np.diff(hi, axis=1) > 0).any(axis=1)
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        make_sampled_1d(g, lo[k], hi[k])
+    return SampledFamily(g, lo, hi)
+
+
 def _check_level(alpha: float) -> float:
     a = float(alpha)
     if not (0.0 <= a <= 1.0) or math.isnan(a):
@@ -317,6 +414,8 @@ def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.nd
     Each hint adds itself and offsets of 1e-2 .. 1e-6 on both sides, kept
     in (0, 1]; ``levels`` come back unchanged when no input declares one.
     """
+    if isinstance(inputs, SampledFamily):
+        return levels  # sampled numbers declare no hint levels
     hints = sorted({h for u in inputs if isinstance(u, CutCurve1D) for h in u.hint_levels})
     if not hints:
         return levels

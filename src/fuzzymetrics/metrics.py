@@ -172,6 +172,14 @@ def _segment_bound(seg: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.max(axis=0), 0.0)
 
 
+def _check_search(tol: float, max_depth: int) -> None:
+    """Reject a search tolerance or depth no enclosure can be asked for."""
+    if not tol > 0:
+        raise OutOfRange("tol must be positive")
+    if max_depth < 0:
+        raise OutOfRange("max_depth must be nonnegative")
+
+
 def d_infty_parametric(
     u: FuzzyNumber1D,
     v: FuzzyNumber1D,
@@ -192,10 +200,7 @@ def d_infty_parametric(
     raises NonNested.  When ``max_depth`` or ``max_nodes`` stops refinement
     first, the bracket is still certified, just wider than requested.
     """
-    if not tol > 0:
-        raise OutOfRange("tol must be positive")
-    if max_depth < 0:
-        raise OutOfRange("max_depth must be nonnegative")
+    _check_search(tol, max_depth)
     cu, cv = as_curve(u), as_curve(v)
     if cu is cv or (cu.key is not None and cu.key == cv.key):
         return Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)

@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .bodies import FuzzyBody2D, make_body_2d
-from .core import CutCurve1D, FuzzyNumber1D, SampledFuzzy1D, make_sampled_1d
+from .core import (
+    CutCurve1D,
+    FuzzyNumber1D,
+    SampledFamily,
+    SampledFuzzy1D,
+    make_sampled_1d,
+    make_sampled_family,
+)
 from .errors import FuzzyMetricsError, ParseError
 
 __all__ = [
@@ -88,6 +96,18 @@ def decode_fuzzy(doc: Any) -> FuzzyNumber1D:
     return obj
 
 
+@contextmanager
+def _invariants(kind: str):
+    """Turn an invariant violation while decoding a ``kind`` object into a
+    ParseError that names the kind."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (FuzzyMetricsError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ParseError(f"invalid {kind} object: {exc}") from exc
+
+
 def decode_any(doc: Any):
     """Decode any supported object; invariant violations become ParseError."""
     from .counterexample import FORMS
@@ -95,7 +115,7 @@ def decode_any(doc: Any):
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("expected an object with a 'type' field")
     kind = doc["type"]
-    try:
+    with _invariants(kind):
         if kind == "sampled1d":
             return make_sampled_1d(doc["alphas"], doc["lower"], doc["upper"])
         if kind == "body2d":
@@ -106,17 +126,42 @@ def decode_any(doc: Any):
         if kind in FORMS:
             make, params = FORMS[kind]
             return make(*(doc[p] for p in params))
-    except ParseError:
-        raise
-    except (FuzzyMetricsError, ValueError, TypeError, KeyError, OverflowError) as exc:
-        raise ParseError(f"invalid {kind} object: {exc}") from exc
     raise ParseError(f"unknown object type: {kind!r}")
 
 
-def decode_family(doc: Any) -> list[FuzzyNumber1D]:
+def decode_family(doc: Any) -> SampledFamily | list[FuzzyNumber1D]:
+    """Decode a family file: a SampledFamily when every member is a
+    ``sampled1d`` object on the first member's levels, else a list.
+
+    Either way an invalid member raises the ParseError that decoding it
+    alone raises, for the first invalid member.
+    """
     if not isinstance(doc, list) or not doc:
         raise ParseError("a family file holds a nonempty JSON array of fuzzy numbers")
-    return [decode_fuzzy(item) for item in doc]
+    family = _shared_grid_family(doc)
+    return family if family is not None else [decode_fuzzy(item) for item in doc]
+
+
+def _shared_grid_family(doc: list) -> SampledFamily | None:
+    """The members as one SampledFamily, or None when they are not all
+    ``sampled1d`` objects on the same levels with rows of one length."""
+    if not all(
+        isinstance(item, dict) and item.get("type") == "sampled1d" and {"alphas", "lower", "upper"} <= item.keys()
+        for item in doc
+    ):
+        return None
+    alphas = doc[0]["alphas"]
+    try:
+        if any(item["alphas"] != alphas for item in doc):
+            return None
+        lower = np.asarray([item["lower"] for item in doc], dtype=float)
+        upper = np.asarray([item["upper"] for item in doc], dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        # ragged or unconvertible rows: decoding member by member names the
+        # first bad one
+        return None
+    with _invariants("sampled1d"):
+        return make_sampled_family(alphas, lower, upper)
 
 
 def _fmt(x: Any) -> str:

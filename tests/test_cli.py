@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import fuzzymetrics
-from fuzzymetrics.cli import run
+from fuzzymetrics.cli import _kind, run
+from fuzzymetrics.counterexample import member_sequence, members
 from fuzzymetrics.serialize import decode_fuzzy
-from fuzzymetrics import CutCurve1D, d_infty_sampled, make_sampled_1d
+from fuzzymetrics import CutCurve1D, d_infty_sampled, make_sampled_1d, make_un, random_family
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -155,6 +158,23 @@ class TestDistVerb:
         enc = json.loads(capsys.readouterr().out)["enclosure"]
         assert enc["lower"] <= enc["upper"]
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--tol", "-1", "--max-depth", "-5"], "tol must be positive"),
+            (["--tol", "0"], "tol must be positive"),
+            (["--max-depth", "-5"], "max_depth must be nonnegative"),
+        ],
+    )
+    def test_sampled_pair_checks_the_search_settings(self, tri_file, options, message, capsys):
+        assert run(["dist", tri_file, tri_file, *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        # the same message as for a pair that takes the search
+        assert run(["dist", "counterexample-un:1", "counterexample-un:2", *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_mixed_inputs_use_enclosure(self, tri_file, capsys):
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -297,13 +317,37 @@ class TestCounterexampleVerb:
         assert a.read_bytes() == b.read_bytes()
 
 
+def source_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(fuzzymetrics.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def loads_scipy(argv):
     """Run the CLI in a fresh interpreter; whether it imported scipy."""
-    src = str(Path(fuzzymetrics.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys; from fuzzymetrics.cli import run; assert run({argv!r}) == 0; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
     return done.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("module", ["fuzzymetrics", "fuzzymetrics.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    done = subprocess.run(
+        [sys.executable, "-m", module, "dist", "tri.json", "tri.json"],
+        cwd=GOLDEN_DIR,
+        env=source_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN_DIR / "expected" / "dist-tri-tri.json").read_bytes()
+
+
+def test_kind_names_every_sequence_a_family():
+    for family in (random_family(seed=1, count=3), [make_un(1), make_un(2)], members(3)):
+        assert _kind(family) == "family"
+    assert _kind(make_un(1)) == "fuzzy number"
+    assert _kind(member_sequence()) == "sequence"
 
 
 class TestLazyScipy:

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymetrics import (
     AlphaGrid,
     BadGrid,
+    BadIndex,
     CutCurve1D,
     DeclaredJump,
     EmptyCut,
     Interval,
     NonNested,
     OutOfRange,
+    SampledFamily,
+    SampledFuzzy1D,
     alpha_cut,
     as_curve,
     make_limit,
     make_sampled_1d,
+    make_sampled_family,
     make_un,
     membership_at,
     random_family,
@@ -21,6 +27,7 @@ from fuzzymetrics import (
     sample_curve,
     validate_representation,
 )
+from fuzzymetrics.core import _ROW_BLOCK, _member_rows
 
 
 def bisect_membership(u, x, iters=60):
@@ -278,3 +285,143 @@ class TestResampling:
         s = sample_curve(u, [0.0, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0])
         for a in s.grid.levels.tolist():
             assert alpha_cut(s, a) == alpha_cut(u, a)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def shared_grid_family(draw):
+    """A valid family on a random grid whose inner levels are p/q for q not
+    a power of two, sampled by a seeded generator at one of three scales."""
+    q = draw(st.sampled_from([3, 7, 10, 101, 1_000_003]))
+    inner = draw(st.lists(st.integers(1, q - 1), max_size=9, unique=True))
+    levels = np.unique(np.concatenate([[0.0, 1.0], np.asarray(inner, dtype=float) / q]))
+    count = draw(st.integers(_ROW_BLOCK + 1, 2 * _ROW_BLOCK + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e5]))
+    lower = np.cumsum(rng.uniform(0.0, scale, (count, levels.size)), axis=1)
+    upper = lower[:, -1:] + np.cumsum(rng.uniform(0.0, scale, (count, levels.size))[:, ::-1], axis=1)[:, ::-1]
+    return make_sampled_family(levels, lower, upper), rng
+
+
+class TestSampledFamily:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shared_grid_family(), st.integers(0, 300))
+    def test_batch_rows_equal_np_interp_bit_for_bit(self, drawn, extra):
+        fam, rng = drawn
+        levels = fam.grid.levels
+        # every node, both ends, a float on either side of each node, and
+        # random levels, in a shuffled order
+        alphas = rng.permutation(
+            np.concatenate(
+                [
+                    levels,
+                    [0.0, 1.0],
+                    np.nextafter(levels, -np.inf),
+                    np.nextafter(levels, np.inf),
+                    rng.uniform(0.0, 1.0, extra),
+                ]
+            )
+        )
+        blocks = 0
+        for ns, lo, hi in _member_rows(fam, len(fam), alphas):
+            blocks += 1
+            for n, row_lo, row_hi in zip(ns.tolist(), lo, hi):
+                member = fam[n - 1]
+                assert same_bits(row_lo, np.interp(alphas, levels, member.lower))
+                assert same_bits(row_hi, np.interp(alphas, levels, member.upper))
+        assert blocks > 1
+        ns = rng.permutation(np.arange(1, len(fam) + 1))[:7]
+        lo, hi = fam.endpoints(ns, alphas)
+        for n, row_lo, row_hi in zip(ns.tolist(), lo, hi):
+            assert same_bits(row_lo, fam[n - 1].endpoints(alphas)[0])
+            assert same_bits(row_hi, fam[n - 1].endpoints(alphas)[1])
+
+    def test_stored_sample_at_level_one(self):
+        # on [0, 0.1, 1] the last segment's formula at level 1 gives
+        # 0.30000000000000004 for the stored upper sample 0.3
+        levels = [0.0, 0.1, 1.0]
+        lower, upper = [0.0, 0.1, 0.3], [1.0, 0.8, 0.3]
+        fam = make_sampled_family(levels, [lower], [upper])
+        slope = (upper[2] - upper[1]) / (levels[2] - levels[1])
+        assert slope * (1.0 - levels[1]) + upper[1] != upper[2]
+        lo, hi = fam.endpoints([1], [1.0])
+        assert (lo[0, 0], hi[0, 0]) == (lower[2], upper[2])
+
+    def test_indexing_gives_the_usual_members(self):
+        fam = random_family(seed=8, count=6)
+        assert isinstance(fam, SampledFamily) and len(fam) == 6
+        members = list(fam)
+        assert all(isinstance(u, SampledFuzzy1D) and u.grid == fam.grid for u in members)
+        assert np.array_equal(fam[-1].lower, fam.lower[5]) and np.array_equal(fam[2].upper, fam.upper[2])
+        tail = fam[1:4]
+        assert isinstance(tail, SampledFamily) and len(tail) == 3
+        assert np.array_equal(tail.lower, fam.lower[1:4])
+        with pytest.raises(IndexError):
+            fam[6]
+        with pytest.raises(TypeError):
+            fam[1.0]
+        with pytest.raises(ValueError):
+            fam.lower[0, 0] = 5.0
+
+    @pytest.mark.parametrize("ns", [[0], [7], [[1, 2]], [1.5]])
+    def test_member_indices_are_checked(self, ns):
+        with pytest.raises(BadIndex):
+            random_family(seed=8, count=6).endpoints(ns, [0.5])
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (([0.0, 0.5, 1.5], [1.0, 1.0, 1.0]), EmptyCut),
+            (([0.0, 0.6, 0.5], [1.0, 1.0, 1.0]), NonNested),
+            (([0.0, 0.5, 0.5], [1.0, 1.2, 1.0]), NonNested),
+            (([0.0, np.nan, 0.5], [1.0, 1.0, 1.0]), ValueError),
+        ],
+    )
+    def test_first_bad_member_raises_its_own_error(self, row, error):
+        good = ([0.0, 0.25, 0.5], [1.0, 0.75, 0.5])
+        worse = ([0.0, 0.0, 9.0], [1.0, 1.0, 1.0])  # a later bad member
+        lower, upper = zip(good, row, good, worse)
+        with pytest.raises(error) as columnar:
+            make_sampled_family([0, 0.5, 1], lower, upper)
+        with pytest.raises(error) as alone:
+            make_sampled_1d([0, 0.5, 1], *row)
+        assert str(columnar.value) == str(alone.value)
+
+    def test_rows_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="grid length 3"):
+            make_sampled_family([0, 0.5, 1], [[0, 1]], [[1, 1]])
+
+
+def random_family_by_member(seed, count, levels=9, jump_at=None, jump_size=0.5):
+    """The member-at-a-time generator ``random_family`` replaced, kept as its
+    reference: the same draws, one member after another."""
+    rng = np.random.default_rng(seed)
+    grid_levels = np.linspace(0.0, 1.0, levels)
+    if jump_at is not None:
+        grid_levels = np.union1d(grid_levels, [jump_at - 1e-6, jump_at])
+    members = []
+    for _ in range(count):
+        center = rng.uniform(-1.0, 1.0)
+        down = np.sort(rng.uniform(0.0, 1.0, grid_levels.size))[::-1]
+        up = np.sort(rng.uniform(0.0, 1.0, grid_levels.size))[::-1]
+        upper = center + up
+        if jump_at is not None:
+            upper = upper + np.where(grid_levels < jump_at, jump_size, 0.0)
+        members.append(make_sampled_1d(grid_levels, center - down, upper))
+    return members
+
+
+@pytest.mark.parametrize(
+    "seed, count, kwargs",
+    [(0, 20, {}), (3, 50, {"levels": 5}), (11, 7, {"levels": 2}), (5, 30, {"jump_at": 0.6, "jump_size": 0.4})],
+)
+def test_random_family_draws_as_member_by_member(seed, count, kwargs):
+    fam = random_family(seed, count, **kwargs)
+    reference = random_family_by_member(seed, count, **kwargs)
+    assert len(fam) == len(reference)
+    for u, v in zip(fam, reference):
+        assert u.grid == v.grid
+        assert same_bits(u.lower, v.lower) and same_bits(u.upper, v.upper)

@@ -6,11 +6,14 @@ from fuzzymetrics import (
     DeclaredJump,
     EmptyFamily,
     OutOfRange,
+    SampledFamily,
     compactness_conditions_report,
+    default_report_grid,
     dgn_bound,
     equi_continuity_report,
     eventually_equi_left,
     left_modulus,
+    level_convergence_report,
     make_sampled_1d,
     make_un,
     path_family,
@@ -19,8 +22,9 @@ from fuzzymetrics import (
     support_bound,
     validate_representation,
 )
+from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import members
-from fuzzymetrics.serialize import dumps
+from fuzzymetrics.serialize import decode_fuzzy, dumps, encode_fuzzy
 
 
 def crisp(x):
@@ -355,3 +359,70 @@ class TestRandomFamily:
         assert by_alpha[0.6].modulus >= 0.4
         assert by_alpha[0.3].witness_delta is not None
         assert by_alpha[0.9].witness_delta is not None
+
+
+COLUMNAR_FAMILIES = {
+    "random": lambda: random_family(seed=21, count=300),
+    "jump": lambda: random_family(seed=22, count=300, jump_at=0.6, jump_size=0.4),
+}
+
+
+@pytest.fixture(params=sorted(COLUMNAR_FAMILIES))
+def columnar(request):
+    fam = COLUMNAR_FAMILIES[request.param]()
+    assert isinstance(fam, SampledFamily)
+    return fam
+
+
+class TestColumnarEqualsList:
+    """Every report reads the same from the columnar family as from the list
+    of its members, which is evaluated member by member."""
+
+    def test_compactness_report(self, columnar):
+        grid = [0.3, 0.6 - 1e-6, 0.6, 0.75, 1.0]
+        for kwargs in ({}, {"alpha_grid": grid, "eps": 0.2}):
+            a = compactness_conditions_report(columnar, **kwargs)
+            b = compactness_conditions_report(list(columnar), **kwargs)
+            assert dumps(a.to_dict()) == dumps(b.to_dict())
+
+    def test_moduli_with_more_pairs_than_levels(self, columnar):
+        # alpha - delta lands on a grid level, so about 5,000 pairs share
+        # about 200 distinct levels and are read in several slices
+        diag = compactness_conditions_report(
+            columnar, alpha_grid=np.linspace(0.0, 1.0, 101), delta_grid=[j / 100 for j in range(1, 101)]
+        )
+        pairs = [(a, d) for a, row in diag.left_moduli.items() for d in row]
+        assert len(pairs) > 5000
+        alphas = np.array([a for a, _ in pairs])
+        betas = alphas - np.array([d for _, d in pairs])
+        worst = np.zeros(len(pairs))
+        for u in columnar:
+            lo_a, hi_a = u.endpoints(alphas)
+            lo_b, hi_b = u.endpoints(betas)
+            worst = np.maximum(worst, np.maximum(np.abs(lo_a - lo_b), np.abs(hi_a - hi_b)))
+        assert [diag.left_moduli[a][d] for a, d in pairs] == worst.tolist()
+
+    def test_level_convergence_report(self, columnar):
+        limit = columnar[-1]
+        grid = default_report_grid([limit])
+        for n_max in (len(columnar), 40):
+            a = level_convergence_report(columnar, limit, grid, eps=0.3, n_max=n_max)
+            b = level_convergence_report(list(columnar), limit, grid, eps=0.3, n_max=n_max)
+            assert dumps(a.to_dict()) == dumps(b.to_dict())
+
+    @pytest.mark.parametrize("alpha, eps", [(0.6, 0.2), (0.9, 0.05), (1.0, 1e-3)])
+    def test_eventually_equi_left(self, columnar, alpha, eps):
+        assert eventually_equi_left(columnar, alpha, eps) == eventually_equi_left(list(columnar), alpha, eps)
+
+    def test_profile_rows(self, columnar, tmp_path, monkeypatch, capsys):
+        family = tmp_path / "family.json"
+        family.write_text(dumps([encode_fuzzy(u) for u in columnar]))
+        limit = tmp_path / "limit.json"
+        limit.write_text(dumps(encode_fuzzy(columnar[0])))
+        argv = ["profile", str(family), str(limit), "--grid", "23"]
+        assert run(argv) == 0
+        columnar_rows = capsys.readouterr().out
+        monkeypatch.setattr("fuzzymetrics.cli.decode_family", lambda doc: [decode_fuzzy(d) for d in doc])
+        assert run(argv) == 0
+        assert capsys.readouterr().out == columnar_rows
+        assert len(columnar_rows.splitlines()) == 1 + 23 * len(columnar)

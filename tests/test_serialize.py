@@ -4,6 +4,7 @@ import pytest
 from fuzzymetrics import (
     CutCurve1D,
     ParseError,
+    SampledFamily,
     d_infty_parametric,
     d_infty_sampled,
     lift_segment,
@@ -119,3 +120,78 @@ class TestDeterministicText:
         assert '"x": 0.1' in text
         assert '"y": 1e-09' in text
         assert '"z": 0.6666666666666666' in text
+
+
+def family_docs(count=6):
+    return [encode_fuzzy(u) for u in random_family(seed=4, count=count)]
+
+
+def list_path_error(docs):
+    """The ParseError text of decoding the members one at a time."""
+    with pytest.raises(ParseError) as err:
+        [decode_fuzzy(item) for item in docs]
+    return str(err.value)
+
+
+def break_member(doc, rule):
+    """``doc`` (a member object) edited to break one rule."""
+    doc = dict(doc)
+    if rule == "empty":
+        doc["lower"] = [*doc["lower"][:-1], doc["upper"][-1] + 1.0]
+    elif rule == "non-nested":
+        doc["lower"] = [doc["lower"][1], doc["lower"][0], *doc["lower"][2:]]
+    elif rule == "non-finite":
+        doc["upper"] = [doc["upper"][0], float("nan"), *doc["upper"][2:]]
+    elif rule == "wrong-length":
+        doc["lower"] = doc["lower"][:-1]
+    elif rule == "bad-grid":
+        doc["alphas"] = [doc["alphas"][1], *doc["alphas"][1:]]
+    return doc
+
+
+RULES = ["empty", "non-nested", "non-finite", "wrong-length", "bad-grid"]
+
+
+class TestFamilyDecode:
+    def test_shared_grid_gives_a_sampled_family(self):
+        docs = family_docs()
+        fam = decode_family(docs)
+        assert isinstance(fam, SampledFamily) and len(fam) == len(docs)
+        for u, item in zip(fam, docs):
+            v = decode_fuzzy(item)
+            assert u.grid == v.grid
+            assert np.array_equal(u.lower, v.lower) and np.array_equal(u.upper, v.upper)
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_first_bad_member_raises_the_list_path_error(self, rule, k):
+        docs = family_docs()
+        docs[k] = break_member(docs[k], rule)
+        if k + 1 < len(docs):  # a later member breaks a different rule
+            docs[-1] = break_member(docs[-1], RULES[(RULES.index(rule) + 1) % len(RULES)])
+        expected = list_path_error(docs)
+        # the message is member k's own
+        assert expected == list_path_error([docs[k]])
+        for item in docs[:k]:
+            decode_fuzzy(item)
+        with pytest.raises(ParseError) as err:
+            decode_family(docs)
+        assert str(err.value) == expected
+
+    def test_a_bad_shared_grid_raises_the_list_path_error(self):
+        docs = [break_member(item, "bad-grid") for item in family_docs()]
+        with pytest.raises(ParseError, match="grid must start at 0") as err:
+            decode_family(docs)
+        assert str(err.value) == list_path_error(docs)
+
+    def test_mixed_grids_stay_a_list(self):
+        docs = family_docs(3)
+        docs.append(encode_fuzzy(make_sampled_1d([0, 0.3, 1], [0, 0.1, 0.2], [1, 0.9, 0.8])))
+        fam = decode_family(docs)
+        assert isinstance(fam, list) and len(fam) == 4
+
+    def test_a_constructor_entry_keeps_a_list(self):
+        docs = [*family_docs(3), {"type": "counterexample-un", "n": 2}]
+        fam = decode_family(docs)
+        assert isinstance(fam, list)
+        assert fam[3].key == ("counterexample-un", 2)
