@@ -17,7 +17,7 @@ from collections import abc
 import numpy as np
 
 from . import __version__
-from .core import SampledFuzzy1D, as_grid, validate_representation
+from .core import SampledFamily, as_grid, validate_representation
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -29,10 +29,8 @@ from .family import (
 from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
-    _check_search,
     _distance_rows,
     d_infty_parametric,
-    d_infty_sampled,
     default_report_grid,
     level_convergence_report,
 )
@@ -93,9 +91,11 @@ def _parse_grid(spec: str | None, inputs: list):
 
 
 def _sequence_grid(spec: str | None, seq, other):
-    """The levels for a family or sequence and one more input; a streamed
-    sequence declares its hint levels through its first member."""
-    return _parse_grid(spec, [*([seq(1)] if callable(seq) else seq), other])
+    """The levels for a family or sequence and one more input.  A streamed
+    sequence declares its hint levels through its first member; a sampled
+    family declares none, and is not expanded into members to say so."""
+    members = [seq(1)] if callable(seq) else () if isinstance(seq, SampledFamily) else seq
+    return _parse_grid(spec, [*members, other])
 
 
 def _parse_delta_grid(spec: str | None):
@@ -164,18 +164,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_dist(args: argparse.Namespace) -> int:
     u = _load(args.a, args.command, "fuzzy number")
     v = _load(args.b, args.command, "fuzzy number")
-    header = _header(args, ["a", "b", "tol", "max_depth"])
-    _check_search(args.tol, args.max_depth)
-    if isinstance(u, SampledFuzzy1D) and isinstance(v, SampledFuzzy1D):
-        body = {"method": "sampled-grid-max", "d_infty": d_infty_sampled(u, v)}
-    else:
-        enc = d_infty_parametric(u, v, tol=args.tol, max_depth=args.max_depth)
-        body = {"method": "parametric-bisection", "enclosure": enc.to_dict()}
+    enclosure = d_infty_parametric(u, v, tol=args.tol, max_depth=args.max_depth).to_dict()
     if args.format == "csv":
-        rows = body["enclosure"].items() if "enclosure" in body else [("d_infty", body["d_infty"])]
-        _emit(args, csv_table(("key", "value"), rows))
+        _emit(args, csv_table(("key", "value"), enclosure.items()))
     else:
-        _emit(args, dumps({"header": header, **body}))
+        _emit(args, dumps({"header": _header(args, ["a", "b", "tol", "max_depth"]), "enclosure": enclosure}))
     return 0
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "make_sampled_family",
     "alpha_cut",
     "membership_at",
-    "as_curve",
     "densify_levels",
     "sample_curve",
     "refine_to_grid",
@@ -124,12 +123,17 @@ class SampledFuzzy1D:
     """Endpoint samples of the cuts on a grid, linear in alpha in between.
 
     Built through :func:`make_sampled_1d`, which enforces nestedness and
-    nonemptiness; direct construction assumes already-valid data.
+    nonemptiness; direct construction assumes already-valid data.  Like a
+    :class:`CutCurve1D` it answers ``jumps``, ``hint_levels`` and ``key``,
+    and declares none of them.
     """
 
     grid: AlphaGrid
     lower: np.ndarray
     upper: np.ndarray
+    jumps = ()
+    hint_levels = ()
+    key = None
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float).copy()
@@ -164,6 +168,12 @@ class DeclaredJump:
     alpha: float
     lower_right: float
     upper_right: float
+
+    def __post_init__(self):
+        if not self.lower_right <= self.upper_right:
+            raise EmptyCut(
+                f"empty right-limit cut at alpha={self.alpha}: lower {self.lower_right} > upper {self.upper_right}"
+            )
 
 
 @dataclass(frozen=True)
@@ -200,19 +210,6 @@ class CutCurve1D:
             lo = lo.reshape(a.shape)
             hi = hi.reshape(a.shape)
         return lo, hi
-
-    def jump_at(self, alpha: float) -> DeclaredJump | None:
-        for j in self.jumps:
-            if j.alpha == alpha:
-                return j
-        return None
-
-    def right_limit(self, alpha: float) -> Interval:
-        """Cut limit as the level decreases to ``alpha`` from above."""
-        j = self.jump_at(alpha)
-        if j is not None:
-            return Interval(j.lower_right, j.upper_right)
-        return alpha_cut(self, alpha)
 
 
 FuzzyNumber1D = Union[SampledFuzzy1D, CutCurve1D]
@@ -390,17 +387,6 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
     return lo
 
 
-def as_curve(u: FuzzyNumber1D) -> CutCurve1D:
-    """View a fuzzy number as a parametric cut curve (no-op for curves)."""
-    if isinstance(u, CutCurve1D):
-        return u
-    levels, lower, upper = u.grid.levels, u.lower, u.upper
-    return CutCurve1D(
-        lower_fn=lambda a: np.interp(a, levels, lower),
-        upper_fn=lambda a: np.interp(a, levels, upper),
-    )
-
-
 def sample_curve(u: FuzzyNumber1D, grid: GridLike) -> SampledFuzzy1D:
     """Sample a fuzzy number onto a grid (piecewise-linear approximant)."""
     g = as_grid(grid)
@@ -416,7 +402,7 @@ def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.nd
     """
     if isinstance(inputs, SampledFamily):
         return levels  # sampled numbers declare no hint levels
-    hints = sorted({h for u in inputs if isinstance(u, CutCurve1D) for h in u.hint_levels})
+    hints = sorted({h for u in inputs for h in u.hint_levels})
     if not hints:
         return levels
     offsets = 10.0 ** -np.arange(2, 7)
@@ -560,7 +546,7 @@ def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TO
         raise OutOfRange("tol must be positive")
     levels = _probe_levels(u)
     lo, hi = u.endpoints(levels)
-    jumps = tuple(j.alpha for j in u.jumps) if isinstance(u, CutCurve1D) else ()
+    jumps = tuple(j.alpha for j in u.jumps)
     checks: list[ValidationCheck] = []
 
     worst = float(np.max(lo - hi))

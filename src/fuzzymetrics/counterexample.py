@@ -203,11 +203,7 @@ def exact_H_profile(n: int, alpha):
     a = np.asarray(alpha, dtype=float)
     if np.any(a < 0.0) or np.any(a > 1.0):
         raise OutOfRange("alpha outside [0, 1]")
-    t = np.atleast_1d(_inner(a))
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = 1.0 - np.exp(np.log(t[pos]) / n)
-    out = out.reshape(a.shape)
+    out = _upper(a, n) - _limit_upper(a)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,16 +1,17 @@
 """Hausdorff distance on cuts, the supremum metric, and level convergence.
 
 The supremum metric between fuzzy numbers is the sup over levels of the
-Hausdorff distance between matching cuts.  On sampled data the sup is a
-finite max over grid nodes; on parametric curves it is bracketed by an
-adaptive branch-and-bound search whose range bounds come from the endpoint
+Hausdorff distance between matching cuts.  It is bracketed by an adaptive
+branch-and-bound search whose range bounds come from the endpoint
 monotonicity that the cut axioms require.  The search bisects its open
-segments a round at a time, with one array call per curve for all the
+segments a round at a time, with one array call per number for all the
 midpoints of a round, and checks the monotonicity at every point it
-evaluates (a violation raises NonNested).  Declared jump points are never
-straddled: they are forced split points whose one-sided limit cuts enter as
-explicit supremum candidates, so a sup that is approached (but not
-attained) at a jump is still enclosed exactly.
+evaluates (a violation raises NonNested).  Declared jump points and the grid
+levels of sampled numbers are never straddled: they are forced split
+points.  A jump's one-sided limit cuts enter as explicit supremum
+candidates, so a sup that is approached (but not attained) at a jump is
+still enclosed exactly; between grid levels two sampled numbers have linear
+endpoints, so their sup is read off the split points with no bisection.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     GridLike,
     SampledFuzzy1D,
     _member_rows,
-    as_curve,
     as_grid,
     densify_levels,
     hausdorff_interval,
@@ -42,7 +42,6 @@ __all__ = [
     "hausdorff_support_2d",
     "LevelProfile",
     "level_distance_profile",
-    "d_infty_sampled",
     "d_infty_parametric",
     "ConvergenceEntry",
     "ConvergenceReport",
@@ -106,15 +105,6 @@ def level_distance_profile(u: FuzzyNumber1D, v: FuzzyNumber1D, grid: GridLike) -
     """H(cut(u, a), cut(v, a)) at every grid level."""
     g = as_grid(grid)
     return LevelProfile(g.levels, _cut_distance(_cuts(u, v, g.levels)))
-
-
-def d_infty_sampled(u: SampledFuzzy1D, v: SampledFuzzy1D) -> float:
-    """Exact supremum metric between sampled numbers.
-
-    Endpoint differences are piecewise linear in alpha, so the sup over
-    [0, 1] is attained at a node of the union grid.
-    """
-    return level_distance_profile(u, v, u.grid.union(v.grid)).max()
 
 
 @dataclass(frozen=True)
@@ -187,45 +177,50 @@ def d_infty_parametric(
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Enclosure:
-    """Certified enclosure of the supremum metric between cut curves.
+    """Certified enclosure of the supremum metric between two fuzzy numbers.
 
     Branch and bound on the level axis: each segment's sup is bounded above
-    through the monotone cut endpoints, declared jumps force split
-    points whose right-limit cuts are evaluated as explicit candidates, and
-    segments are bisected until the bracket is narrower than ``tol``.  Each
-    round bisects every segment whose bound exceeds the best candidate by
-    more than ``tol`` and evaluates all its midpoints in one ``endpoints``
-    call per curve; when the rounds would exceed ``max_nodes``, the highest
-    bounds are bisected first.  A segment whose endpoints are not monotone
-    raises NonNested.  When ``max_depth`` or ``max_nodes`` stops refinement
-    first, the bracket is still certified, just wider than requested.
+    through the monotone cut endpoints, declared jumps and the grid levels
+    of sampled numbers force split points, a jump's right-limit cuts are
+    evaluated as explicit candidates, and segments are bisected until the
+    bracket is narrower than ``tol``.  Each round bisects every segment
+    whose bound exceeds the best candidate by more than ``tol`` and
+    evaluates all its midpoints in one ``endpoints`` call per number; when
+    the rounds would exceed ``max_nodes``, the highest bounds are bisected
+    first.  A segment whose endpoints are not monotone raises NonNested.
+    When ``max_depth`` or ``max_nodes`` stops refinement first, the bracket
+    is still certified, just wider than requested.  For two sampled numbers
+    the distance on a segment between split points is the max of two
+    convex functions, so its sup is at an end: the bracket closes with
+    ``lower == upper`` and no node.
     """
     _check_search(tol, max_depth)
-    cu, cv = as_curve(u), as_curve(v)
-    if cu is cv or (cu.key is not None and cu.key == cv.key):
+    if u is v or (u.key is not None and u.key == v.key):
         return Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)
 
-    jump_levels = sorted(
-        {j.alpha for j in cu.jumps if j.alpha < 1.0}
-        | {j.alpha for j in cv.jumps if j.alpha < 1.0}
-    )
-    points = np.array(sorted({0.0, 1.0, *jump_levels}))
-    cuts = _cuts(cu, cv, points)
+    grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
+    jump_levels = sorted({j.alpha for w in (u, v) for j in w.jumps if j.alpha < 1.0})
+    points = np.unique(np.concatenate([[0.0, 1.0], jump_levels, *grids]))
+    cuts = _cuts(u, v, points)
     h = _cut_distance(cuts)
     i = int(np.argmax(h))
     best_point, best_point_at = float(h[i]), float(points[i])
     best_limit = -1.0
     best_limit_at = 0.0
 
+    # at a jump level the segment to its right starts from the right-limit
+    # cuts: a declared jump's, else the cut evaluated there
     left = cuts[:, :-1].copy()
-    for k, x in enumerate(points[:-1].tolist()):
-        if x in jump_levels:
-            rl_u, rl_v = cu.right_limit(x), cv.right_limit(x)
-            left[:, k] = rl_u.lo, rl_v.lo, -rl_u.hi, -rl_v.hi
-            h = hausdorff_interval(rl_u, rl_v)
-            if h > best_limit:
-                best_limit, best_limit_at = h, x
+    for k, w in enumerate((u, v)):
+        for j in w.jumps:
+            if j.alpha < 1.0:
+                left[k::2, np.searchsorted(points, j.alpha)] = j.lower_right, -j.upper_right
+    if jump_levels:
+        h = _cut_distance(left[:, np.searchsorted(points, jump_levels)])
+        i = int(np.argmax(h))
+        best_limit, best_limit_at = float(h[i]), float(jump_levels[i])
     seg = np.concatenate((points[None, :-1], points[None, 1:], left, cuts[:, 1:]))
+    exact = len(grids) == 2
 
     frozen = 0.0
     unexpanded = 0.0  # largest bound among segments dropped without bisection
@@ -233,7 +228,10 @@ def d_infty_parametric(
     depth = 0  # the segments of one round share their depth
     while True:
         _check_nested(seg)
-        bound = _segment_bound(seg)
+        if exact:
+            bound = np.maximum(_cut_distance(seg[_LEFT]), _cut_distance(seg[_RIGHT]))
+        else:
+            bound = _segment_bound(seg)
         lower = max(best_point, best_limit, 0.0)
         # lower only rises, so a segment within tol of it is never bisected:
         # drop it and keep only its bound, for upper
@@ -254,13 +252,17 @@ def d_infty_parametric(
             seg = seg[:, np.sort(order[:budget])]
         nodes += seg.shape[1]
         m = 0.5 * (seg[_A] + seg[_B])
-        mid = _cuts(cu, cv, m)
+        mid = _cuts(u, v, m)
         h = _cut_distance(mid)
         i = int(np.argmax(h))
         if h[i] > best_point:
             best_point, best_point_at = float(h[i]), float(m[i])
-        halves = (np.vstack((seg[_A], m, seg[_LEFT], mid)), np.vstack((m, seg[_B], mid, seg[_RIGHT])))
-        seg = np.stack(halves, axis=2).reshape(seg.shape[0], -1)
+        # both halves of each segment, side by side, written into one new frontier
+        halves = np.empty((seg.shape[0], seg.shape[1], 2))
+        first, second = halves[..., 0], halves[..., 1]
+        first[_A], first[_B], first[_LEFT], first[_RIGHT] = seg[_A], m, seg[_LEFT], mid
+        second[_A], second[_B], second[_LEFT], second[_RIGHT] = m, seg[_B], mid, seg[_RIGHT]
+        seg = halves.reshape(seg.shape[0], -1)
         depth += 1
 
     upper = max(lower, frozen, unexpanded, top)

@@ -11,8 +11,8 @@ import pytest
 import fuzzymetrics
 from fuzzymetrics.cli import _kind, run
 from fuzzymetrics.counterexample import member_sequence, members
-from fuzzymetrics.serialize import decode_fuzzy
-from fuzzymetrics import CutCurve1D, d_infty_sampled, make_sampled_1d, make_un, random_family
+from fuzzymetrics.serialize import decode_family, decode_fuzzy
+from fuzzymetrics import CutCurve1D, SampledFamily, d_infty_parametric, make_sampled_1d, make_un, random_family
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -111,8 +111,8 @@ class TestDistVerb:
         other.write_text(Path(tri_file).read_text())
         assert run(["dist", tri_file, str(other)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] == "sampled-grid-max"
-        assert doc["d_infty"] == 0.0
+        assert set(doc) == {"header", "enclosure"}
+        assert doc["enclosure"] == {"lower": 0.0, "upper": 0.0, "attained": True}
 
     def test_counterexample_pair_encloses_one(self, capsys):
         assert run(["dist", "counterexample-un:5", "counterexample-limit"]) == 0
@@ -171,14 +171,15 @@ class TestDistVerb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        # the same message as for a pair that takes the search
+        # the same message as for a curve pair
         assert run(["dist", "counterexample-un:1", "counterexample-un:2", *options]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_mixed_inputs_use_enclosure(self, tri_file, capsys):
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] == "parametric-bisection"
+        assert set(doc) == {"header", "enclosure"}
+        assert doc["enclosure"] == {"lower": 0.5, "upper": 0.5000009536743164, "attained": True}
 
 
 class TestProfileVerb:
@@ -219,6 +220,24 @@ class TestProfileVerb:
 
 
 class TestConvergeVerb:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["converge", "family.json", "tri.json", "--eps", "0.5"], "converge-family-tri.json"),
+            (["profile", "family.json", "tri.json", "--grid", "5"], "profile-family-tri.csv"),
+        ],
+    )
+    def test_sampled_family_is_not_expanded_into_members(self, argv, expected, monkeypatch, capsys):
+        assert isinstance(decode_family(read_json(GOLDEN_DIR / "family.json")), SampledFamily)
+
+        def no_members(family, index):
+            raise AssertionError(f"SampledFamily.__getitem__({index!r})")
+
+        monkeypatch.setattr(SampledFamily, "__getitem__", no_members)
+        monkeypatch.chdir(GOLDEN_DIR)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "expected" / expected).read_text()
+
     def test_family_file_sequence(self, family_file, capsys):
         assert run(["converge", family_file, "counterexample-limit", "--grid", "5", "--eps", "0.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -378,4 +397,5 @@ class TestArgHandling:
         out = tmp_path / "echo.json"
         out.write_text(dumps(encode_fuzzy(original)))
         reparsed = decode_fuzzy(read_json(out))
-        assert d_infty_sampled(original, reparsed) == 0.0
+        enc = d_infty_parametric(original, reparsed)
+        assert (enc.lower, enc.upper) == (0.0, 0.0)

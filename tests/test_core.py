@@ -16,7 +16,6 @@ from fuzzymetrics import (
     SampledFamily,
     SampledFuzzy1D,
     alpha_cut,
-    as_curve,
     make_limit,
     make_sampled_1d,
     make_sampled_family,
@@ -262,6 +261,14 @@ class TestValidation:
         assert nested == [True, True]
 
 
+def test_declared_jump_needs_a_nonempty_right_limit():
+    # the search reads a declared jump's limits without building an Interval
+    with pytest.raises(EmptyCut, match="empty right-limit cut at alpha=0.5"):
+        DeclaredJump(alpha=0.5, lower_right=1.0, upper_right=0.0)
+    with pytest.raises(EmptyCut):
+        DeclaredJump(alpha=0.5, lower_right=0.0, upper_right=float("nan"))
+
+
 class TestResampling:
     def test_refine_preserves_function(self):
         u = triangular()
@@ -273,12 +280,6 @@ class TestResampling:
     def test_refine_rejects_dropping_nodes(self):
         with pytest.raises(BadGrid):
             refine_to_grid(triangular(), [0, 0.25, 1])
-
-    def test_as_curve_matches_sampled(self):
-        u = triangular()
-        c = as_curve(u)
-        for a in np.linspace(0, 1, 17):
-            assert alpha_cut(c, a) == alpha_cut(u, a)
 
     def test_sample_curve_hits_closed_form_at_nodes(self):
         u = make_un(3)

@@ -10,9 +10,7 @@ from fuzzymetrics import (
     Interval,
     NonNested,
     OutOfRange,
-    as_curve,
     d_infty_parametric,
-    d_infty_sampled,
     default_report_grid,
     hausdorff_interval,
     level_convergence_report,
@@ -21,6 +19,7 @@ from fuzzymetrics import (
     make_sampled_1d,
     make_un,
     random_family,
+    refine_to_grid,
     sample_curve,
 )
 from fuzzymetrics.counterexample import member_sequence, members
@@ -38,6 +37,27 @@ def crisp(x):
 
 def crisp_interval(lo, hi):
     return make_sampled_1d([0, 1], [lo, lo], [hi, hi])
+
+
+def sampled_distance(u, v):
+    """The supremum metric between two sampled numbers, checked to close
+    with no bisection."""
+    enc = d_infty_parametric(u, v)
+    assert (enc.lower == enc.upper, enc.nodes, enc.attained) == (True, 0, True)
+    return enc.lower
+
+
+def union_grid_max(u, v):
+    return level_distance_profile(u, v, u.grid.union(v.grid)).max()
+
+
+def interp_curve(u):
+    """A sampled number as a curve over np.interp: the search sees neither
+    its grid levels nor its linearity, only monotone endpoints."""
+    levels, lower, upper = u.grid.levels, u.lower, u.upper
+    return CutCurve1D(
+        lower_fn=lambda a: np.interp(a, levels, lower), upper_fn=lambda a: np.interp(a, levels, upper)
+    )
 
 
 class TestHausdorffInterval:
@@ -76,7 +96,7 @@ class TestLevelProfile:
     def test_domination_by_d_infty(self):
         fam = random_family(seed=31, count=6)
         for u, v in zip(fam[:3], fam[3:]):
-            d = d_infty_sampled(u, v)
+            d = sampled_distance(u, v)
             prof = level_distance_profile(u, v, np.linspace(0, 1, 201))
             assert prof.max() <= d + 1e-12
 
@@ -84,22 +104,22 @@ class TestLevelProfile:
 class TestDInftySampled:
     def test_identity(self):
         u = triangular()
-        assert d_infty_sampled(u, u) == 0.0
+        assert sampled_distance(u, u) == 0.0
 
     def test_crisp_singletons(self):
-        assert d_infty_sampled(crisp(1.25), crisp(-0.5)) == 1.75
+        assert sampled_distance(crisp(1.25), crisp(-0.5)) == 1.75
 
     def test_triangular_vs_crisp_brute_force(self):
         u, v = triangular(), crisp(0.5)
         dense = level_distance_profile(u, v, np.linspace(0, 1, 10_001))
-        assert d_infty_sampled(u, v) == 0.5
+        assert sampled_distance(u, v) == 0.5
         assert dense.max() == pytest.approx(0.5, abs=1e-12)
         assert dense.h[0] == 0.5  # attained at the bottom level
 
     def test_union_grid_refinement(self):
         u = make_sampled_1d([0, 0.5, 1], [0, 0.25, 0.5], [1, 0.75, 0.5])
         v = make_sampled_1d([0, 0.25, 1], [0, 0.1, 0.4], [1, 0.9, 0.4])
-        direct = d_infty_sampled(u, v)
+        direct = sampled_distance(u, v)
         dense = level_distance_profile(u, v, np.linspace(0, 1, 20_001)).max()
         assert direct >= dense - 1e-12
         assert direct == pytest.approx(dense, abs=1e-6)
@@ -107,17 +127,31 @@ class TestDInftySampled:
     def test_metric_axioms_on_random_triples(self):
         for seed in range(200):
             a, b, c = random_family(seed=seed, count=3, levels=7)
-            dab = d_infty_sampled(a, b)
-            assert dab == d_infty_sampled(b, a)
+            dab = sampled_distance(a, b)
+            assert dab == sampled_distance(b, a)
             assert dab >= 0.0
-            assert d_infty_sampled(a, a) == 0.0
-            assert d_infty_sampled(a, c) <= dab + d_infty_sampled(b, c) + 1e-12
+            assert sampled_distance(a, a) == 0.0
+            assert sampled_distance(a, c) <= dab + sampled_distance(b, c) + 1e-12
+
+    def test_constant_distance_pair_is_exact(self):
+        # the distance is 0.5 at every level; a search that bisects sampled
+        # numbers as curves spends all its nodes and stops 7.6e-6 wide
+        u = make_sampled_1d([0, 1], [0, 1], [3, 2])
+        v = make_sampled_1d([0, 1], [0.5, 1.5], [3.5, 2.5])
+        enc = d_infty_parametric(u, v, tol=1e-9)
+        assert (enc.lower, enc.upper, enc.attained, enc.witness_alpha, enc.nodes) == (0.5, 0.5, True, 0.0, 0)
+
+    def test_grid_levels_split_a_mixed_pair(self):
+        # the triangle's middle level is a split point from round 0, so the
+        # curve search needs one node less for the same bracket
+        enc = d_infty_parametric(triangular(), make_un(1), tol=1e-6)
+        assert (enc.lower, enc.upper, enc.nodes) == (0.5, 0.5000009536743164, 18)
 
     def test_refinement_monotonicity(self):
         u, v = make_un(1), make_un(4)
-        coarse = d_infty_sampled(sample_curve(u, np.linspace(0, 1, 11)), sample_curve(v, np.linspace(0, 1, 11)))
-        fine = d_infty_sampled(sample_curve(u, np.linspace(0, 1, 101)), sample_curve(v, np.linspace(0, 1, 101)))
-        finest = d_infty_sampled(sample_curve(u, np.linspace(0, 1, 1001)), sample_curve(v, np.linspace(0, 1, 1001)))
+        coarse = sampled_distance(sample_curve(u, np.linspace(0, 1, 11)), sample_curve(v, np.linspace(0, 1, 11)))
+        fine = sampled_distance(sample_curve(u, np.linspace(0, 1, 101)), sample_curve(v, np.linspace(0, 1, 101)))
+        finest = sampled_distance(sample_curve(u, np.linspace(0, 1, 1001)), sample_curve(v, np.linspace(0, 1, 1001)))
         assert coarse <= fine + 1e-15 <= finest + 2e-15
 
 
@@ -172,14 +206,14 @@ class TestDInftyParametric:
     def test_piecewise_linear_consistency_with_sampled(self):
         u = make_sampled_1d([0, 0.5, 1], [0, 0.25, 0.5], [1, 0.75, 0.5])
         v = make_sampled_1d([0, 0.5, 1], [-1, 0, 0.25], [2, 1.5, 0.25])
-        exact = d_infty_sampled(u, v)
-        enc = d_infty_parametric(as_curve(u), as_curve(v), tol=1e-9)
+        exact = sampled_distance(u, v)
+        enc = d_infty_parametric(interp_curve(u), interp_curve(v), tol=1e-9)
         assert enc.lower - 1e-12 <= exact <= enc.upper + 1e-12
 
     def test_sampled_counterexample_below_enclosure_upper(self):
         u, lim = make_un(5), make_limit()
         enc = d_infty_parametric(u, lim)
-        sampled = d_infty_sampled(
+        sampled = sampled_distance(
             sample_curve(u, np.linspace(0, 1, 100)), sample_curve(lim, np.linspace(0, 1, 100))
         )
         assert sampled <= enc.upper
@@ -273,11 +307,43 @@ class TestParametricEnclosesSampled:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(monotone_sampled(), monotone_sampled(), st.sampled_from([1e-6, 1e-9]))
     def test_encloses_the_exact_sampled_distance(self, u, v, tol):
-        exact = d_infty_sampled(u, v)
-        enc = d_infty_parametric(as_curve(u), as_curve(v), tol=tol)
+        exact = sampled_distance(u, v)
+        enc = d_infty_parametric(interp_curve(u), interp_curve(v), tol=tol)
         assert enc.lower - 1e-12 <= exact <= enc.upper + 1e-12
         # a bracket cut by the node budget is certified but may stay wider than tol
         assert enc.width <= tol or enc.nodes >= DEFAULT_MAX_NODES
+
+
+class TestSampledPairs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(monotone_sampled(), monotone_sampled(), st.sampled_from([1e-3, 1e-9, 1e-15]))
+    def test_enclosure_is_the_union_grid_max(self, u, v, tol):
+        enc = d_infty_parametric(u, v, tol=tol)
+        assert enc.lower == enc.upper == union_grid_max(u, v)
+        assert (enc.nodes, enc.attained) == (0, True)
+        assert level_distance_profile(u, v, np.linspace(0, 1, 1001)).max() <= enc.upper + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(monotone_sampled(), monotone_sampled(), monotone_sampled())
+    def test_metric_axioms(self, a, b, c):
+        dab = sampled_distance(a, b)
+        assert dab == sampled_distance(b, a) >= 0.0
+        assert sampled_distance(a, a) == 0.0
+        assert sampled_distance(a, make_sampled_1d(a.grid, a.lower, a.upper)) == 0.0
+        assert sampled_distance(a, c) <= dab + sampled_distance(b, c) + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(monotone_sampled(), monotone_sampled(), st.lists(st.integers(1, 999), max_size=6))
+    def test_refinement_leaves_the_enclosure_unchanged(self, u, v, extra):
+        d = sampled_distance(u, v)
+        # on the union grid the refined samples are the values the pair
+        # already evaluates, so the enclosure keeps every bit
+        union = u.grid.union(v.grid)
+        assert sampled_distance(refine_to_grid(u, union), v) == d
+        assert sampled_distance(u, refine_to_grid(v, union)) == d
+        # levels off both grids add interpolated samples, exact up to rounding
+        finer = np.union1d(union.levels, np.asarray(extra) / 1000 + 1 / 7000)
+        assert sampled_distance(refine_to_grid(u, finer), refine_to_grid(v, finer)) == pytest.approx(d, abs=1e-12)
 
 
 class TestLevelConvergence:
