@@ -47,10 +47,6 @@ def sampled_distance(u, v):
     return enc.lower
 
 
-def union_grid_max(u, v):
-    return level_distance_profile(u, v, u.grid.union(v.grid)).max()
-
-
 def interp_curve(u):
     """A sampled number as a curve over np.interp: the search sees neither
     its grid levels nor its linearity, only monotone endpoints."""
@@ -319,7 +315,7 @@ class TestSampledPairs:
     @given(monotone_sampled(), monotone_sampled(), st.sampled_from([1e-3, 1e-9, 1e-15]))
     def test_enclosure_is_the_union_grid_max(self, u, v, tol):
         enc = d_infty_parametric(u, v, tol=tol)
-        assert enc.lower == enc.upper == union_grid_max(u, v)
+        assert enc.lower == enc.upper == level_distance_profile(u, v, u.grid.union(v.grid)).max()
         assert (enc.nodes, enc.attained) == (0, True)
         assert level_distance_profile(u, v, np.linspace(0, 1, 1001)).max() <= enc.upper + 1e-12
 
