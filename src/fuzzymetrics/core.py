@@ -4,9 +4,9 @@ A fuzzy number is stored through its alpha-cuts: a nested family of closed
 intervals indexed by membership level alpha in [0, 1].  Two carriers are
 provided: ``SampledFuzzy1D`` holds endpoint samples on a finite grid
 (piecewise-linear in between), ``CutCurve1D`` holds closed-form endpoint
-callables, monotone as the cut axioms require, plus declared jump points.
-``SampledFamily`` holds many sampled numbers on one shared grid as two
-arrays.
+callables, monotone as the cut axioms require, plus declared jump points and
+endpoint curvature.  ``SampledFamily`` holds many sampled numbers on one
+shared grid as two arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "Interval",
     "SampledFuzzy1D",
     "DeclaredJump",
+    "DeclaredCurvature",
     "CutCurve1D",
     "FuzzyNumber1D",
     "as_grid",
@@ -118,14 +119,41 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
+CURVATURES = ("convex", "concave", "linear")
+
+
+@dataclass(frozen=True)
+class DeclaredCurvature:
+    """Declared curvature of both cut endpoints, in alpha, on [start, end].
+
+    ``lower`` and ``upper`` are each "convex", "concave", "linear" or None
+    (nothing declared).  At a declared jump at ``start`` the declaration
+    holds with the endpoint's right limit there in place of its value.
+    """
+
+    start: float
+    end: float
+    lower: str | None = None
+    upper: str | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.start < self.end <= 1.0:
+            raise OutOfRange(f"curvature piece [{self.start}, {self.end}] is not a nonempty part of [0, 1]")
+        for name in (self.lower, self.upper):
+            if name is not None and name not in CURVATURES:
+                raise OutOfRange(f"curvature must be one of {CURVATURES} or None, got {name!r}")
+
+
 @dataclass(frozen=True)
 class SampledFuzzy1D:
     """Endpoint samples of the cuts on a grid, linear in alpha in between.
 
     Built through :func:`make_sampled_1d`, which enforces nestedness and
     nonemptiness; direct construction assumes already-valid data.  Like a
-    :class:`CutCurve1D` it answers ``jumps``, ``hint_levels`` and ``key``,
-    and declares none of them.
+    :class:`CutCurve1D` it answers ``jumps``, ``hint_levels``, ``key`` and
+    ``curvature``: it declares no jump, hint level or key, and both
+    endpoints linear between grid levels (the supremum search splits at
+    every grid level, so one piece on [0, 1] says so).
     """
 
     grid: AlphaGrid
@@ -134,6 +162,7 @@ class SampledFuzzy1D:
     jumps = ()
     hint_levels = ()
     key = None
+    curvature = (DeclaredCurvature(0.0, 1.0, "linear", "linear"),)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float).copy()
@@ -186,7 +215,11 @@ class CutCurve1D:
     must be declared; the callables should accept numpy arrays, scalar-only
     callables are wrapped on demand.  ``hint_levels`` names levels where the
     cut map changes character; default level grids are densified around
-    them (see :func:`densify_levels`).
+    them (see :func:`densify_levels`).  ``curvature`` declares the convexity
+    of each endpoint on disjoint pieces of [0, 1], in increasing order: the
+    search splits at their ends and bounds a segment inside a piece by
+    chords and extended secants, and raises CurvatureMismatch at an
+    evaluated point that contradicts a declaration.
     """
 
     lower_fn: Callable[[np.ndarray], np.ndarray]
@@ -194,6 +227,14 @@ class CutCurve1D:
     jumps: tuple[DeclaredJump, ...] = ()
     hint_levels: tuple[float, ...] = ()
     key: tuple | None = field(default=None, compare=False)
+    curvature: tuple[DeclaredCurvature, ...] = ()
+
+    def __post_init__(self):
+        for before, after in zip(self.curvature, self.curvature[1:]):
+            if after.start < before.end:
+                raise OutOfRange(
+                    f"curvature pieces must be disjoint and in increasing order: {before} then {after}"
+                )
 
     def endpoints(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = np.asarray(alphas, dtype=float)

@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .core import CutCurve1D, DeclaredJump
+from .core import CutCurve1D, DeclaredCurvature, DeclaredJump
 from .errors import BadIndex, OutOfRange, ParseError
 from . import family as family_mod
 from .metrics import (
@@ -78,6 +78,18 @@ def _index(n) -> int:
     return int(n)
 
 
+# Every member's upper endpoint is 1 up to one third and 1 - t^(1/n), convex
+# in the level, above it; the limit is constant on either side of its jump.
+_MEMBER_CURVATURE = (
+    DeclaredCurvature(0.0, ONE_THIRD, "linear", "linear"),
+    DeclaredCurvature(ONE_THIRD, 1.0, "linear", "convex"),
+)
+_LIMIT_CURVATURE = (
+    DeclaredCurvature(0.0, ONE_THIRD, "linear", "linear"),
+    DeclaredCurvature(ONE_THIRD, 1.0, "linear", "linear"),
+)
+
+
 def make_un(n: int) -> CutCurve1D:
     """Member n of the sequence; continuous cuts with a kink at one third."""
     n = _index(n)
@@ -87,6 +99,7 @@ def make_un(n: int) -> CutCurve1D:
         jumps=(),
         hint_levels=(ONE_THIRD,),
         key=("counterexample-un", n),
+        curvature=_MEMBER_CURVATURE,
     )
 
 
@@ -98,6 +111,7 @@ def make_limit() -> CutCurve1D:
         jumps=(DeclaredJump(alpha=ONE_THIRD, lower_right=0.0, upper_right=0.0),),
         hint_levels=(ONE_THIRD,),
         key=("counterexample-limit",),
+        curvature=_LIMIT_CURVATURE,
     )
 
 

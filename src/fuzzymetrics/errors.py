@@ -13,6 +13,10 @@ class NonNested(FuzzyMetricsError):
     """Cut endpoints are not monotone in alpha, so the cuts do not nest."""
 
 
+class CurvatureMismatch(FuzzyMetricsError):
+    """A cut endpoint lies on the wrong side of a chord for its declared curvature."""
+
+
 class EmptyCut(FuzzyMetricsError):
     """A lower endpoint exceeds the matching upper endpoint."""
 

@@ -2,16 +2,21 @@
 
 The supremum metric between fuzzy numbers is the sup over levels of the
 Hausdorff distance between matching cuts.  It is bracketed by an adaptive
-branch-and-bound search whose range bounds come from the endpoint
-monotonicity that the cut axioms require.  The search bisects its open
-segments a round at a time, with one array call per number for all the
-midpoints of a round, and checks the monotonicity at every point it
-evaluates (a violation raises NonNested).  Declared jump points and the grid
-levels of sampled numbers are never straddled: they are forced split
-points.  A jump's one-sided limit cuts enter as explicit supremum
-candidates, so a sup that is approached (but not attained) at a jump is
-still enclosed exactly; between grid levels two sampled numbers have linear
-endpoints, so their sup is read off the split points with no bisection.
+branch-and-bound search.  Each segment's range bound is the smaller of the
+one that the endpoint monotonicity of the cut axioms gives and a curvature
+envelope: where a number declares an endpoint convex, concave or linear,
+the endpoint lies between its chord and the extended secant of the
+neighbouring half-segment, a bound that shrinks with the square of the
+segment width.  The search bisects its open segments a round at a time,
+with one array call per number for all the midpoints of a round, and checks
+the monotonicity and the declared curvature at every point it evaluates (a
+violation raises NonNested or CurvatureMismatch).  Declared jump points, the
+ends of curvature pieces and the grid levels of sampled numbers are never
+straddled: they are forced split points.  A jump's one-sided limit cuts
+enter as explicit supremum candidates, so a sup that is approached (but not
+attained) at a jump is still enclosed exactly; between grid levels sampled
+numbers are linear, so the sup of a sampled pair is read off the split
+points with no bisection.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .core import (
     hausdorff_interval,
 )
 from .bodies import PlanarSupport
-from .errors import GridMismatch, NonNested, OutOfRange
+from .errors import CurvatureMismatch, GridMismatch, NonNested, OutOfRange
 
 __all__ = [
     "DEFAULT_TOL",
@@ -135,30 +140,133 @@ class Enclosure:
         return {"lower": self.lower, "upper": self.upper, "attained": self.attained}
 
 
-# A frontier holds one column per open segment [a, b]: its two levels, then
-# the ``_cuts`` rows at a and at b.
-_A, _B, _LEFT, _RIGHT = 0, 1, slice(2, 6), slice(6, 10)
+# A frontier holds one column per open segment [a, b]: its two levels, the
+# far level c of its sibling (the other half of the segment it was bisected
+# from; nan for a round-0 segment, which is bounded without one), the
+# ``_cuts`` rows at a, at b and at c, and the curvature signs of those rows.
+_A, _B, _C = 0, 1, 2
+_LEFT, _RIGHT, _FAR, _SIGNS = slice(3, 7), slice(7, 11), slice(11, 15), slice(15, 19)
+_ROWS = 19
+
+# The curvature sign of an endpoint; negating an upper endpoint flips it.
+_SIGN = {"convex": 1.0, "concave": -1.0, "linear": 0.0, None: np.nan}
+
+# Rounding slack, in units in the last place of the values compared.  The
+# curvature check also allows this many units of the level times the
+# steepest nearby slope: an endpoint formula may cancel in its level argument
+# (``1.5 a - 0.5`` near one third), which moves its values by about one unit
+# of the level times the slope and can put a convex endpoint a hair above
+# its chord.
+_SLACK_ULPS = 4.0
+
+# Round 0 bounds this many segments at a time.
+_BLOCK = 1 << 14
 
 
-def _check_nested(seg: np.ndarray) -> None:
+def _check_nested(a: np.ndarray, b: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     """Raise NonNested unless both cuts shrink from each segment's left end
     to its right end, as the monotone range bounds assume."""
-    nested = seg[_LEFT] <= seg[_RIGHT]
+    nested = left <= right
     if not nested.all():
         i = int(np.argmin(nested.all(axis=0)))
-        raise NonNested(
-            f"cut endpoints are not monotone between levels {float(seg[_A, i])!r} and {float(seg[_B, i])!r}"
+        raise NonNested(f"cut endpoints are not monotone between levels {float(a[i])!r} and {float(b[i])!r}")
+
+
+def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.ndarray:
+    """Curvature signs of the ``_cuts`` rows (+1 convex, -1 concave, 0
+    linear, nan undeclared) on the segments that start at the sorted levels
+    ``a``; a segment lies in one piece, since the piece ends are split
+    points."""
+    signs = np.full((4, a.size), np.nan)
+    for k, w in enumerate((u, v)):
+        for p in w.curvature:
+            inside = slice(*a.searchsorted((p.start, p.end)))
+            signs[k, inside], signs[k + 2, inside] = _SIGN[p.lower], -_SIGN[p.upper]
+    return signs
+
+
+def _ulps(*values: np.ndarray) -> np.ndarray:
+    """The rounding slack of arithmetic on ``values``: ``_SLACK_ULPS`` units
+    in the last place of the largest."""
+    return _SLACK_ULPS * np.spacing(np.maximum.reduce([np.abs(x) for x in values]))
+
+
+def _check_curvature(seg: np.ndarray, m: np.ndarray, mid: np.ndarray) -> None:
+    """Raise CurvatureMismatch unless each declared row lies on its declared
+    side of the chord at the midpoints ``m`` (values ``mid``), up to the
+    rounding slack: a convex row on or below it, a concave row on or above,
+    a linear row on it."""
+    a, b, left, right, signs = seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT], seg[_SIGNS]
+    inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = mid - (left + (right - left) * ((m - a) / (b - a)))
+        slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
+    slack = _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
+    bad = inner & (((signs >= 0) & (above > slack)) | ((signs <= 0) & (above < -slack)))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        sign = signs[k, i] if k < 2 else -signs[k, i]
+        name = next(name for name, value in _SIGN.items() if value == sign)
+        raise CurvatureMismatch(
+            f"the {('lower', 'upper')[k // 2]} endpoint of the {('first', 'second')[k % 2]} number is not "
+            f"{name} between levels {float(a[i])!r} and {float(b[i])!r}"
         )
 
 
-def _segment_bound(seg: np.ndarray) -> np.ndarray:
+def _chord_lines(left: np.ndarray, right: np.ndarray, signs: np.ndarray):
+    """Lines above and below each ``_cuts`` row on its segment, from the
+    values at its ends: the chord where the curvature puts it, else the
+    monotone constant.  Returns ``(hi_a, hi_b, lo_a, lo_b)``, each line's
+    values at a and at b."""
+    return np.where(signs >= 0, left, right), right, left, np.where(signs <= 0, right, left)
+
+
+def _secant_lines(seg: np.ndarray):
+    """:func:`_chord_lines`, with the sibling's secant extended over the
+    segment on the other side of every convex or concave row: a convex row
+    lies above the extension of a neighbouring secant, a concave row below
+    it.  The extension is rounded outward by the slack of its arithmetic;
+    like the monotone bounds, it takes the evaluated endpoints as exact."""
+    a, b, c = seg[_A], seg[_B], seg[_C]
+    left, right, far, signs = seg[_LEFT], seg[_RIGHT], seg[_FAR], seg[_SIGNS]
+    hi_a, hi_b, lo_a, lo_b = _chord_lines(left, right, signs)
+    on_right = c > b
+    z = np.where(on_right, b, a)  # the end shared with the sibling
+    fz = np.where(on_right, right, left)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (far - fz) / (c - z)
+        ext_a, ext_b = fz + s * (a - z), fz + s * (b - z)
+    known = np.isfinite(ext_a) & np.isfinite(ext_b)  # a sibling of zero width has no secant
+    up, down = known & (signs < 0), known & (signs > 0)
+    margin = _ulps(left, right, far)
+    hi_a = np.where(up, np.nextafter(ext_a + margin, np.inf), hi_a)
+    hi_b = np.where(up, np.nextafter(ext_b + margin, np.inf), hi_b)
+    lo_a = np.where(down, np.nextafter(ext_a - margin, -np.inf), lo_a)
+    lo_b = np.where(down, np.nextafter(ext_b - margin, -np.inf), lo_b)
+    return hi_a, hi_b, lo_a, lo_b
+
+
+def _monotone_bound(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Upper bound for sup H over each segment, from monotone endpoint ranges.
 
     On [a, b] each ``_cuts`` row ranges over [row(a), row(b)]; the sup of
     |x - y| over two intervals is max(x_max - y_min, y_max - x_min).
     """
-    left, right = seg[_LEFT], seg[_RIGHT]
     gaps = np.maximum(right[0::2] - left[1::2], right[1::2] - left[0::2])
+    return np.maximum(gaps.max(axis=0), 0.0)
+
+
+def _envelope_bound(hi_a, hi_b, lo_a, lo_b) -> np.ndarray:
+    """Upper bound for sup H over each segment, from lines above and below
+    each ``_cuts`` row: for matching rows x, y (the two lower endpoints, the
+    two negated upper endpoints) x - y lies below the line hi_x - lo_y, so
+    below its larger value at the two ends, and the same for y - x.  On
+    :func:`_chord_lines` it is never above :func:`_monotone_bound`.
+    """
+    gaps = np.maximum(hi_a[0::2] - lo_a[1::2], hi_a[1::2] - lo_a[0::2])
+    gaps = np.maximum(gaps, hi_b[0::2] - lo_b[1::2], out=gaps)
+    gaps = np.maximum(gaps, hi_b[1::2] - lo_b[0::2], out=gaps)
     return np.maximum(gaps.max(axis=0), 0.0)
 
 
@@ -179,20 +287,24 @@ def d_infty_parametric(
 ) -> Enclosure:
     """Certified enclosure of the supremum metric between two fuzzy numbers.
 
-    Branch and bound on the level axis: each segment's sup is bounded above
-    through the monotone cut endpoints, declared jumps and the grid levels
-    of sampled numbers force split points, a jump's right-limit cuts are
-    evaluated as explicit candidates, and segments are bisected until the
-    bracket is narrower than ``tol``.  Each round bisects every segment
-    whose bound exceeds the best candidate by more than ``tol`` and
-    evaluates all its midpoints in one ``endpoints`` call per number; when
-    the rounds would exceed ``max_nodes``, the highest bounds are bisected
-    first.  A segment whose endpoints are not monotone raises NonNested.
-    When ``max_depth`` or ``max_nodes`` stops refinement first, the bracket
-    is still certified, just wider than requested.  For two sampled numbers
-    the distance on a segment between split points is the max of two
-    convex functions, so its sup is at an end: the bracket closes with
-    ``lower == upper`` and no node.
+    Branch and bound on the level axis.  Declared jumps, the ends of
+    declared curvature pieces and the grid levels of sampled numbers force
+    split points, and a jump's right-limit cuts are evaluated as explicit
+    candidates.  Each segment's sup is bounded above by the smaller of a
+    monotone range bound and a curvature envelope: a convex endpoint lies
+    below its chord and above the extended secant of the segment's sibling,
+    a concave one the reverse, a linear one on its chord.  Each round
+    bisects every segment whose bound exceeds the best candidate by more
+    than ``tol`` and evaluates all its midpoints in one ``endpoints`` call
+    per number, until the bracket is narrower than ``tol``; when the rounds
+    would exceed ``max_nodes``, the highest bounds are bisected first.  A
+    segment whose endpoints are not monotone raises NonNested, a midpoint
+    off its declared side of the chord raises CurvatureMismatch.  When
+    ``max_depth`` or ``max_nodes`` stops refinement first, the bracket is
+    still certified, just wider than requested.  For two sampled numbers
+    every row is linear between split points, so the bound of every segment
+    is the larger distance at its ends: the bracket closes with ``lower ==
+    upper`` and no node.
     """
     _check_search(tol, max_depth)
     if u is v or (u.key is not None and u.key == v.key):
@@ -200,7 +312,8 @@ def d_infty_parametric(
 
     grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
     jump_levels = sorted({j.alpha for w in (u, v) for j in w.jumps if j.alpha < 1.0})
-    points = np.unique(np.concatenate([[0.0, 1.0], jump_levels, *grids]))
+    piece_ends = [x for w in (u, v) for p in w.curvature for x in (p.start, p.end)]
+    points = np.unique(np.concatenate([[0.0, 1.0], jump_levels, piece_ends, *grids]))
     cuts = _cuts(u, v, points)
     h = _cut_distance(cuts)
     i = int(np.argmax(h))
@@ -208,36 +321,43 @@ def d_infty_parametric(
     best_limit = -1.0
     best_limit_at = 0.0
 
-    # at a jump level the segment to its right starts from the right-limit
-    # cuts: a declared jump's, else the cut evaluated there
-    left = cuts[:, :-1].copy()
-    for k, w in enumerate((u, v)):
-        for j in w.jumps:
-            if j.alpha < 1.0:
-                left[k::2, np.searchsorted(points, j.alpha)] = j.lower_right, -j.upper_right
+    # round 0 reads its segments off the point cuts; at a jump level the
+    # segment to its right starts from the right-limit cuts: a declared
+    # jump's, else the cut evaluated there
+    a, b, left, right = points[:-1], points[1:], cuts[:, :-1], cuts[:, 1:]
     if jump_levels:
+        left = left.copy()
+        for k, w in enumerate((u, v)):
+            for j in w.jumps:
+                if j.alpha < 1.0:
+                    left[k::2, np.searchsorted(points, j.alpha)] = j.lower_right, -j.upper_right
         h = _cut_distance(left[:, np.searchsorted(points, jump_levels)])
         i = int(np.argmax(h))
         best_limit, best_limit_at = float(h[i]), float(jump_levels[i])
-    seg = np.concatenate((points[None, :-1], points[None, 1:], left, cuts[:, 1:]))
-    exact = len(grids) == 2
+    _check_nested(a, b, left, right)
+    bound = np.empty(a.size)
+    for k in range(0, a.size, _BLOCK):
+        # a block at a time keeps the temporaries of a large sampled pair small
+        s = slice(k, k + _BLOCK)
+        bound[s] = _envelope_bound(*_chord_lines(left[:, s], right[:, s], _curvature_signs(u, v, a[s])))
+    lower = max(best_point, best_limit, 0.0)
+    is_open = bound - lower > tol
+    # only open segments enter the frontier; they have no sibling yet
+    o = np.flatnonzero(is_open)
+    seg = np.full((_ROWS, o.size), np.nan)
+    if o.size:
+        seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT] = a[o], b[o], left[:, o], right[:, o]
+        seg[_SIGNS] = _curvature_signs(u, v, a[o])
 
     frozen = 0.0
     unexpanded = 0.0  # largest bound among segments dropped without bisection
     nodes = 0
     depth = 0  # the segments of one round share their depth
     while True:
-        _check_nested(seg)
-        if exact:
-            bound = np.maximum(_cut_distance(seg[_LEFT]), _cut_distance(seg[_RIGHT]))
-        else:
-            bound = _segment_bound(seg)
-        lower = max(best_point, best_limit, 0.0)
         # lower only rises, so a segment within tol of it is never bisected:
         # drop it and keep only its bound, for upper
-        is_open = bound - lower > tol
         unexpanded = max(unexpanded, float(bound.max(initial=0.0, where=~is_open)))
-        seg, bound = seg[:, is_open], bound[is_open]
+        bound = bound[is_open]
         top = float(bound.max(initial=0.0))
         if max(top, frozen) - lower <= tol or nodes >= max_nodes:
             break
@@ -257,13 +377,23 @@ def d_infty_parametric(
         i = int(np.argmax(h))
         if h[i] > best_point:
             best_point, best_point_at = float(h[i]), float(m[i])
-        # both halves of each segment, side by side, written into one new frontier
+        # both halves of each segment, side by side, written into one new
+        # frontier; each half is the other's sibling
         halves = np.empty((seg.shape[0], seg.shape[1], 2))
         first, second = halves[..., 0], halves[..., 1]
-        first[_A], first[_B], first[_LEFT], first[_RIGHT] = seg[_A], m, seg[_LEFT], mid
-        second[_A], second[_B], second[_LEFT], second[_RIGHT] = m, seg[_B], mid, seg[_RIGHT]
-        seg = halves.reshape(seg.shape[0], -1)
+        first[_A], first[_B], first[_C] = seg[_A], m, seg[_B]
+        first[_LEFT], first[_RIGHT], first[_FAR] = seg[_LEFT], mid, seg[_RIGHT]
+        second[_A], second[_B], second[_C] = m, seg[_B], seg[_A]
+        second[_LEFT], second[_RIGHT], second[_FAR] = mid, seg[_RIGHT], seg[_LEFT]
+        first[_SIGNS] = second[_SIGNS] = seg[_SIGNS]
+        parent, seg = seg, halves.reshape(seg.shape[0], -1)
+        _check_nested(seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT])
+        _check_curvature(parent, m, mid)
         depth += 1
+        bound = np.minimum(_monotone_bound(seg[_LEFT], seg[_RIGHT]), _envelope_bound(*_secant_lines(seg)))
+        lower = max(best_point, best_limit, 0.0)
+        is_open = bound - lower > tol
+        seg = seg[:, is_open]
 
     upper = max(lower, frozen, unexpanded, top)
     attained = best_point >= best_limit

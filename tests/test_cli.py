@@ -179,7 +179,12 @@ class TestDistVerb:
         assert run(["dist", tri_file, "counterexample-un:1", "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"header", "enclosure"}
-        assert doc["enclosure"] == {"lower": 0.5, "upper": 0.5000009536743164, "attained": True}
+        assert doc["enclosure"] == {"lower": 0.5, "upper": 0.5000000000000004, "attained": True}
+
+    def test_members_ten_and_eleven_meet_the_default_tol(self, capsys):
+        assert run(["dist", "counterexample-un:10", "counterexample-un:11"]) == 0
+        enclosure = json.loads(capsys.readouterr().out)["enclosure"]
+        assert enclosure == {"lower": 0.03504938994812168, "upper": 0.035049390842851746, "attained": True}
 
 
 class TestProfileVerb:

@@ -8,6 +8,7 @@ from fuzzymetrics import (
     BadGrid,
     BadIndex,
     CutCurve1D,
+    DeclaredCurvature,
     DeclaredJump,
     EmptyCut,
     Interval,
@@ -267,6 +268,22 @@ def test_declared_jump_needs_a_nonempty_right_limit():
         DeclaredJump(alpha=0.5, lower_right=1.0, upper_right=0.0)
     with pytest.raises(EmptyCut):
         DeclaredJump(alpha=0.5, lower_right=0.0, upper_right=float("nan"))
+
+
+def test_declared_curvature_needs_a_piece_and_a_known_name():
+    with pytest.raises(OutOfRange, match="not a nonempty part of"):
+        DeclaredCurvature(0.5, 0.5, "convex")
+    with pytest.raises(OutOfRange, match="not a nonempty part of"):
+        DeclaredCurvature(0.5, 1.5, "convex")
+    with pytest.raises(OutOfRange, match="curvature must be one of"):
+        DeclaredCurvature(0.0, 1.0, upper="convx")
+    # the search looks a segment's piece up by its left end
+    with pytest.raises(OutOfRange, match="disjoint and in increasing order"):
+        CutCurve1D(
+            lower_fn=np.zeros_like,
+            upper_fn=np.ones_like,
+            curvature=(DeclaredCurvature(0.0, 0.6, "linear"), DeclaredCurvature(0.5, 1.0, "linear")),
+        )
 
 
 class TestResampling:

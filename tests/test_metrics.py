@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzymetrics import (
+    CurvatureMismatch,
     CutCurve1D,
+    DeclaredCurvature,
     Interval,
     NonNested,
     OutOfRange,
@@ -22,8 +24,8 @@ from fuzzymetrics import (
     refine_to_grid,
     sample_curve,
 )
-from fuzzymetrics.counterexample import member_sequence, members
-from fuzzymetrics.metrics import DEFAULT_MAX_NODES
+from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
+from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 from fuzzymetrics.serialize import dumps
 
 
@@ -138,10 +140,11 @@ class TestDInftySampled:
         assert (enc.lower, enc.upper, enc.attained, enc.witness_alpha, enc.nodes) == (0.5, 0.5, True, 0.0, 0)
 
     def test_grid_levels_split_a_mixed_pair(self):
-        # the triangle's middle level is a split point from round 0, so the
-        # curve search needs one node less for the same bracket
+        # the triangle's middle level and un(1)'s piece end at one third split
+        # round 0; every row is linear on the pieces (un(1)'s upper endpoint,
+        # declared convex, is linear), so one bisection closes the bracket
         enc = d_infty_parametric(triangular(), make_un(1), tol=1e-6)
-        assert (enc.lower, enc.upper, enc.nodes) == (0.5, 0.5000009536743164, 18)
+        assert (enc.lower, enc.upper, enc.nodes) == (0.5, 0.5000000000000004, 1)
 
     def test_refinement_monotonicity(self):
         u, v = make_un(1), make_un(4)
@@ -224,7 +227,7 @@ class TestDInftyParametric:
         prof = level_distance_profile(curve, make_un(2), [0.0, 0.5, 1.0])
         assert prof.h.tolist() == [0.0, 0.35, 0.49999999999999994]
         enc = d_infty_parametric(curve, make_un(2), tol=1e-6)
-        assert (enc.lower, enc.upper, enc.attained) == (0.49999999999999994, 0.5000005722045899, True)
+        assert (enc.lower, enc.upper, enc.attained) == (0.49999999999999994, 0.5000007629394532, True)
 
     def test_non_monotone_upper_endpoint_raises(self):
         # declared monotone, but 1 + 0.5 sin(40a) rises from a = 0 to a = 1; its
@@ -234,56 +237,112 @@ class TestDInftyParametric:
             d_infty_parametric(sine, crisp_interval(0.0, 1.0))
 
     def test_non_monotone_midpoint_raises(self):
-        # the lower endpoint is 0 at both ends of [0, 1] but 0.2 at the first midpoint
-        bump = CutCurve1D(lower_fn=lambda a: 0.2 * np.sin(np.pi * a), upper_fn=make_un(1).upper_fn)
-        with pytest.raises(NonNested, match="between levels 0.5 and 1.0"):
+        # the lower endpoint is 0 at the split points 0, 1/3 and 1 (un(2)'s
+        # piece end) but 0.2 at the first midpoint of [1/3, 1]
+        bump = CutCurve1D(
+            lower_fn=lambda a: 0.2 * np.sin(np.pi * np.clip(1.5 * a - 0.5, 0.0, 1.0)), upper_fn=make_un(1).upper_fn
+        )
+        with pytest.raises(NonNested, match="between levels 0.6666666666666666 and 1.0"):
             d_infty_parametric(bump, make_un(2))
 
 
 class TestPinnedEnclosures:
-    """Enclosures recorded from the best-first search that preceded the
-    round-at-a-time one; both return the same (lower, upper, attained)."""
+    """Enclosures recorded from the search with curvature envelopes; each
+    bracket contains the closed-form value where one is known (1/4 for
+    un(1)/un(2), 2/(3 sqrt 3) for un(2)/un(6), 4/27 for un(2)/un(3)), and is
+    no wider than the monotone-bound search left it."""
 
     @pytest.mark.parametrize(
         "tol, expected",
         [
-            (1e-9, (0.25, 0.25000000099998687, True)),
-            (1e-8, (0.25, 0.25000000999973715, True)),
-            (1e-6, (0.25, 0.25000099994689085, True)),
+            (1e-9, (0.25, 0.2500000004657044, True)),
+            (1e-8, (0.25, 0.25000000745331047, True)),
+            (1e-6, (0.25, 0.25000047823813326, True)),
         ],
     )
     def test_first_two_members(self, tol, expected):
         enc = d_infty_parametric(make_un(1), make_un(2), tol=tol)
         assert (enc.lower, enc.upper, enc.attained) == expected
+        assert enc.lower <= 0.25 <= enc.upper
 
     def test_first_two_members_node_count(self):
-        assert d_infty_parametric(make_un(1), make_un(2), tol=1e-9).nodes <= 146_342
+        assert d_infty_parametric(make_un(1), make_un(2), tol=1e-9).nodes <= 3_000
 
     def test_members_two_and_six(self):
         enc = d_infty_parametric(make_un(2), make_un(6), tol=1e-6)
-        assert (enc.lower, enc.upper, enc.attained) == (0.38490017945951716, 0.3849011776049506, True)
+        assert (enc.lower, enc.upper, enc.attained) == (0.38490015051324333, 0.38490099159980534, True)
+        assert enc.lower <= 2 / (3 * math.sqrt(3)) <= enc.upper
+
+    def test_members_two_and_three(self):
+        enc = d_infty_parametric(make_un(2), make_un(3), tol=1e-9)
+        assert (enc.lower, enc.upper, enc.attained) == (0.1481481481481437, 0.14814814880663618, True)
+        assert enc.lower <= 4 / 27 <= enc.upper
 
     def test_triangle_and_first_member(self):
         enc = d_infty_parametric(triangular(), make_un(1), tol=1e-6)
-        assert (enc.lower, enc.upper, enc.attained) == (0.5, 0.5000009536743164, True)
+        assert (enc.lower, enc.upper, enc.attained) == (0.5, 0.5000000000000004, True)
 
     @pytest.mark.parametrize(
         "depth, expected",
         [
-            (4, (0.25, 0.34375, True)),
-            (8, (0.25, 0.255859375, True)),
-            (12, (0.25, 0.2503662109375, True)),
-            (16, (0.25, 0.25002288818359375, True)),
+            (4, (0.25, 0.26247201319116537, True)),
+            (8, (0.25, 0.25003124952348393, True)),
+            (12, (0.25, 0.25000011938416217, True)),
+            (16, (0.25, 0.2500000004657044, True)),
         ],
     )
     def test_depth_caps(self, depth, expected):
         enc = d_infty_parametric(make_un(1), make_un(2), tol=1e-15, max_depth=depth, max_nodes=3000)
         assert (enc.lower, enc.upper, enc.attained) == expected
 
+    def test_members_ten_and_eleven(self):
+        # the monotone bound could not meet tol here: near one third the
+        # endpoint slope is unbounded
+        enc = d_infty_parametric(make_un(10), make_un(11))
+        assert (enc.lower, enc.upper, enc.attained) == (0.03504938994812168, 0.035049390842851746, True)
+        assert enc.width <= 1e-9 and enc.nodes <= 1_000
+
     @pytest.mark.parametrize("n", [1, 2, 9, 100, 1000])
     def test_member_and_limit(self, n):
         enc = d_infty_parametric(make_un(n), make_limit(), tol=1e-9)
         assert (enc.lower, enc.upper, enc.attained, enc.nodes) == (1.0, 1.0, False, 0)
+
+
+def wiggle(curvature=()):
+    """Upper endpoint 2 - a + 0.05 sin(20 a): nonincreasing, but neither
+    convex nor concave."""
+    return CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 2 - a + 0.05 * np.sin(20 * a), curvature=curvature)
+
+
+class TestDeclaredCurvature:
+    def test_false_convex_declaration_raises(self):
+        assert d_infty_parametric(wiggle(), make_un(1)).width <= 1e-9
+        convex = (DeclaredCurvature(0.0, 1.0, "linear", "convex"),)
+        with pytest.raises(CurvatureMismatch, match="upper endpoint of the first number is not convex"):
+            d_infty_parametric(wiggle(convex), make_un(1))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("other", [make_un(2), make_un(3), make_un(60), make_limit(), triangular()])
+    def test_linear_endpoint_declared_convex_raises_nothing(self, other, tol):
+        # un(1)'s upper endpoint 1 - t is linear; its midpoints sit on the
+        # chord only up to rounding, which the check's slack absorbs
+        enc = d_infty_parametric(make_un(1), other, tol=tol)
+        assert enc.width <= tol
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.sampled_from([1e-6, 1e-9]))
+    def test_member_pairs(self, n, m, tol):
+        assume(n != m)
+        enc = d_infty_parametric(make_un(n), make_un(m), tol=tol)
+        assert enc.lower <= enc.upper
+        assert enc.upper >= pairwise_dinf_oracle(n, m, grid_size=200_001)
+        assert enc.nodes <= 3_000
+        if enc.width > tol:
+            # tol is missed only where rounding in 1.5 a - 0.5 leaves a
+            # segment one float wide next to one third open: thirty more
+            # rounds leave the bracket where it is
+            deeper = d_infty_parametric(make_un(n), make_un(m), tol=tol, max_depth=DEFAULT_MAX_DEPTH + 30)
+            assert (deeper.lower, deeper.upper) == (enc.lower, enc.upper)
 
 
 @st.composite
