@@ -81,6 +81,8 @@ CASES = {
     "family-report-ce_family.json": CE_FAMILY,
     "family-report-ce_family-grid-default.json": [*CE_FAMILY, "--grid", "default"],
     "counterexample-10.json": ["counterexample", "--n-max", "10"],
+    # the benchmark's refutation workload: all 100 grid_max rows
+    "counterexample-100.json": ["counterexample", "--n-max", "100", "--strict"],
 }
 
 
