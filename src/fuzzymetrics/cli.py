@@ -181,10 +181,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     seq = [u] if pair else u
     grid = _sequence_grid(args.grid, seq, v)
     alphas = grid.levels.tolist()
+    count = args.n_max if callable(seq) else min(args.n_max, len(seq))
     columns = ("alpha", "H") if pair else ("alpha", "n", "H")
     rows = [
         (a, h) if pair else (a, n, h)
-        for ns, block in _distance_rows(seq, args.n_max if callable(seq) else len(seq), v, grid.levels)
+        for ns, block in _distance_rows(seq, count, v, grid.levels)
         for n, row in zip(ns.tolist(), block.tolist())
         for a, h in zip(alphas, row)
     ]
@@ -286,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="fuzzy number, family file, or 'counterexample-seq'")
     p.add_argument("b")
     p.add_argument("--grid", default=None, help="level count, grid file, or 'default'")
-    p.add_argument("--n-max", type=int, default=10, help="members taken from an inline sequence")
+    p.add_argument("--n-max", type=int, default=10, help="members taken from a sequence or family")
     common(p, default_format="csv")
     p.set_defaults(func=_cmd_profile)
 

@@ -215,6 +215,13 @@ class TestProfileVerb:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3 * 2
 
+    def test_family_file_takes_n_max_members(self, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN_DIR)
+        assert run(["profile", "ce_family.json", "counterexample-limit", "--grid", "3", "--n-max", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "alpha,n,H"
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "1", "2", "2", "2"]
+
     @pytest.mark.parametrize("n_max", ["0", "-1"])
     def test_n_max_below_one_is_an_input_error(self, n_max, capsys):
         argv = ["profile", "counterexample-seq", "counterexample-limit", "--n-max", n_max]
