@@ -419,7 +419,7 @@ class TestColumnarEqualsList:
         family.write_text(dumps([encode_fuzzy(u) for u in columnar]))
         limit = tmp_path / "limit.json"
         limit.write_text(dumps(encode_fuzzy(columnar[0])))
-        argv = ["profile", str(family), str(limit), "--grid", "23"]
+        argv = ["profile", str(family), str(limit), "--grid", "23", "--n-max", str(len(columnar))]
         assert run(argv) == 0
         columnar_rows = capsys.readouterr().out
         monkeypatch.setattr("fuzzymetrics.cli.decode_family", lambda doc: [decode_fuzzy(d) for d in doc])
