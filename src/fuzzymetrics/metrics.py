@@ -451,7 +451,13 @@ def _distance_rows(seq: SequenceLike, count: int, u: FuzzyNumber1D, alphas: np.n
     of rows at a time: yields ``(ns, h)`` as :func:`_member_rows` does."""
     lo_u, hi_u = u.endpoints(alphas)
     for ns, lo, hi in _member_rows(seq, count, alphas):
-        yield ns, np.maximum(np.abs(lo - lo_u), np.abs(hi - hi_u))
+        # in place, but only in arrays made here: a batch ``endpoints`` may
+        # return views of the family's stored data
+        h = np.subtract(lo, lo_u)
+        np.abs(h, out=h)
+        d = np.subtract(hi, hi_u)
+        np.abs(d, out=d)
+        yield ns, np.maximum(h, d, out=h)
 
 
 def level_convergence_report(
@@ -483,7 +489,12 @@ def level_convergence_report(
     trace = np.empty((n_max, alphas.size)) if keep_trace else None
     h = np.zeros(alphas.size)
     for ns, block in _distance_rows(seq, n_max, u, alphas):
-        last_violation = np.maximum(last_violation, np.max(np.where(block > eps, ns[:, None], 0), axis=0))
+        violated = block > eps
+        # most blocks of a converging sequence hold no violation at all
+        if violated.any():
+            hit = violated.any(axis=0)
+            last = ns[::-1][np.argmax(violated[::-1], axis=0)]
+            last_violation[hit] = last[hit]
         if keep_trace:
             trace[ns[0] - 1 : ns[-1]] = block
         h = block[-1]
