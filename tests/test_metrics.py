@@ -19,11 +19,13 @@ from fuzzymetrics import (
     level_distance_profile,
     make_limit,
     make_sampled_1d,
+    make_sampled_family,
     make_un,
     random_family,
     refine_to_grid,
     sample_curve,
 )
+from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
 from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 from fuzzymetrics.serialize import dumps
@@ -465,6 +467,104 @@ class TestLevelConvergence:
             level_convergence_report([make_un(1)], make_limit(), [0, 1], eps=0.0, n_max=5)
         with pytest.raises(OutOfRange):
             level_convergence_report([make_un(1)], make_limit(), [0, 1], eps=0.1, n_max=0)
+
+
+def naive_distances(seq, u, levels, n_max):
+    """H(cut(member n, a), cut(u, a)) one member and one level at a time, in
+    Python floats: row n - 1 is member n."""
+    lo_u, hi_u = u.endpoints(levels)
+    rows = []
+    for n in range(1, n_max + 1):
+        lo, hi = seq[n - 1].endpoints(levels)
+        rows.append([max(abs(a - b), abs(c - d)) for a, b, c, d in zip(lo, lo_u, hi, hi_u)])
+    return rows
+
+
+def naive_scan(rows, levels, eps):
+    """Per level: (alpha, first_index, reached, h_last, h_values), the
+    reference the batched scan must equal."""
+    entries = []
+    for j, a in enumerate(levels.tolist()):
+        column = [row[j] for row in rows]
+        last = max((n for n, h in enumerate(column, 1) if h > eps), default=0)
+        reached = last < len(rows)
+        entries.append((a, last + 1 if reached else None, reached, column[-1], tuple(column)))
+    return entries
+
+
+def shrinking_sampled_family(count):
+    """``count`` sampled members around one sampled number: member n is
+    shifted by c_n, which shrinks like 1/n, and widened by w_n (1 - a), which
+    does not, so the members approach it only at the top levels."""
+    base = random_family(seed=31, count=1)[0]
+    rng = np.random.default_rng(32)
+    n = np.arange(1, count + 1)[:, None]
+    shift = rng.uniform(-1.0, 1.0, (count, 1)) / n
+    widen = rng.uniform(0.0, 1.0, (count, 1)) * (1.0 - base.grid.levels)
+    family = make_sampled_family(base.grid, base.lower + shift - widen, base.upper + shift + widen)
+    return family, base
+
+
+class ViewFamily(list):
+    """Members on one grid whose batch ``endpoints`` returns writeable views
+    of stored rows, as a carrier that keeps its samples may."""
+
+    def __init__(self, items, levels):
+        super().__init__(items)
+        self.levels = np.asarray(levels, dtype=float)
+        self.lower = np.array([u.endpoints(self.levels)[0] for u in items])
+        self.upper = np.array([u.endpoints(self.levels)[1] for u in items])
+
+    def endpoints(self, ns, alphas):
+        assert np.array_equal(alphas, self.levels)
+        rows = slice(ns[0] - 1, ns[-1])
+        return self.lower[rows], self.upper[rows]
+
+
+class TestScanEqualsNaiveReference:
+    """The batched scan, 256 members a block, equals the one-member-at-a-time
+    reference on both sides of a block edge."""
+
+    @pytest.mark.parametrize("n_max", [255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["list", "members", "sampled"])
+    def test_report_equals_reference(self, kind, n_max):
+        if kind == "sampled":
+            seq, u = shrinking_sampled_family(n_max)
+            levels = np.linspace(0.0, 1.0, 101)
+            items = list(seq)
+        else:
+            u = make_limit()
+            levels = default_report_grid([u]).levels
+            seq = members(n_max) if kind == "members" else [make_un(n) for n in range(1, n_max + 1)]
+            items = seq
+        rows = naive_distances(items, u, levels, n_max)
+        # eps is exactly the largest distance at one level from member k on:
+        # the member that attains it does not violate
+        k, j = n_max // 2, levels.size - 2
+        eps = max(row[j] for row in rows[k - 1 :])
+        report = level_convergence_report(seq, u, levels, eps=eps, n_max=n_max)
+        expected = naive_scan(rows, levels, eps)
+        got = [(e.alpha, e.first_index, e.reached, e.h_last, e.h_values) for e in report.entries]
+        assert got == expected
+        assert report.entries[j].first_index <= k
+        assert report.failing_alphas == tuple(e[0] for e in expected if not e[2])
+        assert report.converged == all(e[2] for e in expected)
+        # some levels converge within the window and some do not
+        assert 0 < len(report.failing_alphas) < levels.size
+
+    def test_batch_views_are_not_written(self, monkeypatch, capsys):
+        levels = np.linspace(0.0, 1.0, 5)
+        family = ViewFamily([make_un(n) for n in range(1, 301)], levels)
+        lower, upper = family.lower.copy(), family.upper.copy()
+        report = level_convergence_report(family, make_limit(), levels, eps=0.05, n_max=300)
+        plain = level_convergence_report(list(family), make_limit(), levels, eps=0.05, n_max=300)
+        assert dumps(report.to_dict()) == dumps(plain.to_dict())
+        assert np.array_equal(family.lower, lower) and np.array_equal(family.upper, upper)
+        monkeypatch.setattr("fuzzymetrics.cli.decode_family", lambda doc: family)
+        monkeypatch.setattr("fuzzymetrics.cli._load_json", lambda path: [])
+        assert run(["profile", "family.json", "counterexample-limit", "--grid", "5", "--n-max", "300"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 300
+        assert np.array_equal(family.lower, lower) and np.array_equal(family.upper, upper)
 
 
 class TestReportGrid:
