@@ -307,7 +307,7 @@ def pairwise_dinf_oracle(n: int, m: int, grid_size: int = 1_000_000) -> float:
         np.divide(log_t, m, out=log_t)
         vals -= np.exp(log_t, out=log_t)
         np.abs(vals, out=vals)
-        best = max(best, float(np.max(vals, initial=0.0)))
+        best = max(best, float(np.max(vals)))
     return best
 
 
