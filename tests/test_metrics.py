@@ -531,13 +531,12 @@ class TestScanEqualsNaiveReference:
         if kind == "sampled":
             seq, u = shrinking_sampled_family(n_max)
             levels = np.linspace(0.0, 1.0, 101)
-            items = list(seq)
         else:
             u = make_limit()
             levels = default_report_grid([u]).levels
             seq = members(n_max) if kind == "members" else [make_un(n) for n in range(1, n_max + 1)]
-            items = seq
-        rows = naive_distances(items, u, levels, n_max)
+        # indexing a SampledFamily gives a SampledFuzzy1D, evaluated by np.interp
+        rows = naive_distances(seq, u, levels, n_max)
         # eps is exactly the largest distance at one level from member k on:
         # the member that attains it does not violate
         k, j = n_max // 2, levels.size - 2
