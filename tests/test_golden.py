@@ -70,6 +70,8 @@ CASES = {
     "converge-seq-limit.json": SEQ_CONVERGE,
     "converge-seq-limit.csv": [*SEQ_CONVERGE, *CSV],
     "converge-seq-limit-trace.json": SEQ_CONVERGE_TRACE,
+    # the full default window: h_last of member 100,000 at every level
+    "converge-seq-limit-full.json": ["converge", "counterexample-seq", "counterexample-limit"],
     "converge-ce_family-limit.json": ["converge", "ce_family.json", "counterexample-limit"],
     "converge-ce_family-limit.csv": ["converge", "ce_family.json", "counterexample-limit", *CSV],
     "converge-family-tri.json": FAMILY_CONVERGE,
