@@ -125,21 +125,28 @@ def _upper(alphas, n) -> np.ndarray:
     """
     t = _inner(alphas)
     pos = t > 0.0
-    # a nonpositive t never reaches the log: 1 stands in for it
-    return np.where(pos, 1.0 - np.exp(np.log(np.where(pos, t, 1.0)) / n), 1.0)
+    # a nonpositive t never reaches the log: 1 stands in for it, so its
+    # column holds 0 until it is set to 1 (a -inf log would send every exp
+    # of the column down numpy's slow path)
+    out = np.asarray(np.divide(np.log(np.where(pos, t, 1.0)), n))
+    np.exp(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.copyto(out, 1.0, where=~pos)
+    return out
 
 
 def _members_endpoints(ns, alphas) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of members ``ns`` (rows) at levels ``alphas`` (columns).
 
     Row i equals ``make_un(ns[i]).endpoints(alphas)`` bit for bit: both
-    evaluate :func:`_upper`.
+    evaluate :func:`_upper`.  Every member's lower endpoint is 0, so the
+    lower block is one read-only zero row broadcast down the members.
     """
     n = np.asarray(ns)
     if n.ndim != 1 or not np.all((n >= 1) & (n == np.floor(n))):
         raise BadIndex("member indices must be positive integers")
     hi = _upper(np.atleast_1d(alphas), n.astype(float)[:, None])
-    return np.zeros_like(hi), hi
+    return np.broadcast_to(np.zeros(hi.shape[1]), hi.shape), hi
 
 
 class _Members(tuple):

@@ -448,16 +448,24 @@ SequenceLike = Union[Sequence[FuzzyNumber1D], Callable[[int], FuzzyNumber1D]]
 
 def _distance_rows(seq: SequenceLike, count: int, u: FuzzyNumber1D, alphas: np.ndarray):
     """H(cut(member n, a), cut(u, a)) for members 1..count of ``seq``, a block
-    of rows at a time: yields ``(ns, h)`` as :func:`_member_rows` does."""
+    of rows at a time: yields ``(ns, h)`` as :func:`_member_rows` does.
+
+    A lower block that is one row broadcast down the members (row stride 0)
+    is compared once, as that row.
+    """
     lo_u, hi_u = u.endpoints(alphas)
     for ns, lo, hi in _member_rows(seq, count, alphas):
         # in place, but only in arrays made here: a batch ``endpoints`` may
         # return views of the family's stored data
-        h = np.subtract(lo, lo_u)
-        np.abs(h, out=h)
         d = np.subtract(hi, hi_u)
         np.abs(d, out=d)
-        yield ns, np.maximum(h, d, out=h)
+        shared = lo.strides[0] == 0
+        h = np.subtract(lo[:1] if shared else lo, lo_u)
+        np.abs(h, out=h)
+        # every distance is +0.0 or more (or NaN), so a zero row changes none
+        if not shared or h.any():
+            np.maximum(h, d, out=d)
+        yield ns, d
 
 
 def level_convergence_report(
