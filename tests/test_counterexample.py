@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from fuzzymetrics import (
     OutOfRange,
     alpha_cut,
     d_infty_parametric,
+    default_report_grid,
     dgn_bound,
     exact_H_profile,
     family_modulus_oracle,
@@ -20,7 +22,15 @@ from fuzzymetrics import (
     refutation_report,
     uniform_modulus_bound,
 )
-from fuzzymetrics.counterexample import _ORACLE_CHUNK, ONE_THIRD, _inner, member_sequence, members
+from fuzzymetrics.counterexample import (
+    _ORACLE_CHUNK,
+    ONE_THIRD,
+    _inner,
+    _members_endpoints,
+    _upper,
+    member_sequence,
+    members,
+)
 
 
 class TestMembers:
@@ -87,6 +97,124 @@ class TestBatchEndpoints:
                 member_sequence().endpoints(np.array(bad), self.LEVELS)
         with pytest.raises(BadIndex):
             members(5).endpoints(np.array([6]), self.LEVELS)
+
+
+def where_upper(alphas, n):
+    """The upper endpoint as one ``np.where`` over the levels: the kernel
+    :func:`_upper` must equal it bit for bit."""
+    t = _inner(alphas)
+    pos = t > 0.0
+    return np.where(pos, 1.0 - np.exp(np.log(np.where(pos, t, 1.0)) / n), 1.0)
+
+
+def floats_around(x, count):
+    """``x`` and the ``count`` nearest floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(sorted(below[1:] + above))
+
+
+def hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+# levels 0 and 1, one third and its 8 nearest floats on each side, and the
+# default report grid
+KERNEL_LEVELS = np.union1d(
+    np.concatenate([[0.0, 1.0], floats_around(ONE_THIRD, 8)]),
+    default_report_grid([make_limit()]).levels,
+)
+
+
+class TestUpperKernel:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 10**6, np.arange(1.0, 601.0)[:, None]], ids=["1", "2", "7", "1e6", "column"]
+    )
+    def test_equals_where_form_bit_for_bit(self, n):
+        got, want = _upper(KERNEL_LEVELS, n), where_upper(KERNEL_LEVELS, n)
+        assert got.shape == want.shape
+        assert hexes(got) == hexes(want)
+
+    @pytest.mark.parametrize("n", [1, 10**6, np.arange(1.0, 601.0)[:, None]], ids=["1", "1e6", "column"])
+    def test_scalar_and_zero_d_levels(self, n):
+        for a in KERNEL_LEVELS.tolist():
+            for alpha in (a, np.float64(a), np.array(a)):
+                got, want = _upper(alpha, n), where_upper(alpha, n)
+                assert isinstance(got, np.ndarray) and got.shape == want.shape
+                assert hexes(got) == hexes(want)
+
+    def test_both_sides_of_one_third_are_covered(self):
+        t = _inner(KERNEL_LEVELS)
+        assert (t > 0.0).sum() > 8 and (t <= 0.0).sum() > 8
+
+    @pytest.mark.parametrize("batch", [member_sequence(), members(300)], ids=["sequence", "members"])
+    def test_lower_block_is_one_read_only_zero_row(self, batch):
+        lo, hi = batch.endpoints(np.arange(1, 301), KERNEL_LEVELS)
+        assert lo.shape == hi.shape == (300, KERNEL_LEVELS.size)
+        assert not lo.any() and lo.strides[0] == 0
+        assert not lo.flags.writeable
+        with pytest.raises(ValueError):
+            lo[0, 0] = 1.0
+
+
+class TestMpmathOracle:
+    """The float kernels against the same formulas in 50-digit mpmath,
+    computed from the same float ``t = _inner(a)`` (the rounding of t
+    itself is not checked here)."""
+
+    NS = [1, 2, 3, 10, 255, 1000, 100_000, 10**6]
+
+    @staticmethod
+    def exact_upper(a, n):
+        with mpmath.workdps(50):
+            return 1 - mpmath.mpf(float(_inner(a))) ** (mpmath.mpf(1) / n)
+
+    @staticmethod
+    def within_ulps(got, exact, ulps):
+        # 1 - exp(log t / n) is rounded on the scale of the larger of the
+        # result and t^(1/n), which sum to 1, so that is the unit; the
+        # subtraction from 1 cancels where the result is small
+        unit = np.spacing(max(float(exact), 1.0 - float(exact)))
+        with mpmath.workdps(50):
+            return abs(mpmath.mpf(got) - exact) <= ulps * unit
+
+    def test_member_rows_and_profile(self):
+        levels = KERNEL_LEVELS[_inner(KERNEL_LEVELS) > 0.0]
+        _, hi = _members_endpoints(np.array(self.NS), levels)
+        for i, n in enumerate(self.NS):
+            profile = exact_H_profile(n, levels)
+            for j, a in enumerate(levels.tolist()):
+                exact = self.exact_upper(a, n)
+                assert self.within_ulps(float(hi[i, j]), exact, 4), (n, a)
+                assert self.within_ulps(float(profile[j]), exact, 4), (n, a)
+
+    @staticmethod
+    def exact_family_modulus(alpha, beta):
+        """sup over all n >= 1 of ta^(1/n) - tb^(1/n): as a function of
+        s = 1/n it has one critical point, so the sup over whole n sits at
+        n = 1 or at a whole neighbour of the critical n."""
+        with mpmath.workdps(50):
+            ta, tb = mpmath.mpf(float(_inner(alpha))), mpmath.mpf(float(_inner(beta)))
+            la, lb = mpmath.log(ta), mpmath.log(tb)
+            candidates = {1}
+            if la < 0:
+                n_star = mpmath.log(ta / tb) / mpmath.log(lb / la)
+                candidates |= {max(1, int(mpmath.floor(n_star))), max(1, int(mpmath.ceil(n_star)))}
+            return max(ta ** (mpmath.mpf(1) / n) - tb ** (mpmath.mpf(1) / n) for n in candidates)
+
+    @pytest.mark.parametrize(
+        "alpha, delta",
+        [(0.8, 0.1), (0.99, 2.0**-5), (ONE_THIRD + 1e-3, 5e-4)],
+    )
+    def test_uniform_bound_dominates(self, alpha, delta):
+        beta = alpha - delta
+        exact = self.exact_family_modulus(alpha, beta)
+        assert exact > 0
+        assert exact <= uniform_modulus_bound(alpha, delta, beta)
+        # the float oracle finds the same sup over its scanned window
+        assert family_modulus_oracle(alpha, beta) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestLimit:

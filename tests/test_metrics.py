@@ -566,6 +566,50 @@ class TestScanEqualsNaiveReference:
         assert np.array_equal(family.lower, lower) and np.array_equal(family.upper, upper)
 
 
+class SharedLowerFamily(list):
+    """Members that share one lower endpoint; the batch ``endpoints`` returns
+    it as one read-only row broadcast down the block, as a carrier with a
+    constant lower endpoint may."""
+
+    def endpoints(self, ns, alphas):
+        hi = np.array([self[n - 1].endpoints(alphas)[1] for n in ns.tolist()])
+        return np.broadcast_to(self[0].endpoints(alphas)[0], hi.shape), hi
+
+
+def shared_lower_family(count):
+    """``count`` sampled members with the lower endpoint of one sampled
+    number lowered by 0.2 (1 - a), and its upper endpoint shifted by c_n,
+    which shrinks like 1/n: the lower distance to that number is nonzero
+    below level 1 and does not shrink, so only the top levels converge."""
+    base = random_family(seed=41, count=1)[0]
+    lower = base.lower - 0.2 * (1.0 - base.grid.levels)
+    shift = np.random.default_rng(42).uniform(-1.0, 1.0, count) / np.arange(1, count + 1)
+    return SharedLowerFamily(make_sampled_1d(base.grid, lower, base.upper + c) for c in shift), base
+
+
+class TestSharedLowerRow:
+    """A batch lower block that is one nonzero row broadcast down (row
+    stride 0) is still compared at every member."""
+
+    def test_report_and_profile_equal_per_member_list(self, monkeypatch, capsys):
+        family, u = shared_lower_family(600)
+        levels = np.linspace(0.0, 1.0, 11)
+        lo, _ = family.endpoints(np.arange(1, 4), levels)
+        assert lo.strides[0] == 0 and lo.any()
+        report = level_convergence_report(family, u, levels, eps=0.05, n_max=600)
+        plain = level_convergence_report(list(family), u, levels, eps=0.05, n_max=600)
+        assert dumps(report.to_dict()) == dumps(plain.to_dict())
+        # the lower distance decides the verdict below level 1
+        assert 0 < len(report.failing_alphas) < levels.size
+        profiles = []
+        for fam in (family, list(family)):
+            monkeypatch.setattr("fuzzymetrics.cli._load", lambda spec, *kinds, fam=fam: fam if spec == "f" else u)
+            assert run(["profile", "f", "u", "--grid", "11", "--n-max", "600"]) == 0
+            profiles.append(capsys.readouterr().out)
+        assert profiles[0] == profiles[1]
+        assert len(profiles[0].splitlines()) == 1 + 11 * 600
+
+
 class TestReportGrid:
     def test_default_grid_plain(self):
         g = default_report_grid()
