@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "eventually_equi_left",
     "FamilyDiagnostics",
     "compactness_conditions_report",
-    "path_family",
     "random_family",
 ]
 
@@ -417,20 +416,6 @@ def compactness_conditions_report(
         right_modulus_at_zero=zero_moduli,
         condition_verdicts=verdicts,
     )
-
-
-def path_family(
-    f: Callable[[float], FuzzyNumber1D], a: float, b: float, sample_count: int
-) -> list[FuzzyNumber1D]:
-    """Sample a parametrized path of fuzzy numbers at uniform parameters.
-
-    When f is continuous into the level topology, the sampled family's
-    equi-continuity report should pass: a continuous image of a compact
-    parameter interval satisfies the family conditions.
-    """
-    if sample_count < 2:
-        raise OutOfRange("sample_count must be at least 2")
-    return [f(float(t)) for t in np.linspace(a, b, sample_count)]
 
 
 def random_family(

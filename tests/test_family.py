@@ -16,7 +16,6 @@ from fuzzymetrics import (
     level_convergence_report,
     make_sampled_1d,
     make_un,
-    path_family,
     random_family,
     right_modulus_at_zero,
     support_bound,
@@ -314,13 +313,17 @@ class TestCompactnessReport:
 
 
 class TestPathFamily:
+    """Families sampled along a parametrized path at uniform parameters: a
+    path continuous into the level topology gives a family whose
+    equi-continuity report passes."""
+
     def test_constant_path(self):
-        fam = path_family(lambda t: crisp(0.7), 0.0, 1.0, 10)
+        fam = [crisp(0.7) for _ in np.linspace(0.0, 1.0, 10)]
         assert len(fam) == 10
         assert equi_continuity_report(fam, eps=1e-6).passed
 
     def test_moving_peak_triangulars(self):
-        fam = path_family(lambda t: triangular(0.0, t, 1.0), 0.2, 0.8, 50)
+        fam = [triangular(0.0, float(t), 1.0) for t in np.linspace(0.2, 0.8, 50)]
         report = equi_continuity_report(fam, eps=1e-3)
         assert report.passed
 
@@ -328,12 +331,8 @@ class TestPathFamily:
         # the path t -> member ceil(1/t) is not continuous into the supremum
         # metric, but any finite sample is a family of continuous members, so
         # the levelwise certificate passes; kept as a demonstration
-        fam = path_family(lambda t: make_un(int(np.ceil(1.0 / t))), 0.05, 1.0, 50)
+        fam = [make_un(int(np.ceil(1.0 / t))) for t in np.linspace(0.05, 1.0, 50)]
         assert equi_continuity_report(fam, eps=0.25).passed
-
-    def test_sample_count_check(self):
-        with pytest.raises(OutOfRange):
-            path_family(lambda t: crisp(t), 0.0, 1.0, 1)
 
 
 class TestRandomFamily:
