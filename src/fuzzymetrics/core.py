@@ -465,7 +465,9 @@ def _member_rows(seq, count: int, alphas):
     Yields ``(ns, lo, hi)``: ``lo`` and ``hi`` have shape
     ``(len(ns), len(alphas))`` and row i belongs to member ``ns[i]``.  A
     sequence with a batch method ``endpoints(ns, alphas)`` fills each block
-    in one call; any other is evaluated member by member.
+    in one call; any other is evaluated member by member.  A batch block may
+    be a read-only view, and a batch ``lo`` may be one row broadcast down
+    the block (row stride 0), which the convergence scan compares once.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     batch = getattr(seq, "endpoints", None)

@@ -305,6 +305,10 @@ def d_infty_parametric(
     every row is linear between split points, so the bound of every segment
     is the larger distance at its ends: the bracket closes with ``lower ==
     upper`` and no node.
+
+    The enclosure certifies the floating-point endpoint functions: the
+    monotone and chord bounds treat each evaluated endpoint as exact, and
+    only the secant extension is rounded outward.
     """
     _check_search(tol, max_depth)
     if u is v or (u.key is not None and u.key == v.key):
