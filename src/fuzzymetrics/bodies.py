@@ -11,16 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphaGrid, GridLike, SampledFuzzy1D, as_grid, _check_level
+from .core import AlphaGrid, GridLike, SampledFuzzy1D, as_grid
 from .errors import EmptyCut, GridMismatch, NonNested, OutOfRange
 
 __all__ = [
     "DEFAULT_DIRECTIONS",
     "direction_angles",
-    "PlanarSupport",
     "FuzzyBody2D",
     "make_body_2d",
-    "support_function_value",
     "lift_segment",
     "chebyshev_radius",
 ]
@@ -39,36 +37,9 @@ def direction_angles(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-@dataclass(frozen=True)
-class PlanarSupport:
-    """Support samples of one convex body on a uniform direction grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.ndim != 1 or v.size < 3:
-            raise OutOfRange("support sample vector needs at least 3 directions")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def directions(self) -> int:
-        return int(self.values.size)
-
-    def support(self, theta: float) -> float:
-        """Support value at an arbitrary angle, linear between grid angles."""
-        n = self.directions
-        pos = float(theta) % (2.0 * np.pi) / (2.0 * np.pi) * n
-        k = int(pos) % n
-        t = pos - int(pos)
-        if t == 0.0:
-            return float(self.values[k])
-        return float((1.0 - t) * self.values[k] + t * self.values[(k + 1) % n])
-
-
-def chebyshev_radius(body: PlanarSupport) -> float:
-    """Radius of the largest disk inside the halfplane intersection.
+def chebyshev_radius(support: np.ndarray) -> float:
+    """Radius of the largest disk inside the halfplanes of one level's
+    support row (one value per direction of :func:`direction_angles`).
 
     Negative when the sampled halfplanes have empty intersection, zero for
     degenerate (lower-dimensional) bodies.  Smaller support values shrink
@@ -78,12 +49,12 @@ def chebyshev_radius(body: PlanarSupport) -> float:
     """
     from scipy.optimize import linprog
 
-    th = direction_angles(body.directions)
+    th = direction_angles(len(support))
     a = np.column_stack([np.cos(th), np.sin(th), np.ones_like(th)])
     res = linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=a,
-        b_ub=body.values,
+        b_ub=support,
         bounds=[(None, None), (None, None), (None, None)],
         method="highs",
     )
@@ -113,9 +84,6 @@ class FuzzyBody2D:
     def directions(self) -> int:
         return int(self.support.shape[1])
 
-    def body(self, level_index: int) -> PlanarSupport:
-        return PlanarSupport(self.support[level_index])
-
 
 def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     """Build a validated fuzzy body from per-level support samples.
@@ -139,30 +107,17 @@ def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     body = FuzzyBody2D(g, s)
     # levels up to index ok are nonempty; level empty is empty, radius r
     ok, empty = -1, len(g) - 1
-    r = chebyshev_radius(body.body(empty))
+    r = chebyshev_radius(body.support[empty])
     if r >= -_RECONSTRUCTION_TOL:
         return body
     while empty - ok > 1:
         mid = (ok + empty) // 2
-        r_mid = chebyshev_radius(body.body(mid))
+        r_mid = chebyshev_radius(body.support[mid])
         if r_mid < -_RECONSTRUCTION_TOL:
             empty, r = mid, r_mid
         else:
             ok = mid
     raise EmptyCut(f"support samples at alpha={g.levels[empty]} bound an empty region (radius {r})")
-
-
-def support_function_value(body: FuzzyBody2D, alpha: float, theta: float) -> float:
-    """Support value at (alpha, theta), bilinear between stored samples."""
-    a = _check_level(alpha)
-    levels = body.grid.levels
-    i = int(np.searchsorted(levels, a))
-    if i < levels.size and levels[i] == a:
-        return body.body(i).support(theta)
-    lo = body.body(i - 1).support(theta)
-    hi = body.body(i).support(theta)
-    t = (a - levels[i - 1]) / (levels[i] - levels[i - 1])
-    return float(lo + t * (hi - lo))
 
 
 def lift_segment(u: SampledFuzzy1D, directions: int = DEFAULT_DIRECTIONS) -> FuzzyBody2D:

@@ -14,10 +14,8 @@ import json
 import sys
 from collections import abc
 
-import numpy as np
-
 from . import __version__
-from .core import SampledFamily, as_grid, validate_representation
+from .core import AlphaGrid, SampledFamily, as_grid, validate_representation
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -80,9 +78,11 @@ def _parse_grid(spec: str | None, inputs: list):
     if spec is None or spec == "default":
         return default_report_grid(inputs)
     try:
-        return as_grid(np.linspace(0.0, 1.0, int(spec)))
+        count = int(spec)
     except ValueError:
         pass
+    else:
+        return AlphaGrid.uniform(count)
     doc = _load_json(spec)
     try:
         return as_grid(doc)

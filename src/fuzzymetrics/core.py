@@ -36,8 +36,6 @@ __all__ = [
     "alpha_cut",
     "membership_at",
     "densify_levels",
-    "sample_curve",
-    "refine_to_grid",
     "ValidationCheck",
     "ValidationReport",
     "validate_representation",
@@ -75,10 +73,6 @@ class AlphaGrid:
             raise BadGrid("uniform grid needs at least 2 levels")
         return AlphaGrid(np.linspace(0.0, 1.0, count))
 
-    def union(self, other: "AlphaGrid") -> "AlphaGrid":
-        merged = np.union1d(self.levels, other.levels)
-        return AlphaGrid(merged)
-
     def __len__(self) -> int:
         return int(self.levels.size)
 
@@ -110,10 +104,6 @@ class Interval:
     def __post_init__(self):
         if not (self.lo <= self.hi):
             raise EmptyCut(f"empty interval: lo={self.lo} > hi={self.hi}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -178,10 +168,6 @@ class SampledFuzzy1D:
         lo = np.interp(a, self.grid.levels, self.lower)
         hi = np.interp(a, self.grid.levels, self.upper)
         return lo, hi
-
-    @property
-    def support(self) -> Interval:
-        return Interval(float(self.lower[0]), float(self.upper[0]))
 
 
 @dataclass(frozen=True)
@@ -428,13 +414,6 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
     return lo
 
 
-def sample_curve(u: FuzzyNumber1D, grid: GridLike) -> SampledFuzzy1D:
-    """Sample a fuzzy number onto a grid (piecewise-linear approximant)."""
-    g = as_grid(grid)
-    lo, hi = u.endpoints(g.levels)
-    return make_sampled_1d(g, lo, hi)
-
-
 def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.ndarray:
     """``levels`` densified around every hint level the inputs declare.
 
@@ -485,18 +464,6 @@ def _member_rows(seq, count: int, alphas):
         yield ns, lo, hi
 
 
-def refine_to_grid(u: SampledFuzzy1D, grid: GridLike) -> SampledFuzzy1D:
-    """Re-express a sampled number on a refinement of its grid.
-
-    The refinement must contain every original node, so the piecewise-linear
-    function is preserved exactly.
-    """
-    g = as_grid(grid)
-    if np.setdiff1d(u.grid.levels, g.levels).size:
-        raise BadGrid("refinement grid must contain every original node")
-    return sample_curve(u, g)
-
-
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -524,9 +491,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

@@ -21,7 +21,9 @@ from .core import CutCurve1D, DeclaredCurvature, DeclaredJump
 from .errors import BadIndex, OutOfRange, ParseError
 from . import family as family_mod
 from .metrics import (
+    DEFAULT_MAX_DEPTH,
     Enclosure,
+    _check_search,
     d_infty_parametric,
     default_report_grid,
     level_convergence_report,
@@ -341,6 +343,9 @@ def refutation_report(
     """
     if n_max < 2:
         raise OutOfRange("n_max must be at least 2 to exhibit a sequence")
+    if not eps > 0:
+        raise OutOfRange("eps must be positive")
+    _check_search(tol, DEFAULT_MAX_DEPTH)
     fam = members(n_max)
     limit = make_limit()
     grid = default_report_grid([limit])

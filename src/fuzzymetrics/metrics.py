@@ -36,15 +36,13 @@ from .core import (
     densify_levels,
     hausdorff_interval,
 )
-from .bodies import PlanarSupport
-from .errors import CurvatureMismatch, GridMismatch, NonNested, OutOfRange
+from .errors import CurvatureMismatch, NonNested, OutOfRange
 
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_DEPTH",
     "Enclosure",
     "hausdorff_interval",
-    "hausdorff_support_2d",
     "LevelProfile",
     "level_distance_profile",
     "d_infty_parametric",
@@ -59,18 +57,6 @@ DEFAULT_MAX_DEPTH = 60
 DEFAULT_MAX_NODES = 200_000
 # level-convergence reports keep the full distance traces only for short scans
 TRACE_WINDOW_CAP = 1024
-
-
-def hausdorff_support_2d(a: PlanarSupport, b: PlanarSupport) -> float:
-    """Max absolute support difference over the shared direction grid.
-
-    For compact convex sets this equals the Hausdorff distance; sampled on
-    finitely many directions it is a lower bound, exact whenever both
-    normal fans are resolved by the grid.
-    """
-    if a.directions != b.directions:
-        raise GridMismatch(f"direction grids differ: {a.directions} vs {b.directions}")
-    return float(np.max(np.abs(a.values - b.values)))
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 
 from fuzzymetrics import (
     EmptyCut,
-    GridMismatch,
     NonNested,
     OutOfRange,
-    hausdorff_support_2d,
     lift_segment,
     make_body_2d,
     make_sampled_1d,
-    support_function_value,
 )
 from fuzzymetrics import bodies
 from fuzzymetrics.bodies import (
     _RECONSTRUCTION_TOL,
     DEFAULT_DIRECTIONS,
-    PlanarSupport,
     chebyshev_radius,
     direction_angles,
 )
@@ -38,7 +34,7 @@ def empty_cut_message(levels, support):
     """Oracle: the Chebyshev radius of every level in order; the EmptyCut message
     naming the first empty level, or None when every level is nonempty."""
     for a, row in zip(levels, support):
-        r = chebyshev_radius(PlanarSupport(row))
+        r = chebyshev_radius(row)
         if r < -_RECONSTRUCTION_TOL:
             return f"support samples at alpha={a} bound an empty region (radius {r})"
     return None
@@ -49,9 +45,9 @@ def lp_calls(monkeypatch):
     """Count the LPs make_body_2d solves."""
     calls = []
 
-    def counting(body):
-        calls.append(body)
-        return chebyshev_radius(body)
+    def counting(row):
+        calls.append(row)
+        return chebyshev_radius(row)
 
     monkeypatch.setattr(bodies, "chebyshev_radius", counting)
     return calls
@@ -61,35 +57,6 @@ def unit_square_body(levels=3):
     h = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
     grid = np.linspace(0.0, 1.0, levels)
     return make_body_2d(grid, np.tile(h, (levels, 1)))
-
-
-class TestSupportValue:
-    def test_disk_is_constant_radius(self):
-        grid = [0.0, 0.5, 1.0]
-        body = make_body_2d(grid, np.ones((3, DEFAULT_DIRECTIONS)))
-        for a in (0.0, 0.3, 1.0):
-            for th in (0.0, 1.0, math.pi, 5.5):
-                assert support_function_value(body, a, th) == pytest.approx(1.0, abs=1e-12)
-
-    def test_singleton_origin(self):
-        body = make_body_2d([0.0, 1.0], np.zeros((2, 16)))
-        assert support_function_value(body, 0.5, 2.2) == 0.0
-
-    def test_unit_square_diagonal(self):
-        # maximizing <p, x> over the four vertices puts sqrt(2) at 45 degrees
-        body = unit_square_body()
-        got = support_function_value(body, 0.5, math.pi / 4)
-        assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_bilinear_in_alpha(self):
-        grid = [0.0, 1.0]
-        support = np.vstack([2 * np.ones(8), np.ones(8)])
-        body = make_body_2d(grid, support)
-        assert support_function_value(body, 0.25, 0.0) == pytest.approx(1.75, abs=1e-15)
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            support_function_value(unit_square_body(), 1.2, 0.0)
 
 
 class TestMakeBody:
@@ -122,11 +89,11 @@ class TestMakeBody:
                 make_body_2d(np.linspace(0.0, 1.0, 5), support)
 
     def test_chebyshev_radii(self):
-        assert chebyshev_radius(unit_square_body().body(0)) == pytest.approx(0.5, abs=1e-6)
+        assert chebyshev_radius(unit_square_body().support[0]) == pytest.approx(0.5, abs=1e-6)
         disk = make_body_2d([0.0, 1.0], np.ones((2, DEFAULT_DIRECTIONS)))
-        assert chebyshev_radius(disk.body(0)) == pytest.approx(1.0, abs=1e-6)
+        assert chebyshev_radius(disk.support[0]) == pytest.approx(1.0, abs=1e-6)
         seg = lift_segment(make_sampled_1d([0, 1], [0, 0], [1, 1]))
-        assert chebyshev_radius(seg.body(0)) == pytest.approx(0.0, abs=1e-9)
+        assert chebyshev_radius(seg.support[0]) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestTopLevelLP:
@@ -135,7 +102,7 @@ class TestTopLevelLP:
         square = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
         make_body_2d(levels, square[None, :] + (1.0 - levels)[:, None])
         assert len(lp_calls) == 1
-        assert np.array_equal(lp_calls[0].values, square)
+        assert np.array_equal(lp_calls[0], square)
 
     def test_first_empty_middle_level_named(self, lp_calls):
         # the square's radius 0.5 plus the offset 0.2 - alpha drops below zero above alpha = 0.7
@@ -179,41 +146,13 @@ class TestBisectionAgreesWithEveryLevel:
         assert str(exc.value) == expected
 
 
-class TestHausdorffSupport:
-    def test_identity(self):
-        a = unit_square_body().body(0)
-        assert hausdorff_support_2d(a, a) == 0.0
-
-    def test_concentric_disks(self):
-        grid = [0.0, 1.0]
-        small = make_body_2d(grid, np.ones((2, 32)))
-        big = make_body_2d(grid, 2 * np.ones((2, 32)))
-        assert hausdorff_support_2d(small.body(0), big.body(0)) == 1.0
-
-    def test_translated_square(self):
-        # support difference along p is <p, (1,0)>, peaking at theta = 0
-        h0 = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
-        h1 = polygon_support([[1, 0], [2, 0], [2, 1], [1, 1]])
-        dense = np.max(np.abs(h1 - h0))
-        body0 = make_body_2d([0.0, 1.0], np.tile(h0, (2, 1)))
-        body1 = make_body_2d([0.0, 1.0], np.tile(h1, (2, 1)))
-        got = hausdorff_support_2d(body0.body(0), body1.body(0))
-        assert got == dense == pytest.approx(1.0, abs=1e-12)
-
-    def test_grid_mismatch(self):
-        a = make_body_2d([0.0, 1.0], np.ones((2, 16))).body(0)
-        b = make_body_2d([0.0, 1.0], np.ones((2, 32))).body(0)
-        with pytest.raises(GridMismatch):
-            hausdorff_support_2d(a, b)
-
-
 class TestLift:
     def test_axis_values_recover_endpoints(self):
         u = make_sampled_1d([0, 0.5, 1], [-2, -1, 0], [3, 2, 0])
         body = lift_segment(u)
-        for i, a in enumerate(u.grid.levels.tolist()):
-            assert support_function_value(body, a, 0.0) == u.upper[i]
-            assert support_function_value(body, a, math.pi) == -u.lower[i]
+        # columns 0 and directions // 2 are the angles 0 and pi
+        assert np.array_equal(body.support[:, 0], u.upper)
+        assert np.array_equal(body.support[:, body.directions // 2], -u.lower)
 
     def test_matches_interval_hausdorff_exactly(self):
         from fuzzymetrics import alpha_cut, hausdorff_interval
@@ -223,4 +162,4 @@ class TestLift:
         bu, bv = lift_segment(u), lift_segment(v)
         for i, a in enumerate(u.grid.levels.tolist()):
             expected = hausdorff_interval(alpha_cut(u, a), alpha_cut(v, a))
-            assert hausdorff_support_2d(bu.body(i), bv.body(i)) == expected
+            assert np.max(np.abs(bu.support[i] - bv.support[i])) == expected

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fuzzymetrics
+from fuzzymetrics import counterexample
 from fuzzymetrics.cli import _kind, run
 from fuzzymetrics.counterexample import member_sequence, members
 from fuzzymetrics.serialize import decode_family, decode_fuzzy
@@ -231,6 +232,15 @@ class TestProfileVerb:
         assert captured.err == "error: n_max must be at least 1\n"
 
 
+@pytest.mark.parametrize("verb", ["profile", "converge"])
+@pytest.mark.parametrize("count", ["-5", "0", "1"])
+def test_grid_count_below_two_is_an_input_error(verb, count, capsys):
+    assert run([verb, "counterexample-seq", "counterexample-limit", "--grid", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: uniform grid needs at least 2 levels\n"
+
+
 class TestConvergeVerb:
     @pytest.mark.parametrize(
         "argv, expected",
@@ -340,6 +350,26 @@ class TestCounterexampleVerb:
         doc = read_json(out)
         assert doc["report"]["conclusion"]["criterion_refuted"] is True
         assert doc["header"]["options"]["n_max"] == 5
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--eps", "0"], "eps must be positive"),
+            (["--eps", "-1"], "eps must be positive"),
+            (["--eps", "nan"], "eps must be positive"),
+            (["--tol", "0"], "tol must be positive"),
+            (["--tol", "-1"], "tol must be positive"),
+        ],
+    )
+    def test_bad_settings_are_rejected_before_any_work(self, options, message, monkeypatch, capsys):
+        def no_work(n_max):
+            raise AssertionError("the report built its members before checking its settings")
+
+        monkeypatch.setattr(counterexample, "members", no_work)
+        assert run(["counterexample", "--n-max", "5", *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -23,8 +23,6 @@ from fuzzymetrics import (
     make_un,
     membership_at,
     random_family,
-    refine_to_grid,
-    sample_curve,
     validate_representation,
 )
 from fuzzymetrics.core import _ROW_BLOCK, _member_rows
@@ -66,10 +64,6 @@ class TestAlphaGrid:
         with pytest.raises(BadGrid):
             AlphaGrid(np.array([0.0]))
 
-    def test_union(self):
-        g = AlphaGrid(np.array([0.0, 0.5, 1.0])).union(AlphaGrid(np.array([0.0, 0.25, 1.0])))
-        assert np.array_equal(g.levels, [0.0, 0.25, 0.5, 1.0])
-
     def test_hash_consistent_with_eq(self):
         assert hash(AlphaGrid.uniform(3)) == hash(AlphaGrid(np.array([-0.0, 0.5, 1.0])))
         assert len({AlphaGrid.uniform(3), AlphaGrid.uniform(3), AlphaGrid.uniform(4)}) == 2
@@ -81,7 +75,7 @@ class TestInterval:
             Interval(1.0, 0.0)
 
     def test_singleton_ok(self):
-        assert Interval(2.0, 2.0).width == 0.0
+        assert Interval(2.0, 2.0).contains(2.0)
 
 
 class TestMakeSampled:
@@ -198,13 +192,13 @@ class TestValidation:
     def test_counterexample_members_pass(self):
         for n in (1, 2, 7, 60):
             report = validate_representation(make_un(n))
-            assert report.passed, report.failures()
+            assert report.passed, report.to_dict()
 
     def test_limit_passes_despite_right_jump(self):
         # the cut jumps only when approached from above one third; left
         # continuity holds there, which is all the axioms require
         report = validate_representation(make_limit())
-        assert report.passed, report.failures()
+        assert report.passed, report.to_dict()
 
     def test_one_sided_limits_at_the_jump(self):
         # oracle check of the closed forms around the jump level
@@ -284,25 +278,6 @@ def test_declared_curvature_needs_a_piece_and_a_known_name():
             upper_fn=np.ones_like,
             curvature=(DeclaredCurvature(0.0, 0.6, "linear"), DeclaredCurvature(0.5, 1.0, "linear")),
         )
-
-
-class TestResampling:
-    def test_refine_preserves_function(self):
-        u = triangular()
-        fine = refine_to_grid(u, [0, 0.1, 0.25, 0.5, 0.77, 1])
-        for a in np.linspace(0, 1, 41):
-            assert abs(alpha_cut(fine, a).lo - alpha_cut(u, a).lo) < 1e-15
-            assert abs(alpha_cut(fine, a).hi - alpha_cut(u, a).hi) < 1e-15
-
-    def test_refine_rejects_dropping_nodes(self):
-        with pytest.raises(BadGrid):
-            refine_to_grid(triangular(), [0, 0.25, 1])
-
-    def test_sample_curve_hits_closed_form_at_nodes(self):
-        u = make_un(3)
-        s = sample_curve(u, [0.0, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0])
-        for a in s.grid.levels.tolist():
-            assert alpha_cut(s, a) == alpha_cut(u, a)
 
 
 def same_bits(x, y):

@@ -22,8 +22,6 @@ from fuzzymetrics import (
     make_sampled_family,
     make_un,
     random_family,
-    refine_to_grid,
-    sample_curve,
 )
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
@@ -41,6 +39,11 @@ def crisp(x):
 
 def crisp_interval(lo, hi):
     return make_sampled_1d([0, 1], [lo, lo], [hi, hi])
+
+
+def resample(u, levels):
+    """``u`` sampled at ``levels``: exact at the levels, linear in between."""
+    return make_sampled_1d(levels, *u.endpoints(levels))
 
 
 def sampled_distance(u, v):
@@ -150,9 +153,10 @@ class TestDInftySampled:
 
     def test_refinement_monotonicity(self):
         u, v = make_un(1), make_un(4)
-        coarse = sampled_distance(sample_curve(u, np.linspace(0, 1, 11)), sample_curve(v, np.linspace(0, 1, 11)))
-        fine = sampled_distance(sample_curve(u, np.linspace(0, 1, 101)), sample_curve(v, np.linspace(0, 1, 101)))
-        finest = sampled_distance(sample_curve(u, np.linspace(0, 1, 1001)), sample_curve(v, np.linspace(0, 1, 1001)))
+        coarse, fine, finest = (
+            sampled_distance(resample(u, levels), resample(v, levels))
+            for levels in (np.linspace(0, 1, 11), np.linspace(0, 1, 101), np.linspace(0, 1, 1001))
+        )
         assert coarse <= fine + 1e-15 <= finest + 2e-15
 
 
@@ -214,9 +218,8 @@ class TestDInftyParametric:
     def test_sampled_counterexample_below_enclosure_upper(self):
         u, lim = make_un(5), make_limit()
         enc = d_infty_parametric(u, lim)
-        sampled = sampled_distance(
-            sample_curve(u, np.linspace(0, 1, 100)), sample_curve(lim, np.linspace(0, 1, 100))
-        )
+        levels = np.linspace(0, 1, 100)
+        sampled = sampled_distance(resample(u, levels), resample(lim, levels))
         assert sampled <= enc.upper
 
     def test_rejects_bad_tol(self):
@@ -376,7 +379,8 @@ class TestSampledPairs:
     @given(monotone_sampled(), monotone_sampled(), st.sampled_from([1e-3, 1e-9, 1e-15]))
     def test_enclosure_is_the_union_grid_max(self, u, v, tol):
         enc = d_infty_parametric(u, v, tol=tol)
-        assert enc.lower == enc.upper == level_distance_profile(u, v, u.grid.union(v.grid)).max()
+        union = np.union1d(u.grid.levels, v.grid.levels)
+        assert enc.lower == enc.upper == level_distance_profile(u, v, union).max()
         assert (enc.nodes, enc.attained) == (0, True)
         assert level_distance_profile(u, v, np.linspace(0, 1, 1001)).max() <= enc.upper + 1e-12
 
@@ -395,12 +399,12 @@ class TestSampledPairs:
         d = sampled_distance(u, v)
         # on the union grid the refined samples are the values the pair
         # already evaluates, so the enclosure keeps every bit
-        union = u.grid.union(v.grid)
-        assert sampled_distance(refine_to_grid(u, union), v) == d
-        assert sampled_distance(u, refine_to_grid(v, union)) == d
+        union = np.union1d(u.grid.levels, v.grid.levels)
+        assert sampled_distance(resample(u, union), v) == d
+        assert sampled_distance(u, resample(v, union)) == d
         # levels off both grids add interpolated samples, exact up to rounding
-        finer = np.union1d(union.levels, np.asarray(extra) / 1000 + 1 / 7000)
-        assert sampled_distance(refine_to_grid(u, finer), refine_to_grid(v, finer)) == pytest.approx(d, abs=1e-12)
+        finer = np.union1d(union, np.asarray(extra) / 1000 + 1 / 7000)
+        assert sampled_distance(resample(u, finer), resample(v, finer)) == pytest.approx(d, abs=1e-12)
 
 
 class TestLevelConvergence:

@@ -1,9 +1,11 @@
-"""The package namespace and the benchmark's trace targets resolve.
+"""The package namespace and the benchmark's trace targets resolve, and the
+1-D modules stay free of the planar ones.
 
 A deleted or renamed function shows up here rather than in the benchmark's
 smoke run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -48,3 +50,26 @@ def test_every_trace_target_resolves():
             assert hasattr(owner, part), f"{module_name}.{path} ({span})"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def imported_modules(name):
+    """The names under the package that ``fuzzymetrics.<name>`` imports from,
+    short (``from .bodies import x``, ``from . import bodies`` and the
+    absolute forms all give ``bodies``)."""
+    tree = ast.parse(Path(submodule(name).__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["fuzzymetrics" if node.level else None, node.module]))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(p.split(".")[1] for p in paths if p.startswith("fuzzymetrics."))
+    return found
+
+
+@pytest.mark.parametrize("name", ["metrics", "family", "counterexample"])
+def test_one_dimensional_modules_import_nothing_from_bodies(name):
+    assert "bodies" not in imported_modules(name)
