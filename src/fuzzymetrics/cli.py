@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import abc
 
@@ -83,6 +84,13 @@ def _parse_grid(spec: str | None, inputs: list):
         pass
     else:
         return AlphaGrid.uniform(count)
+    if not os.path.exists(spec):
+        try:
+            float(spec)
+        except ValueError:
+            pass
+        else:
+            raise ParseError(f"grid level count must be an integer, got {spec!r}")
     doc = _load_json(spec)
     try:
         return as_grid(doc)

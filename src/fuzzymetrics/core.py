@@ -303,7 +303,9 @@ class SampledFamily(abc.Sequence):
         then gathers the slope and the sample of those segments and takes one
         multiply-add in ``np.interp``'s own formula, slope * (alpha - level)
         + sample, and the stored sample at every node (a segment formula can
-        miss the last bit at level 1).
+        miss the last bit at level 1).  The work runs levels-major, one row
+        of members per level, so every gather copies whole rows; both
+        results are transposed views of those ``(levels, members)`` arrays.
         """
         ns = np.asarray(ns)
         if ns.dtype.kind not in "iu" or ns.ndim != 1 or not np.all((ns >= 1) & (ns <= len(self))):
@@ -315,16 +317,16 @@ class SampledFamily(abc.Sequence):
         at = np.searchsorted(levels, a, side="right") - 1  # levels[at] <= a
         node = levels[at] == a
         seg = np.minimum(at, levels.size - 2)
-        offset = a - levels[seg]
-        widths = np.diff(levels)
+        offset = (a - levels[seg])[:, None]
+        widths = np.diff(levels)[:, None]
 
         def interp(samples: np.ndarray) -> np.ndarray:
-            fp = samples[rows]
-            out = np.take(np.diff(fp, axis=1) / widths, seg, axis=1)
+            fp = np.ascontiguousarray(samples[rows].T)
+            out = np.take(np.diff(fp, axis=0) / widths, seg, axis=0)
             out *= offset
-            out += np.take(fp, seg, axis=1)
-            out[:, node] = fp[:, at[node]]
-            return out
+            out += np.take(fp, seg, axis=0)
+            out[node] = fp[at[node]]
+            return out.T
 
         return interp(self.lower), interp(self.upper)
 
@@ -445,8 +447,10 @@ def _member_rows(seq, count: int, alphas):
     ``(len(ns), len(alphas))`` and row i belongs to member ``ns[i]``.  A
     sequence with a batch method ``endpoints(ns, alphas)`` fills each block
     in one call; any other is evaluated member by member.  A batch block may
-    be a read-only view, and a batch ``lo`` may be one row broadcast down
-    the block (row stride 0), which the convergence scan compares once.
+    be a view of the carrier's stored data, never to be written, or a
+    transposed view of a ``(levels, members)`` array, as ``SampledFamily``
+    returns.  A batch ``lo`` may be one row broadcast down the block (row
+    stride 0), which the convergence scan compares once.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     batch = getattr(seq, "endpoints", None)
@@ -462,6 +466,9 @@ def _member_rows(seq, count: int, alphas):
             for i, n in enumerate(ns.tolist()):
                 lo[i], hi[i] = member(n).endpoints(alphas)
         yield ns, lo, hi
+        # a caller that lets go of the block too frees it before the next
+        # block is evaluated
+        del lo, hi
 
 
 @dataclass(frozen=True)

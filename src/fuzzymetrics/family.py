@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _ROW_BLOCK_CELLS,
     FuzzyNumber1D,
     SampledFamily,
     _member_rows,
@@ -89,36 +88,51 @@ def _offsets(delta_grid: Sequence[float] | None) -> list[float]:
     return deltas
 
 
-def _cut_moves(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row H(cut(column a_i), cut(column b_i)) for column indices ``a``
-    and ``b``."""
-    moves = np.take(lo, a, axis=1)
-    moves -= np.take(lo, b, axis=1)
-    np.abs(moves, out=moves)
-    upper = np.take(hi, a, axis=1)
-    upper -= np.take(hi, b, axis=1)
-    np.abs(upper, out=upper)
-    return np.maximum(moves, upper, out=moves)
+# Lattice rows whose moves one pass holds: two reused (rows, deltas, members)
+# buffers of this many rows keep a pass within a few hundred KB.
+_LATTICE_ROWS = 16
 
 
-def _worst_moduli(members: Sequence[FuzzyNumber1D], alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Worst member's H(cut(alpha_i), cut(beta_i)), one row block at a time.
+def _lattice_moves(members, count: int, rows: np.ndarray, lattice: np.ndarray):
+    """H(cut(rows[i]), cut(lattice[i, j])) for members 1..count.
 
-    Each distinct level is evaluated once; the pairs can outnumber the
-    distinct levels, so they are read in slices that keep the moves of a
-    block within ``_ROW_BLOCK_CELLS`` values.
+    ``lattice`` has shape ``(len(rows), deltas)``.  Each block of members is
+    evaluated once at the row levels and the lattice levels, and the moves
+    are taken levels-major by broadcasting, ``_LATTICE_ROWS`` rows at a
+    pass.  Yields ``(ns, part, moves)``: ``moves[i, j, k]`` is member
+    ``ns[k]``'s move at ``(rows[part][i], lattice[part][i, j])``.  The two
+    buffers behind ``moves`` are reused between yields, and the blocks are
+    only read: a batch ``endpoints`` may return views of stored data.
     """
-    k = alphas.size
-    levels, column = np.unique(np.concatenate([alphas, betas]), return_inverse=True)
-    worst = np.zeros(k)
-    for _, lo, hi in _member_rows(members, len(members), levels):
-        width = max(1, _ROW_BLOCK_CELLS // lo.shape[0])
-        for start in range(0, k, width):
-            part = slice(start, start + width)
-            # one expression, so the moves are freed before the maximum is
-            # allocated: holding them past it took 15,000 minor page faults
-            # per 2,000-member family report instead of 900
-            worst[part] = np.maximum(worst[part], np.max(_cut_moves(lo, hi, column[:k][part], column[k:][part]), axis=0))
+    r, d = lattice.shape
+    levels = np.concatenate([rows, lattice.ravel()])
+    buffers = None
+    for ns, lo, hi in _member_rows(members, count, levels):
+        m = ns.size
+        if buffers is None or buffers[0].shape[2] < m:
+            buffers = np.empty((2, min(r, _LATTICE_ROWS), d, m))
+        at_rows = [lo.T[:r, None, :], hi.T[:r, None, :]]
+        at_lattice = [lo.T[r:].reshape(r, d, m), hi.T[r:].reshape(r, d, m)]
+        for start in range(0, r, _LATTICE_ROWS):
+            part = slice(start, min(start + _LATTICE_ROWS, r))
+            moves, upper = buffers[:, : part.stop - start, :, :m]
+            np.subtract(at_lattice[0][part], at_rows[0][part], out=moves)
+            np.abs(moves, out=moves)
+            np.subtract(at_lattice[1][part], at_rows[1][part], out=upper)
+            np.abs(upper, out=upper)
+            np.maximum(moves, upper, out=moves)
+            yield ns, part, moves
+        # free the block before the next one is evaluated: holding two took
+        # 7,000-21,000 minor page faults per 2,000-member report, one about 400
+        del lo, hi, at_rows, at_lattice
+
+
+def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """The worst member's move at every lattice point (see
+    :func:`_lattice_moves`)."""
+    worst = np.zeros(lattice.shape)
+    for _, part, moves in _lattice_moves(members, len(members), rows, lattice):
+        np.maximum(worst[part], moves.max(axis=2), out=worst[part])
     return worst
 
 
@@ -133,7 +147,7 @@ def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) ->
     if not (0.0 < delta <= alpha):
         raise OutOfRange(f"delta={delta} outside (0, alpha]")
     members = _require_members(family)
-    return float(_worst_moduli(members, np.asarray([alpha]), np.asarray([alpha - delta]))[0])
+    return float(_worst_moves(members, np.asarray([alpha]), np.asarray([[alpha - delta]]))[0, 0])
 
 
 def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> float:
@@ -141,7 +155,7 @@ def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> floa
     if not (0.0 < delta <= 1.0):
         raise OutOfRange(f"delta={delta} outside (0, 1]")
     members = _require_members(family)
-    return float(_worst_moduli(members, np.asarray([0.0]), np.asarray([delta]))[0])
+    return float(_worst_moves(members, np.asarray([0.0]), np.asarray([[delta]]))[0, 0])
 
 
 def _moduli(
@@ -149,19 +163,14 @@ def _moduli(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Family moduli on the (alpha, delta) lattice, NaN where delta > alpha,
     and right moduli at level 0 per delta, NaN where delta > 1; one pass
-    over the members."""
-    pairs_a = np.repeat(alphas, deltas.size)
-    pairs_d = np.tile(deltas, alphas.size)
-    valid = pairs_d <= pairs_a
-    pairs_b = np.where(valid, pairs_a - pairs_d, pairs_a)
-    zero_valid = deltas <= 1.0
-    worst = _worst_moduli(
-        members,
-        np.concatenate([pairs_a, np.zeros(deltas.size)]),
-        np.concatenate([pairs_b, np.where(zero_valid, deltas, 0.0)]),
-    )
-    worst[~np.concatenate([valid, zero_valid])] = np.nan
-    return worst[: pairs_a.size].reshape(alphas.size, deltas.size), worst[pairs_a.size :]
+    over the members.  An offset that does not apply moves to the row's own
+    level, so its level stays inside [0, 1]."""
+    valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
+    lattice = np.vstack([alphas[:, None] - deltas, deltas])
+    rows = np.append(alphas, 0.0)
+    worst = _worst_moves(members, rows, np.where(valid, lattice, rows[:, None]))
+    worst[~valid] = np.nan
+    return worst[:-1], worst[-1]
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,7 @@ def _equi_continuity(
     table, zero_moduli = _moduli(members, alphas, deltas)
     offsets = deltas.tolist()
     entries = tuple(
-        EquiEntry(a, *_witness(offsets, row.tolist(), eps)) for a, row in zip(alphas.tolist(), table)
+        EquiEntry(a, *_witness(offsets, row, eps)) for a, row in zip(alphas.tolist(), table.tolist())
     )
     report = EquiContinuityReport(
         entries=entries,
@@ -300,13 +309,11 @@ def eventually_equi_left(
     deltas = [d for d in reversed(_offsets(delta_grid)) if d <= alpha]
     if not deltas:
         return None
-    k = len(deltas)
-    levels = np.concatenate([[float(alpha)], alpha - np.asarray(deltas, dtype=float)])
-    at_alpha, below = np.zeros(k, dtype=np.intp), np.arange(1, k + 1)
-    last_violation = np.zeros(k, dtype=np.int64)
-    for ns, lo, hi in _member_rows(members, count, levels):
-        wild = ~_tamed(_cut_moves(lo, hi, at_alpha, below), eps)
-        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns[:, None], 0), axis=0))
+    lattice = alpha - np.asarray([deltas], dtype=float)
+    last_violation = np.zeros(len(deltas), dtype=np.int64)
+    for ns, _, moves in _lattice_moves(members, count, np.asarray([float(alpha)]), lattice):
+        wild = ~_tamed(moves[0], eps)
+        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns, 0), axis=1))
     best: tuple[int, float] | None = None
     for d, last in zip(deltas, last_violation.tolist()):
         if last < count and (best is None or last + 1 < best[0]):
@@ -373,19 +380,12 @@ def compactness_conditions_report(
     radius = support_bound(members)
     report, table, zero_table = _equi_continuity(members, alpha_grid, delta_grid, eps)
 
-    deltas = np.asarray(report.delta_grid)
-    alphas = np.asarray([e.alpha for e in report.entries])
+    deltas = report.delta_grid
     left_moduli = {
-        float(a): {
-            float(d): float(table[i, j])
-            for j, d in enumerate(deltas.tolist())
-            if not np.isnan(table[i, j])
-        }
-        for i, a in enumerate(alphas.tolist())
+        e.alpha: {d: m for d, m in zip(deltas, row) if not math.isnan(m)}
+        for e, row in zip(report.entries, table.tolist())
     }
-    zero_moduli = {
-        float(d): float(m) for d, m in zip(deltas.tolist(), zero_table.tolist()) if d <= 1.0
-    }
+    zero_moduli = {d: m for d, m in zip(deltas, zero_table.tolist()) if d <= 1.0}
 
     support_verdict = {"radius": radius, "bounded": True, "passed": True}
     left_verdict = {

@@ -7,9 +7,9 @@ significant digits), so identical inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -36,27 +36,96 @@ __all__ = [
 ]
 
 
-def _jsonable(obj: Any) -> Any:
-    """Recursively strip numpy scalar/array types for the json encoder."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return x if math.isfinite(x) else None  # NaN/inf are not valid JSON
-    return obj
+def _leaf(obj: Any) -> str | None:
+    """JSON text of a scalar, or None for a container.
+
+    numpy scalars are written as the Python values they hold, and NaN or
+    infinity as null, which is not valid JSON otherwise.
+    """
+    kind = type(obj)
+    if kind is float:
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (dict, list, tuple, np.ndarray)):
+        return None
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _leaf(float(obj))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _key(key: Any) -> str:
+    """JSON text of a dict key, turned into a string as ``json`` does."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    if isinstance(key, float):
+        if math.isfinite(key):
+            text = float.__repr__(key)
+        elif key != key:
+            text = "NaN"
+        else:
+            text = "Infinity" if key > 0 else "-Infinity"
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring(text)
+
+
+def _write(head: str, obj: Any, newline: str, parts: list[str]) -> None:
+    """Append ``head`` and the JSON text of ``obj`` to ``parts``, a scalar in
+    one piece; ``newline`` is a line break plus the indentation of the line
+    ``obj`` starts on."""
+    leaf = _leaf(obj)
+    if leaf is not None:
+        parts.append(head + leaf)
+    elif isinstance(obj, np.ndarray):
+        _write(head, obj.tolist(), newline, parts)
+    elif not obj:
+        parts.append(head + ("{}" if isinstance(obj, dict) else "[]"))
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        sep = head + "{" + inner
+        for key, value in obj.items():
+            _write(f"{sep}{_key(key)}: ", value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        inner = newline + "  "
+        sep = head + "[" + inner
+        for value in obj:
+            _write(sep, value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text for a report object."""
-    return json.dumps(_jsonable(obj), indent=2, ensure_ascii=False) + "\n"
+    """Deterministic JSON text for a report object, in one walk.
+
+    The text equals ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a
+    final newline, byte for byte, once numpy scalars and arrays are read as
+    the Python values they hold and NaN or infinity as None.
+    """
+    parts: list[str] = []
+    _write("", obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def encode_fuzzy(u: FuzzyNumber1D) -> dict:

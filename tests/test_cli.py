@@ -241,6 +241,23 @@ def test_grid_count_below_two_is_an_input_error(verb, count, capsys):
     assert captured.err == "error: uniform grid needs at least 2 levels\n"
 
 
+@pytest.mark.parametrize("verb", ["profile", "converge"])
+@pytest.mark.parametrize("count", ["2.5", "1e3", "-0.5"])
+def test_grid_count_that_is_not_an_integer_is_an_input_error(verb, count, capsys):
+    assert run([verb, "counterexample-seq", "counterexample-limit", "--grid", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid level count must be an integer, got {count!r}\n"
+
+
+def test_grid_file_named_like_a_number_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "2.5").write_text("[0.0, 0.5, 1.0]")
+    tri = str(GOLDEN_DIR / "tri.json")
+    assert run(["profile", tri, tri, "--grid", "2.5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "alpha,H\n0.0,0.0\n0.5,0.0\n1.0,0.0\n"
+
+
 class TestConvergeVerb:
     @pytest.mark.parametrize(
         "argv, expected",

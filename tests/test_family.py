@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzymetrics import (
+    DEFAULT_DELTA_GRID,
     CutCurve1D,
     DeclaredJump,
     EmptyFamily,
@@ -9,6 +10,7 @@ from fuzzymetrics import (
     SampledFamily,
     compactness_conditions_report,
     default_report_grid,
+    densify_levels,
     dgn_bound,
     equi_continuity_report,
     eventually_equi_left,
@@ -386,7 +388,8 @@ class TestColumnarEqualsList:
 
     def test_moduli_with_more_pairs_than_levels(self, columnar):
         # alpha - delta lands on a grid level, so about 5,000 pairs share
-        # about 200 distinct levels and are read in several slices
+        # about 200 distinct levels; the 102 x 100 lattice holds 10,302
+        # levels, read 6 members a block in seven 16-row passes
         diag = compactness_conditions_report(
             columnar, alpha_grid=np.linspace(0.0, 1.0, 101), delta_grid=[j / 100 for j in range(1, 101)]
         )
@@ -425,3 +428,92 @@ class TestColumnarEqualsList:
         assert run(argv) == 0
         assert capsys.readouterr().out == columnar_rows
         assert len(columnar_rows.splitlines()) == 1 + 23 * len(columnar)
+
+
+def lattice_family(kind, count):
+    if kind == "sampled":
+        return random_family(seed=51, count=count, jump_at=0.6)
+    if kind == "members":
+        return members(count)
+    return [make_un(n) for n in range(1, count + 1)]
+
+
+def reference_moduli(family, alphas, deltas):
+    """The worst member's move per tested (alpha, delta) pair, with delta <=
+    alpha, and per delta <= 1 at level 0: pair by pair, as Python floats,
+    from each member's own ``endpoints``."""
+    left = [(a, d) for a in alphas for d in deltas if d <= a]
+    right = [(0.0, d) for d in deltas if d <= 1.0]
+    pairs = left + [(d, d) for _, d in right]  # level 0 is d - d
+    worst = [0.0] * len(pairs)
+    for u in family:
+        lo_a, hi_a = (x.tolist() for x in u.endpoints(np.array([a for a, _ in pairs])))
+        lo_b, hi_b = (x.tolist() for x in u.endpoints(np.array([a - d for a, d in pairs])))
+        for i in range(len(pairs)):
+            worst[i] = max(worst[i], abs(lo_a[i] - lo_b[i]), abs(hi_a[i] - hi_b[i]))
+    moduli = {a: {} for a in alphas}
+    for (a, d), m in zip(left, worst):
+        moduli[a][d] = m.hex()
+    return moduli, {d: m.hex() for (_, d), m in zip(right, worst[len(left) :])}
+
+
+class TestLatticeKernel:
+    """The lattice moduli equal a per-member, per-pair reference bit for bit
+    on both sides of a 32-member block edge and across 16-row passes."""
+
+    @pytest.mark.parametrize("delta_grid", [None, (1.5, 0.5, 0.3, 2.0**-10)])
+    @pytest.mark.parametrize("count", [31, 32, 33, 65])
+    @pytest.mark.parametrize("kind", ["sampled", "list", "members"])
+    def test_moduli_equal_reference(self, kind, count, delta_grid):
+        family = lattice_family(kind, count)
+        diag = compactness_conditions_report(family, delta_grid=delta_grid)
+        alphas = densify_levels(np.arange(1, 102) / 101.0, family).tolist()
+        deltas = sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True)
+        left, right = reference_moduli(family, alphas, deltas)
+        assert len(alphas) > 16 * 6
+        assert {a: {d: m.hex() for d, m in row.items()} for a, row in diag.left_moduli.items()} == left
+        assert {d: m.hex() for d, m in diag.right_modulus_at_zero.items()} == right
+        a, d = alphas[40], deltas[-1]
+        assert left_modulus(family, a, d).hex() == left[a][d]
+        assert right_modulus_at_zero(family, d).hex() == right[d]
+
+
+class StoredViewFamily(list):
+    """Members whose batch ``endpoints`` returns writeable views of rows it
+    stores, for any levels vector: each vector's rows are evaluated on its
+    first request and kept."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.stored = {}
+
+    def rows(self, alphas):
+        lower = np.array([u.endpoints(alphas)[0] for u in self])
+        upper = np.array([u.endpoints(alphas)[1] for u in self])
+        return lower, upper
+
+    def endpoints(self, ns, alphas):
+        key = np.asarray(alphas, dtype=float).tobytes()
+        if key not in self.stored:
+            self.stored[key] = (np.asarray(alphas, dtype=float).copy(), *self.rows(alphas))
+        _, lower, upper = self.stored[key]
+        rows = slice(ns[0] - 1, ns[-1])
+        return lower[rows], upper[rows]
+
+
+class TestStoredRowsAreNotWritten:
+    def test_moduli_leave_stored_rows_unchanged(self):
+        family = StoredViewFamily(random_family(seed=52, count=70, jump_at=0.6))
+        plain = list(family)
+        assert dumps(compactness_conditions_report(family).to_dict()) == dumps(
+            compactness_conditions_report(plain).to_dict()
+        )
+        assert left_modulus(family, 0.6, 0.25) == left_modulus(plain, 0.6, 0.25)
+        assert right_modulus_at_zero(family, 0.5) == right_modulus_at_zero(plain, 0.5)
+        assert eventually_equi_left(family, 0.7, 0.05) == eventually_equi_left(plain, 0.7, 0.05)
+        # the support bound's level 0, then one levels vector per call
+        assert len(family.stored) == 5
+        for alphas, lower, upper in family.stored.values():
+            assert lower.flags.writeable and upper.flags.writeable
+            fresh_lower, fresh_upper = family.rows(alphas)
+            assert np.array_equal(lower, fresh_lower) and np.array_equal(upper, fresh_upper)

@@ -1,5 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fuzzymetrics import (
     CutCurve1D,
@@ -120,6 +126,111 @@ class TestDeterministicText:
         assert '"x": 0.1' in text
         assert '"y": 1e-09' in text
         assert '"z": 0.6666666666666666' in text
+
+
+def jsonable(obj):
+    """numpy scalars and arrays as the Python values they hold, NaN and
+    infinity as None: the conversion the reference writer applies first (a
+    0-d array is read as its value)."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        return x if math.isfinite(x) else None
+    return obj
+
+
+def reference_dumps(obj):
+    """The report text as the standard library writes it."""
+    return json.dumps(jsonable(obj), indent=2, ensure_ascii=False) + "\n"
+
+
+def written(writer, obj):
+    try:
+        return writer(obj)
+    except TypeError:
+        return TypeError
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+NUMPY_SCALARS = st.one_of(
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    FLOATS,
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    NUMPY_SCALARS,
+    ARRAYS,
+)
+KEYS = st.one_of(
+    st.text(),
+    st.integers(-(10**30), 10**30),
+    FLOATS,
+    st.booleans(),
+    st.none(),
+    FLOATS.map(np.float64),
+    st.integers(0, 9).map(np.int64),  # rejected by json as a key
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriterEqualsJson:
+    """``dumps`` writes the bytes of ``json.dumps(indent=2,
+    ensure_ascii=False)`` on every document, and refuses what it refuses."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(DOCUMENTS)
+    def test_same_text(self, doc):
+        assert written(dumps, doc) == written(reference_dumps, doc)
+
+    @pytest.mark.parametrize(
+        "doc, text",
+        [
+            ([-0.0, 5e-324, 1e22, 10**30], "[\n  -0.0,\n  5e-324,\n  1e+22,\n  1000000000000000000000000000000\n]\n"),
+            ({"nan": math.nan, "inf": np.float64("inf"), "big": -math.inf}, '{\n  "nan": null,\n  "inf": null,\n  "big": null\n}\n'),
+            ({"a": {}, "b": [], "c": (), "d": np.zeros((0, 2))}, '{\n  "a": {},\n  "b": [],\n  "c": [],\n  "d": []\n}\n'),
+            ({1.5: "\u00e9\n\x01", True: None, 2: np.array(3.0)}, '{\n  "1.5": "\u00e9\\n\\u0001",\n  "true": null,\n  "2": 3.0\n}\n'),
+            (np.arange(4).reshape(2, 2), "[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    3\n  ]\n]\n"),
+        ],
+    )
+    def test_pinned_text(self, doc, text):
+        assert dumps(doc) == reference_dumps(doc) == text
+
+    @pytest.mark.parametrize("doc", [{"a": object()}, {np.int64(1): 0}, [b"bytes"], np.complex128(1j)])
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            reference_dumps(doc)
+        with pytest.raises(TypeError):
+            dumps(doc)
 
 
 def family_docs(count=6):
