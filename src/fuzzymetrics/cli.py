@@ -16,7 +16,7 @@ import sys
 from collections import abc
 
 from . import __version__
-from .core import AlphaGrid, SampledFamily, as_grid, validate_representation
+from .core import AlphaGrid, as_grid, validate_representation
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -98,14 +98,6 @@ def _parse_grid(spec: str | None, inputs: list):
         raise ParseError(f"bad grid file {spec}: {exc}") from exc
 
 
-def _sequence_grid(spec: str | None, seq, other):
-    """The levels for a family or sequence and one more input.  A streamed
-    sequence declares its hint levels through its first member; a sampled
-    family declares none, and is not expanded into members to say so."""
-    members = [seq(1)] if callable(seq) else () if isinstance(seq, SampledFamily) else seq
-    return _parse_grid(spec, [*members, other])
-
-
 def _parse_delta_grid(spec: str | None):
     if spec is None or spec == "default":
         return DEFAULT_DELTA_GRID
@@ -122,32 +114,7 @@ def _parse_delta_grid(spec: str | None):
         raise ParseError(f"bad delta grid spec {spec!r}") from exc
 
 
-def _header(args: argparse.Namespace, option_names: list[str]) -> dict:
-    options = {}
-    for name in option_names:
-        options[name] = getattr(args, name.replace("-", "_"))
-    return {
-        "tool": "fuzzymetrics",
-        "version": __version__,
-        "command": args.command,
-        "options": options,
-    }
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _require_json(args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        raise ParseError(f"{args.command} emits a nested report; csv is not supported")
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple:
     obj = _load(args.input, args.command, "fuzzy number", "2-D body")
     if not args.tol > 0:
         raise OutOfRange("tol must be positive")
@@ -159,35 +126,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         report = validate_representation(obj, tol=args.tol)
         passed = report.passed
         report_dict = report.to_dict()
-    if args.format == "csv":
-        rows = [(c["name"], c.get("alpha"), c["passed"], c.get("measured")) for c in report_dict["checks"]]
-        _emit(args, csv_table(("check", "alpha", "passed", "measured"), rows))
-    else:
-        _emit(args, dumps({"header": _header(args, ["input", "tol"]), "validation": report_dict}))
-    if args.strict and not passed:
-        raise VerdictFailure("validation failed")
-    return 0
+    rows = [(c["name"], c.get("alpha"), c["passed"], c.get("measured")) for c in report_dict["checks"]]
+    table = ("check", "alpha", "passed", "measured"), rows
+    return "validation", report_dict, table, passed or "validation failed"
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
+def _cmd_dist(args: argparse.Namespace) -> tuple:
     u = _load(args.a, args.command, "fuzzy number")
     v = _load(args.b, args.command, "fuzzy number")
     enclosure = d_infty_parametric(u, v, tol=args.tol, max_depth=args.max_depth).to_dict()
-    if args.format == "csv":
-        _emit(args, csv_table(("key", "value"), enclosure.items()))
-    else:
-        _emit(args, dumps({"header": _header(args, ["a", "b", "tol", "max_depth"]), "enclosure": enclosure}))
-    return 0
+    return "enclosure", enclosure, (("key", "value"), enclosure.items()), True
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> tuple:
     u = _load(args.a, args.command, "fuzzy number", "family", "sequence")
     v = _load(args.b, args.command, "fuzzy number")
     if args.n_max < 1:
         raise OutOfRange("n_max must be at least 1")
     pair = _kind(u) == "fuzzy number"
     seq = [u] if pair else u
-    grid = _sequence_grid(args.grid, seq, v)
+    grid = _parse_grid(args.grid, [seq, v])
     alphas = grid.levels.tolist()
     count = args.n_max if callable(seq) else min(args.n_max, len(seq))
     columns = ("alpha", "H") if pair else ("alpha", "n", "H")
@@ -197,71 +155,62 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for n, row in zip(ns.tolist(), block.tolist())
         for a, h in zip(alphas, row)
     ]
-    if args.format == "json":
-        profile = [dict(zip(columns, row)) for row in rows]
-        _emit(args, dumps({"header": _header(args, ["a", "b", "grid", "n_max"]), "profile": profile}))
-    else:
-        _emit(args, csv_table(columns, rows))
-    return 0
+    # a profile may hold many rows: their JSON objects are built only for JSON
+    profile = [dict(zip(columns, row)) for row in rows] if args.format == "json" else None
+    return "profile", profile, (columns, rows), True
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: argparse.Namespace) -> tuple:
     seq = _load(args.seq, args.command, "family", "sequence")
     limit = _load(args.limit, args.command, "fuzzy number")
-    grid = _sequence_grid(args.grid, seq, limit)
+    grid = _parse_grid(args.grid, [seq, limit])
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
-    if args.format == "csv":
-        rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]
-        _emit(args, csv_table(("alpha", "first_index", "reached"), rows))
-    else:
-        _emit(
-            args,
-            dumps(
-                {
-                    "header": _header(args, ["seq", "limit", "grid", "eps", "n_max"]),
-                    "convergence": report.to_dict(),
-                }
-            ),
-        )
-    if args.strict and not report.converged:
-        raise VerdictFailure("level convergence not reached at every level")
-    return 0
+    rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]
+    verdict = report.converged or "level convergence not reached at every level"
+    return "convergence", report.to_dict(), (("alpha", "first_index", "reached"), rows), verdict
 
 
-def _cmd_family_report(args: argparse.Namespace) -> int:
-    _require_json(args)
+def _cmd_family_report(args: argparse.Namespace) -> tuple:
     family = _load(args.family, args.command, "family")
-    grid = None if args.grid in (None, "default") else _parse_grid(args.grid, family).levels
     diagnostics = compactness_conditions_report(
         family,
-        alpha_grid=grid,
+        alpha_grid=_parse_grid(args.grid, [family]).levels,
         delta_grid=_parse_delta_grid(args.delta_grid),
         eps=args.eps,
     )
-    _emit(
-        args,
-        dumps(
-            {
-                "header": _header(args, ["family", "grid", "delta_grid", "eps"]),
-                "diagnostics": diagnostics.to_dict(),
-            }
-        ),
-    )
-    if args.strict and not diagnostics.passed:
-        raise VerdictFailure("family diagnostics failed")
-    return 0
+    return "diagnostics", diagnostics.to_dict(), None, diagnostics.passed or "family diagnostics failed"
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
-    _require_json(args)
+def _cmd_counterexample(args: argparse.Namespace) -> tuple:
     report = refutation_report(args.n_max, eps=args.eps, tol=args.tol)
-    _emit(
-        args,
-        dumps({"header": _header(args, ["n_max", "eps", "tol"]), "report": report}),
-    )
-    if args.strict and not report["conclusion"]["criterion_refuted"]:
-        raise VerdictFailure("refutation sub-checks did not all pass")
-    return 0
+    verdict = report["conclusion"]["criterion_refuted"] or "refutation sub-checks did not all pass"
+    return "report", report, None, verdict
+
+
+def _report(args: argparse.Namespace) -> None:
+    """Run the verb and write its report, then apply ``--strict``.
+
+    A verb returns ``(key, body, table, verdict)``: the JSON report is
+    ``{"header": ..., key: body}``, the CSV report is ``table`` (``(columns,
+    rows)``, None for a verb with a nested report), and ``verdict`` is True
+    or the message of the failing verdict.
+    """
+    if args.format == "csv" and args.nested:
+        raise ParseError(f"{args.command} emits a nested report; csv is not supported")
+    key, body, table, verdict = args.func(args)
+    if args.format == "csv":
+        text = csv_table(*table)
+    else:
+        options = {name: getattr(args, name) for name in args.options}
+        header = {"tool": "fuzzymetrics", "version": __version__, "command": args.command, "options": options}
+        text = dumps({"header": header, key: body})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if args.strict and verdict is not True:
+        raise VerdictFailure(verdict)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,7 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+    def common(p: argparse.ArgumentParser, func, default_format: str = "json", nested: bool = False) -> None:
+        """The verb's command, its header options (the arguments declared
+        so far) and the flags every verb shares."""
+        p.set_defaults(func=func, options=[a.dest for a in p._actions if a.dest != "help"], nested=nested)
         p.add_argument("--format", choices=["json", "csv"], default=default_format)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--strict", action="store_true", help="exit 2 on a failing verdict")
@@ -280,48 +232,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the cut-family axioms on one input")
     p.add_argument("input")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    common(p, _cmd_validate)
 
     p = sub.add_parser("dist", help="supremum metric between two fuzzy numbers")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    common(p)
-    p.set_defaults(func=_cmd_dist)
+    common(p, _cmd_dist)
 
     p = sub.add_parser("profile", help="levelwise distance profile of a pair or sequence")
     p.add_argument("a", help="fuzzy number, family file, or 'counterexample-seq'")
     p.add_argument("b")
     p.add_argument("--grid", default=None, help="level count, grid file, or 'default'")
     p.add_argument("--n-max", type=int, default=10, help="members taken from a sequence or family")
-    common(p, default_format="csv")
-    p.set_defaults(func=_cmd_profile)
+    common(p, _cmd_profile, default_format="csv")
 
     p = sub.add_parser("converge", help="levelwise convergence of a sequence to a limit")
     p.add_argument("seq", help="family file or 'counterexample-seq'")
     p.add_argument("limit")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, help="level count, grid file, or 'default'")
     p.add_argument("--eps", type=float, default=CONVERGENCE_EPS)
     p.add_argument("--n-max", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=_cmd_converge)
+    common(p, _cmd_converge)
 
     p = sub.add_parser("family-report", help="compactness condition diagnostics for a family")
     p.add_argument("family")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, help="level count, grid file, or 'default'")
     p.add_argument("--delta-grid", default=None, help="'pow2:A..B' or comma-separated offsets")
     p.add_argument("--eps", type=float, default=FAMILY_EPS)
-    common(p)
-    p.set_defaults(func=_cmd_family_report)
+    common(p, _cmd_family_report, nested=True)
 
     p = sub.add_parser("counterexample", help="machine-checked refutation report")
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--eps", type=float, default=CONVERGENCE_EPS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
-    p.set_defaults(func=_cmd_counterexample)
+    common(p, _cmd_counterexample, nested=True)
 
     return parser
 
@@ -334,13 +280,14 @@ def run(argv: list[str] | None = None) -> int:
         # --help/--version exit 0; bad invocations are input errors (status 1)
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        _report(args)
     except VerdictFailure as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return 2
     except FuzzyMetricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "make_sampled_family",
     "alpha_cut",
     "membership_at",
-    "densify_levels",
     "ValidationCheck",
     "ValidationReport",
     "validate_representation",
@@ -200,11 +199,11 @@ class CutCurve1D:
     bounds in the adaptive supremum search.  All genuine discontinuities
     must be declared; the callables should accept numpy arrays, scalar-only
     callables are wrapped on demand.  ``hint_levels`` names levels where the
-    cut map changes character; default level grids are densified around
-    them (see :func:`densify_levels`).  ``curvature`` declares the convexity
-    of each endpoint on disjoint pieces of [0, 1], in increasing order: the
-    search splits at their ends and bounds a segment inside a piece by
-    chords and extended secants, and raises CurvatureMismatch at an
+    cut map changes character; the default report grid is densified around
+    them (see ``metrics.default_report_grid``).  ``curvature`` declares the
+    convexity of each endpoint on disjoint pieces of [0, 1], in increasing
+    order: the search splits at their ends and bounds a segment inside a
+    piece by chords and extended secants, and raises CurvatureMismatch at an
     evaluated point that contradicts a declaration.
     """
 
@@ -270,12 +269,14 @@ class SampledFamily(abc.Sequence):
     the samples of item i, which indexing returns as the usual
     :class:`SampledFuzzy1D` (a slice gives a family).  Built through
     :func:`make_sampled_family`, which validates every member; direct
-    construction assumes already-valid data.
+    construction assumes already-valid data.  Sampled numbers declare no
+    hint levels, so the family declares none for all of them.
     """
 
     grid: AlphaGrid
     lower: np.ndarray
     upper: np.ndarray
+    hint_levels = ()
 
     def __post_init__(self):
         lo = np.array(self.lower, dtype=float)
@@ -414,22 +415,6 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def densify_levels(levels: np.ndarray, inputs: Sequence[FuzzyNumber1D]) -> np.ndarray:
-    """``levels`` densified around every hint level the inputs declare.
-
-    Each hint adds itself and offsets of 1e-2 .. 1e-6 on both sides, kept
-    in (0, 1]; ``levels`` come back unchanged when no input declares one.
-    """
-    if isinstance(inputs, SampledFamily):
-        return levels  # sampled numbers declare no hint levels
-    hints = sorted({h for u in inputs for h in u.hint_levels})
-    if not hints:
-        return levels
-    offsets = 10.0 ** -np.arange(2, 7)
-    extra = np.concatenate([np.concatenate([h + offsets, h - offsets, [h]]) for h in hints])
-    return np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
 
 
 # A block of endpoint rows holds at most this many members (enough to

@@ -152,7 +152,10 @@ def _members_endpoints(ns, alphas) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Members(tuple):
-    """Members 1..n_max; ``endpoints(ns, alphas)`` evaluates many at once."""
+    """Members 1..n_max; ``endpoints(ns, alphas)`` evaluates many at once.
+    Every member declares the hint level one third."""
+
+    hint_levels = (ONE_THIRD,)
 
     def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
         if np.size(ns) and np.max(ns) > len(self):
@@ -162,7 +165,10 @@ class _Members(tuple):
 
 class _MemberSequence:
     """The whole sequence: ``seq(n)`` is ``make_un(n)``, and
-    ``endpoints(ns, alphas)`` evaluates many members at once."""
+    ``endpoints(ns, alphas)`` evaluates many members at once.  Every member
+    declares the hint level one third."""
+
+    hint_levels = (ONE_THIRD,)
 
     def __call__(self, n: int) -> CutCurve1D:
         return make_un(n)
@@ -415,8 +421,8 @@ def refutation_report(
     # row n - 1 equals exact_H_profile(n, grid.levels) bit for bit
     _, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
     grid_max = np.max(upper - _limit_upper(grid.levels), axis=1).tolist()
-    for n in range(1, n_max + 1):
-        enc: Enclosure = d_infty_parametric(make_un(n), limit, tol=tol)
+    for n, un in enumerate(fam, start=1):
+        enc: Enclosure = d_infty_parametric(un, limit, tol=tol)
         all_one = all_one and enc.lower <= 1.0 <= enc.upper and enc.width <= tol
         none_attained = none_attained and not enc.attained
         sup_entries.append(

@@ -21,10 +21,10 @@ from .core import (
     FuzzyNumber1D,
     SampledFamily,
     _member_rows,
-    densify_levels,
     make_sampled_family,
 )
 from .errors import EmptyFamily, OutOfRange
+from .metrics import default_report_grid
 
 __all__ = [
     "DEFAULT_DELTA_GRID",
@@ -228,8 +228,9 @@ def equi_continuity_report(
     Reports, per level in (0, 1], the largest tested delta whose modulus
     stays within eps (witness), or no witness if even the smallest tested
     delta fails; plus the analogous right-side entry at level 0.  Without
-    ``alpha_grid`` the levels are k/101, k = 1..101, densified around the
-    members' hint levels.
+    ``alpha_grid`` the levels are those of ``default_report_grid([family])``
+    in (0, 1]: k/100, k = 1..100, densified around the members' hint
+    levels.
     """
     return _equi_continuity(family, alpha_grid, delta_grid, eps)[0]
 
@@ -263,7 +264,7 @@ def _equi_continuity(
         raise OutOfRange("eps must be positive")
     members = _require_members(family)
     if alpha_grid is None:
-        alpha_grid = densify_levels(np.arange(1, 102) / 101.0, members)
+        alpha_grid = default_report_grid([members]).levels
     alphas = np.unique(np.asarray(alpha_grid, dtype=float))
     alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
     if alphas.size == 0:

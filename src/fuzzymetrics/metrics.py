@@ -33,7 +33,6 @@ from .core import (
     SampledFuzzy1D,
     _member_rows,
     as_grid,
-    densify_levels,
     hausdorff_interval,
 )
 from .errors import CurvatureMismatch, NonNested, OutOfRange
@@ -339,7 +338,6 @@ def d_infty_parametric(
         seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT] = a[o], b[o], left[:, o], right[:, o]
         seg[_SIGNS] = _curvature_signs(u, v, a[o])
 
-    frozen = 0.0
     unexpanded = 0.0  # largest bound among segments dropped without bisection
     nodes = 0
     depth = 0  # the segments of one round share their depth
@@ -349,10 +347,7 @@ def d_infty_parametric(
         unexpanded = max(unexpanded, float(bound.max(initial=0.0, where=~is_open)))
         bound = bound[is_open]
         top = float(bound.max(initial=0.0))
-        if max(top, frozen) - lower <= tol or nodes >= max_nodes:
-            break
-        if depth >= max_depth:
-            frozen = top  # every open segment sits at this depth
+        if top - lower <= tol or nodes >= max_nodes or depth >= max_depth:
             break
         budget = max_nodes - nodes
         if bound.size > budget:
@@ -385,7 +380,7 @@ def d_infty_parametric(
         is_open = bound - lower > tol
         seg = seg[:, is_open]
 
-    upper = max(lower, frozen, unexpanded, top)
+    upper = max(lower, unexpanded, top)
     attained = best_point >= best_limit
     witness = best_point_at if attained else best_limit_at
     return Enclosure(lower, upper, attained=attained, witness_alpha=witness, nodes=nodes)
@@ -523,8 +518,22 @@ def level_convergence_report(
     )
 
 
-def default_report_grid(inputs: Sequence[FuzzyNumber1D] = ()) -> AlphaGrid:
-    """101 uniform levels on [0, 1], densified around the hint levels the
-    inputs declare (for the counterexample: one third, where the
-    interesting behavior concentrates)."""
-    return AlphaGrid(densify_levels(np.linspace(0.0, 1.0, 101), inputs))
+def default_report_grid(inputs: Sequence[Union[FuzzyNumber1D, SequenceLike]] = ()) -> AlphaGrid:
+    """The 101 levels k/100, k = 0..100, densified around every hint level
+    the inputs declare (for the counterexample: one third, where the
+    interesting behavior concentrates).
+
+    An input is a number, or a family or sequence that answers
+    ``hint_levels`` for all its members; a plain sequence of numbers
+    declares its members' hint levels.  Each hint adds itself and offsets of
+    1e-2 .. 1e-6 on both sides, kept in (0, 1].
+    """
+    levels = np.linspace(0.0, 1.0, 101)
+    hints = sorted(
+        {h for x in inputs for u in ([x] if hasattr(x, "hint_levels") else x) for h in u.hint_levels}
+    )
+    if hints:
+        offsets = 10.0 ** -np.arange(2, 7)
+        extra = np.concatenate([np.concatenate([h + offsets, h - offsets, [h]]) for h in hints])
+        levels = np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
+    return AlphaGrid(levels)

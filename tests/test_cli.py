@@ -12,8 +12,17 @@ import fuzzymetrics
 from fuzzymetrics import counterexample
 from fuzzymetrics.cli import _kind, run
 from fuzzymetrics.counterexample import member_sequence, members
-from fuzzymetrics.serialize import decode_family, decode_fuzzy
-from fuzzymetrics import CutCurve1D, SampledFamily, d_infty_parametric, make_sampled_1d, make_un, random_family
+from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps
+from fuzzymetrics import (
+    CutCurve1D,
+    SampledFamily,
+    compactness_conditions_report,
+    d_infty_parametric,
+    default_report_grid,
+    make_sampled_1d,
+    make_un,
+    random_family,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -328,8 +337,13 @@ class TestFamilyReportVerb:
         verdicts = diag["condition_verdicts"]
         assert verdicts["supremum_metric_criterion"]["equi_left_continuity"]["passed"]
 
-    def test_csv_rejected(self, family_file, capsys):
-        assert run(["family-report", family_file, "--format", "csv"]) == 1
+    @pytest.mark.parametrize("read", [True, False], ids=["file", "missing"])
+    def test_csv_rejected(self, read, family_file, capsys):
+        # rejected before the input is read: a missing file gets the same message
+        assert run(["family-report", family_file if read else "missing.json", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family-report emits a nested report; csv is not supported\n"
 
     def test_delta_grid_specs(self, family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -344,6 +358,12 @@ class TestFamilyReportVerb:
         assert run(["family-report", family_file, "--out", str(a)]) == 0
         assert run(["family-report", family_file, "--grid", "default", "--out", str(b)]) == 0
         assert read_json(a)["diagnostics"] == read_json(b)["diagnostics"]
+        # and the library's default, the levels of the report grid in (0, 1]
+        family = decode_family(read_json(family_file))
+        library = json.loads(dumps(compactness_conditions_report(family).to_dict()))
+        assert read_json(a)["diagnostics"] == library
+        alphas = [entry["alpha"] for entry in library["left_moduli"]]
+        assert alphas == [x for x in default_report_grid([family]).levels.tolist() if x > 0.0]
 
     def test_bad_delta_grid_spec(self, family_file, capsys):
         assert run(["family-report", family_file, "--delta-grid", "pow2:x..y"]) == 1
@@ -387,6 +407,16 @@ class TestCounterexampleVerb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_csv_rejected_before_any_work(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the report ran before the format was checked")
+
+        monkeypatch.setattr("fuzzymetrics.cli.refutation_report", no_work)
+        assert run(["counterexample", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: counterexample emits a nested report; csv is not supported\n"
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -436,6 +466,21 @@ class TestLazyScipy:
     def test_building_a_body_loads_scipy(self, tmp_path):
         body = Path(__file__).parent / "golden" / "body.json"
         assert loads_scipy(["validate", str(body), "--out", str(tmp_path / "v.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "counterexample-un:1", "counterexample-un:2", "--tol", "1e-6"],
+        ["dist", "counterexample-un:1", "counterexample-un:2", "--tol", "1e-6", "--format", "csv"],
+        ["profile", "counterexample-un:1", "counterexample-limit", "--grid", "5"],
+        ["profile", "counterexample-seq", "counterexample-limit", "--n-max", "3", "--format", "json"],
+    ],
+)
+def test_verbs_without_a_verdict_pass_strict(argv, capsys):
+    assert run([*argv, "--strict"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
 
 
 class TestArgHandling:

@@ -10,7 +10,6 @@ from fuzzymetrics import (
     SampledFamily,
     compactness_conditions_report,
     default_report_grid,
-    densify_levels,
     dgn_bound,
     equi_continuity_report,
     eventually_equi_left,
@@ -308,7 +307,7 @@ class TestCompactnessReport:
 
     def test_moduli_tables_shape(self):
         diag = compactness_conditions_report(random_family(seed=9, count=3))
-        assert len(diag.left_moduli) == 101
+        assert len(diag.left_moduli) == 100
         some_alpha = sorted(diag.left_moduli)[50]
         assert all(v >= 0 for v in diag.left_moduli[some_alpha].values())
         assert 0.25 in diag.right_modulus_at_zero
@@ -467,7 +466,7 @@ class TestLatticeKernel:
     def test_moduli_equal_reference(self, kind, count, delta_grid):
         family = lattice_family(kind, count)
         diag = compactness_conditions_report(family, delta_grid=delta_grid)
-        alphas = densify_levels(np.arange(1, 102) / 101.0, family).tolist()
+        alphas = [a for a in default_report_grid([family]).levels.tolist() if a > 0.0]
         deltas = sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True)
         left, right = reference_moduli(family, alphas, deltas)
         assert len(alphas) > 16 * 6
@@ -476,6 +475,24 @@ class TestLatticeKernel:
         a, d = alphas[40], deltas[-1]
         assert left_modulus(family, a, d).hex() == left[a][d]
         assert right_modulus_at_zero(family, d).hex() == right[d]
+
+
+class TestDefaultGrid:
+    """Without a level grid the library reads the CLI's default grid."""
+
+    @pytest.mark.parametrize("kind", ["sampled", "list", "members"])
+    def test_default_is_the_report_grid(self, kind):
+        family = lattice_family(kind, 12)
+        grid = default_report_grid([family]).levels
+        assert dumps(compactness_conditions_report(family).to_dict()) == dumps(
+            compactness_conditions_report(family, alpha_grid=grid).to_dict()
+        )
+        assert dumps(equi_continuity_report(family).to_dict()) == dumps(
+            equi_continuity_report(family, alpha_grid=grid).to_dict()
+        )
+        alphas = [e.alpha for e in equi_continuity_report(family).entries]
+        assert alphas == [a for a in grid.tolist() if a > 0.0]
+        assert len(alphas) == (100 if kind == "sampled" else 111)
 
 
 class StoredViewFamily(list):

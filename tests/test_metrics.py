@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuzzymetrics import (
     CurvatureMismatch,
+    SampledFamily,
     CutCurve1D,
     DeclaredCurvature,
     Interval,
@@ -622,8 +623,53 @@ class TestReportGrid:
     def test_counterexample_detection(self):
         assert make_un(2).hint_levels == (1 / 3,)
         assert make_limit().hint_levels == (1 / 3,)
+        assert members(3).hint_levels == member_sequence().hint_levels == (1 / 3,)
+        assert random_family(seed=3, count=5).hint_levels == ()
         assert default_report_grid([triangular()]) == default_report_grid()
         for inputs in ([make_un(2)], [triangular(), make_limit()]):
             g = default_report_grid(inputs)
             assert 1 / 3 in g.levels
             assert 1 / 3 + 1e-4 in g.levels
+
+
+def densified_reference(levels, inputs):
+    """The grid densification as it stood with one grid per verb: each hint
+    level adds itself and offsets of 1e-2 .. 1e-6 on both sides in (0, 1]."""
+    hints = sorted({h for u in inputs for h in u.hint_levels})
+    if not hints:
+        return levels
+    offsets = 10.0 ** -np.arange(2, 7)
+    extra = np.concatenate([np.concatenate([h + offsets, h - offsets, [h]]) for h in hints])
+    return np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
+
+
+def sequence_grid_reference(seq, other):
+    """The levels a sequence verb read for a family or sequence and one more
+    input: a streamed sequence through its first member, a sampled family
+    none, a list its members."""
+    numbers = [seq(1)] if callable(seq) else () if isinstance(seq, SampledFamily) else seq
+    return densified_reference(np.linspace(0.0, 1.0, 101), [*numbers, other])
+
+
+class TestCarrierHintLevels:
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            random_family(seed=3, count=5),
+            [make_un(n) for n in range(1, 4)],
+            [triangular(), triangular()],
+            members(3),
+            member_sequence(),
+        ],
+        ids=["sampled", "list", "plain-list", "members", "streamed"],
+    )
+    @pytest.mark.parametrize("other", [triangular(), make_limit()], ids=["triangle", "limit"])
+    def test_equals_the_sequence_grid_without_members(self, seq, other, monkeypatch):
+        expected = sequence_grid_reference(seq, other)
+
+        def no_member(*args):
+            raise AssertionError("the grid read a member")
+
+        monkeypatch.setattr(SampledFamily, "__getitem__", no_member)
+        monkeypatch.setattr(type(member_sequence()), "__call__", no_member)
+        assert default_report_grid([seq, other]).levels.tolist() == expected.tolist()
