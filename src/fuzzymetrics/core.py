@@ -109,6 +109,32 @@ class Interval:
 
 
 CURVATURES = ("convex", "concave", "linear")
+# The curvature sign of an endpoint; negating an upper endpoint flips it.
+_SIGN = {"convex": 1.0, "concave": -1.0, "linear": 0.0, None: np.nan}
+
+# Rounding slack, in units in the last place of the values compared.  The
+# curvature check also allows this many units of the level times the
+# steepest nearby slope: an endpoint formula may cancel in its level argument
+# (``1.5 a - 0.5`` near one third), which moves its values by about one unit
+# of the level times the slope and can put a convex endpoint a hair above
+# its chord.
+_SLACK_ULPS = 4.0
+
+
+def _ulps(*values: np.ndarray) -> np.ndarray:
+    """The rounding slack of arithmetic on ``values``: ``_SLACK_ULPS`` units
+    in the last place of the largest."""
+    return _SLACK_ULPS * np.spacing(np.maximum.reduce([np.abs(x) for x in values]))
+
+
+def _chord_excess(a, b, m, left, mid, right) -> tuple[np.ndarray, np.ndarray]:
+    """How far the values ``mid`` at levels ``m`` lie above the chords from
+    ``left`` at ``a`` to ``right`` at ``b``, and the rounding slack a
+    curvature check allows there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = mid - (left + (right - left) * ((m - a) / (b - a)))
+        slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
+    return above, _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
 
 
 @dataclass(frozen=True)
@@ -533,11 +559,48 @@ def _probe_levels(u: FuzzyNumber1D) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), extra]))
 
 
+def _curvature_check(u: FuzzyNumber1D, levels: np.ndarray) -> ValidationCheck:
+    """Each declared curvature piece, chord against midpoint, on the probe
+    segments inside it, with the supremum search's rounding slack.  A
+    segment that starts at a declared jump starts from its right limits, as
+    in the search."""
+    worst, passed = 0.0, True
+    right_limits = {j.alpha: (j.lower_right, j.upper_right) for j in u.jumps}
+    for p in u.curvature:
+        ends = np.union1d([p.start, p.end], levels[(levels > p.start) & (levels < p.end)])
+        a, b = ends[:-1], ends[1:]
+        m = 0.5 * (a + b)
+        lo, hi = u.endpoints(np.concatenate([ends, m]))
+        left = np.array((lo[: a.size], hi[: a.size]))
+        for k, level in enumerate(a.tolist()):
+            if level in right_limits:
+                left[:, k] = right_limits[level]
+        right = np.array((lo[1 : ends.size], hi[1 : ends.size]))
+        mid = np.array((lo[ends.size :], hi[ends.size :]))
+        above, slack = _chord_excess(a, b, m, left, mid, right)
+        inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
+        # the distance to the wrong side of the chord: above it for a convex
+        # endpoint, below it for a concave one, off it for a linear one
+        for row, name in enumerate((p.lower, p.upper)):
+            if name is None:
+                continue
+            wrong = np.abs(above[row]) if name == "linear" else _SIGN[name] * above[row]
+            worst = max(worst, float(wrong.max(initial=0.0, where=inner)))
+            passed = passed and not np.any(inner & (wrong > slack[row]))
+    return ValidationCheck(
+        name="declared_curvature",
+        passed=bool(passed),
+        measured=worst,
+        note="largest distance of a midpoint to the wrong side of its chord in a declared piece",
+    )
+
+
 def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TOL) -> ValidationReport:
     """Check the cut-family axioms on a representation.
 
-    Verifies nonempty cuts and nestedness on a probe grid, left-continuity
-    of the cut map on (0, 1] by one-sided numerical limits, and the closure
+    Verifies nonempty cuts and nestedness on a probe grid, each declared
+    curvature piece on the probe segments inside it, left-continuity of the
+    cut map on (0, 1] by one-sided numerical limits, and the closure
     condition at 0 (right-continuity there, up to a declared jump).  Failures
     are reported, never raised.
     """
@@ -573,6 +636,8 @@ def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TO
             measured=dhi,
         )
     )
+    if u.curvature:
+        checks.append(_curvature_check(u, levels))
 
     for a in levels:
         if a <= 0.0:

@@ -27,11 +27,14 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import (
+    _SIGN,
     AlphaGrid,
     FuzzyNumber1D,
     GridLike,
     SampledFuzzy1D,
+    _chord_excess,
     _member_rows,
+    _ulps,
     as_grid,
     hausdorff_interval,
 )
@@ -133,17 +136,6 @@ _A, _B, _C = 0, 1, 2
 _LEFT, _RIGHT, _FAR, _SIGNS = slice(3, 7), slice(7, 11), slice(11, 15), slice(15, 19)
 _ROWS = 19
 
-# The curvature sign of an endpoint; negating an upper endpoint flips it.
-_SIGN = {"convex": 1.0, "concave": -1.0, "linear": 0.0, None: np.nan}
-
-# Rounding slack, in units in the last place of the values compared.  The
-# curvature check also allows this many units of the level times the
-# steepest nearby slope: an endpoint formula may cancel in its level argument
-# (``1.5 a - 0.5`` near one third), which moves its values by about one unit
-# of the level times the slope and can put a convex endpoint a hair above
-# its chord.
-_SLACK_ULPS = 4.0
-
 # Round 0 bounds this many segments at a time.
 _BLOCK = 1 << 14
 
@@ -170,12 +162,6 @@ def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.nd
     return signs
 
 
-def _ulps(*values: np.ndarray) -> np.ndarray:
-    """The rounding slack of arithmetic on ``values``: ``_SLACK_ULPS`` units
-    in the last place of the largest."""
-    return _SLACK_ULPS * np.spacing(np.maximum.reduce([np.abs(x) for x in values]))
-
-
 def _check_curvature(seg: np.ndarray, m: np.ndarray, mid: np.ndarray) -> None:
     """Raise CurvatureMismatch unless each declared row lies on its declared
     side of the chord at the midpoints ``m`` (values ``mid``), up to the
@@ -183,10 +169,7 @@ def _check_curvature(seg: np.ndarray, m: np.ndarray, mid: np.ndarray) -> None:
     a linear row on it."""
     a, b, left, right, signs = seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT], seg[_SIGNS]
     inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
-    with np.errstate(divide="ignore", invalid="ignore"):
-        above = mid - (left + (right - left) * ((m - a) / (b - a)))
-        slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
-    slack = _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
+    above, slack = _chord_excess(a, b, m, left, mid, right)
     bad = inner & (((signs >= 0) & (above > slack)) | ((signs <= 0) & (above < -slack)))
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))

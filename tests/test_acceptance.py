@@ -86,7 +86,7 @@ def test_criterion_3_modulus_bound_domination():
             if alpha - delta <= ONE_THIRD:
                 continue
             beta = alpha - delta
-            oracle = family_modulus_oracle(alpha, beta, n_max=2000)
+            oracle = family_modulus_oracle(alpha, beta)
             bound = dgn_bound(alpha, delta, beta)
             assert oracle <= bound + 1e-12, (alpha, delta, oracle, bound)
             checked += 1

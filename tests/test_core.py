@@ -246,6 +246,44 @@ class TestValidation:
         with pytest.raises(OutOfRange):
             validate_representation(triangular(), tol=0.0)
 
+    @staticmethod
+    def curvature_check(u):
+        return [c for c in validate_representation(u).checks if c.name == "declared_curvature"]
+
+    def test_false_curvature_declaration_fails(self):
+        # the wiggle puts midpoints above their chords on half the probe segments
+        def wiggle(curvature=()):
+            return CutCurve1D(
+                lower_fn=lambda a: np.zeros_like(np.asarray(a, dtype=float)),
+                upper_fn=lambda a: 2.0 - a + 0.05 * np.sin(20.0 * a),
+                curvature=curvature,
+            )
+
+        report = validate_representation(wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)))
+        assert not report.passed
+        (check,) = [c for c in report.checks if c.name == "declared_curvature"]
+        assert not check.passed and check.measured > 1e-3
+        assert [c.name for c in report.checks if not c.passed] == ["declared_curvature"]
+        assert validate_representation(wiggle()).passed
+        assert self.curvature_check(wiggle()) == []
+
+    @pytest.mark.parametrize("declared, passed", [("concave", True), ("convex", False), ("linear", False), (None, True)])
+    def test_each_curvature_name_is_checked(self, declared, passed):
+        u = CutCurve1D(
+            lower_fn=lambda a: np.zeros_like(np.asarray(a, dtype=float)),
+            upper_fn=lambda a: 1.0 - np.asarray(a, dtype=float) ** 2,
+            curvature=(DeclaredCurvature(0.0, 1.0, "linear", declared),),
+        )
+        (check,) = self.curvature_check(u)
+        assert check.passed is passed
+
+    def test_declared_pieces_of_valid_numbers_pass(self):
+        # the members' convex piece starts at the kink, the limit's linear
+        # piece at its jump, whose right limit starts the first segment
+        for u in (triangular(), make_limit(), make_un(1), make_un(60)):
+            (check,) = self.curvature_check(u)
+            assert check.passed, check
+
     def test_scalar_only_branching_callable_is_wrapped(self):
         # `a > 0.6` on an array raises ValueError, not TypeError
         u = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 - 0.3 * a - (0.2 if a > 0.6 else 0.0))

@@ -20,6 +20,7 @@ from fuzzymetrics import (
     membership_at,
     pairwise_dinf_oracle,
     refutation_report,
+    separation,
     uniform_modulus_bound,
 )
 from fuzzymetrics.counterexample import (
@@ -300,7 +301,7 @@ class TestQuotientBound:
             alpha = rng.uniform(1 / 3 + 0.01, 7 / 9)
             delta = rng.uniform(1e-6, alpha - 1 / 3 - 1e-9)
             beta = alpha - delta
-            assert family_modulus_oracle(alpha, beta, n_max=500) <= dgn_bound(
+            assert family_modulus_oracle(alpha, beta) <= dgn_bound(
                 alpha, delta, beta
             ) + 1e-12
 
@@ -309,7 +310,7 @@ class TestQuotientBound:
         # bound fails above a - d = 7/9; the 3/2-scaled bound holds there
         alpha, delta = 1.0, 2.0 ** -5
         beta = alpha - delta
-        oracle = family_modulus_oracle(alpha, beta, n_max=200)
+        oracle = family_modulus_oracle(alpha, beta)
         assert oracle == pytest.approx(1.5 * delta, abs=1e-12)
         assert oracle > dgn_bound(alpha, delta, beta)
         assert oracle <= uniform_modulus_bound(alpha, delta, beta) + 1e-12
@@ -320,9 +321,25 @@ class TestQuotientBound:
             alpha = rng.uniform(1 / 3 + 1e-3, 1.0)
             delta = rng.uniform(1e-7, alpha - 1 / 3 - 1e-9)
             beta = rng.uniform(alpha - delta, alpha)
-            assert family_modulus_oracle(alpha, beta, n_max=500) <= uniform_modulus_bound(
+            assert family_modulus_oracle(alpha, beta) <= uniform_modulus_bound(
                 alpha, delta, beta
             ) + 1e-12
+
+
+def brute_force_modulus(alpha, beta, n_min=1000):
+    """The worst member by scanning indices, with the same expression as
+    ``family_modulus_oracle``: at least ``n_min`` of them, and on until the
+    running maximum has been stable for ten times its argmax index."""
+    la, lb = np.log(float(_inner(alpha))), np.log(float(_inner(beta)))
+    best, best_n, start, target = 0.0, 1, 1, n_min
+    while start <= target:
+        ns = np.arange(start, target + 1, dtype=float)
+        vals = np.exp(la / ns) - np.exp(lb / ns)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_n = float(vals[i]), start + i
+        start, target = target + 1, max(target, 10 * best_n)
+    return best
 
 
 class TestModulusOracle:
@@ -332,14 +349,21 @@ class TestModulusOracle:
     def test_degenerate_window(self):
         assert family_modulus_oracle(0.6, 0.6) == 0.0
 
-    def test_scan_extends_past_small_n_max(self):
-        # near one third the argmax index is large; the stabilization rule
-        # must keep scanning even when the requested n_max is tiny
-        alpha = 1 / 3 + 1e-6
-        beta = 1 / 3 + 5e-7
-        small = family_modulus_oracle(alpha, beta, n_max=2)
-        wide = family_modulus_oracle(alpha, beta, n_max=100_000)
-        assert small == wide
+    def test_equals_brute_force_reference(self):
+        rng = np.random.default_rng(16)
+        alphas = np.concatenate(
+            [ONE_THIRD + np.geomspace(1e-12, 2 / 3, 80), rng.uniform(ONE_THIRD, 1.0, 400), [1.0]]
+        )
+        checked = 0
+        for alpha in alphas.tolist():
+            for frac in [0.0, 1e-9, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]:
+                beta = alpha - frac * (alpha - ONE_THIRD)
+                if not _inner(beta) > 0.0:
+                    continue
+                got = family_modulus_oracle(alpha, beta)
+                assert got.hex() == brute_force_modulus(alpha, beta).hex(), (alpha, beta)
+                checked += 1
+        assert checked > 4500
 
     def test_range_checks(self):
         with pytest.raises(OutOfRange):
@@ -386,6 +410,50 @@ class TestPairwiseOracle:
         assert pairwise_dinf_oracle(n, 5 * n, grid_size=grid_size).hex() == one_pass.hex()
 
 
+class TestSeparation:
+    """The closed form g(r) of the supremum distance between members n and
+    m = r n."""
+
+    @staticmethod
+    def exact(r):
+        with mpmath.workdps(50):
+            r = mpmath.mpf(r)
+            return (1 - 1 / r) * r ** (-1 / (r - 1))
+
+    def test_special_values(self):
+        assert separation(2.0) == 0.25
+        assert separation(1.5) == 4 / 27
+
+    def test_within_four_ulps_of_mpmath(self):
+        # the report's ratio 5, ratios near 1 and one ratio of a worst-case
+        # pair (43, 60), then a sweep over six decades
+        ratios = [5.0, 1.0 + 2.0**-40, 1.0 + 1e-9, 60 / 43, 3.0, *np.geomspace(1.0001, 1e6, 300).tolist()]
+        for r in ratios:
+            exact = self.exact(r)
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(separation(r)) - exact) <= 4 * np.spacing(float(exact)), r
+
+    def test_increases(self):
+        g = [separation(r) for r in np.linspace(1.001, 50.0, 20_000).tolist()]
+        assert np.all(np.diff(g) > 0.0)
+        assert g[-1] < 1.0
+
+    def test_rejects_a_ratio_of_one_or_less(self):
+        for r in (1.0, 0.5, float("nan")):
+            with pytest.raises(OutOfRange):
+                separation(r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_certified_bracket_contains_it(self, n):
+        enc = d_infty_parametric(make_un(n), make_un(5 * n), tol=1e-9)
+        assert enc.width <= 1e-9
+        assert enc.lower <= separation(5.0) <= enc.upper
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_dense_oracle_stays_below_it(self, n):
+        assert pairwise_dinf_oracle(n, 5 * n, grid_size=200_001) <= separation(5.0)
+
+
 class TestRefutationReport:
     def test_small_report_structure(self):
         report = refutation_report(2)
@@ -411,7 +479,10 @@ class TestRefutationReport:
         assert report["supremum_distance"]["all_equal_one"]
         assert not report["supremum_distance"]["attained_anywhere"]
         assert report["closedness"]["evaluated"] is False
-        assert report["closedness"]["min_pairwise_separation"] > 0.5
+        closedness = report["closedness"]
+        assert closedness["separation_when_m_at_least_5n"] == separation(5.0)
+        assert closedness["separation_method"].startswith("analytic")
+        assert [p["separation"] for p in closedness["pairwise_separation"]] == [separation(5.0)] * 5
         assert report["conclusion"]["criterion_refuted"] is True
 
     def test_convergence_table_matches_closed_form(self):
