@@ -570,13 +570,11 @@ def _curvature_check(u: FuzzyNumber1D, levels: np.ndarray) -> ValidationCheck:
         ends = np.union1d([p.start, p.end], levels[(levels > p.start) & (levels < p.end)])
         a, b = ends[:-1], ends[1:]
         m = 0.5 * (a + b)
-        lo, hi = u.endpoints(np.concatenate([ends, m]))
-        left = np.array((lo[: a.size], hi[: a.size]))
+        cuts = np.array(u.endpoints(np.concatenate([ends, m])))
+        left, right, mid = cuts[:, : a.size].copy(), cuts[:, 1 : ends.size], cuts[:, ends.size :]
         for k, level in enumerate(a.tolist()):
             if level in right_limits:
                 left[:, k] = right_limits[level]
-        right = np.array((lo[1 : ends.size], hi[1 : ends.size]))
-        mid = np.array((lo[ends.size :], hi[ends.size :]))
         above, slack = _chord_excess(a, b, m, left, mid, right)
         inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
         # the distance to the wrong side of the chord: above it for a convex
