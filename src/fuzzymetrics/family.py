@@ -80,51 +80,63 @@ def support_bound(family: Sequence[FuzzyNumber1D]) -> float:
 
 
 def _offsets(delta_grid: Sequence[float] | None) -> list[float]:
-    """The tested level offsets, largest first: at least one, each finite
-    and positive."""
-    deltas = sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True)
+    """The distinct tested level offsets, largest first: at least one, each
+    finite and positive."""
+    deltas = list(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid)
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
         raise OutOfRange("delta grid must hold finite positive offsets")
-    return deltas
+    return np.unique(np.asarray(deltas, dtype=float))[::-1].tolist()
 
 
-# Lattice rows whose moves one pass holds: two reused (rows, deltas, members)
-# buffers of this many rows keep a pass within a few hundred KB.
+# Lattice rows one batch ``endpoints`` call evaluates: 16 rows of the 19
+# default offsets are 320 levels, so a block holds about 200 members and
+# every array pass runs along a members axis that long.
 _LATTICE_ROWS = 16
+# Cells of one of the two reused (rows, deltas, members) move buffers: a
+# pass of moves stays near 130 KB however wide the block.
+_MOVE_CELLS = 1 << 13
 
 
 def _lattice_moves(members, count: int, rows: np.ndarray, lattice: np.ndarray):
     """H(cut(rows[i]), cut(lattice[i, j])) for members 1..count.
 
-    ``lattice`` has shape ``(len(rows), deltas)``.  Each block of members is
-    evaluated once at the row levels and the lattice levels, and the moves
-    are taken levels-major by broadcasting, ``_LATTICE_ROWS`` rows at a
-    pass.  Yields ``(ns, part, moves)``: ``moves[i, j, k]`` is member
-    ``ns[k]``'s move at ``(rows[part][i], lattice[part][i, j])``.  The two
-    buffers behind ``moves`` are reused between yields, and the blocks are
-    only read: a batch ``endpoints`` may return views of stored data.
+    ``lattice`` has shape ``(len(rows), deltas)``.  A family with a batch
+    ``endpoints`` is read one part of ``_LATTICE_ROWS`` rows at a time, each
+    block of members once at the part's row and lattice levels; any other
+    family is one part, so each member's ``endpoints`` is called once.  The
+    moves are taken levels-major by broadcasting, in passes of at most
+    ``_MOVE_CELLS`` cells (one row at least).  Yields ``(ns, part, moves)``:
+    ``moves[i, j, k]`` is member ``ns[k]``'s move at ``(rows[part][i],
+    lattice[part][i, j])``.  The buffers behind ``moves`` are reused between
+    yields, and the blocks are only read: a batch ``endpoints`` may return
+    views of stored data.
     """
     r, d = lattice.shape
-    levels = np.concatenate([rows, lattice.ravel()])
-    buffers = None
-    for ns, lo, hi in _member_rows(members, count, levels):
-        m = ns.size
-        if buffers is None or buffers[0].shape[2] < m:
-            buffers = np.empty((2, min(r, _LATTICE_ROWS), d, m))
-        at_rows = [lo.T[:r, None, :], hi.T[:r, None, :]]
-        at_lattice = [lo.T[r:].reshape(r, d, m), hi.T[r:].reshape(r, d, m)]
-        for start in range(0, r, _LATTICE_ROWS):
-            part = slice(start, min(start + _LATTICE_ROWS, r))
-            moves, upper = buffers[:, : part.stop - start, :, :m]
-            np.subtract(at_lattice[0][part], at_rows[0][part], out=moves)
-            np.abs(moves, out=moves)
-            np.subtract(at_lattice[1][part], at_rows[1][part], out=upper)
-            np.abs(upper, out=upper)
-            np.maximum(moves, upper, out=moves)
-            yield ns, part, moves
-        # free the block before the next one is evaluated: holding two took
-        # 7,000-21,000 minor page faults per 2,000-member report, one about 400
-        del lo, hi, at_rows, at_lattice
+    part_rows = _LATTICE_ROWS if hasattr(members, "endpoints") else r
+    buffer = np.empty(0)
+    for first in range(0, r, part_rows):
+        k = min(part_rows, r - first)
+        levels = np.concatenate([rows[first : first + k], lattice[first : first + k].ravel()])
+        for ns, lo, hi in _member_rows(members, count, levels):
+            m = ns.size
+            step = min(k, max(1, _MOVE_CELLS // (d * m)))
+            if buffer.size < 2 * step * d * m:
+                buffer = np.empty(2 * step * d * m)
+            at_rows = [lo.T[:k, None, :], hi.T[:k, None, :]]
+            at_lattice = [lo.T[k:].reshape(k, d, m), hi.T[k:].reshape(k, d, m)]
+            for start in range(0, k, step):
+                stop = min(start + step, k)
+                moves, upper = buffer[: 2 * (stop - start) * d * m].reshape(2, stop - start, d, m)
+                np.subtract(at_lattice[0][start:stop], at_rows[0][start:stop], out=moves)
+                np.abs(moves, out=moves)
+                np.subtract(at_lattice[1][start:stop], at_rows[1][start:stop], out=upper)
+                np.abs(upper, out=upper)
+                np.maximum(moves, upper, out=moves)
+                yield ns, slice(first + start, first + stop), moves
+            # free the block before the next one is evaluated: holding two
+            # took 7,000-21,000 minor page faults per 2,000-member report,
+            # one about 400
+            del lo, hi, at_rows, at_lattice
 
 
 def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray) -> np.ndarray:
@@ -302,10 +314,10 @@ def eventually_equi_left(
         raise OutOfRange(f"alpha={alpha} outside (0, 1]")
     if not eps > 0:
         raise OutOfRange("eps must be positive")
+    if n_max is not None and n_max < 1:
+        raise OutOfRange("n_max must be at least 1")
     members = _require_members(seq)
     count = len(members) if n_max is None else min(n_max, len(members))
-    if count < 1:
-        raise EmptyFamily("family has no members")
     # smallest delta first, so ties keep it
     deltas = [d for d in reversed(_offsets(delta_grid)) if d <= alpha]
     if not deltas:
@@ -419,6 +431,11 @@ def compactness_conditions_report(
     )
 
 
+# squeeze width of an injected jump: narrower than every default modulus
+# offset, yet wide enough that validation probes resolve the segment as linear
+_JUMP_SQUEEZE = 1e-6
+
+
 def random_family(
     seed: int,
     count: int,
@@ -442,11 +459,12 @@ def random_family(
     rng = np.random.default_rng(seed)
     grid_levels = np.linspace(0.0, 1.0, levels)
     if jump_at is not None:
-        if not (0.0 < jump_at < 1.0):
-            raise OutOfRange("jump_at must lie strictly inside (0, 1)")
-        # squeeze width 1e-6: narrower than every default modulus offset, yet
-        # wide enough that validation probes resolve the segment as linear
-        grid_levels = np.union1d(grid_levels, [jump_at - 1e-6, jump_at])
+        if not (_JUMP_SQUEEZE < jump_at < 1.0):
+            raise OutOfRange(
+                f"jump_at must lie strictly inside ({_JUMP_SQUEEZE}, 1): the grid gap below"
+                f" the jump has the squeeze width {_JUMP_SQUEEZE}"
+            )
+        grid_levels = np.union1d(grid_levels, [jump_at - _JUMP_SQUEEZE, jump_at])
     size = grid_levels.size
     # one row per member, drawn in member order: the center (as
     # rng.uniform(-1, 1) computes it), then the lower and the upper offsets

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from fuzzymetrics import (
     support_bound,
     validate_representation,
 )
+from fuzzymetrics import family as family_module
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import members
 from fuzzymetrics.serialize import decode_fuzzy, dumps, encode_fuzzy
@@ -89,9 +92,12 @@ class TestEmptyFamily:
         with pytest.raises(EmptyFamily):
             check(empty([]))
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyFamily):
-            eventually_equi_left(members(3), 0.5, 0.1, n_max=0)
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_window_rejected(self, n_max):
+        # a window below one member is a bad argument, as in
+        # level_convergence_report, not an empty family
+        with pytest.raises(OutOfRange, match="^n_max must be at least 1$"):
+            eventually_equi_left(members(3), 0.5, 0.1, n_max=n_max)
 
 
 class TestBatchFamily:
@@ -360,6 +366,50 @@ class TestRandomFamily:
         assert by_alpha[0.3].witness_delta is not None
         assert by_alpha[0.9].witness_delta is not None
 
+    @pytest.mark.parametrize("jump_at", [1e-6, 5e-7, 1e-12, 0.0, 1.0])
+    def test_jump_inside_the_squeeze_width_rejected(self, jump_at):
+        # the squeezed gap below the jump would start at or below level 0
+        with pytest.raises(OutOfRange, match=r"inside \(1e-06, 1\).*squeeze width 1e-06$"):
+            random_family(seed=3, count=4, jump_at=jump_at)
+
+    def test_jump_just_above_the_squeeze_width(self):
+        fam = random_family(seed=3, count=4, jump_at=2e-6)
+        assert fam.grid.levels[:3].tolist() == [0.0, 2e-6 - 1e-6, 2e-6]
+        for u in fam:
+            assert validate_representation(u).passed
+
+
+class TestRepeatedOffsets:
+    """An offset given twice is tested once: the same report as given once."""
+
+    def test_reports(self):
+        fam = random_family(seed=8, count=30, jump_at=0.6)
+        once, twice = [0.25], [0.25, 0.5, 0.25]
+        assert equi_continuity_report(fam, delta_grid=twice).delta_grid == (0.5, 0.25)
+        assert dumps(equi_continuity_report(fam, delta_grid=twice).to_dict()) == dumps(
+            equi_continuity_report(fam, delta_grid=[0.5, 0.25]).to_dict()
+        )
+        assert dumps(compactness_conditions_report(fam, delta_grid=once * 2).to_dict()) == dumps(
+            compactness_conditions_report(fam, delta_grid=once).to_dict()
+        )
+        assert eventually_equi_left(fam, 0.7, 0.5, delta_grid=once * 2) == eventually_equi_left(
+            fam, 0.7, 0.5, delta_grid=once
+        )
+
+    def test_lattice_holds_the_offset_once(self):
+        family = CountingFamily(random_family(seed=8, count=5))
+        compactness_conditions_report(family, alpha_grid=[0.5, 1.0], delta_grid=[0.25, 0.25])
+        # each member at level 0 for the support bound, then at the three
+        # rows and one lattice level per row
+        assert family.levels == [1] * 5 + [6] * 5
+
+    def test_cli_diagnostics(self, capsys):
+        bodies = []
+        for grid in ("0.25,0.25", "0.25"):
+            assert run(["family-report", "tests/golden/family.json", "--delta-grid", grid]) == 0
+            bodies.append(json.loads(capsys.readouterr().out)["diagnostics"])
+        assert bodies[0] == bodies[1]
+
 
 COLUMNAR_FAMILIES = {
     "random": lambda: random_family(seed=21, count=300),
@@ -528,9 +578,102 @@ class TestStoredRowsAreNotWritten:
         assert left_modulus(family, 0.6, 0.25) == left_modulus(plain, 0.6, 0.25)
         assert right_modulus_at_zero(family, 0.5) == right_modulus_at_zero(plain, 0.5)
         assert eventually_equi_left(family, 0.7, 0.05) == eventually_equi_left(plain, 0.7, 0.05)
-        # the support bound's level 0, then one levels vector per call
-        assert len(family.stored) == 5
+        # the support bound's level 0, one levels vector per 16-row part of
+        # the report's 101 lattice rows (seven), then one per call
+        assert len(family.stored) == 11
         for alphas, lower, upper in family.stored.values():
             assert lower.flags.writeable and upper.flags.writeable
             fresh_lower, fresh_upper = family.rows(alphas)
             assert np.array_equal(lower, fresh_lower) and np.array_equal(upper, fresh_upper)
+
+
+class CountingFamily(list):
+    """Members with no batch ``endpoints``, each recording the size of every
+    levels vector it is asked for in ``levels``."""
+
+    def __init__(self, items):
+        super().__init__(CountingMember(u, self) for u in items)
+        self.levels = []
+
+
+class CountingMember:
+    def __init__(self, member, family):
+        self.member, self.family = member, family
+        self.hint_levels = member.hint_levels
+
+    def endpoints(self, alphas):
+        self.family.levels.append(np.size(alphas))
+        return self.member.endpoints(alphas)
+
+
+class TestPerMemberFamily:
+    """A family without a batch ``endpoints`` is read in one lattice part,
+    so each member's ``endpoints`` is called once for the moduli."""
+
+    def test_one_endpoints_call_per_member(self):
+        family = CountingFamily(make_un(n) for n in range(1, 41))
+        compactness_conditions_report(family)
+        rows = 1 + len([a for a in default_report_grid([family]).levels if a > 0.0])
+        assert rows > 16
+        # each member once at level 0 for the support bound, then once at
+        # the rows and the rows x 19 lattice
+        assert family.levels == [1] * 40 + [rows * 20] * 40
+
+
+class BlockRecordingFamily(list):
+    """The members of a ``SampledFamily`` with its batch ``endpoints``,
+    recording ``(members, levels)`` of every block in ``blocks``."""
+
+    def __init__(self, family):
+        super().__init__(family)
+        self.family = family
+        self.blocks = []
+
+    def endpoints(self, ns, alphas):
+        self.blocks.append((len(ns), np.size(alphas)))
+        return self.family.endpoints(ns, alphas)
+
+
+def part_reference(family, alphas, deltas):
+    """``family._moduli`` from each member's own ``endpoints`` at the row
+    levels and at the lattice levels, one member at a time."""
+    valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
+    rows = np.append(alphas, 0.0)
+    lattice = np.where(valid, np.vstack([alphas[:, None] - deltas, deltas]), rows[:, None])
+    worst = np.zeros(lattice.shape)
+    for u in family:
+        lo_r, hi_r = u.endpoints(rows)
+        lo_l, hi_l = u.endpoints(lattice.ravel())
+        moves = np.maximum(np.abs(lo_l - np.repeat(lo_r, deltas.size)), np.abs(hi_l - np.repeat(hi_r, deltas.size)))
+        worst = np.maximum(worst, moves.reshape(lattice.shape))
+    worst[~valid] = np.nan
+    return worst[:-1], worst[-1]
+
+
+class TestLatticeParts:
+    """A batch family's lattice is read in parts of 16 rows with member
+    blocks of about 200; the moduli equal a member-by-member reference bit
+    for bit for counts that fill no block exactly."""
+
+    @pytest.mark.parametrize("count", [1, 203, 2000])
+    @pytest.mark.parametrize("jump_at", [None, 0.6])
+    def test_moduli_equal_member_reference(self, count, jump_at):
+        family = random_family(seed=count, count=count, jump_at=jump_at)
+        alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101)[1:], family.grid.levels[1:]]))
+        # offsets above some alphas (NaN cells) and above 1 (NaN in row 0)
+        deltas = np.array([1.5, 1.0, 0.3, 0.05, 1e-6, 2.0**-20])
+        assert (alphas.size + 1) % 16 != 0
+        table, zero = family_module._moduli(family, alphas, deltas)
+        ref_table, ref_zero = part_reference(family, alphas, deltas)
+        assert np.isnan(table).any() and np.isnan(zero).any()
+        assert table.tobytes() == ref_table.tobytes()
+        assert zero.tobytes() == ref_zero.tobytes()
+
+    def test_blocks_are_wide(self):
+        family = BlockRecordingFamily(random_family(seed=4, count=500))
+        compactness_conditions_report(family)
+        # the support bound at level 0 in blocks of 256, then six parts of 16
+        # of the 101 rows (320 levels) in blocks of 204, and the last 5 rows
+        # (100 levels) in blocks of 256
+        support = [(256, 1), (244, 1)]
+        assert family.blocks == support + [(204, 320), (204, 320), (92, 320)] * 6 + [(256, 100), (244, 100)]
