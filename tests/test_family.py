@@ -379,6 +379,25 @@ class TestRandomFamily:
             assert validate_representation(u).passed
 
 
+class CountingFamily(list):
+    """Members with no batch ``endpoints``, each recording the size of every
+    levels vector it is asked for in ``levels``."""
+
+    def __init__(self, items):
+        super().__init__(CountingMember(u, self) for u in items)
+        self.levels = []
+
+
+class CountingMember:
+    def __init__(self, member, family):
+        self.member, self.family = member, family
+        self.hint_levels = member.hint_levels
+
+    def endpoints(self, alphas):
+        self.family.levels.append(np.size(alphas))
+        return self.member.endpoints(alphas)
+
+
 class TestRepeatedOffsets:
     """An offset given twice is tested once: the same report as given once."""
 
@@ -587,25 +606,6 @@ class TestStoredRowsAreNotWritten:
             assert np.array_equal(lower, fresh_lower) and np.array_equal(upper, fresh_upper)
 
 
-class CountingFamily(list):
-    """Members with no batch ``endpoints``, each recording the size of every
-    levels vector it is asked for in ``levels``."""
-
-    def __init__(self, items):
-        super().__init__(CountingMember(u, self) for u in items)
-        self.levels = []
-
-
-class CountingMember:
-    def __init__(self, member, family):
-        self.member, self.family = member, family
-        self.hint_levels = member.hint_levels
-
-    def endpoints(self, alphas):
-        self.family.levels.append(np.size(alphas))
-        return self.member.endpoints(alphas)
-
-
 class TestPerMemberFamily:
     """A family without a batch ``endpoints`` is read in one lattice part,
     so each member's ``endpoints`` is called once for the moduli."""
@@ -644,7 +644,8 @@ def part_reference(family, alphas, deltas):
     for u in family:
         lo_r, hi_r = u.endpoints(rows)
         lo_l, hi_l = u.endpoints(lattice.ravel())
-        moves = np.maximum(np.abs(lo_l - np.repeat(lo_r, deltas.size)), np.abs(hi_l - np.repeat(hi_r, deltas.size)))
+        lower = np.abs(lo_l - np.repeat(lo_r, deltas.size))
+        moves = np.maximum(lower, np.abs(hi_l - np.repeat(hi_r, deltas.size)))
         worst = np.maximum(worst, moves.reshape(lattice.shape))
     worst[~valid] = np.nan
     return worst[:-1], worst[-1]
