@@ -256,11 +256,9 @@ class CutCurve1D:
                 raise TypeError
         except (TypeError, ValueError):
             # scalar-only callables: a type error, or an ambiguous truth value
-            # where the callable branches on its argument
-            lo = np.array([float(self.lower_fn(x)) for x in np.atleast_1d(a)])
-            hi = np.array([float(self.upper_fn(x)) for x in np.atleast_1d(a)])
-            lo = lo.reshape(a.shape)
-            hi = hi.reshape(a.shape)
+            # where the callable branches on its argument; levels of any shape
+            lo = np.array([float(self.lower_fn(x)) for x in a.ravel()]).reshape(a.shape)
+            hi = np.array([float(self.upper_fn(x)) for x in a.ravel()]).reshape(a.shape)
         return lo, hi
 
 
@@ -423,6 +421,8 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
     bisection on cut containment for parametric curves.
     """
     x = float(x)
+    if math.isnan(x):
+        raise OutOfRange("x is not a number")
     if isinstance(u, SampledFuzzy1D):
         if not (u.lower[0] <= x <= u.upper[0]):
             return 0.0
@@ -523,33 +523,40 @@ def hausdorff_interval(i: Interval, j: Interval) -> float:
     return max(abs(i.lo - j.lo), abs(i.hi - j.hi))
 
 
-def _one_sided_gap(u: FuzzyNumber1D, alpha: float, side: int, jumps: tuple[float, ...]) -> tuple[float, int]:
-    """Extrapolated limit gap H(cut(alpha), cut(alpha + side*delta)), delta -> 0.
+def _limit_gaps(
+    u: FuzzyNumber1D, levels: np.ndarray, jumps: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extrapolated one-sided limit gaps H(cut(alpha), cut(alpha + side*delta)),
+    delta -> 0, at each of ``levels``: from below above level 0, from above
+    at level 0.
 
-    Probes geometrically shrinking offsets, skipping any window that would
-    straddle a declared jump, and removes the linear-in-delta part so that a
-    steep but continuous curve is not mistaken for a jump.  Returns the gap
-    estimate and the number of retained probes.
+    Each level is probed at the offsets 2**-k, k = PROBE_K_MIN..PROBE_K_MAX,
+    and every probe of every level is read in one ``endpoints`` call.  A
+    probe whose window leaves [0, 1] or straddles a declared jump is not
+    kept; such a window only grows with the offset, so each level keeps a
+    suffix of its smallest offsets, and the kept count is a row sum.  The
+    linear-in-delta part, read from the fixed columns k = PROBE_K_MAX - 2
+    and PROBE_K_MAX (28 and 30), is removed so that a steep but continuous
+    curve is not mistaken for a jump.  Returns the gaps and the kept counts.
     """
-    base = alpha_cut(u, alpha)
-    deltas, values = [], []
-    for k in range(PROBE_K_MIN, PROBE_K_MAX + 1):
-        d = 2.0 ** -k
-        probe = alpha + side * d
-        if not (0.0 <= probe <= 1.0):
-            continue
-        window = (min(alpha, probe), max(alpha, probe))
-        if any(window[0] < j < window[1] for j in jumps if j != alpha):
-            continue
-        deltas.append(d)
-        values.append(hausdorff_interval(base, alpha_cut(u, probe)))
-    if not values:
-        return 0.0, 0
-    gap = values[-1]
-    if len(values) >= 3:
-        slope = (values[-3] - values[-1]) / (deltas[-3] - deltas[-1])
-        gap = values[-1] - max(slope, 0.0) * deltas[-1]
-    return max(gap, 0.0), len(values)
+    alphas = np.asarray(levels, dtype=float)[:, None]
+    deltas = 2.0 ** -np.arange(PROBE_K_MIN, PROBE_K_MAX + 1.0)
+    probes = np.where(alphas > 0.0, alphas - deltas, alphas + deltas)
+    low, high = np.minimum(alphas, probes), np.maximum(alphas, probes)
+    kept = (0.0 <= probes) & (probes <= 1.0)
+    for j in jumps:
+        kept &= ~((low < j) & (j < high))
+    # a probe not kept reads the level itself, which stays inside [0, 1] and
+    # gives a gap of 0: with fewer than three probes kept the slope below is
+    # at most 0, and the gap is that of the smallest offset
+    lo, hi = u.endpoints(np.concatenate([alphas[:, 0], np.where(kept, probes, alphas).ravel()]))
+    base = alphas.size
+    gaps = np.maximum(
+        np.abs(lo[:base, None] - lo[base:].reshape(probes.shape)),
+        np.abs(hi[:base, None] - hi[base:].reshape(probes.shape)),
+    )
+    slope = (gaps[:, -3] - gaps[:, -1]) / (deltas[-3] - deltas[-1])
+    return np.maximum(gaps[:, -1] - np.maximum(slope, 0.0) * deltas[-1], 0.0), kept.sum(axis=1)
 
 
 def _probe_levels(u: FuzzyNumber1D) -> np.ndarray:
@@ -637,27 +644,26 @@ def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TO
     if u.curvature:
         checks.append(_curvature_check(u, levels))
 
-    for a in levels:
-        if a <= 0.0:
-            continue
-        gap, used = _one_sided_gap(u, float(a), side=-1, jumps=jumps)
+    # the left limits at the levels above 0, then the right limit at 0
+    rows = np.append(levels[levels > 0.0], 0.0)
+    gaps, kept = _limit_gaps(u, rows, jumps)
+    for a, gap, used in zip(rows[:-1].tolist(), gaps.tolist(), kept.tolist()):
         checks.append(
             ValidationCheck(
                 name="left_continuity",
-                alpha=float(a),
+                alpha=a,
                 passed=bool(used == 0 or gap <= tol),
                 measured=gap,
             )
         )
 
-    gap0, used0 = _one_sided_gap(u, 0.0, side=+1, jumps=jumps)
     declared_zero = 0.0 in jumps
     checks.append(
         ValidationCheck(
             name="closure_at_zero",
             alpha=0.0,
-            passed=bool(declared_zero or used0 == 0 or gap0 <= tol),
-            measured=gap0,
+            passed=bool(declared_zero or kept[-1] == 0 or gaps[-1] <= tol),
+            measured=float(gaps[-1]),
             note="declared jump at 0" if declared_zero else "",
         )
     )

@@ -75,12 +75,12 @@ def _zeros(alphas) -> np.ndarray:
     return np.zeros_like(a)
 
 
-def _index(n) -> int:
-    """``n`` as a member index: a positive integer (an integral float counts,
-    a boolean does not)."""
+def _index(n, name: str = "member index") -> int:
+    """``n`` as a positive integer (an integral float counts, a boolean does
+    not); ``name`` says what it counts in the error."""
     whole = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
     if isinstance(n, bool) or not whole or n < 1:
-        raise BadIndex(f"member index must be a positive integer, got {n}")
+        raise BadIndex(f"{name} must be a positive integer, got {n}")
     return int(n)
 
 
@@ -184,7 +184,7 @@ def members(n_max: int) -> tuple[CutCurve1D, ...]:
     carries the batch ``endpoints``)."""
     if n_max < 1:
         raise BadIndex("n_max must be at least 1")
-    return _Members(make_un(n) for n in range(1, n_max + 1))
+    return _Members(make_un(n) for n in range(1, _index(n_max, "n_max") + 1))
 
 
 def member_sequence() -> _MemberSequence:
@@ -234,7 +234,7 @@ def exact_H_profile(n: int, alpha):
     """
     n = _index(n)
     a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0.0) or np.any(a > 1.0):
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise OutOfRange("alpha outside [0, 1]")
     out = _upper(a, n) - _limit_upper(a)
     return float(out) if out.ndim == 0 else out
@@ -297,8 +297,8 @@ def separation(r: float) -> float:
     at s = r^(-1/(r-1)).  g increases in r towards 1: g(2) = 1/4, g(3/2) =
     4/27.
     """
-    if not r > 1.0:
-        raise OutOfRange(f"separation needs a ratio above 1, got {r}")
+    if not 1.0 < r < math.inf:
+        raise OutOfRange(f"separation needs a finite ratio above 1, got {r}")
     return (r - 1.0) / r * math.exp(-math.log(r) / (r - 1.0))
 
 
@@ -333,12 +333,6 @@ def pairwise_dinf_oracle(n: int, m: int, grid_size: int = 1_000_000) -> float:
     return best
 
 
-def _equi_witness_delta(alpha: float, eps: float) -> float:
-    """A level offset certified to keep every member's modulus within eps."""
-    margin = alpha - ONE_THIRD
-    return min(0.5 * margin, 0.5 * eps * margin)
-
-
 def refutation_report(
     n_max: int,
     eps: float = DEFAULT_EPS,
@@ -361,6 +355,7 @@ def refutation_report(
         raise OutOfRange("eps must be positive")
     _check_search(tol, DEFAULT_MAX_DEPTH)
     fam = members(n_max)
+    n_max = len(fam)  # an integral float reports as its integer
     limit = make_limit()
     grid = default_report_grid([limit])
 
@@ -375,38 +370,30 @@ def refutation_report(
     probe_alphas = np.union1d(
         np.linspace(0.05, 1.0, 20), [ONE_THIRD] + [ONE_THIRD + 10.0 ** -k for k in range(2, 7)]
     )
+    above = _inner(probe_alphas) > 0.0
+    margin = probe_alphas - ONE_THIRD
+    deltas = np.where(above, np.minimum(0.5 * margin, 0.5 * eps * margin), 0.5 * probe_alphas)
+    # one lattice read: each probe level at its delta, then level 0 at 0.25
+    rows, lattice = np.append(probe_alphas, 0.0), np.append(probe_alphas - deltas, 0.25)[:, None]
+    *moduli, right_zero = family_mod._worst_moves(fam, rows, lattice)[:, 0].tolist()
     equi_entries = []
-    equi_ok = True
-    for a in probe_alphas.tolist():
-        if _inner(a) <= 0.0:
-            delta = 0.5 * a
-            entry = {
-                "alpha": a,
-                "delta": delta,
-                "certified_bound": 0.0,
-                "finite_family_modulus": family_mod.left_modulus(fam, a, delta),
-                "oracle_modulus": 0.0,
-            }
-        else:
-            delta = _equi_witness_delta(a, eps)
-            entry = {
-                "alpha": a,
-                "delta": delta,
-                "certified_bound": uniform_modulus_bound(a, delta, a - delta),
-                "finite_family_modulus": family_mod.left_modulus(fam, a, delta),
-                "oracle_modulus": family_modulus_oracle(a, a - delta),
-            }
+    for a, delta, modulus, up in zip(probe_alphas.tolist(), deltas.tolist(), moduli, above.tolist()):
+        entry = {
+            "alpha": a,
+            "delta": delta,
+            "certified_bound": uniform_modulus_bound(a, delta, a - delta) if up else 0.0,
+            "finite_family_modulus": modulus,
+            "oracle_modulus": family_modulus_oracle(a, a - delta) if up else 0.0,
+        }
         entry["passed"] = bool(
             entry["certified_bound"] <= eps
             and entry["finite_family_modulus"] <= eps
             and entry["oracle_modulus"] <= eps
         )
-        equi_ok = equi_ok and entry["passed"]
         equi_entries.append(entry)
-    right_zero = family_mod.right_modulus_at_zero(fam, 0.25)
     equi_section = {
         "eps": eps,
-        "passed": bool(equi_ok and right_zero == 0.0),
+        "passed": bool(all(e["passed"] for e in equi_entries) and right_zero == 0.0),
         "right_at_zero_modulus": right_zero,
         "entries": equi_entries,
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -203,12 +203,19 @@ class EquiEntry:
 
 @dataclass(frozen=True)
 class EquiContinuityReport:
-    """Per-level equi-continuity certificates over the tested grids."""
+    """Per-level equi-continuity certificates over the tested grids.
+
+    ``moduli`` and ``zero_moduli`` are the moduli the certificates were read
+    from (see :func:`_moduli`); ``to_dict`` does not write them and equality
+    does not compare them.
+    """
 
     entries: tuple[EquiEntry, ...]
     right_at_zero: EquiEntry
     eps: float
     delta_grid: tuple[float, ...]
+    moduli: np.ndarray = field(compare=False, repr=False)
+    zero_moduli: np.ndarray = field(compare=False, repr=False)
 
     @property
     def left_passed(self) -> bool:
@@ -229,24 +236,6 @@ class EquiContinuityReport:
         }
 
 
-def equi_continuity_report(
-    family: Sequence[FuzzyNumber1D],
-    alpha_grid: Sequence[float] | np.ndarray | None = None,
-    delta_grid: Sequence[float] | np.ndarray | None = None,
-    eps: float = DEFAULT_EPS,
-) -> EquiContinuityReport:
-    """Search each tested level for a delta that tames the family modulus.
-
-    Reports, per level in (0, 1], the largest tested delta whose modulus
-    stays within eps (witness), or no witness if even the smallest tested
-    delta fails; plus the analogous right-side entry at level 0.  Without
-    ``alpha_grid`` the levels are those of ``default_report_grid([family])``
-    in (0, 1]: k/100, k = 1..100, densified around the members' hint
-    levels.
-    """
-    return _equi_continuity(family, alpha_grid, delta_grid, eps)[0]
-
-
 def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[float | None, float]:
     """The largest tested delta whose modulus is tamed, with that modulus.
 
@@ -264,14 +253,21 @@ def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[floa
     return None, modulus
 
 
-def _equi_continuity(
+def equi_continuity_report(
     family: Sequence[FuzzyNumber1D],
-    alpha_grid: Sequence[float] | np.ndarray | None,
-    delta_grid: Sequence[float] | np.ndarray | None,
-    eps: float,
-) -> tuple[EquiContinuityReport, np.ndarray, np.ndarray]:
-    """The equi-continuity report plus the moduli it was read from (see
-    :func:`_moduli`)."""
+    alpha_grid: Sequence[float] | np.ndarray | None = None,
+    delta_grid: Sequence[float] | np.ndarray | None = None,
+    eps: float = DEFAULT_EPS,
+) -> EquiContinuityReport:
+    """Search each tested level for a delta that tames the family modulus.
+
+    Reports, per level in (0, 1], the largest tested delta whose modulus
+    stays within eps (witness), or no witness if even the smallest tested
+    delta fails; plus the analogous right-side entry at level 0.  Without
+    ``alpha_grid`` the levels are those of ``default_report_grid([family])``
+    in (0, 1]: k/100, k = 1..100, densified around the members' hint
+    levels.
+    """
     if not eps > 0:
         raise OutOfRange("eps must be positive")
     members = _require_members(family)
@@ -288,13 +284,14 @@ def _equi_continuity(
     entries = tuple(
         EquiEntry(a, *_witness(offsets, row, eps)) for a, row in zip(alphas.tolist(), table.tolist())
     )
-    report = EquiContinuityReport(
+    return EquiContinuityReport(
         entries=entries,
         right_at_zero=EquiEntry(0.0, *_witness(offsets, zero_moduli.tolist(), eps)),
         eps=eps,
         delta_grid=tuple(offsets),
+        moduli=table,
+        zero_moduli=zero_moduli,
     )
-    return report, table, zero_moduli
 
 
 def eventually_equi_left(
@@ -391,14 +388,14 @@ def compactness_conditions_report(
     """
     members = _require_members(family)
     radius = support_bound(members)
-    report, table, zero_table = _equi_continuity(members, alpha_grid, delta_grid, eps)
+    report = equi_continuity_report(members, alpha_grid, delta_grid, eps)
 
     deltas = report.delta_grid
     left_moduli = {
         e.alpha: {d: m for d, m in zip(deltas, row) if not math.isnan(m)}
-        for e, row in zip(report.entries, table.tolist())
+        for e, row in zip(report.entries, report.moduli.tolist())
     }
-    zero_moduli = {d: m for d, m in zip(deltas, zero_table.tolist()) if d <= 1.0}
+    zero_moduli = {d: m for d, m in zip(deltas, report.zero_moduli.tolist()) if d <= 1.0}
 
     support_verdict = {"radius": radius, "bounded": True, "passed": True}
     left_verdict = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,14 @@ from fuzzymetrics import (
     random_family,
     validate_representation,
 )
-from fuzzymetrics.core import _ROW_BLOCK, _member_rows
+from fuzzymetrics.core import (
+    PROBE_K_MAX,
+    PROBE_K_MIN,
+    _ROW_BLOCK,
+    _member_rows,
+    _probe_levels,
+    hausdorff_interval,
+)
 
 
 def bisect_membership(u, x, iters=60):
@@ -150,6 +159,11 @@ class TestMembership:
 
     def test_outside_support(self):
         assert membership_at(triangular(), 2.0) == 0.0
+
+    def test_nan_is_out_of_range(self):
+        for u in (triangular(), make_un(3)):
+            with pytest.raises(OutOfRange):
+                membership_at(u, float("nan"))
 
     def test_interior_matches_bisection_oracle(self):
         u = triangular()
@@ -292,6 +306,106 @@ class TestValidation:
         assert hi.tolist() == [1 - 0.3 * 0.5, 1 - 0.3 * 0.6, 1 - 0.3 * 0.7 - 0.2]
         nested = [c.passed for c in validate_representation(u).checks if c.name.startswith("nested")]
         assert nested == [True, True]
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_scalar_only_callable_takes_levels_of_any_shape(self, shape):
+        u = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 - 0.3 * a - (0.2 if a > 0.6 else 0.0))
+        levels = np.linspace(0.5, 0.9, int(np.prod(shape))).reshape(shape)
+        lo, hi = u.endpoints(levels)
+        assert lo.shape == hi.shape == shape
+        assert hi.ravel().tolist() == [1 - 0.3 * a - (0.2 if a > 0.6 else 0.0) for a in levels.ravel().tolist()]
+
+
+def one_sided_gap(u, alpha, side, jumps):
+    """Reference limit probe: one ``alpha_cut`` per offset 2**-k, skipping a
+    window that leaves [0, 1] or straddles a declared jump, then the
+    linear-in-delta part of the last three kept probes removed."""
+    base = alpha_cut(u, alpha)
+    deltas, values = [], []
+    for k in range(PROBE_K_MIN, PROBE_K_MAX + 1):
+        d = 2.0**-k
+        probe = alpha + side * d
+        if not (0.0 <= probe <= 1.0):
+            continue
+        window = (min(alpha, probe), max(alpha, probe))
+        if any(window[0] < j < window[1] for j in jumps if j != alpha):
+            continue
+        deltas.append(d)
+        values.append(hausdorff_interval(base, alpha_cut(u, probe)))
+    if not values:
+        return 0.0, 0
+    gap = values[-1]
+    if len(values) >= 3:
+        slope = (values[-3] - values[-1]) / (deltas[-3] - deltas[-1])
+        gap = values[-1] - max(slope, 0.0) * deltas[-1]
+    return max(gap, 0.0), len(values)
+
+
+def zeros(a):
+    return np.zeros_like(np.asarray(a, dtype=float))
+
+
+def limit_probe_carriers():
+    levels = np.linspace(0.0, 1.0, 1001)
+    yield "sampled-1001", make_sampled_1d(levels, -((1.0 - levels) ** 2), 1.0 + (1.0 - levels) ** 3)
+    for i, u in enumerate(random_family(seed=5, count=3, jump_at=0.6)):
+        yield f"jump-family-{i}", u
+    for n in (1, 2, 7, 50, 1000):
+        yield f"un-{n}", make_un(n)
+    yield "limit", make_limit()
+    yield "scalar-only", CutCurve1D(lambda a: 0.0 if a < 0.5 else 0.25, lambda a: 1.0 - 0.5 * a)
+    yield "jump-at-0", CutCurve1D(
+        zeros,
+        lambda a: np.where(np.asarray(a) > 0.0, 1.0 - 0.5 * np.asarray(a), 2.0),
+        jumps=(DeclaredJump(0.0, 0.0, 1.0),),
+    )
+    yield "jump-at-0.4", CutCurve1D(
+        zeros,
+        lambda a: np.where(np.asarray(a) > 0.4, 1.0 - 0.5 * np.asarray(a), 2.0),
+        jumps=(DeclaredJump(0.4, 0.0, 0.8),),
+    )
+    yield "steep", CutCurve1D(zeros, lambda a: 2.0 - np.arctan(1e4 * (np.asarray(a) - 0.5)) / np.pi)
+
+
+class CountingCarrier:
+    """A carrier that records the size of each ``endpoints`` call."""
+
+    def __init__(self, u):
+        self.u = u
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(self.u, name)
+
+    def endpoints(self, alphas):
+        self.sizes.append(np.size(alphas))
+        return self.u.endpoints(alphas)
+
+
+class TestLimitProbes:
+    @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in limit_probe_carriers()])
+    def test_rows_equal_the_scalar_reference(self, u):
+        jumps = tuple(j.alpha for j in u.jumps)
+        expected = []
+        for a in _probe_levels(u).tolist():
+            if a > 0.0:
+                gap, used = one_sided_gap(u, a, -1, jumps)
+                expected.append(("left_continuity", a, used == 0 or gap <= 1e-9, gap.hex()))
+        gap, used = one_sided_gap(u, 0.0, +1, jumps)
+        expected.append(("closure_at_zero", 0.0, 0.0 in jumps or used == 0 or gap <= 1e-9, gap.hex()))
+        got = [
+            (c.name, c.alpha, c.passed, c.measured.hex())
+            for c in validate_representation(u, tol=1e-9).checks
+            if c.name in ("left_continuity", "closure_at_zero")
+        ]
+        assert got == expected
+
+    def test_one_endpoints_call_serves_every_probe(self):
+        u = CountingCarrier(dataclasses.replace(make_limit(), curvature=()))
+        assert validate_representation(u).passed
+        levels = _probe_levels(u).size
+        # the probe grid, then every level with its offsets
+        assert u.sizes == [levels, levels * (1 + PROBE_K_MAX - PROBE_K_MIN + 1)]
 
 
 def test_declared_jump_needs_a_nonempty_right_limit():

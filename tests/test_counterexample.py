@@ -14,12 +14,14 @@ from fuzzymetrics import (
     dgn_bound,
     exact_H_profile,
     family_modulus_oracle,
+    left_modulus,
     level_distance_profile,
     make_limit,
     make_un,
     membership_at,
     pairwise_dinf_oracle,
     refutation_report,
+    right_modulus_at_zero,
     separation,
     uniform_modulus_bound,
 )
@@ -98,6 +100,15 @@ class TestBatchEndpoints:
                 member_sequence().endpoints(np.array(bad), self.LEVELS)
         with pytest.raises(BadIndex):
             members(5).endpoints(np.array([6]), self.LEVELS)
+
+    def test_n_max_is_checked_like_an_index(self):
+        for bad in (2.5, True):
+            with pytest.raises(BadIndex, match="^n_max must be a positive integer"):
+                members(bad)
+        for bad in (0, -3):
+            with pytest.raises(BadIndex, match="^n_max must be at least 1$"):
+                members(bad)
+        assert [u.key for u in members(3.0)] == [u.key for u in members(3)]
 
 
 def where_upper(alphas, n):
@@ -268,8 +279,9 @@ class TestExactProfile:
             assert values[-1] < values[0] < 1.0
 
     def test_range_check(self):
-        with pytest.raises(OutOfRange):
-            exact_H_profile(3, 1.2)
+        for alpha in (1.2, float("nan"), [0.5, float("nan")]):
+            with pytest.raises(OutOfRange):
+                exact_H_profile(3, alpha)
 
 
 class TestExactDistance:
@@ -439,7 +451,7 @@ class TestSeparation:
         assert g[-1] < 1.0
 
     def test_rejects_a_ratio_of_one_or_less(self):
-        for r in (1.0, 0.5, float("nan")):
+        for r in (1.0, 0.5, float("nan"), math.inf):
             with pytest.raises(OutOfRange):
                 separation(r)
 
@@ -503,3 +515,17 @@ class TestRefutationReport:
     def test_requires_a_sequence(self):
         with pytest.raises(OutOfRange):
             refutation_report(1)
+
+    def test_n_max_must_be_a_whole_number(self):
+        with pytest.raises(BadIndex, match="^n_max must be a positive integer"):
+            refutation_report(2.5)
+        assert refutation_report(3.0) == refutation_report(3)
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_moduli_equal_the_public_functions(self, n):
+        fam = members(n)
+        section = refutation_report(n)["equi_left_continuity"]
+        for entry in section["entries"]:
+            expected = left_modulus(fam, entry["alpha"], entry["delta"])
+            assert entry["finite_family_modulus"].hex() == expected.hex()
+        assert section["right_at_zero_modulus"].hex() == right_modulus_at_zero(fam, 0.25).hex()

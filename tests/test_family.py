@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -317,6 +318,27 @@ class TestCompactnessReport:
         some_alpha = sorted(diag.left_moduli)[50]
         assert all(v >= 0 for v in diag.left_moduli[some_alpha].values())
         assert 0.25 in diag.right_modulus_at_zero
+
+    def test_reads_the_public_equi_report_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return equi_continuity_report(*args, **kwargs)
+
+        monkeypatch.setattr(family_module, "equi_continuity_report", spy)
+        for fam in (random_family(seed=9, count=3), [make_un(2), make_un(5)]):
+            calls.clear()
+            compactness_conditions_report(fam, alpha_grid=[0.5, 1.0])
+            assert len(calls) == 1
+
+    def test_report_keeps_its_moduli_out_of_bytes_and_equality(self):
+        fam = random_family(seed=9, count=3)
+        report = equi_continuity_report(fam, alpha_grid=[0.5, 1.0], delta_grid=[0.5, 0.25])
+        assert report.moduli.shape == (2, 2) and report.zero_moduli.shape == (2,)
+        assert set(report.to_dict()) == {"eps", "delta_grid", "passed", "left_passed", "entries", "right_at_zero"}
+        other = dataclasses.replace(report, moduli=report.moduli + 1.0, zero_moduli=None)
+        assert other == report
 
 
 class TestPathFamily:
