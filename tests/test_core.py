@@ -260,6 +260,11 @@ class TestValidation:
         with pytest.raises(OutOfRange):
             validate_representation(triangular(), tol=0.0)
 
+    def test_empty_cuts_are_reported_not_raised(self):
+        u = CutCurve1D(lower_fn=lambda a: 1.0 + 0.0 * a, upper_fn=lambda a: 0.0 * a)
+        report = validate_representation(u)
+        assert [c.name for c in report.checks if not c.passed] == ["cuts_nonempty"]
+
     @staticmethod
     def curvature_check(u):
         return [c for c in validate_representation(u).checks if c.name == "declared_curvature"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -519,7 +520,7 @@ class TestRefutationReport:
     def test_n_max_must_be_a_whole_number(self):
         with pytest.raises(BadIndex, match="^n_max must be a positive integer"):
             refutation_report(2.5)
-        assert refutation_report(3.0) == refutation_report(3)
+        assert json.dumps(refutation_report(3.0)) == json.dumps(refutation_report(3))
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_moduli_equal_the_public_functions(self, n):
