@@ -16,7 +16,7 @@ import sys
 from collections import abc
 
 from . import __version__
-from .core import AlphaGrid, as_grid, validate_representation
+from .core import AlphaGrid, _check_tolerance, as_grid, validate_representation
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -116,8 +116,7 @@ def _parse_delta_grid(spec: str | None):
 
 def _cmd_validate(args: argparse.Namespace) -> tuple:
     obj = _load(args.input, args.command, "fuzzy number", "2-D body")
-    if not args.tol > 0:
-        raise OutOfRange("tol must be positive")
+    _check_tolerance(args.tol, "tol")
     if isinstance(obj, FuzzyBody2D):
         checks = [{"name": "body_reconstruction", "passed": True}]
         passed = True

@@ -210,6 +210,7 @@ class DeclaredJump:
     upper_right: float
 
     def __post_init__(self):
+        _check_level(self.alpha)
         if not self.lower_right <= self.upper_right:
             raise EmptyCut(
                 f"empty right-limit cut at alpha={self.alpha}: lower {self.lower_right} > upper {self.upper_right}"
@@ -241,6 +242,8 @@ class CutCurve1D:
     curvature: tuple[DeclaredCurvature, ...] = ()
 
     def __post_init__(self):
+        if len({j.alpha for j in self.jumps}) < len(self.jumps):
+            raise OutOfRange(f"declared jumps must lie at distinct levels: {self.jumps}")
         for before, after in zip(self.curvature, self.curvature[1:]):
             if after.start < before.end:
                 raise OutOfRange(
@@ -380,6 +383,14 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
     return SampledFamily(g, lo, hi)
 
 
+def _check_tolerance(value: float, name: str) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not value > 0:
+        raise OutOfRange(f"{name} must be positive")
+    if value == math.inf:
+        raise OutOfRange(f"{name} must be finite")
+
+
 def _check_level(alpha: float) -> float:
     a = float(alpha)
     if not (0.0 <= a <= 1.0) or math.isnan(a):
@@ -482,6 +493,57 @@ def _member_rows(seq, count: int, alphas):
         del lo, hi
 
 
+# Lattice rows one batch ``endpoints`` call evaluates: 16 rows of the 19
+# default offsets are 320 levels, so a block holds about 200 members and
+# every array pass runs along a members axis that long.
+_LATTICE_ROWS = 16
+# Cells of one half of the reused (rows, deltas, members) move buffer: a pass
+# of moves stays near 130 KB however wide the block.
+_MOVE_CELLS = 1 << 13
+
+
+def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
+    point of the ``(len(rows), deltas)`` array ``lattice``.
+
+    A family with a batch ``endpoints`` is read one part of ``_LATTICE_ROWS``
+    rows at a time, each block of members once at the part's levels; any
+    other family is one part, so each member's ``endpoints`` is called once.
+    The moves are taken levels-major, in passes of at most ``_MOVE_CELLS``
+    cells (one row at least) through one reused buffer, each reduced over
+    its members into the result.  Blocks are only read: a batch
+    ``endpoints`` may return views of stored data."""
+    r, d = lattice.shape
+    part_rows = _LATTICE_ROWS if hasattr(members, "endpoints") else r
+    worst = np.zeros(lattice.shape)
+    buffer = np.empty(0)
+    for first in range(0, r, part_rows):
+        k = min(part_rows, r - first)
+        levels = np.concatenate([rows[first : first + k], lattice[first : first + k].ravel()])
+        for ns, lo, hi in _member_rows(members, len(members), levels):
+            m = ns.size
+            step = min(k, max(1, _MOVE_CELLS // (d * m)))
+            if buffer.size < 2 * step * d * m:
+                buffer = np.empty(2 * step * d * m)
+            at_rows = [lo.T[:k, None, :], hi.T[:k, None, :]]
+            at_lattice = [lo.T[k:].reshape(k, d, m), hi.T[k:].reshape(k, d, m)]
+            for start in range(0, k, step):
+                stop = min(start + step, k)
+                moves, upper = buffer[: 2 * (stop - start) * d * m].reshape(2, stop - start, d, m)
+                np.subtract(at_lattice[0][start:stop], at_rows[0][start:stop], out=moves)
+                np.abs(moves, out=moves)
+                np.subtract(at_lattice[1][start:stop], at_rows[1][start:stop], out=upper)
+                np.abs(upper, out=upper)
+                np.maximum(moves, upper, out=moves)
+                part = worst[first + start : first + stop]
+                np.maximum(part, moves.max(axis=2), out=part)
+            # free the block before the next one is evaluated: holding two
+            # took 7,000-21,000 minor page faults per 2,000-member report,
+            # one about 400
+            del lo, hi, at_rows, at_lattice
+    return worst
+
+
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -531,32 +593,34 @@ def _limit_gaps(
     at level 0.
 
     Each level is probed at the offsets 2**-k, k = PROBE_K_MIN..PROBE_K_MAX,
-    and every probe of every level is read in one ``endpoints`` call.  A
-    probe whose window leaves [0, 1] or straddles a declared jump is not
-    kept; such a window only grows with the offset, so each level keeps a
-    suffix of its smallest offsets, and the kept count is a row sum.  The
-    linear-in-delta part, read from the fixed columns k = PROBE_K_MAX - 2
-    and PROBE_K_MAX (28 and 30), is removed so that a steep but continuous
-    curve is not mistaken for a jump.  Returns the gaps and the kept counts.
+    and :func:`_worst_moves` reads 2,340 levels with their probes per
+    ``endpoints`` call.  A probe whose window leaves [0, 1] or straddles a
+    declared jump is not kept; such a window only grows with the offset, so
+    each level keeps a suffix of its smallest offsets, and the kept count is
+    a row sum.  The linear-in-delta part, read from the fixed columns k =
+    PROBE_K_MAX - 2 and PROBE_K_MAX (28 and 30), is removed so that a steep
+    but continuous curve is not mistaken for a jump.  Returns the gaps and
+    the kept counts.
     """
-    alphas = np.asarray(levels, dtype=float)[:, None]
     deltas = 2.0 ** -np.arange(PROBE_K_MIN, PROBE_K_MAX + 1.0)
-    probes = np.where(alphas > 0.0, alphas - deltas, alphas + deltas)
-    low, high = np.minimum(alphas, probes), np.maximum(alphas, probes)
-    kept = (0.0 <= probes) & (probes <= 1.0)
-    for j in jumps:
-        kept &= ~((low < j) & (j < high))
-    # a probe not kept reads the level itself, which stays inside [0, 1] and
-    # gives a gap of 0: with fewer than three probes kept the slope below is
-    # at most 0, and the gap is that of the smallest offset
-    lo, hi = u.endpoints(np.concatenate([alphas[:, 0], np.where(kept, probes, alphas).ravel()]))
-    base = alphas.size
-    gaps = np.maximum(
-        np.abs(lo[:base, None] - lo[base:].reshape(probes.shape)),
-        np.abs(hi[:base, None] - hi[base:].reshape(probes.shape)),
-    )
-    slope = (gaps[:, -3] - gaps[:, -1]) / (deltas[-3] - deltas[-1])
-    return np.maximum(gaps[:, -1] - np.maximum(slope, 0.0) * deltas[-1], 0.0), kept.sum(axis=1)
+    step = _ROW_BLOCK_CELLS // (1 + deltas.size)
+    gaps, kept = np.empty(levels.size), np.empty(levels.size, dtype=np.int64)
+    for start in range(0, levels.size, step):
+        block = slice(start, start + step)
+        alphas = levels[block, None]
+        probes = np.where(alphas > 0.0, alphas - deltas, alphas + deltas)
+        low, high = np.minimum(alphas, probes), np.maximum(alphas, probes)
+        ok = (0.0 <= probes) & (probes <= 1.0)
+        for j in jumps:
+            ok &= ~((low < j) & (j < high))
+        # a probe not kept reads the level itself, which stays inside [0, 1]
+        # and gives a gap of 0: with fewer than three probes kept the slope
+        # below is at most 0, and the gap is that of the smallest offset
+        moves = _worst_moves([u], levels[block], np.where(ok, probes, alphas))
+        slope = (moves[:, -3] - moves[:, -1]) / (deltas[-3] - deltas[-1])
+        gaps[block] = np.maximum(moves[:, -1] - np.maximum(slope, 0.0) * deltas[-1], 0.0)
+        kept[block] = ok.sum(axis=1)
+    return gaps, kept
 
 
 def _probe_levels(u: FuzzyNumber1D) -> np.ndarray:
@@ -609,8 +673,7 @@ def validate_representation(u: FuzzyNumber1D, tol: float = DEFAULT_VALIDATION_TO
     condition at 0 (right-continuity there, up to a declared jump).  Failures
     are reported, never raised.
     """
-    if not tol > 0:
-        raise OutOfRange("tol must be positive")
+    _check_tolerance(tol, "tol")
     levels = _probe_levels(u)
     lo, hi = u.endpoints(levels)
     jumps = tuple(j.alpha for j in u.jumps)

@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .core import CutCurve1D, DeclaredCurvature, DeclaredJump
+from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance, _worst_moves
 from .errors import BadIndex, OutOfRange, ParseError
 from . import family as family_mod
 from .metrics import (
@@ -50,8 +50,6 @@ ONE_THIRD = 1.0 / 3.0
 # window of the level-convergence scan inside the refutation report
 SCAN_WINDOW = 100_000
 DEFAULT_EPS = 1e-3
-# levels per pass of the dense pairwise oracle: each chunk's arrays stay in cache
-_ORACLE_CHUNK = 1 << 14
 
 
 def _inner(alphas) -> np.ndarray:
@@ -318,19 +316,9 @@ def pairwise_dinf_oracle(n: int, m: int, grid_size: int = 1_000_000) -> float:
         raise OutOfRange("grid_size must be at least 2")
     uniform = np.linspace(ONE_THIRD, 1.0, grid_size)
     cluster = ONE_THIRD + (2.0 / 3.0) * 10.0 ** -np.arange(1.0, 15.0)
-    alphas = np.concatenate([uniform, cluster])
-    # the maximum is exact, so the chunking does not change the result
-    best = 0.0
-    for start in range(0, alphas.size, _ORACLE_CHUNK):
-        t = _inner(alphas[start : start + _ORACLE_CHUNK])
-        log_t = np.log(t[t > 0.0])
-        vals = log_t / n
-        np.exp(vals, out=vals)
-        np.divide(log_t, m, out=log_t)
-        vals -= np.exp(log_t, out=log_t)
-        np.abs(vals, out=vals)
-        best = max(best, float(np.max(vals)))
-    return best
+    t = _inner(np.concatenate([uniform, cluster]))
+    log_t = np.log(t[t > 0.0])
+    return float(np.max(np.abs(np.exp(log_t / n) - np.exp(log_t / m))))
 
 
 def refutation_report(
@@ -351,8 +339,7 @@ def refutation_report(
     """
     if n_max < 2:
         raise OutOfRange("n_max must be at least 2 to exhibit a sequence")
-    if not eps > 0:
-        raise OutOfRange("eps must be positive")
+    _check_tolerance(eps, "eps")
     _check_search(tol, DEFAULT_MAX_DEPTH)
     fam = members(n_max)
     n_max = len(fam)  # an integral float reports as its integer
@@ -375,7 +362,7 @@ def refutation_report(
     deltas = np.where(above, np.minimum(0.5 * margin, 0.5 * eps * margin), 0.5 * probe_alphas)
     # one lattice read: each probe level at its delta, then level 0 at 0.25
     rows, lattice = np.append(probe_alphas, 0.0), np.append(probe_alphas - deltas, 0.25)[:, None]
-    *moduli, right_zero = family_mod._worst_moves(fam, rows, lattice)[:, 0].tolist()
+    *moduli, right_zero = _worst_moves(fam, rows, lattice)[:, 0].tolist()
     equi_entries = []
     for a, delta, modulus, up in zip(probe_alphas.tolist(), deltas.tolist(), moduli, above.tolist()):
         entry = {

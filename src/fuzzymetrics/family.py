@@ -17,12 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    FuzzyNumber1D,
-    SampledFamily,
-    _member_rows,
-    make_sampled_family,
-)
+from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, _worst_moves, make_sampled_family
 from .errors import EmptyFamily, OutOfRange
 from .metrics import default_report_grid
 
@@ -86,66 +81,6 @@ def _offsets(delta_grid: Sequence[float] | None) -> list[float]:
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
         raise OutOfRange("delta grid must hold finite positive offsets")
     return np.unique(np.asarray(deltas, dtype=float))[::-1].tolist()
-
-
-# Lattice rows one batch ``endpoints`` call evaluates: 16 rows of the 19
-# default offsets are 320 levels, so a block holds about 200 members and
-# every array pass runs along a members axis that long.
-_LATTICE_ROWS = 16
-# Cells of one of the two reused (rows, deltas, members) move buffers: a
-# pass of moves stays near 130 KB however wide the block.
-_MOVE_CELLS = 1 << 13
-
-
-def _lattice_moves(members, count: int, rows: np.ndarray, lattice: np.ndarray):
-    """H(cut(rows[i]), cut(lattice[i, j])) for members 1..count.
-
-    ``lattice`` has shape ``(len(rows), deltas)``.  A family with a batch
-    ``endpoints`` is read one part of ``_LATTICE_ROWS`` rows at a time, each
-    block of members once at the part's row and lattice levels; any other
-    family is one part, so each member's ``endpoints`` is called once.  The
-    moves are taken levels-major by broadcasting, in passes of at most
-    ``_MOVE_CELLS`` cells (one row at least).  Yields ``(ns, part, moves)``:
-    ``moves[i, j, k]`` is member ``ns[k]``'s move at ``(rows[part][i],
-    lattice[part][i, j])``.  The buffers behind ``moves`` are reused between
-    yields, and the blocks are only read: a batch ``endpoints`` may return
-    views of stored data.
-    """
-    r, d = lattice.shape
-    part_rows = _LATTICE_ROWS if hasattr(members, "endpoints") else r
-    buffer = np.empty(0)
-    for first in range(0, r, part_rows):
-        k = min(part_rows, r - first)
-        levels = np.concatenate([rows[first : first + k], lattice[first : first + k].ravel()])
-        for ns, lo, hi in _member_rows(members, count, levels):
-            m = ns.size
-            step = min(k, max(1, _MOVE_CELLS // (d * m)))
-            if buffer.size < 2 * step * d * m:
-                buffer = np.empty(2 * step * d * m)
-            at_rows = [lo.T[:k, None, :], hi.T[:k, None, :]]
-            at_lattice = [lo.T[k:].reshape(k, d, m), hi.T[k:].reshape(k, d, m)]
-            for start in range(0, k, step):
-                stop = min(start + step, k)
-                moves, upper = buffer[: 2 * (stop - start) * d * m].reshape(2, stop - start, d, m)
-                np.subtract(at_lattice[0][start:stop], at_rows[0][start:stop], out=moves)
-                np.abs(moves, out=moves)
-                np.subtract(at_lattice[1][start:stop], at_rows[1][start:stop], out=upper)
-                np.abs(upper, out=upper)
-                np.maximum(moves, upper, out=moves)
-                yield ns, slice(first + start, first + stop), moves
-            # free the block before the next one is evaluated: holding two
-            # took 7,000-21,000 minor page faults per 2,000-member report,
-            # one about 400
-            del lo, hi, at_rows, at_lattice
-
-
-def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """The worst member's move at every lattice point (see
-    :func:`_lattice_moves`)."""
-    worst = np.zeros(lattice.shape)
-    for _, part, moves in _lattice_moves(members, len(members), rows, lattice):
-        np.maximum(worst[part], moves.max(axis=2), out=worst[part])
-    return worst
 
 
 def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) -> float:
@@ -268,8 +203,7 @@ def equi_continuity_report(
     in (0, 1]: k/100, k = 1..100, densified around the members' hint
     levels.
     """
-    if not eps > 0:
-        raise OutOfRange("eps must be positive")
+    _check_tolerance(eps, "eps")
     members = _require_members(family)
     if alpha_grid is None:
         alpha_grid = default_report_grid([members]).levels
@@ -309,8 +243,7 @@ def eventually_equi_left(
     """
     if not (0.0 < alpha <= 1.0):
         raise OutOfRange(f"alpha={alpha} outside (0, 1]")
-    if not eps > 0:
-        raise OutOfRange("eps must be positive")
+    _check_tolerance(eps, "eps")
     if n_max is not None and n_max < 1:
         raise OutOfRange("n_max must be at least 1")
     members = _require_members(seq)
@@ -319,11 +252,13 @@ def eventually_equi_left(
     deltas = [d for d in reversed(_offsets(delta_grid)) if d <= alpha]
     if not deltas:
         return None
-    lattice = alpha - np.asarray([deltas], dtype=float)
+    levels = np.append(float(alpha), alpha - np.asarray(deltas, dtype=float))
     last_violation = np.zeros(len(deltas), dtype=np.int64)
-    for ns, _, moves in _lattice_moves(members, count, np.asarray([float(alpha)]), lattice):
-        wild = ~_tamed(moves[0], eps)
-        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns, 0), axis=1))
+    # each member's moves (rows) at each offset, as ``_worst_moves`` takes them
+    for ns, lo, hi in _member_rows(members, count, levels):
+        moves = np.maximum(np.abs(lo[:, 1:] - lo[:, :1]), np.abs(hi[:, 1:] - hi[:, :1]))
+        wild = ~_tamed(moves, eps)
+        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns[:, None], 0), axis=0))
     best: tuple[int, float] | None = None
     for d, last in zip(deltas, last_violation.tolist()):
         if last < count and (best is None or last + 1 < best[0]):

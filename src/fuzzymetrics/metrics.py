@@ -32,6 +32,7 @@ from .core import (
     FuzzyNumber1D,
     GridLike,
     SampledFuzzy1D,
+    _check_tolerance,
     _chord_excess,
     _member_rows,
     _ulps,
@@ -240,8 +241,7 @@ def _envelope_bound(hi_a, hi_b, lo_a, lo_b) -> np.ndarray:
 
 def _check_search(tol: float, max_depth: int) -> None:
     """Reject a search tolerance or depth no enclosure can be asked for."""
-    if not tol > 0:
-        raise OutOfRange("tol must be positive")
+    _check_tolerance(tol, "tol")
     if max_depth < 0:
         raise OutOfRange("max_depth must be nonnegative")
 
@@ -452,8 +452,7 @@ def level_convergence_report(
     scanned distance stays within ``eps``; "not reached" means the last
     scanned index still violates.  No claim is made beyond the window.
     """
-    if not eps > 0:
-        raise OutOfRange("eps must be positive")
+    _check_tolerance(eps, "eps")
     if n_max < 1:
         raise OutOfRange("n_max must be at least 1")
     if not callable(seq):

@@ -173,6 +173,7 @@ class TestDistVerb:
         [
             (["--tol", "-1", "--max-depth", "-5"], "tol must be positive"),
             (["--tol", "0"], "tol must be positive"),
+            (["--tol", "inf"], "tol must be finite"),
             (["--max-depth", "-5"], "max_depth must be nonnegative"),
         ],
     )
@@ -257,6 +258,24 @@ def test_grid_count_that_is_not_an_integer_is_an_input_error(verb, count, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: grid level count must be an integer, got {count!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["validate", "tri.json", "--tol", "inf"], "tol"),
+        (["validate", "body.json", "--tol", "inf"], "tol"),
+        (["converge", "counterexample-seq", "counterexample-limit", "--eps", "inf"], "eps"),
+        (["family-report", "family.json", "--eps", "inf"], "eps"),
+    ],
+)
+def test_infinite_tolerance_is_an_input_error(argv, name, monkeypatch, capsys):
+    # the counterexample and dist settings tests take inf too
+    monkeypatch.chdir(GOLDEN_DIR)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be finite\n"
 
 
 def test_grid_file_named_like_a_number_is_read(tmp_path, monkeypatch, capsys):
@@ -396,6 +415,9 @@ class TestCounterexampleVerb:
             (["--eps", "nan"], "eps must be positive"),
             (["--tol", "0"], "tol must be positive"),
             (["--tol", "-1"], "tol must be positive"),
+            # an infinite tolerance made every condition vacuous
+            (["--eps", "inf"], "eps must be finite"),
+            (["--tol", "inf"], "tol must be finite"),
         ],
     )
     def test_bad_settings_are_rejected_before_any_work(self, options, message, monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,18 +21,27 @@ from fuzzymetrics import (
     SampledFamily,
     SampledFuzzy1D,
     alpha_cut,
+    compactness_conditions_report,
+    d_infty_parametric,
+    equi_continuity_report,
+    eventually_equi_left,
+    level_convergence_report,
     make_limit,
     make_sampled_1d,
     make_sampled_family,
     make_un,
     membership_at,
     random_family,
+    refutation_report,
     validate_representation,
 )
+from fuzzymetrics import core
+from fuzzymetrics.serialize import dumps
 from fuzzymetrics.core import (
     PROBE_K_MAX,
     PROBE_K_MIN,
     _ROW_BLOCK,
+    _limit_gaps,
     _member_rows,
     _probe_levels,
     hausdorff_interval,
@@ -411,6 +422,106 @@ class TestLimitProbes:
         levels = _probe_levels(u).size
         # the probe grid, then every level with its offsets
         assert u.sizes == [levels, levels * (1 + PROBE_K_MAX - PROBE_K_MIN + 1)]
+
+
+def linear_sampled(levels):
+    grid = np.linspace(0.0, 1.0, levels)
+    return make_sampled_1d(grid, grid, 3.0 - grid)
+
+
+class TestLimitProbeBlocks:
+    """Validate reads its limit probes a block of levels at a time."""
+
+    def test_blocks_of_levels_give_the_one_block_checks(self, monkeypatch):
+        sizes = []
+        endpoints = SampledFuzzy1D.endpoints
+
+        def counting(self, alphas):
+            sizes.append(np.size(alphas))
+            return endpoints(self, alphas)
+
+        monkeypatch.setattr(SampledFuzzy1D, "endpoints", counting)
+        u = linear_sampled(5_001)
+        blocked = validate_representation(u).to_dict()
+        step = core._ROW_BLOCK_CELLS // (1 + PROBE_K_MAX - PROBE_K_MIN + 1)
+        assert step == 2_340
+        # the probe grid, its segment ends and midpoints for the curvature
+        # check, then two full blocks of levels and the rest
+        assert sizes == [5_001, 10_001] + [step * 28] * 2 + [(5_001 - 2 * step) * 28]
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", 1 << 30)
+        assert dumps(validate_representation(u).to_dict()) == dumps(blocked)
+        assert sizes[5:] == [5_001, 10_001, 5_001 * 28]
+
+    @pytest.mark.parametrize("jumps", [(), (0.5,)])
+    def test_block_edges_keep_every_gap_and_count(self, jumps, monkeypatch):
+        # nonzero gaps and kept counts below 27 at many levels
+        u = CutCurve1D(zeros, lambda a: 2.0 - np.arctan(1e4 * (np.asarray(a) - 0.5)) / np.pi)
+        levels = np.append(np.linspace(0.0, 1.0, 5_001)[1:], 0.0)
+        gaps, kept = _limit_gaps(u, levels, jumps)
+        assert (gaps > 0).sum() > 1_000 and kept.min() < 20
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", 1 << 30)
+        one_gaps, one_kept = _limit_gaps(u, levels, jumps)
+        assert gaps.tobytes() == one_gaps.tobytes()
+        assert kept.tolist() == one_kept.tolist()
+
+    def test_peak_memory_stays_flat_in_the_level_count(self):
+        u = linear_sampled(30_001)
+        tracemalloc.start()
+        try:
+            assert validate_representation(u).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every probe of every level at once peaked at 52 MB here
+        assert peak < 20e6
+
+
+def tolerance_sites():
+    tri = triangular()
+    yield "validate_representation", "tol", lambda x: validate_representation(tri, tol=x)
+    yield "d_infty_parametric", "tol", lambda x: d_infty_parametric(tri, make_un(1), tol=x)
+    yield "level_convergence_report", "eps", lambda x: level_convergence_report([tri], tri, [0.0, 1.0], x, 1)
+    yield "equi_continuity_report", "eps", lambda x: equi_continuity_report([tri], eps=x)
+    yield "compactness_conditions_report", "eps", lambda x: compactness_conditions_report([tri], eps=x)
+    yield "eventually_equi_left", "eps", lambda x: eventually_equi_left([tri], 0.5, x)
+    yield "refutation_report-eps", "eps", lambda x: refutation_report(2, eps=x)
+    yield "refutation_report-tol", "tol", lambda x: refutation_report(2, tol=x)
+
+
+class TestTolerances:
+    """Every tolerance must be a finite positive number."""
+
+    @pytest.mark.parametrize(
+        "value, problem", [(math.inf, "finite"), (0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"), (-math.inf, "positive")]
+    )
+    @pytest.mark.parametrize("name, call", [pytest.param(n, c, id=i) for i, n, c in tolerance_sites()])
+    def test_rejected(self, name, call, value, problem):
+        with pytest.raises(OutOfRange, match=f"^{name} must be {problem}$"):
+            call(value)
+
+    def test_infinite_tol_no_longer_passes_a_decreasing_endpoint(self):
+        u = CutCurve1D(lambda a: 0.5 - 0.5 * a, lambda a: 1.0 + 0.0 * a)
+        assert not validate_representation(u).passed
+        with pytest.raises(OutOfRange, match="tol must be finite"):
+            validate_representation(u, tol=math.inf)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.5, math.nan, -math.inf, math.inf])
+def test_declared_jump_lies_in_the_unit_interval(alpha):
+    # a jump at -0.5 used to pass validation and break the search
+    with pytest.raises(OutOfRange, match="outside \\[0, 1\\]"):
+        DeclaredJump(alpha, 0.0, 0.5)
+
+
+def test_declared_jumps_lie_at_distinct_levels():
+    jumps = (DeclaredJump(0.5, 0.0, 0.5), DeclaredJump(0.5, 0.0, 0.25))
+    with pytest.raises(OutOfRange, match="distinct levels"):
+        CutCurve1D(np.zeros_like, lambda a: 1.0 - a, jumps=jumps)
+    # the same jump twice is refused too
+    with pytest.raises(OutOfRange, match="distinct levels"):
+        CutCurve1D(np.zeros_like, lambda a: 1.0 - a, jumps=jumps[:1] * 2)
+    # one jump at each of two levels is fine
+    CutCurve1D(np.zeros_like, lambda a: 1.0 - a, jumps=(jumps[0], DeclaredJump(0.25, 0.0, 1.0)))
 
 
 def test_declared_jump_needs_a_nonempty_right_limit():

@@ -27,7 +27,6 @@ from fuzzymetrics import (
     uniform_modulus_bound,
 )
 from fuzzymetrics.counterexample import (
-    _ORACLE_CHUNK,
     ONE_THIRD,
     _inner,
     _members_endpoints,
@@ -409,18 +408,6 @@ class TestPairwiseOracle:
         for n in (1, 2, 5, 10):
             m = 5 * n  # well within the 100n search allowance
             assert pairwise_dinf_oracle(n, m, grid_size=200_001) > 0.5
-
-    # the grid adds 14 cluster levels to the uniform ones, so a chunk edge
-    # falls at grid_size = _ORACLE_CHUNK - 14
-    @pytest.mark.parametrize("grid_size", [2, _ORACLE_CHUNK - 15, _ORACLE_CHUNK - 14, _ORACLE_CHUNK - 13, 200_001])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
-    def test_chunks_equal_one_pass(self, n, grid_size):
-        uniform = np.linspace(ONE_THIRD, 1.0, grid_size)
-        cluster = ONE_THIRD + (2.0 / 3.0) * 10.0 ** -np.arange(1.0, 15.0)
-        t = _inner(np.concatenate([uniform, cluster]))
-        tp = t[t > 0.0]
-        one_pass = float(np.max(np.abs(np.exp(np.log(tp) / n) - np.exp(np.log(tp) / (5 * n)))))
-        assert pairwise_dinf_oracle(n, 5 * n, grid_size=grid_size).hex() == one_pass.hex()
 
 
 class TestSeparation:
