@@ -197,7 +197,8 @@ class SampledFuzzy1D:
 
 @dataclass(frozen=True)
 class DeclaredJump:
-    """A declared right-side discontinuity of the cut curve at ``alpha``.
+    """A declared right-side discontinuity of the cut curve at ``alpha`` in
+    [0, 1].
 
     ``lower_right`` / ``upper_right`` are the exact one-sided limits of the
     endpoints as the level decreases to ``alpha`` from above.  Valid fuzzy
@@ -224,7 +225,7 @@ class CutCurve1D:
     ``lower_fn`` must be nondecreasing and ``upper_fn`` nonincreasing, as
     the cut axioms require; that monotonicity is what certifies range
     bounds in the adaptive supremum search.  All genuine discontinuities
-    must be declared; the callables should accept numpy arrays, scalar-only
+    must be declared, at most one per level; the callables should accept numpy arrays, scalar-only
     callables are wrapped on demand.  ``hint_levels`` names levels where the
     cut map changes character; the default report grid is densified around
     them (see ``metrics.default_report_grid``).  ``curvature`` declares the
