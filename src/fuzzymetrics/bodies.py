@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphaGrid, GridLike, SampledFuzzy1D, as_grid
+from .core import AlphaGrid, GridLike, SampledFuzzy1D, _frozen, as_grid
 from .errors import EmptyCut, GridMismatch, NonNested, OutOfRange
 
 __all__ = [
@@ -74,10 +74,9 @@ class FuzzyBody2D:
     support: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.support, dtype=float).copy()
+        s = _frozen(self.support)
         if s.ndim != 2 or s.shape[0] != len(self.grid):
             raise GridMismatch("support matrix must have one row per grid level")
-        s.flags.writeable = False
         object.__setattr__(self, "support", s)
 
     @property
@@ -95,16 +94,14 @@ def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     only a rejected body bisects for its first empty level.
     """
     g = as_grid(grid)
-    s = np.asarray(support, dtype=float)
-    if s.ndim != 2 or s.shape[0] != len(g):
-        raise GridMismatch("support matrix must have one row per grid level")
+    body = FuzzyBody2D(g, support)
+    s = body.support
     if s.shape[1] < 3:
         raise OutOfRange("need at least 3 directions")
     if not np.all(np.isfinite(s)):
         raise OutOfRange("support values must be finite")
     if np.any(np.diff(s, axis=0) > 0):
         raise NonNested("support values must be nonincreasing in alpha in every direction")
-    body = FuzzyBody2D(g, s)
     # levels up to index ok are nonempty; level empty is empty, radius r
     ok, empty = -1, len(g) - 1
     r = chebyshev_radius(body.support[empty])

@@ -16,7 +16,7 @@ import sys
 from collections import abc
 
 from . import __version__
-from .core import AlphaGrid, _check_tolerance, as_grid, validate_representation
+from .core import AlphaGrid, ValidationCheck, ValidationReport, _check_tolerance, as_grid, validate_representation
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -118,16 +118,12 @@ def _cmd_validate(args: argparse.Namespace) -> tuple:
     obj = _load(args.input, args.command, "fuzzy number", "2-D body")
     _check_tolerance(args.tol, "tol")
     if isinstance(obj, FuzzyBody2D):
-        checks = [{"name": "body_reconstruction", "passed": True}]
-        passed = True
-        report_dict = {"passed": True, "tol": args.tol, "checks": checks}
+        report = ValidationReport((ValidationCheck("body_reconstruction", True),), args.tol)
     else:
         report = validate_representation(obj, tol=args.tol)
-        passed = report.passed
-        report_dict = report.to_dict()
-    rows = [(c["name"], c.get("alpha"), c["passed"], c.get("measured")) for c in report_dict["checks"]]
+    rows = [(c.name, c.alpha, c.passed, c.measured) for c in report.checks]
     table = ("check", "alpha", "passed", "measured"), rows
-    return "validation", report_dict, table, passed or "validation failed"
+    return "validation", report.to_dict(), table, report.passed or "validation failed"
 
 
 def _cmd_dist(args: argparse.Namespace) -> tuple:

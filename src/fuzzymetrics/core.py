@@ -46,6 +46,13 @@ PROBE_K_MAX = 30
 DEFAULT_VALIDATION_TOL = 1e-9
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``, as every carrier stores it."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class AlphaGrid:
     """Strictly increasing membership levels spanning [0, 1] inclusively."""
@@ -62,9 +69,7 @@ class AlphaGrid:
             raise BadGrid("grid must start at 0 and end at 1")
         if not np.all(np.diff(arr) > 0):
             raise BadGrid("grid levels must be strictly increasing")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "levels", arr)
+        object.__setattr__(self, "levels", _frozen(arr))
 
     @staticmethod
     def uniform(count: int) -> "AlphaGrid":
@@ -127,14 +132,18 @@ def _ulps(*values: np.ndarray) -> np.ndarray:
     return _SLACK_ULPS * np.spacing(np.maximum.reduce([np.abs(x) for x in values]))
 
 
-def _chord_excess(a, b, m, left, mid, right) -> tuple[np.ndarray, np.ndarray]:
-    """How far the values ``mid`` at levels ``m`` lie above the chords from
-    ``left`` at ``a`` to ``right`` at ``b``, and the rounding slack a
-    curvature check allows there."""
+def _wrong_side(a, b, m, left, mid, right, signs) -> tuple[np.ndarray, np.ndarray]:
+    """How far the values ``mid`` at levels ``m`` lie on the wrong side of
+    the chords from ``left`` at ``a`` to ``right`` at ``b``, and the rounding
+    slack a curvature check allows there: a row of sign +1 (convex) is wrong
+    above its chord, -1 (concave) below it, 0 (linear) off it; NaN where its
+    sign is NaN (nothing declared) or the segment has no interior float."""
     with np.errstate(divide="ignore", invalid="ignore"):
         above = mid - (left + (right - left) * ((m - a) / (b - a)))
         slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
-    return above, _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
+    wrong = np.where(signs == 0, np.abs(above), signs * above)
+    wrong[..., ~((a < m) & (m < b))] = np.nan  # a segment one unit wide has no interior float
+    return wrong, _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,23 @@ class DeclaredCurvature:
                 raise OutOfRange(f"curvature must be one of {CURVATURES} or None, got {name!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Samples:
+    """Endpoint samples on a grid, stored read-only: one number's, or a row
+    per member of a family.  Sampled numbers declare no hint levels."""
+
+    grid: AlphaGrid
+    lower: np.ndarray
+    upper: np.ndarray
+    hint_levels = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", _frozen(self.lower))
+        object.__setattr__(self, "upper", _frozen(self.upper))
+
+
 @dataclass(frozen=True)
-class SampledFuzzy1D:
+class SampledFuzzy1D(_Samples):
     """Endpoint samples of the cuts on a grid, linear in alpha in between.
 
     Built through :func:`make_sampled_1d`, which enforces nestedness and
@@ -171,21 +195,9 @@ class SampledFuzzy1D:
     every grid level, so one piece on [0, 1] says so).
     """
 
-    grid: AlphaGrid
-    lower: np.ndarray
-    upper: np.ndarray
     jumps = ()
-    hint_levels = ()
     key = None
     curvature = (DeclaredCurvature(0.0, 1.0, "linear", "linear"),)
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).copy()
-        hi = np.asarray(self.upper, dtype=float).copy()
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     def endpoints(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cut endpoints at each alpha (vectorized, exact at grid nodes)."""
@@ -216,6 +228,8 @@ class DeclaredJump:
             raise EmptyCut(
                 f"empty right-limit cut at alpha={self.alpha}: lower {self.lower_right} > upper {self.upper_right}"
             )
+        if math.isinf(self.lower_right) or math.isinf(self.upper_right):
+            raise OutOfRange(f"right limits at alpha={self.alpha} must be finite")
 
 
 @dataclass(frozen=True)
@@ -270,27 +284,14 @@ FuzzyNumber1D = Union[SampledFuzzy1D, CutCurve1D]
 
 
 def make_sampled_1d(grid: GridLike, lower: Sequence[float], upper: Sequence[float]) -> SampledFuzzy1D:
-    """Build a validated sampled fuzzy number from endpoint samples."""
-    g = as_grid(grid)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if lo.shape != (len(g),) or hi.shape != (len(g),):
-        raise ValueError(f"endpoint sequences must match the grid length {len(g)}")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("endpoint samples must be finite")
-    bad = np.nonzero(lo > hi)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise EmptyCut(f"empty cut at alpha={g.levels[i]}: lower {lo[i]} > upper {hi[i]}")
-    if np.any(np.diff(lo) < 0):
-        raise NonNested("lower endpoints must be nondecreasing in alpha")
-    if np.any(np.diff(hi) > 0):
-        raise NonNested("upper endpoints must be nonincreasing in alpha")
-    return SampledFuzzy1D(g, lo, hi)
+    """Build a validated sampled fuzzy number from endpoint samples: the
+    one-member case of :func:`make_sampled_family`."""
+    one = make_sampled_family(grid, [lower], [upper])
+    return SampledFuzzy1D(one.grid, one.lower[0], one.upper[0])
 
 
 @dataclass(frozen=True, eq=False)
-class SampledFamily(abc.Sequence):
+class SampledFamily(_Samples, abc.Sequence):
     """Sampled fuzzy numbers on one shared grid, held as two arrays.
 
     ``lower`` and ``upper`` have shape ``(count, len(grid))``; row i holds
@@ -300,19 +301,6 @@ class SampledFamily(abc.Sequence):
     construction assumes already-valid data.  Sampled numbers declare no
     hint levels, so the family declares none for all of them.
     """
-
-    grid: AlphaGrid
-    lower: np.ndarray
-    upper: np.ndarray
-    hint_levels = ()
-
-    def __post_init__(self):
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     def __len__(self) -> int:
         return self.lower.shape[0]
@@ -365,22 +353,28 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
 
     ``lower`` and ``upper`` hold one row of samples per member.  Every
     member is checked in one vectorized pass; the first bad member raises
-    the error :func:`make_sampled_1d` raises for it.
+    the error of the first rule it breaks: finite samples, nonempty cuts,
+    then nested lower and upper endpoints.
     """
     g = as_grid(grid)
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
         raise ValueError(f"endpoint sequences must match the grid length {len(g)}")
-    bad = (
-        ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
-        | (lo > hi).any(axis=1)
-        | (np.diff(lo, axis=1) < 0).any(axis=1)
-        | (np.diff(hi, axis=1) > 0).any(axis=1)
-    )
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    empty = (lo > hi).any(axis=1)
+    lower_falls = (np.diff(lo, axis=1) < 0).any(axis=1)
+    bad = ~finite | empty | lower_falls | (np.diff(hi, axis=1) > 0).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        make_sampled_1d(g, lo[k], hi[k])
+        if not finite[k]:
+            raise ValueError("endpoint samples must be finite")
+        if empty[k]:
+            i = int(np.argmax(lo[k] > hi[k]))
+            raise EmptyCut(f"empty cut at alpha={g.levels[i]}: lower {lo[k, i]} > upper {hi[k, i]}")
+        if lower_falls[k]:
+            raise NonNested("lower endpoints must be nondecreasing in alpha")
+        raise NonNested("upper endpoints must be nonincreasing in alpha")
     return SampledFamily(g, lo, hi)
 
 
@@ -647,16 +641,9 @@ def _curvature_check(u: FuzzyNumber1D, levels: np.ndarray) -> ValidationCheck:
         for k, level in enumerate(a.tolist()):
             if level in right_limits:
                 left[:, k] = right_limits[level]
-        above, slack = _chord_excess(a, b, m, left, mid, right)
-        inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
-        # the distance to the wrong side of the chord: above it for a convex
-        # endpoint, below it for a concave one, off it for a linear one
-        for row, name in enumerate((p.lower, p.upper)):
-            if name is None:
-                continue
-            wrong = np.abs(above[row]) if name == "linear" else _SIGN[name] * above[row]
-            worst = max(worst, float(wrong.max(initial=0.0, where=inner)))
-            passed = passed and not np.any(inner & (wrong > slack[row]))
+        wrong, slack = _wrong_side(a, b, m, left, mid, right, np.array([[_SIGN[p.lower]], [_SIGN[p.upper]]]))
+        worst = max(worst, float(np.fmax.reduce(wrong, axis=None, initial=0.0)))
+        passed = passed and not np.any(wrong > slack)
     return ValidationCheck(
         name="declared_curvature",
         passed=bool(passed),

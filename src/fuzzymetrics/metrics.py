@@ -33,9 +33,9 @@ from .core import (
     GridLike,
     SampledFuzzy1D,
     _check_tolerance,
-    _chord_excess,
     _member_rows,
     _ulps,
+    _wrong_side,
     as_grid,
     hausdorff_interval,
 )
@@ -168,10 +168,9 @@ def _check_curvature(seg: np.ndarray, m: np.ndarray, mid: np.ndarray) -> None:
     side of the chord at the midpoints ``m`` (values ``mid``), up to the
     rounding slack: a convex row on or below it, a concave row on or above,
     a linear row on it."""
-    a, b, left, right, signs = seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT], seg[_SIGNS]
-    inner = (a < m) & (m < b)  # a segment one unit wide has no interior float
-    above, slack = _chord_excess(a, b, m, left, mid, right)
-    bad = inner & (((signs >= 0) & (above > slack)) | ((signs <= 0) & (above < -slack)))
+    a, b, signs = seg[_A], seg[_B], seg[_SIGNS]
+    wrong, slack = _wrong_side(a, b, m, seg[_LEFT], mid, seg[_RIGHT], signs)
+    bad = wrong > slack
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         k = int(np.argmax(bad[:, i]))

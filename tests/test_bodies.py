@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fuzzymetrics import (
     EmptyCut,
+    GridMismatch,
     NonNested,
     OutOfRange,
     lift_segment,
@@ -65,6 +66,10 @@ class TestMakeBody:
         support = np.vstack([np.ones(8), 2 * np.ones(8)])  # grows with alpha
         with pytest.raises(NonNested):
             make_body_2d(grid, support)
+
+    def test_one_support_row_per_level(self):
+        with pytest.raises(GridMismatch, match="^support matrix must have one row per grid level$"):
+            make_body_2d([0.0, 1.0], np.ones((3, 8)))
 
     def test_infeasible_support_rejected(self):
         # h(p) + h(-p) < 0 forces an empty halfplane intersection

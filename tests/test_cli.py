@@ -473,6 +473,18 @@ def test_python_dash_m_runs_the_cli(module):
     assert done.stdout == (GOLDEN_DIR / "expected" / "dist-tri-tri.json").read_bytes()
 
 
+def test_python_dash_m_runs_a_strict_verb():
+    done = subprocess.run(
+        [sys.executable, "-m", "fuzzymetrics", "counterexample", "--n-max", "10", "--strict"],
+        cwd=GOLDEN_DIR,
+        env=source_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN_DIR / "expected" / "counterexample-10.json").read_bytes()
+
+
 def test_kind_names_every_sequence_a_family():
     for family in (random_family(seed=1, count=3), [make_un(1), make_un(2)], members(3)):
         assert _kind(family) == "family"
@@ -525,3 +537,43 @@ class TestArgHandling:
         reparsed = decode_fuzzy(read_json(out))
         enc = d_infty_parametric(original, reparsed)
         assert (enc.lower, enc.upper) == (0.0, 0.0)
+
+
+def wide_body():
+    """The golden body with one support column too few for its direction count."""
+    doc = read_json(GOLDEN_DIR / "body.json")
+    return {**doc, "support": [row[:-1] for row in doc["support"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["family-report", "bad.json"],
+            {"bad.json": "{not json"},
+            "bad.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (
+            ["profile", "tri.json", "tri.json", "--grid", "grid.json"],
+            {"grid.json": "[0, 0.5]"},
+            "bad grid file grid.json: grid must start at 0 and end at 1",
+        ),
+        (["family-report", "family.json", "--delta-grid", "0.1,abc"], {}, "bad delta grid spec '0.1,abc'"),
+        (
+            ["validate", "wide.json"],
+            {"wide.json": json.dumps(wide_body())},
+            "support matrix shape does not match the declared direction count",
+        ),
+    ],
+    ids=["family-not-json", "grid-file-without-level-one", "delta-grid-not-numbers", "body-wider-than-directions"],
+)
+def test_bad_inputs_are_input_errors(argv, files, message, tmp_path, monkeypatch, capsys):
+    for name in ("tri.json", "family.json"):
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

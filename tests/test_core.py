@@ -84,6 +84,10 @@ class TestAlphaGrid:
         with pytest.raises(BadGrid):
             AlphaGrid(np.array([0.0]))
 
+    def test_needs_finite_levels(self):
+        with pytest.raises(BadGrid, match="^grid levels must be finite$"):
+            AlphaGrid([0.0, math.nan, 1.0])
+
     def test_hash_consistent_with_eq(self):
         assert hash(AlphaGrid.uniform(3)) == hash(AlphaGrid(np.array([-0.0, 0.5, 1.0])))
         assert len({AlphaGrid.uniform(3), AlphaGrid.uniform(3), AlphaGrid.uniform(4)}) == 2
@@ -119,6 +123,24 @@ class TestMakeSampled:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_sampled_1d([0, 0.5, 1], [0, 0], [1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "lower, upper, error, message",
+        [
+            ([0, 0.6, 0.5], [1, 1, 1], NonNested, "lower endpoints must be nondecreasing in alpha"),
+            ([0, 0.5, 0.5], [1, 0.5, 0.7], NonNested, "upper endpoints must be nonincreasing in alpha"),
+            # a row that breaks several rules raises the first: finite,
+            # nonempty, nested lower, nested upper
+            ([0, 0.8, 0.9], [1, 0.7, 0.9], EmptyCut, "empty cut at alpha=0.5: lower 0.8 > upper 0.7"),
+            ([0, 0.8, 0.5], [1, 0.7, 0.9], EmptyCut, "empty cut at alpha=0.5: lower 0.8 > upper 0.7"),
+            ([0, 0.6, 0.5], [1, 0.8, 0.9], NonNested, "lower endpoints must be nondecreasing in alpha"),
+            ([0, 0.8, math.inf], [1, 0.7, 0.9], ValueError, "endpoint samples must be finite"),
+        ],
+    )
+    def test_each_rule_raises_its_own_message(self, lower, upper, error, message):
+        with pytest.raises(error) as raised:
+            make_sampled_1d([0, 0.5, 1], lower, upper)
+        assert str(raised.value) == message
 
 
 class TestAlphaCut:
@@ -323,6 +345,12 @@ class TestValidation:
         nested = [c.passed for c in validate_representation(u).checks if c.name.startswith("nested")]
         assert nested == [True, True]
 
+    def test_constant_callables_are_evaluated_per_level(self):
+        # a float returned for an array of levels has the wrong shape, so the
+        # callables are called level by level
+        lo, hi = CutCurve1D(lambda a: 0.0, lambda a: 1.0).endpoints([0.0, 0.5, 1.0])
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
     def test_scalar_only_callable_takes_levels_of_any_shape(self, shape):
         u = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 - 0.3 * a - (0.2 if a > 0.6 else 0.0))
@@ -526,6 +554,26 @@ def test_declared_jump_needs_a_nonempty_right_limit():
         DeclaredJump(alpha=0.5, lower_right=0.0, upper_right=float("nan"))
 
 
+@pytest.mark.parametrize("lower_right, upper_right", [(0.0, math.inf), (-math.inf, 0.5), (-math.inf, math.inf)])
+def test_declared_jump_needs_finite_right_limits(lower_right, upper_right):
+    with pytest.raises(OutOfRange, match="^right limits at alpha=0.5 must be finite$"):
+        DeclaredJump(alpha=0.5, lower_right=lower_right, upper_right=upper_right)
+
+
+def test_a_curve_cannot_declare_an_infinite_right_limit():
+    # upper is 2 up to 0.5 and 1 - a above it, so its right limit at 0.5 is
+    # 0.5; an infinite one passed validate and sent the search to [inf, inf]
+    def curve(upper_right):
+        jump = DeclaredJump(0.5, 0.0, upper_right)
+        return CutCurve1D(np.zeros_like, lambda a: np.where(a > 0.5, 1.0 - a, 2.0), jumps=(jump,))
+
+    assert validate_representation(curve(0.5)).passed
+    enc = d_infty_parametric(curve(0.5), triangular())
+    assert (enc.lower, enc.upper) == (1.25, 1.25)
+    with pytest.raises(OutOfRange, match="^right limits at alpha=0.5 must be finite$"):
+        curve(math.inf)
+
+
 def test_declared_curvature_needs_a_piece_and_a_known_name():
     with pytest.raises(OutOfRange, match="not a nonempty part of"):
         DeclaredCurvature(0.5, 0.5, "convex")
@@ -633,6 +681,11 @@ class TestSampledFamily:
             (([0.0, 0.6, 0.5], [1.0, 1.0, 1.0]), NonNested),
             (([0.0, 0.5, 0.5], [1.0, 1.2, 1.0]), NonNested),
             (([0.0, np.nan, 0.5], [1.0, 1.0, 1.0]), ValueError),
+            (([0.0, 0.5, 0.5], [1.0, np.nan, 1.0]), ValueError),
+            (([0.0, 0.5, np.inf], [1.0, 1.0, 1.0]), ValueError),
+            (([-np.inf, 0.5, 0.5], [1.0, 1.0, 1.0]), ValueError),
+            (([0.0, 0.5, 0.5], [np.inf, 1.2, 1.0]), ValueError),
+            (([0.0, 0.5, 0.5], [1.0, 1.0, -np.inf]), ValueError),
         ],
     )
     def test_first_bad_member_raises_its_own_error(self, row, error):
@@ -644,6 +697,19 @@ class TestSampledFamily:
         with pytest.raises(error) as alone:
             make_sampled_1d([0, 0.5, 1], *row)
         assert str(columnar.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "row", [([0.0, 0.5], [1.0, 1.0]), ([0.0, 0.5, 1.0], [1.0, 1.0]), (0.5, 1.0), ([[0.0, 0.5, 1.0]], [[1.0] * 3])]
+    )
+    def test_a_wrong_shape_raises_the_one_member_error(self, row):
+        # a member of the wrong shape makes a family's rows ragged, which
+        # numpy refuses before any member is checked; a one-member family
+        # raises what the number alone raises
+        with pytest.raises(ValueError) as alone:
+            make_sampled_1d([0, 0.5, 1], *row)
+        with pytest.raises(ValueError) as columnar:
+            make_sampled_family([0, 0.5, 1], [row[0]], [row[1]])
+        assert str(alone.value) == str(columnar.value) == "endpoint sequences must match the grid length 3"
 
     def test_rows_must_match_the_grid(self):
         with pytest.raises(ValueError, match="grid length 3"):

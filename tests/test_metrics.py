@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from fuzzymetrics import (
 )
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
+from fuzzymetrics.core import _SIGN, _SLACK_ULPS, _ulps, _wrong_side
 from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 from fuzzymetrics.serialize import dumps
 
@@ -349,6 +351,83 @@ class TestDeclaredCurvature:
             # rounds leave the bracket where it is
             deeper = d_infty_parametric(make_un(n), make_un(m), tol=tol, max_depth=DEFAULT_MAX_DEPTH + 30)
             assert (deeper.lower, deeper.upper) == (enc.lower, enc.upper)
+
+
+def chord_excess(a, b, m, left, mid, right):
+    """The chord test both checks shared before the one rule, kept as their
+    reference: how far ``mid`` lies above each chord, and the slack."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = mid - (left + (right - left) * ((m - a) / (b - a)))
+        slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
+    return above, _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
+
+
+def search_verdict(a, b, m, left, mid, right, signs):
+    """The search's old predicate: which declared rows lie off their side."""
+    inner = (a < m) & (m < b)
+    above, slack = chord_excess(a, b, m, left, mid, right)
+    return inner & (((signs >= 0) & (above > slack)) | ((signs <= 0) & (above < -slack)))
+
+
+def validate_measure(a, b, m, left, mid, right, names):
+    """Validate's old loop over the lower and upper rows of one piece:
+    the largest distance to the wrong side, and whether each is in slack."""
+    above, slack = chord_excess(a, b, m, left, mid, right)
+    inner = (a < m) & (m < b)
+    worst, passed = 0.0, True
+    for row, name in enumerate(names):
+        if name is None:
+            continue
+        wrong = np.abs(above[row]) if name == "linear" else _SIGN[name] * above[row]
+        worst = max(worst, float(wrong.max(initial=0.0, where=inner)))
+        passed = passed and not np.any(inner & (wrong > slack[row]))
+    return worst, passed
+
+
+def chord_segments(seed, count=400, far_share=0.5):
+    """Segments with midpoint values a few units in the last place from
+    their chords, ``far_share`` of them moved further off, and a fifth of
+    them one float wide; four rows per segment as the search holds them:
+    two lower endpoints and two negated upper ones."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, count)
+    b = np.where(rng.random(count) < 0.2, np.nextafter(a, 2.0), a + rng.uniform(1e-12, 0.5, count))
+    m = 0.5 * (a + b)
+    left = rng.uniform(-3.0, 3.0, (4, count))
+    right = left + rng.uniform(-1.0, 1.0, (4, count))
+    chord = left + (right - left) * ((m - a) / (b - a))
+    ulps = rng.integers(-12, 13, (4, count)) * np.spacing(np.abs(chord))
+    far = (rng.random((4, count)) < far_share) * rng.normal(0.0, 1e-3, (4, count))
+    mid = chord + ulps + far
+    mid[2:], left[2:], right[2:] = -mid[2:], -left[2:], -right[2:]
+    return a, b, m, left, mid, right, rng
+
+
+class TestOneChordRule:
+    """The one chord rule against the two predicates it replaced."""
+
+    @pytest.mark.parametrize("seed, far_share", [(seed, share) for seed in range(3) for share in (0.0, 0.5)])
+    def test_search_verdict(self, seed, far_share):
+        a, b, m, left, mid, right, rng = chord_segments(seed, far_share=far_share)
+        signs = rng.choice([1.0, -1.0, 0.0, np.nan], (4, a.size))
+        signs[2:] = -signs[2:]  # a negated upper row flips its sign, 0 to -0
+        wrong, slack = _wrong_side(a, b, m, left, mid, right, signs)
+        expected = search_verdict(a, b, m, left, mid, right, signs)
+        assert np.array_equal(wrong > slack, expected)
+        assert 0 < expected.sum() < expected.size
+
+    @pytest.mark.parametrize(
+        "seed, count, far_share", [(seed, 4, 0.0) for seed in range(8)] + [(seed, 400, 0.5) for seed in range(2)]
+    )
+    def test_validate_measure(self, seed, count, far_share):
+        a, b, m, left, mid, right, _ = chord_segments(seed, count, far_share)
+        # two rows, as validate holds one number's lower and upper endpoints
+        left, mid, right = left[:2], mid[:2], right[:2]
+        for lower, upper in itertools.product(["convex", "concave", "linear", None], repeat=2):
+            wrong, slack = _wrong_side(a, b, m, left, mid, right, np.array([[_SIGN[lower]], [_SIGN[upper]]]))
+            worst = float(np.fmax.reduce(wrong, axis=None, initial=0.0))
+            expected = validate_measure(a, b, m, left, mid, right, (lower, upper))
+            assert (worst.hex(), not np.any(wrong > slack)) == (expected[0].hex(), expected[1]), (lower, upper)
 
 
 @st.composite
