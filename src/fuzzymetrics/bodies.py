@@ -26,8 +26,14 @@ __all__ = [
 # 1 degree resolution; even count keeps 0 and pi on the grid exactly.
 DEFAULT_DIRECTIONS = 360
 # a level's body counts as empty only below this Chebyshev radius, so that
-# LP round-off on a degenerate (segment or point) body is not an error
+# round-off on a degenerate (segment or point) body is not an error
 _RECONSTRUCTION_TOL = 1e-9
+# the simplex stops once no halfplane misses its vertex by more than this
+# share of 1 + max |h|, which then bounds the radius's error; round-off in the
+# slacks stays far below it
+_SLACK_TOL = 1e-13
+# a basis weight at or below this is zero: a step that drops it has zero length
+_WEIGHT_TOL = 1e-14
 
 
 def direction_angles(count: int) -> np.ndarray:
@@ -44,23 +50,49 @@ def chebyshev_radius(support: np.ndarray) -> float:
     Negative when the sampled halfplanes have empty intersection, zero for
     degenerate (lower-dimensional) bodies.  Smaller support values shrink
     every halfplane, so across the nested levels of a fuzzy body the radius
-    is nonincreasing in alpha.  scipy is imported here, on the first solve,
-    so that only code that builds a body loads it.
-    """
-    from scipy.optimize import linprog
+    is nonincreasing in alpha.
 
-    th = direction_angles(len(support))
+    The radius is max r subject to ``a_k . (x, y, r) <= h_k`` with
+    ``a_k = (cos t_k, sin t_k, 1)``.  A simplex on a basis of three
+    directions solves it: the basis's vertex z solves ``A_B z = h_B``, and
+    its weights w >= 0, ``A_B^T w = (0, 0, 1)``, place the origin in the hull
+    of its directions, so they are feasible for the dual (minimize h . w).
+    Directions 0, N//3 and 2N//3 start it.  Three distinct directions are
+    never collinear, so no basis is singular.  While some halfplane misses
+    the vertex, the most violated one enters and a ratio test on the weights
+    picks the one that leaves.  From the first zero-length step on, Bland's
+    rule (smallest index enters, smallest tied index leaves) rules out
+    cycling.  A solve that passes 10 N pivots raises ``ArithmeticError``.
+    """
+    h = np.asarray(support, dtype=float)
+    th = direction_angles(len(h))
+    # an infinite or NaN value would make the stopping tolerance meaningless
+    if not np.all(np.isfinite(h)):
+        raise OutOfRange("support values must be finite")
     a = np.column_stack([np.cos(th), np.sin(th), np.ones_like(th)])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a,
-        b_ub=support,
-        bounds=[(None, None), (None, None), (None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise ArithmeticError(f"support feasibility LP failed: {res.message}")
-    return float(-res.fun)
+    tol = _SLACK_TOL * (1.0 + np.max(np.abs(h)))
+    basis = np.array([0, len(h) // 3, 2 * len(h) // 3])
+    bland = False
+    pivots = 10 * len(h)
+    for _ in range(pivots):
+        inv = np.linalg.inv(a[basis])
+        z = inv @ h[basis]
+        slack = h - a @ z
+        slack[basis] = 0.0
+        violated = np.flatnonzero(slack < -tol)
+        if violated.size == 0:
+            return float(z[2])
+        enter = violated[0] if bland else violated[np.argmin(slack[violated])]
+        # the weights move along -d as the entering direction's weight grows
+        weights = np.where(inv[2] > _WEIGHT_TOL, inv[2], 0.0)
+        d = a[enter] @ inv
+        ratio = np.full(3, np.inf)
+        np.divide(weights, d, out=ratio, where=d > 0)
+        step = ratio.min()
+        ties = np.flatnonzero(ratio == step)
+        basis[ties[np.argmin(basis[ties])]] = enter
+        bland = bland or step == 0.0
+    raise ArithmeticError(f"Chebyshev radius simplex did not finish in {pivots} pivots")
 
 
 @dataclass(frozen=True)
@@ -90,8 +122,9 @@ def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
     Checks that the samples are finite, nested (support nonincreasing in
     alpha, directionwise) and that each level's halfplane intersection is a
     nonempty bounded polygon.  Nested levels have nested halfplane sets, so
-    the top level is the smallest: one LP there validates every level, and
-    only a rejected body bisects for its first empty level.
+    the top level is the smallest: one :func:`chebyshev_radius` solve there
+    validates every level, and only a rejected body bisects for its first
+    empty level.
     """
     g = as_grid(grid)
     body = FuzzyBody2D(g, support)
@@ -114,7 +147,7 @@ def make_body_2d(grid: GridLike, support: np.ndarray) -> FuzzyBody2D:
             empty, r = mid, r_mid
         else:
             ok = mid
-    raise EmptyCut(f"support samples at alpha={g.levels[empty]} bound an empty region (radius {r})")
+    raise EmptyCut(f"support samples at alpha={g.levels[empty]} bound an empty region (radius {r:.6g})")
 
 
 def lift_segment(u: SampledFuzzy1D, directions: int = DEFAULT_DIRECTIONS) -> FuzzyBody2D:

@@ -357,10 +357,17 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
     then nested lower and upper endpoints.
     """
     g = as_grid(grid)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
+    wrong_length = ValueError(f"endpoint sequences must match the grid length {len(g)}")
+    try:
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
+    except ValueError:
+        # numpy refuses rows of unequal length before any member is checked
+        if any(not hasattr(row, "__len__") or len(row) != len(g) for rows in (lower, upper) for row in rows):
+            raise wrong_length from None
+        raise
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
-        raise ValueError(f"endpoint sequences must match the grid length {len(g)}")
+        raise wrong_length
     finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
     empty = (lo > hi).any(axis=1)
     lower_falls = (np.diff(lo, axis=1) < 0).any(axis=1)

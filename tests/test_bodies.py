@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fuzzymetrics import (
     EmptyCut,
@@ -37,7 +38,7 @@ def empty_cut_message(levels, support):
     for a, row in zip(levels, support):
         r = chebyshev_radius(row)
         if r < -_RECONSTRUCTION_TOL:
-            return f"support samples at alpha={a} bound an empty region (radius {r})"
+            return f"support samples at alpha={a} bound an empty region (radius {r:.6g})"
     return None
 
 
@@ -114,7 +115,7 @@ class TestTopLevelLP:
         levels = np.linspace(0.0, 1.0, 101)
         square = polygon_support([[0, 0], [1, 0], [1, 1], [0, 1]])
         support = square[None, :] + (0.2 - levels)[:, None]
-        with pytest.raises(EmptyCut, match=r"alpha=0\.71 bound an empty region \(radius -0\.0100") as exc:
+        with pytest.raises(EmptyCut, match=r"alpha=0\.71 bound an empty region \(radius -0\.01\)") as exc:
             make_body_2d(levels, support)
         assert len(lp_calls) <= 1 + math.ceil(math.log2(101))
         assert str(exc.value) == empty_cut_message(levels, support)
@@ -149,6 +150,114 @@ class TestBisectionAgreesWithEveryLevel:
         with pytest.raises(EmptyCut) as exc:
             make_body_2d(levels, support)
         assert str(exc.value) == expected
+
+
+def highs_radius(support):
+    """Reference: the same LP, max r subject to cos x + sin y + r <= h, through
+    HiGHS.  Its feasibility tolerances are absolute, so it solves the body
+    moved by p = (2/N) sum h_k u_k, which is the center of a regular polygon,
+    and scaled to unit size: in place, a body of size 1e-6 far from the
+    origin would get a radius 10% too large."""
+    th = direction_angles(len(support))
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    moved = support - u @ (2.0 / len(th) * support @ u)
+    scale = np.max(np.abs(moved)) or 1.0
+    a = np.column_stack([u, np.ones_like(th)])
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        c=[0.0, 0.0, -1.0], A_ub=a, b_ub=moved / scale, bounds=[(None, None)] * 3, method="highs", options=tight
+    )
+    assert res.success, res.message
+    return -res.fun * scale
+
+
+def agrees_with_highs(support):
+    r = chebyshev_radius(support)
+    assert abs(r - highs_radius(support)) <= 1e-12 * (1.0 + np.max(np.abs(support)))
+    return r
+
+
+coordinate = st.floats(-3.0, 3.0)
+directions = st.integers(3, 720)
+
+
+@st.composite
+def polygons(draw):
+    """The support of a random polygon; one in three is shifted inward by more
+    than its circumradius, so that its halfplanes bound nothing."""
+    n = draw(directions)
+    center = np.array([draw(coordinate), draw(coordinate)])
+    corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    vertices = center + draw(st.floats(0.01, 5.0)) * np.array(draw(st.lists(corner, min_size=3, max_size=8)))
+    h = polygon_support(vertices, n)
+    if draw(st.integers(0, 2)) == 0:
+        h = h - np.max(np.linalg.norm(vertices - center, axis=1)) - draw(st.floats(0.01, 3.0))
+    return h
+
+
+class TestRadiusAgreesWithHighs:
+    SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+    @SETTINGS
+    @given(polygons())
+    def test_random_polygons(self, h):
+        agrees_with_highs(h)
+
+    @SETTINGS
+    @given(st.integers(2, 360), st.integers(0, 719), coordinate, coordinate, coordinate, coordinate)
+    def test_segments_have_radius_zero(self, half, k, cx, cy, t0, t1):
+        # directions k and k + half bound a segment along their normal from
+        # both sides, so its halfplanes meet in the segment itself
+        th = direction_angles(2 * half)[k % half]
+        along = np.array([-np.sin(th), np.cos(th)])
+        h = polygon_support([(cx, cy) + t0 * along, (cx, cy) + t1 * along], 2 * half)
+        assert abs(agrees_with_highs(h)) <= 1e-12 * (1.0 + np.max(np.abs(h)))
+
+    @SETTINGS
+    @given(directions, coordinate, coordinate)
+    def test_points_have_radius_zero(self, n, cx, cy):
+        h = polygon_support([(cx, cy)], n)
+        assert abs(agrees_with_highs(h)) <= 1e-12 * (1.0 + np.max(np.abs(h)))
+
+    @SETTINGS
+    @given(st.sampled_from([3, 4]).flatmap(lambda n: st.lists(coordinate, min_size=n, max_size=n)))
+    def test_three_and_four_directions(self, h):
+        # with four directions the starting basis 0, 1, 2 gives direction 1 weight 0
+        agrees_with_highs(np.array(h))
+
+    @SETTINGS
+    @given(st.integers(3, 12), st.integers(1, 60), st.integers(0, 59), coordinate, coordinate, coordinate)
+    def test_regular_polygons_touch_every_edge(self, m, q, offset, cx, cy, rho):
+        # a regular m-gon with inradius |rho| and edge normals on every q-th of
+        # m * q directions, shifted by rho - |rho|: the disk of the optimum
+        # touches all m edges, the most degenerate case, and the pivots from
+        # the starting basis pass through tied ratio tests
+        n = m * q
+        normals = direction_angles(n)[(offset % q) + q * np.arange(m)]
+        corners = normals + np.pi / m
+        vertices = np.column_stack([np.cos(corners), np.sin(corners)]) * abs(rho) / np.cos(np.pi / m) + (cx, cy)
+        h = polygon_support(vertices, n) + rho - abs(rho)
+        r = agrees_with_highs(h)
+        assert r == pytest.approx(rho, abs=1e-12 * (1.0 + np.max(np.abs(h))))
+
+    def test_off_center_hexagon_inradius(self):
+        # circumradius 2 around (3, -1), edge normals on the 360-direction grid
+        k = np.arange(6)
+        vertices = np.column_stack([3 + 2 * np.cos((2 * k + 1) * np.pi / 6), -1 + 2 * np.sin((2 * k + 1) * np.pi / 6)])
+        assert chebyshev_radius(polygon_support(vertices)) == pytest.approx(math.sqrt(3), abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_support_rejected(self, value):
+        h = np.ones(8)
+        h[5] = value
+        with pytest.raises(OutOfRange, match="^support values must be finite$"):
+            chebyshev_radius(h)
+
+    def test_a_solve_that_does_not_finish_raises(self, monkeypatch):
+        # a negative slack tolerance accepts no vertex, so the pivots run out
+        monkeypatch.setattr(bodies, "_SLACK_TOL", -1.0)
+        with pytest.raises(ArithmeticError, match="did not finish in 30 pivots"):
+            chebyshev_radius(np.ones(3))
 
 
 class TestLift:

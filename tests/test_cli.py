@@ -454,9 +454,11 @@ def source_env():
 
 
 def loads_scipy(argv):
-    """Run the CLI in a fresh interpreter; whether it imported scipy."""
+    """Run the CLI from the golden inputs in a fresh interpreter; whether it imported scipy."""
     code = f"import sys; from fuzzymetrics.cli import run; assert run({argv!r}) == 0; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=GOLDEN_DIR, env=source_env(), capture_output=True, text=True, check=True
+    )
     return done.stdout.strip() == "True"
 
 
@@ -492,14 +494,23 @@ def test_kind_names_every_sequence_a_family():
     assert _kind(member_sequence()) == "sequence"
 
 
-class TestLazyScipy:
-    def test_one_dimensional_verb_does_not_load_scipy(self, tmp_path):
-        argv = ["dist", "counterexample-un:1", "counterexample-un:2", "--out", str(tmp_path / "d.json")]
-        assert not loads_scipy(argv)
-
-    def test_building_a_body_loads_scipy(self, tmp_path):
-        body = Path(__file__).parent / "golden" / "body.json"
-        assert loads_scipy(["validate", str(body), "--out", str(tmp_path / "v.json")])
+class TestNoVerbLoadsScipy:
+    # scipy is a test dependency only: every verb, building a body included,
+    # runs on numpy alone
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "body.json"],
+            ["dist", "counterexample-un:1", "counterexample-un:2"],
+            ["profile", "tri.json", "counterexample-limit"],
+            ["converge", "family.json", "tri.json", "--eps", "0.5"],
+            ["family-report", "family.json", "--delta-grid", "pow2:2..4"],
+            ["counterexample", "--n-max", "10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_verb_loads_no_scipy(self, argv, tmp_path):
+        assert not loads_scipy([*argv, "--out", str(tmp_path / "report")])
 
 
 @pytest.mark.parametrize(

@@ -686,6 +686,7 @@ class TestSampledFamily:
             (([-np.inf, 0.5, 0.5], [1.0, 1.0, 1.0]), ValueError),
             (([0.0, 0.5, 0.5], [np.inf, 1.2, 1.0]), ValueError),
             (([0.0, 0.5, 0.5], [1.0, 1.0, -np.inf]), ValueError),
+            (([0.0, 0.5], [1.0, 1.0]), ValueError),
         ],
     )
     def test_first_bad_member_raises_its_own_error(self, row, error):
