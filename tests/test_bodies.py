@@ -154,10 +154,10 @@ class TestBisectionAgreesWithEveryLevel:
 
 def highs_radius(support):
     """Reference: the same LP, max r subject to cos x + sin y + r <= h, through
-    HiGHS.  Its feasibility tolerances are absolute, so it solves the body
-    moved by p = (2/N) sum h_k u_k, which is the center of a regular polygon,
-    and scaled to unit size: in place, a body of size 1e-6 far from the
-    origin would get a radius 10% too large."""
+    HiGHS.  Its feasibility tolerances are absolute (at the default 1e-7 a
+    regular 7-gon of inradius 1e-6 gets 1.0975e-6), so it runs at its
+    tightest ones on the body moved by p = (2/N) sum h_k u_k, the center of
+    a regular polygon, and scaled to unit size."""
     th = direction_angles(len(support))
     u = np.column_stack([np.cos(th), np.sin(th)])
     moved = support - u @ (2.0 / len(th) * support @ u)
@@ -231,7 +231,7 @@ class TestRadiusAgreesWithHighs:
         # a regular m-gon with inradius |rho| and edge normals on every q-th of
         # m * q directions, shifted by rho - |rho|: the disk of the optimum
         # touches all m edges, the most degenerate case, and the pivots from
-        # the starting basis pass through tied ratio tests
+        # the starting basis take zero-length steps, so Bland's rule runs
         n = m * q
         normals = direction_angles(n)[(offset % q) + q * np.arange(m)]
         corners = normals + np.pi / m
