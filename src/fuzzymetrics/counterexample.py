@@ -8,6 +8,11 @@ exactly 1 for every member, approached (never attained) as the level
 decreases to one third.  This family is the machine-checked refutation of
 the published support-bound + equi-left-continuity compactness criteria
 for the supremum metric.
+
+Level convergence is closed form too: at a level a with t = 3a/2 - 1/2 in
+(0, 1) the distance H_n(a) = 1 - t^(1/n) decreases in n, so every member
+from N(a) = max(1, ceil(ln t / log1p(-eps))) on lies within eps of the
+limit, for every n >= N(a) and not only inside a finite window of members.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .metrics import (
     _check_search,
     d_infty_parametric,
     default_report_grid,
-    level_convergence_report,
 )
 from .serialize import csv_table
 
@@ -47,7 +51,8 @@ __all__ = [
 
 ONE_THIRD = 1.0 / 3.0
 
-# window of the level-convergence scan inside the refutation report
+# window of members the refutation report's level-convergence table is
+# reported against: a level whose N(a) exceeds it counts as not reached
 SCAN_WINDOW = 100_000
 DEFAULT_EPS = 1e-3
 
@@ -238,6 +243,48 @@ def exact_H_profile(n: int, alpha):
     return float(out) if out.ndim == 0 else out
 
 
+def _closed_form_first_index(alphas, eps: float, window: int) -> np.ndarray:
+    """N(a) = max(1, ceil(ln t / log1p(-eps))), t = 3a/2 - 1/2, capped at
+    ``window + 1``.
+
+    H_n(a) = 1 - t^(1/n) decreases in n for t in (0, 1), so every member
+    from N(a) on lies within ``eps`` of the limit at level a.  N is 1 where
+    t <= 0 or t = 1 (H is 0 there), and for ``eps`` >= 1 (H < 1).
+    """
+    t = _inner(alphas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log1p(-eps) is -inf at eps = 1 and NaN above; either gives 1
+        x = np.log(np.where(t > 0.0, t, 1.0)) / np.log1p(-eps)
+    # a tiny eps can make x infinite: cap it before the integer cast
+    return np.where(x > 1.0, np.minimum(np.ceil(x), window + 1.0), 1.0).astype(np.int64)
+
+
+def _settle_first_index(alphas, eps: float, window: int, guess) -> list[int | None]:
+    """The first index after which every member up to ``window`` lies
+    within ``eps`` of the limit, per level, found from ``guess`` in the float
+    kernel; None where member ``window`` still violates.  Each guess lies
+    in 1..``window`` + 1.
+
+    This is what :func:`metrics.level_convergence_report` reports as
+    ``first_index``: 1 + the last index n <= ``window`` with H_n > eps.  The
+    kernel is nonincreasing in n, so N is settled when row N - 1 violates
+    (or N = 1) and row N does not (or N = window + 1).  Each round reads
+    rows N - 1 and N of every level in one :func:`_upper` call and steps an
+    unsettled N by one towards its crossing; an N never turns back, so each
+    level settles in at most ``window`` rounds.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    limit = _limit_upper(alphas)
+    n = np.array(guess, dtype=np.int64)
+    while True:
+        rows = np.stack([np.maximum(n - 1, 1), np.minimum(n, window)]).astype(float)
+        before, at = _upper(alphas, rows) - limit > eps
+        step = np.where((n <= window) & at, 1, np.where((n == 1) | before, 0, -1))
+        if not step.any():
+            return [k if k <= window else None for k in n.tolist()]
+        n += step
+
+
 def dgn_bound(alpha: float, delta: float, beta: float) -> float:
     """Displayed modulus bound (3(a-d)/2 - 1/2)^(-1) * (a - b).
 
@@ -336,6 +383,14 @@ def refutation_report(
     argument, and the closed-form separations that keep every subsequence
     from being Cauchy.  All conditions of the criterion hold, yet no
     subsequence converges in the supremum metric.
+
+    The level-convergence table gives, at each default-grid level a, the
+    closed-form N(a) (module docstring) settled in the float kernel: member
+    N - 1 is beyond ``eps`` and member N within it.  H_n(a) decreases in n,
+    so the table holds for every n >= N(a); each entry equals the
+    ``first_index`` of :func:`metrics.level_convergence_report` over the first
+    ``SCAN_WINDOW`` members, which is not called.  A level whose N(a)
+    exceeds that window is reported as not reached.
     """
     if n_max < 2:
         raise OutOfRange("n_max must be at least 2 to exhibit a sequence")
@@ -385,16 +440,15 @@ def refutation_report(
         "entries": equi_entries,
     }
 
-    convergence = level_convergence_report(member_sequence(), limit, grid, eps, SCAN_WINDOW)
+    levels = grid.levels.tolist()
+    first = _settle_first_index(levels, eps, SCAN_WINDOW, _closed_form_first_index(levels, eps, SCAN_WINDOW))
+    failing = [a for a, k in zip(levels, first) if k is None]
     convergence_section = {
         "eps": eps,
         "scan_window": SCAN_WINDOW,
-        "converged": convergence.converged,
-        "failing_alphas": list(convergence.failing_alphas),
-        "table_csv": csv_table(
-            ("alpha", "first_index"),
-            [(e.alpha, e.first_index) for e in convergence.entries],
-        ),
+        "converged": not failing,
+        "failing_alphas": failing,
+        "table_csv": csv_table(("alpha", "first_index"), zip(levels, first)),
     }
 
     sup_entries = []

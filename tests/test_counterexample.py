@@ -4,6 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fuzzymetrics.counterexample as counterexample_mod
+import fuzzymetrics.metrics as metrics_mod
 
 from fuzzymetrics import (
     BadIndex,
@@ -16,6 +21,7 @@ from fuzzymetrics import (
     exact_H_profile,
     family_modulus_oracle,
     left_modulus,
+    level_convergence_report,
     level_distance_profile,
     make_limit,
     make_un,
@@ -27,13 +33,18 @@ from fuzzymetrics import (
     uniform_modulus_bound,
 )
 from fuzzymetrics.counterexample import (
+    DEFAULT_EPS,
     ONE_THIRD,
+    SCAN_WINDOW,
+    _closed_form_first_index,
     _inner,
     _members_endpoints,
+    _settle_first_index,
     _upper,
     member_sequence,
     members,
 )
+from fuzzymetrics.serialize import csv_table
 
 
 class TestMembers:
@@ -497,8 +508,7 @@ class TestRefutationReport:
                 assert first_s == "1"
             else:
                 expected = max(1, math.ceil(math.log(inner) / math.log1p(-eps)))
-                got = int(first_s)
-                assert abs(got - expected) <= 1
+                assert int(first_s) == expected
 
     def test_requires_a_sequence(self):
         with pytest.raises(OutOfRange):
@@ -517,3 +527,85 @@ class TestRefutationReport:
             expected = left_modulus(fam, entry["alpha"], entry["delta"])
             assert entry["finite_family_modulus"].hex() == expected.hex()
         assert section["right_at_zero_modulus"].hex() == right_modulus_at_zero(fam, 0.25).hex()
+
+
+def scan_reference(n_max, eps):
+    """The refutation report with its convergence section built by the
+    generic scan of ``SCAN_WINDOW`` members, as the report once was."""
+    report = refutation_report(n_max, eps)
+    grid = default_report_grid([make_limit()])
+    scan = level_convergence_report(member_sequence(), make_limit(), grid, eps, SCAN_WINDOW)
+    report["level_convergence"] = {
+        "eps": eps,
+        "scan_window": SCAN_WINDOW,
+        "converged": scan.converged,
+        "failing_alphas": list(scan.failing_alphas),
+        "table_csv": csv_table(("alpha", "first_index"), [(e.alpha, e.first_index) for e in scan.entries]),
+    }
+    conclusion = report["conclusion"]
+    conclusion["level_convergent"] = scan.converged
+    conclusion["criterion_refuted"] = bool(
+        conclusion["support_bounded"]
+        and conclusion["equi_left_continuous"]
+        and scan.converged
+        and report["supremum_distance"]["all_equal_one"]
+    )
+    return report
+
+
+# levels of the default grid that member SCAN_WINDOW has not reached
+NOT_REACHED = {1e-6: 65, 1e-5: 29, 1e-4: 2}
+NEAR_ONE_THIRD = [ONE_THIRD, float(np.nextafter(ONE_THIRD, 0.0)), float(np.nextafter(ONE_THIRD, 1.0)), 1.0]
+
+
+class TestConvergenceTable:
+    """The report's first indices, from the closed form N(a) settled in the
+    float kernel, against the generic scan."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_report_equals_the_scan_reference(self, n, eps):
+        report = refutation_report(n, eps)
+        assert json.dumps(report) == json.dumps(scan_reference(n, eps))
+        assert len(report["level_convergence"]["failing_alphas"]) == NOT_REACHED.get(eps, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        levels=st.lists(st.floats(0.0, 1.0) | st.sampled_from(NEAR_ONE_THIRD), min_size=1, max_size=8),
+        log_eps=st.floats(math.log(1e-8), math.log(2.0)),
+        window=st.integers(1, 2000),
+    )
+    def test_first_index_equals_the_scan(self, levels, log_eps, window):
+        eps = math.exp(log_eps)
+        grid = np.union1d([0.0, 1.0], levels)
+        scan = level_convergence_report(member_sequence(), make_limit(), grid, eps, window)
+        guess = _closed_form_first_index(grid, eps, window)
+        assert _settle_first_index(grid, eps, window, guess) == [e.first_index for e in scan.entries]
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 0.1])
+    @pytest.mark.parametrize("offset", [-3, -2, -1, 1, 2, 3])
+    def test_stepping_from_a_wrong_guess_ends_at_the_scan(self, offset, eps):
+        window = 2000
+        grid = default_report_grid([make_limit()]).levels
+        scan = level_convergence_report(member_sequence(), make_limit(), grid, eps, window)
+        guess = np.clip(_closed_form_first_index(grid, eps, window) + offset, 1, window + 1)
+        assert _settle_first_index(grid, eps, window, guess) == [e.first_index for e in scan.entries]
+
+    def test_kernel_is_nonincreasing_in_the_index(self):
+        levels = default_report_grid([make_limit()]).levels
+        limit = make_limit().endpoints(levels)[1]
+        previous = np.full(levels.size, np.inf)
+        for start in range(1, SCAN_WINDOW + 1, 10_000):
+            ns = np.arange(start, min(start + 10_000, SCAN_WINDOW + 1), dtype=float)
+            h = _upper(levels, ns[:, None]) - limit
+            assert np.all(h[0] <= previous) and np.all(np.diff(h, axis=0) <= 0.0)
+            previous = h[-1]
+
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 1e-5])
+    def test_report_runs_no_scan(self, monkeypatch, eps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refutation report ran the level-convergence scan")
+
+        monkeypatch.setattr(metrics_mod, "level_convergence_report", refuse)
+        monkeypatch.setattr(counterexample_mod, "level_convergence_report", refuse, raising=False)
+        assert refutation_report(100, eps)["level_convergence"]["converged"] is (eps == DEFAULT_EPS)
