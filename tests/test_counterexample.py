@@ -530,8 +530,9 @@ class TestRefutationReport:
 
 
 def scan_reference(n_max, eps):
-    """The refutation report with its convergence section built by the
-    generic scan of ``SCAN_WINDOW`` members, as the report once was."""
+    """The refutation report with its convergence section and conclusion
+    rebuilt from the generic scan of ``SCAN_WINDOW`` members: the reference
+    the closed-form table must equal."""
     report = refutation_report(n_max, eps)
     grid = default_report_grid([make_limit()])
     scan = level_convergence_report(member_sequence(), make_limit(), grid, eps, SCAN_WINDOW)
