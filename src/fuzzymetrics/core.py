@@ -11,6 +11,7 @@ shared grid as two arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import abc
@@ -129,7 +130,7 @@ _SLACK_ULPS = 4.0
 def _ulps(*values: np.ndarray) -> np.ndarray:
     """The rounding slack of arithmetic on ``values``: ``_SLACK_ULPS`` units
     in the last place of the largest."""
-    return _SLACK_ULPS * np.spacing(np.maximum.reduce([np.abs(x) for x in values]))
+    return _SLACK_ULPS * np.spacing(functools.reduce(np.maximum, map(np.abs, values)))
 
 
 def _wrong_side(a, b, m, left, mid, right, signs) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +140,9 @@ def _wrong_side(a, b, m, left, mid, right, signs) -> tuple[np.ndarray, np.ndarra
     above its chord, -1 (concave) below it, 0 (linear) off it; NaN where its
     sign is NaN (nothing declared) or the segment has no interior float."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        above = mid - (left + (right - left) * ((m - a) / (b - a)))
-        slope = np.maximum(np.abs(mid - left) / (m - a), np.abs(right - mid) / (b - m))
+        into = m - a
+        above = mid - (left + (right - left) * (into / (b - a)))
+        slope = np.maximum(np.abs(mid - left) / into, np.abs(right - mid) / (b - m))
     wrong = np.where(signs == 0, np.abs(above), signs * above)
     wrong[..., ~((a < m) & (m < b))] = np.nan  # a segment one unit wide has no interior float
     return wrong, _ulps(left, mid, right) + _SLACK_ULPS * slope * np.spacing(b)
@@ -504,9 +506,11 @@ _LATTICE_ROWS = 16
 _MOVE_CELLS = 1 << 13
 
 
-def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
     """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
-    point of the ``(len(rows), deltas)`` array ``lattice``.
+    point of the ``(len(rows), deltas)`` array ``lattice``; with ``reach``,
+    also the largest |endpoint| of any member at each of ``rows``, as the pair
+    ``(moves, reach)``.
 
     A family with a batch ``endpoints`` is read one part of ``_LATTICE_ROWS``
     rows at a time, each block of members once at the part's levels; any
@@ -518,6 +522,7 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
     r, d = lattice.shape
     part_rows = _LATTICE_ROWS if hasattr(members, "endpoints") else r
     worst = np.zeros(lattice.shape)
+    widest = np.zeros(r)
     buffer = np.empty(0)
     for first in range(0, r, part_rows):
         k = min(part_rows, r - first)
@@ -528,6 +533,10 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
             if buffer.size < 2 * step * d * m:
                 buffer = np.empty(2 * step * d * m)
             at_rows = [lo.T[:k, None, :], hi.T[:k, None, :]]
+            if reach:
+                part = widest[first : first + k]
+                for ends in at_rows:
+                    np.maximum(part, np.abs(ends[:, 0]).max(axis=1), out=part)
             at_lattice = [lo.T[k:].reshape(k, d, m), hi.T[k:].reshape(k, d, m)]
             for start in range(0, k, step):
                 stop = min(start + step, k)
@@ -543,7 +552,7 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
             # took 7,000-21,000 minor page faults per 2,000-member report,
             # one about 400
             del lo, hi, at_rows, at_lattice
-    return worst
+    return (worst, widest) if reach else worst
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from .errors import BadIndex, OutOfRange, ParseError
 from . import family as family_mod
 from .metrics import (
     DEFAULT_MAX_DEPTH,
-    Enclosure,
     _check_search,
-    d_infty_parametric,
+    d_infty_pairs,
     default_report_grid,
 )
 from .serialize import csv_table
@@ -74,8 +73,7 @@ def _limit_upper(alphas) -> np.ndarray:
 
 
 def _zeros(alphas) -> np.ndarray:
-    a = np.asarray(alphas, dtype=float)
-    return np.zeros_like(a)
+    return np.zeros(np.shape(alphas))
 
 
 def _index(n, name: str = "member index") -> int:
@@ -457,8 +455,8 @@ def refutation_report(
     # row n - 1 equals exact_H_profile(n, grid.levels) bit for bit
     _, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
     grid_max = np.max(upper - _limit_upper(grid.levels), axis=1).tolist()
-    for n, un in enumerate(fam, start=1):
-        enc: Enclosure = d_infty_parametric(un, limit, tol=tol)
+    # one search for all the member-vs-limit pairs
+    for n, enc in enumerate(d_infty_pairs([(un, limit) for un in fam], tol=tol), start=1):
         all_one = all_one and enc.lower <= 1.0 <= enc.upper and enc.width <= tol
         none_attained = none_attained and not enc.attained
         sup_entries.append(

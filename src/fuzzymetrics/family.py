@@ -107,17 +107,18 @@ def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> floa
 
 def _moduli(
     members: Sequence[FuzzyNumber1D], alphas: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Family moduli on the (alpha, delta) lattice, NaN where delta > alpha,
-    and right moduli at level 0 per delta, NaN where delta > 1; one pass
-    over the members.  An offset that does not apply moves to the row's own
-    level, so its level stays inside [0, 1]."""
+    right moduli at level 0 per delta, NaN where delta > 1, and the support
+    radius (the level-0 row's largest |endpoint|); one pass over the
+    members.  An offset that does not apply moves to the row's own level, so
+    its level stays inside [0, 1]."""
     valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
     lattice = np.vstack([alphas[:, None] - deltas, deltas])
     rows = np.append(alphas, 0.0)
-    worst = _worst_moves(members, rows, np.where(valid, lattice, rows[:, None]))
+    worst, reach = _worst_moves(members, rows, np.where(valid, lattice, rows[:, None]), reach=True)
     worst[~valid] = np.nan
-    return worst[:-1], worst[-1]
+    return worst[:-1], worst[-1], float(reach[-1])
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,9 @@ class EquiContinuityReport:
     """Per-level equi-continuity certificates over the tested grids.
 
     ``moduli`` and ``zero_moduli`` are the moduli the certificates were read
-    from (see :func:`_moduli`); ``to_dict`` does not write them and equality
-    does not compare them.
+    from, and ``support_radius`` the family's :func:`support_bound`, read on
+    the same pass (see :func:`_moduli`); ``to_dict`` does not write them and
+    equality does not compare them.
     """
 
     entries: tuple[EquiEntry, ...]
@@ -151,6 +153,7 @@ class EquiContinuityReport:
     delta_grid: tuple[float, ...]
     moduli: np.ndarray = field(compare=False, repr=False)
     zero_moduli: np.ndarray = field(compare=False, repr=False)
+    support_radius: float = field(compare=False, repr=False)
 
     @property
     def left_passed(self) -> bool:
@@ -213,7 +216,7 @@ def equi_continuity_report(
         raise OutOfRange("alpha grid has no levels inside (0, 1]")
     deltas = np.asarray(_offsets(delta_grid), dtype=float)
 
-    table, zero_moduli = _moduli(members, alphas, deltas)
+    table, zero_moduli, radius = _moduli(members, alphas, deltas)
     offsets = deltas.tolist()
     entries = tuple(
         EquiEntry(a, *_witness(offsets, row, eps)) for a, row in zip(alphas.tolist(), table.tolist())
@@ -225,6 +228,7 @@ def equi_continuity_report(
         delta_grid=tuple(offsets),
         moduli=table,
         zero_moduli=zero_moduli,
+        support_radius=radius,
     )
 
 
@@ -318,12 +322,13 @@ def compactness_conditions_report(
     """Evaluate every checkable compactness condition on a finite family.
 
     The support bound and the equi-continuity certificates feed both
-    criteria's verdicts from one computation; closedness is reported as
+    criteria's verdicts from one computation, which reads each member once
+    (the support radius from its level-0 row); closedness is reported as
     caller-asserted because no finite sample can decide it.
     """
     members = _require_members(family)
-    radius = support_bound(members)
     report = equi_continuity_report(members, alpha_grid, delta_grid, eps)
+    radius = report.support_radius
 
     deltas = report.delta_grid
     left_moduli = {

@@ -17,6 +17,16 @@ enter as explicit supremum candidates, so a sup that is approached (but not
 attained) at a jump is still enclosed exactly; between grid levels sampled
 numbers are linear, so the sup of a sampled pair is read off the split
 points with no bisection.
+
+``d_infty_pairs`` runs one search for many pairs; ``d_infty_parametric`` is
+its one-pair case.  The pairs share the rounds but keep their own budgets:
+each stops when its own frontier is empty, at its own ``max_nodes`` or at
+``max_depth``, so every enclosure equals the one its pair gets alone, bit
+for bit.  Each round reads every distinct number with one ``endpoints``
+call over all the levels its pairs need (for the refutation's 100
+member-vs-limit pairs, 101 calls in all).  A batch raises the error of the
+lowest-index failing pair in the earliest round that fails, with that
+pair's own message.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ __all__ = [
     "LevelProfile",
     "level_distance_profile",
     "d_infty_parametric",
+    "d_infty_pairs",
     "ConvergenceEntry",
     "ConvergenceReport",
     "level_convergence_report",
@@ -133,21 +144,100 @@ class Enclosure:
 # far level c of its sibling (the other half of the segment it was bisected
 # from; nan for a round-0 segment, which is bounded without one), the
 # ``_cuts`` rows at a, at b and at c, and the curvature signs of those rows.
+# Beside it a row of pair indices says whose segment each column is.
+# Columns stay grouped by pair, in pair order, and in level order within a
+# pair.
 _A, _B, _C = 0, 1, 2
 _LEFT, _RIGHT, _FAR, _SIGNS = slice(3, 7), slice(7, 11), slice(11, 15), slice(15, 19)
 _ROWS = 19
+# Bisection writes both halves of a segment side by side, each the other's
+# sibling: per frontier row, the rows of the first and of the second half
+# are read from the segment's rows, its midpoint (row 19) and the cuts there
+# (rows 20-23).
+_M, _MID = 19, range(20, 24)
+_HALVES = np.array(
+    [
+        (_A, _M),
+        (_M, _B),
+        (_B, _A),
+        *zip(range(3, 7), _MID),
+        *zip(_MID, range(7, 11)),
+        *zip(range(7, 11), range(3, 7)),
+        *zip(range(15, 19), range(15, 19)),
+    ]
+)
 
 # Round 0 bounds this many segments at a time.
 _BLOCK = 1 << 14
 
 
-def _check_nested(a: np.ndarray, b: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """Raise NonNested unless both cuts shrink from each segment's left end
-    to its right end, as the monotone range bounds assume."""
-    nested = left <= right
-    if not nested.all():
-        i = int(np.argmin(nested.all(axis=0)))
-        raise NonNested(f"cut endpoints are not monotone between levels {float(a[i])!r} and {float(b[i])!r}")
+def _runs(pair: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the nonempty ``pair`` starts."""
+    return np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+
+
+def _pair_max(values: np.ndarray, pair: np.ndarray, count: int, where: np.ndarray | None = None) -> np.ndarray:
+    """Per pair, the largest of 0 and its ``values`` (those where ``where``
+    holds) as ``ndarray.max(initial=0.0)`` takes it: a NaN wins.  ``pair``
+    gives each value's pair, grouped."""
+    if count == 1:
+        return np.maximum.reduce(values, initial=0.0, where=True if where is None else where, keepdims=True)
+    if where is not None:
+        values, pair = values[where], pair[where]
+    out = np.zeros(count)
+    if values.size:
+        starts = _runs(pair)
+        out[pair[starts]] = np.maximum(np.maximum.reduceat(values, starts), 0.0)
+    return out
+
+
+def _pair_argmax(values: np.ndarray, pair: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the largest of its ``values`` and the index of the one
+    ``np.argmax`` picks (the first NaN, else the first maximum); -inf and -1
+    for a pair with none.  ``pair`` gives each value's pair, grouped."""
+    if count == 1:
+        if not values.size:
+            return np.array([-np.inf]), np.array([-1])
+        i = values.argmax(keepdims=True)
+        return values[i], i
+    top, first = np.full(count, -np.inf), np.full(count, -1)
+    if values.size:
+        starts = _runs(pair)
+        top[pair[starts]] = np.maximum.reduceat(values, starts)
+        hits = np.flatnonzero((values == top[pair]) | np.isnan(values))
+        hits = hits[_runs(pair[hits])]
+        first[pair[hits]] = hits
+    return top, first
+
+
+def _later_max(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise ``max(a, b)`` as Python takes it: ``b`` only where it is
+    greater, so a NaN ``a`` stays."""
+    return np.where(b > a, b, a)
+
+
+def _batch_cuts(carriers: list, cu: np.ndarray, cv: np.ndarray, pair: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``_cuts`` rows of many pairs: column j holds the cuts of pair
+    ``pair[j]``, the numbers ``carriers[cu[p]]`` and ``carriers[cv[p]]``, at
+    ``levels[j]``.  Each number is read with one ``endpoints`` call over all
+    its levels, in column order."""
+    if cu.size == 1:
+        return _cuts(carriers[cu[0]], carriers[cv[0]], levels)
+    who = np.concatenate([cu[pair], cv[pair]])
+    at = np.concatenate([levels, levels])
+    lo, hi = np.empty(at.size), np.empty(at.size)
+    if at.size:
+        order = np.argsort(who, kind="stable")
+        starts = _runs(who[order]).tolist()
+        for start, stop in zip(starts, [*starts[1:], order.size]):
+            run = order[start:stop]
+            lo[run], hi[run] = carriers[who[run[0]]].endpoints(at[run])
+    n = levels.size
+    return np.array((lo[:n], lo[n:], -hi[:n], -hi[n:]))
+
+
+def _nesting_error(a: np.ndarray, b: np.ndarray, i: int) -> NonNested:
+    return NonNested(f"cut endpoints are not monotone between levels {float(a[i])!r} and {float(b[i])!r}")
 
 
 def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.ndarray:
@@ -163,23 +253,33 @@ def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.nd
     return signs
 
 
-def _check_curvature(seg: np.ndarray, m: np.ndarray, mid: np.ndarray) -> None:
-    """Raise CurvatureMismatch unless each declared row lies on its declared
-    side of the chord at the midpoints ``m`` (values ``mid``), up to the
-    rounding slack: a convex row on or below it, a concave row on or above,
-    a linear row on it."""
-    a, b, signs = seg[_A], seg[_B], seg[_SIGNS]
-    wrong, slack = _wrong_side(a, b, m, seg[_LEFT], mid, seg[_RIGHT], signs)
+def _check_round(parent: np.ndarray, pair: np.ndarray, m: np.ndarray, mid: np.ndarray, halves: np.ndarray) -> None:
+    """Check a round as each pair's own search does, and raise the error of
+    the lowest-index pair (``pair`` of each bisected segment) that fails:
+    NonNested unless both cuts shrink from the left to the right end of each
+    half, else CurvatureMismatch unless each declared row of a bisected
+    segment lies on its declared side of the chord at the midpoints ``m``
+    (values ``mid``), up to the rounding slack: a convex row on or below it,
+    a concave row on or above, a linear row on it."""
+    if not m.size:
+        return
+    nested = (halves[_LEFT] <= halves[_RIGHT]).all(axis=0)
+    a, b, signs = parent[_A], parent[_B], parent[_SIGNS]
+    wrong, slack = _wrong_side(a, b, m, parent[_LEFT], mid, parent[_RIGHT], signs)
     bad = wrong > slack
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
-        k = int(np.argmax(bad[:, i]))
-        sign = signs[k, i] if k < 2 else -signs[k, i]
+    curved = bad.any(axis=0)
+    i = int(np.argmin(nested))  # half i is a half of segment i // 2
+    j = int(np.argmax(curved))
+    if curved[j] and (nested[i] or pair[j] < pair[i // 2]):
+        k = int(np.argmax(bad[:, j]))
+        sign = signs[k, j] if k < 2 else -signs[k, j]
         name = next(name for name, value in _SIGN.items() if value == sign)
         raise CurvatureMismatch(
             f"the {('lower', 'upper')[k // 2]} endpoint of the {('first', 'second')[k % 2]} number is not "
-            f"{name} between levels {float(a[i])!r} and {float(b[i])!r}"
+            f"{name} between levels {float(a[j])!r} and {float(b[j])!r}"
         )
+    if not nested[i]:
+        raise _nesting_error(halves[_A], halves[_B], i)
 
 
 def _chord_lines(left: np.ndarray, right: np.ndarray, signs: np.ndarray):
@@ -245,14 +345,47 @@ def _check_search(tol: float, max_depth: int) -> None:
         raise OutOfRange("max_depth must be nonnegative")
 
 
-def d_infty_parametric(
-    u: FuzzyNumber1D,
-    v: FuzzyNumber1D,
+def _declaration(w: FuzzyNumber1D) -> tuple:
+    """What fixes a number's share of the round-0 split points and segment
+    curvature: its jump levels below 1, its curvature pieces and, for a
+    sampled number, its grid."""
+    return (
+        tuple(j.alpha for j in w.jumps if j.alpha < 1.0),
+        tuple(w.curvature),
+        w.grid if isinstance(w, SampledFuzzy1D) else None,
+    )
+
+
+# A round-0 layout has one column per split point of a pair: its level, the
+# curvature signs of the ``_cuts`` rows on the segment that starts there (nan
+# at level 1, where none starts), and the slot of u's and of v's jump there
+# among their jumps below level 1, in declaration order (-1 for none).
+_LEVEL, _SLOTS = 0, slice(5, 7)
+
+
+def _split_layout(u: FuzzyNumber1D, v: FuzzyNumber1D) -> np.ndarray:
+    """One pair's round-0 layout."""
+    grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
+    jumps = [[j.alpha for j in w.jumps if j.alpha < 1.0] for w in (u, v)]
+    piece_ends = [x for w in (u, v) for p in w.curvature for x in (p.start, p.end)]
+    points = np.unique(np.concatenate([[0.0, 1.0], *jumps, piece_ends, *grids]))
+    layout = np.full((7, points.size), -1.0)
+    layout[_LEVEL] = points
+    layout[1:5] = np.nan
+    layout[1:5, :-1] = _curvature_signs(u, v, points[:-1])
+    for k, levels in enumerate(jumps):
+        layout[5 + k, points.searchsorted(levels)] = np.arange(len(levels))
+    return layout
+
+
+def d_infty_pairs(
+    pairs: Sequence[tuple[FuzzyNumber1D, FuzzyNumber1D]],
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
-) -> Enclosure:
-    """Certified enclosure of the supremum metric between two fuzzy numbers.
+) -> tuple[Enclosure, ...]:
+    """Certified enclosures of the supremum metric for many pairs at once:
+    one :class:`Enclosure` per ``(u, v)`` pair, in order.
 
     Branch and bound on the level axis.  Declared jumps, the ends of
     declared curvature pieces and the grid levels of sampled numbers force
@@ -261,111 +394,187 @@ def d_infty_parametric(
     monotone range bound and a curvature envelope: a convex endpoint lies
     below its chord and above the extended secant of the segment's sibling,
     a concave one the reverse, a linear one on its chord.  Each round
-    bisects every segment whose bound exceeds the best candidate by more
-    than ``tol`` and evaluates all its midpoints in one ``endpoints`` call
-    per number, until the bracket is narrower than ``tol``; when the rounds
-    would exceed ``max_nodes``, the highest bounds are bisected first.  A
-    segment whose endpoints are not monotone raises NonNested, a midpoint
-    off its declared side of the chord raises CurvatureMismatch.  When
-    ``max_depth`` or ``max_nodes`` stops refinement first, the bracket is
-    still certified, just wider than requested.  For two sampled numbers
-    every row is linear between split points, so the bound of every segment
-    is the larger distance at its ends: the bracket closes with ``lower ==
-    upper`` and no node.
+    bisects every segment whose bound exceeds its pair's best candidate by
+    more than ``tol``, until the pair's bracket is narrower than ``tol``;
+    when a pair's rounds would exceed ``max_nodes``, its highest bounds are
+    bisected first.  A segment whose endpoints are not monotone raises
+    NonNested, a midpoint off its declared side of the chord raises
+    CurvatureMismatch.  When ``max_depth`` or ``max_nodes`` stops
+    refinement first, the bracket is still certified, just wider than
+    requested.  For two sampled numbers every row is linear between split
+    points, so the bound of every segment is the larger distance at its
+    ends: the bracket closes with ``lower == upper`` and no node.  A pair of
+    one number, or of two with equal keys, gets ``[0, 0]`` with no search.
 
-    The enclosure certifies the floating-point endpoint functions: the
+    The pairs share the rounds, not the budgets: each stops by its own rule
+    (its bracket meets ``tol``, it has expanded ``max_nodes`` nodes, or the
+    rounds reach ``max_depth``), so every enclosure equals the one
+    :func:`d_infty_parametric` gives that pair alone, bit for bit.  Round 0
+    builds the split points once for all pairs whose numbers declare the
+    same jump levels, curvature pieces and grids.  Each round reads every
+    distinct number (by identity) with one ``endpoints`` call over all the
+    levels its pairs need.  A batch raises the error of the lowest-index
+    failing pair in the earliest round that fails, with the message that
+    pair's own search gives.
+
+    The enclosures certify the floating-point endpoint functions: the
     monotone and chord bounds treat each evaluated endpoint as exact, and
     only the secant extension is rounded outward.
     """
     _check_search(tol, max_depth)
-    if u is v or (u.key is not None and u.key == v.key):
-        return Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)
+    pairs = list(pairs)
+    enclosures = [Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)] * len(pairs)
+    live = [i for i, (u, v) in enumerate(pairs) if not (u is v or (u.key is not None and u.key == v.key))]
+    count = len(live)
+    if not count:
+        return tuple(enclosures)
 
-    grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
-    jump_levels = sorted({j.alpha for w in (u, v) for j in w.jumps if j.alpha < 1.0})
-    piece_ends = [x for w in (u, v) for p in w.curvature for x in (p.start, p.end)]
-    points = np.unique(np.concatenate([[0.0, 1.0], jump_levels, piece_ends, *grids]))
-    cuts = _cuts(u, v, points)
-    h = _cut_distance(cuts)
-    i = int(np.argmax(h))
-    best_point, best_point_at = float(h[i]), float(points[i])
-    best_limit = -1.0
-    best_limit_at = 0.0
+    # the distinct numbers, by identity, and the pairs whose numbers declare
+    # alike, which share one layout
+    carriers, declares, index, declarations, groups, layouts = [], [], {}, {}, {}, []
+    sides, group = [], []
+    for i in live:
+        ks = []
+        for w in pairs[i]:
+            k = index.get(id(w))
+            if k is None:
+                k = index[id(w)] = len(carriers)
+                carriers.append(w)
+                declares.append(declarations.setdefault(_declaration(w), len(declarations)))
+            ks.append(k)
+        g = groups.setdefault((declares[ks[0]], declares[ks[1]]), len(groups))
+        if g == len(layouts):
+            layouts.append(_split_layout(*pairs[i]))
+        sides.append(ks)
+        group.append(g)
+    cu, cv = np.array(sides, dtype=np.intp).T
 
-    # round 0 reads its segments off the point cuts; at a jump level the
-    # segment to its right starts from the right-limit cuts: a declared
-    # jump's, else the cut evaluated there
-    a, b, left, right = points[:-1], points[1:], cuts[:, :-1], cuts[:, 1:]
-    if jump_levels:
-        left = left.copy()
-        for k, w in enumerate((u, v)):
-            for j in w.jumps:
-                if j.alpha < 1.0:
-                    left[k::2, np.searchsorted(points, j.alpha)] = j.lower_right, -j.upper_right
-        h = _cut_distance(left[:, np.searchsorted(points, jump_levels)])
-        i = int(np.argmax(h))
-        best_limit, best_limit_at = float(h[i]), float(jump_levels[i])
-    _check_nested(a, b, left, right)
+    # round 0: every pair's layout, side by side in pair order
+    table = np.concatenate([layouts[g] for g in group], axis=1)
+    x = table[_LEVEL]
+    point_pair = np.repeat(np.arange(count), [layouts[g].shape[1] for g in group])
+    cuts = _batch_cuts(carriers, cu, cv, point_pair, x)
+    best_point, i = _pair_argmax(_cut_distance(cuts), point_pair, count)
+    best_point_at = x[i]
+
+    # the segments between them: every split point but level 1 starts one
+    at = np.flatnonzero(x < 1.0)
+    pair = point_pair[at]
+    a, b, left, right = x[at], x[at + 1], cuts[:, at], cuts[:, at + 1]
+    signs, slots = table[1:5, at], table[_SLOTS, at]
+
+    # at a jump level the segment to its right starts from the right-limit
+    # cuts: a declared jump's, else the cut evaluated there
+    best_limit, best_limit_at = np.full(count, -1.0), np.zeros(count)
+    jumped = np.flatnonzero((slots >= 0).any(axis=0))
+    if jumped.size:
+        value_at, values = [], []
+        for w in carriers:
+            value_at.append(len(values))
+            values.extend((j.lower_right, j.upper_right) for j in w.jumps if j.alpha < 1.0)
+        value_at, values = np.array(value_at), np.array(values).T
+        for k, side in enumerate((cu, cv)):
+            j = jumped[slots[k, jumped] >= 0]
+            value = values[:, value_at[side[pair[j]]] + slots[k, j].astype(np.intp)]
+            left[k, j], left[k + 2, j] = value[0], -value[1]
+        h, i = _pair_argmax(_cut_distance(left[:, jumped]), pair[jumped], count)
+        some = i >= 0
+        best_limit[some], best_limit_at[some] = h[some], a[jumped[i[some]]]
+
+    crossed = ~(left <= right).all(axis=0)
+    if crossed.any():
+        # the first such segment is the lowest failing pair's first
+        raise _nesting_error(a, b, int(np.argmax(crossed)))
     bound = np.empty(a.size)
     for k in range(0, a.size, _BLOCK):
         # a block at a time keeps the temporaries of a large sampled pair small
         s = slice(k, k + _BLOCK)
-        bound[s] = _envelope_bound(*_chord_lines(left[:, s], right[:, s], _curvature_signs(u, v, a[s])))
-    lower = max(best_point, best_limit, 0.0)
-    is_open = bound - lower > tol
+        bound[s] = _envelope_bound(*_chord_lines(left[:, s], right[:, s], signs[:, s]))
+    floor = _later_max(best_limit, 0.0)  # max(best_point, best_limit, 0.0) is max(best_point, floor)
+    lower = _later_max(best_point, floor)
+    is_open = bound - lower[pair] > tol
     # only open segments enter the frontier; they have no sibling yet
     o = np.flatnonzero(is_open)
     seg = np.full((_ROWS, o.size), np.nan)
-    if o.size:
-        seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT] = a[o], b[o], left[:, o], right[:, o]
-        seg[_SIGNS] = _curvature_signs(u, v, a[o])
+    seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT], seg[_SIGNS] = a[o], b[o], left[:, o], right[:, o], signs[:, o]
 
-    unexpanded = 0.0  # largest bound among segments dropped without bisection
-    nodes = 0
+    unexpanded = np.zeros(count)  # largest bound among segments dropped without bisection
+    upper = np.zeros(count)
+    nodes = np.zeros(count, dtype=np.int64)
+    spent = 0  # the nodes of all pairs: no pair has expanded more
+    active = np.ones(count, dtype=bool)
     depth = 0  # the segments of one round share their depth
     while True:
         # lower only rises, so a segment within tol of it is never bisected:
-        # drop it and keep only its bound, for upper
-        unexpanded = max(unexpanded, float(bound.max(initial=0.0, where=~is_open)))
-        bound = bound[is_open]
-        top = float(bound.max(initial=0.0))
-        if top - lower <= tol or nodes >= max_nodes or depth >= max_depth:
-            break
-        budget = max_nodes - nodes
-        if bound.size > budget:
+        # drop it and keep only its bound, for upper (unexpanded is never
+        # NaN, so fmax takes the larger as Python's max does)
+        unexpanded = np.fmax(unexpanded, _pair_max(bound, pair, count, ~is_open))
+        bound, pair = bound[is_open], pair[is_open]
+        # a pair stops when its frontier is empty (every bound is within tol
+        # of its lower end), on its own node budget, or at max_depth
+        width = np.bincount(pair, minlength=count)
+        stop = width == 0 if depth < max_depth else np.ones(count, dtype=bool)
+        if spent >= max_nodes:
+            stop |= nodes >= max_nodes
+        if stop.any():
+            done = stop & active
+            top = _pair_max(bound, pair, count)
+            upper[done] = _later_max(_later_max(lower, unexpanded), top)[done]
+            active &= ~done
+            if not active.any():
+                break
+            keep = active[pair]
+            seg, bound, pair = seg[:, keep], bound[keep], pair[keep]
+            width[done] = 0
+        if pair.size > max_nodes - spent:
+            # a pair whose rounds would exceed its budget bisects its
             # highest bounds first, ties in level order
-            order = np.argsort(-bound, kind="stable")
-            unexpanded = max(unexpanded, float(bound[order[budget]]))
-            seg = seg[:, np.sort(order[:budget])]
-        nodes += seg.shape[1]
+            budget = max_nodes - nodes
+            keep = np.ones(pair.size, dtype=bool)
+            starts = np.cumsum(width) - width
+            for p in np.flatnonzero(width > budget).tolist():
+                order = starts[p] + np.argsort(-bound[starts[p] : starts[p] + width[p]], kind="stable")
+                unexpanded[p] = max(unexpanded[p], float(bound[order[budget[p]]]))
+                keep[order[budget[p] :]] = False
+            seg, pair = seg[:, keep], pair[keep]
+            width = np.bincount(pair, minlength=count)
+        nodes += width
+        spent += pair.size
         m = 0.5 * (seg[_A] + seg[_B])
-        mid = _cuts(u, v, m)
-        h = _cut_distance(mid)
-        i = int(np.argmax(h))
-        if h[i] > best_point:
-            best_point, best_point_at = float(h[i]), float(m[i])
-        # both halves of each segment, side by side, written into one new
-        # frontier; each half is the other's sibling
-        halves = np.empty((seg.shape[0], seg.shape[1], 2))
-        first, second = halves[..., 0], halves[..., 1]
-        first[_A], first[_B], first[_C] = seg[_A], m, seg[_B]
-        first[_LEFT], first[_RIGHT], first[_FAR] = seg[_LEFT], mid, seg[_RIGHT]
-        second[_A], second[_B], second[_C] = m, seg[_B], seg[_A]
-        second[_LEFT], second[_RIGHT], second[_FAR] = mid, seg[_RIGHT], seg[_LEFT]
-        first[_SIGNS] = second[_SIGNS] = seg[_SIGNS]
-        parent, seg = seg, halves.reshape(seg.shape[0], -1)
-        _check_nested(seg[_A], seg[_B], seg[_LEFT], seg[_RIGHT])
-        _check_curvature(parent, m, mid)
+        mid = _batch_cuts(carriers, cu, cv, pair, m)
+        h, i = _pair_argmax(_cut_distance(mid), pair, count)
+        better = h > best_point
+        if better.any():
+            np.copyto(best_point, h, where=better)
+            np.copyto(best_point_at, m[i], where=better)
+            lower = _later_max(best_point, floor)
+        parent = seg
+        seg = np.concatenate((seg, m[None], mid))[_HALVES].transpose(0, 2, 1).reshape(_ROWS, -1)
+        _check_round(parent, pair, m, mid, seg)
         depth += 1
         bound = np.minimum(_monotone_bound(seg[_LEFT], seg[_RIGHT]), _envelope_bound(*_secant_lines(seg)))
-        lower = max(best_point, best_limit, 0.0)
-        is_open = bound - lower > tol
+        pair = np.repeat(pair, 2)
+        is_open = bound - lower[pair] > tol
         seg = seg[:, is_open]
 
-    upper = max(lower, unexpanded, top)
     attained = best_point >= best_limit
-    witness = best_point_at if attained else best_limit_at
-    return Enclosure(lower, upper, attained=attained, witness_alpha=witness, nodes=nodes)
+    witness = np.where(attained, best_point_at, best_limit_at)
+    for i, *fields in zip(live, lower.tolist(), upper.tolist(), attained.tolist(), witness.tolist(), nodes.tolist()):
+        enclosures[i] = Enclosure(*fields)
+    return tuple(enclosures)
+
+
+def d_infty_parametric(
+    u: FuzzyNumber1D,
+    v: FuzzyNumber1D,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> Enclosure:
+    """Certified enclosure of the supremum metric between two fuzzy numbers:
+    the one-pair case of :func:`d_infty_pairs`, which describes the search.
+    """
+    return d_infty_pairs([(u, v)], tol, max_depth, max_nodes)[0]
 
 
 @dataclass(frozen=True)

@@ -610,3 +610,20 @@ class TestConvergenceTable:
         monkeypatch.setattr(metrics_mod, "level_convergence_report", refuse)
         monkeypatch.setattr(counterexample_mod, "level_convergence_report", refuse, raising=False)
         assert refutation_report(100, eps)["level_convergence"]["converged"] is (eps == DEFAULT_EPS)
+
+    def test_report_runs_one_search_for_all_members(self, monkeypatch):
+        calls = []
+
+        def counted(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return metrics_mod.d_infty_pairs(pairs, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refutation report searched one pair at a time")
+
+        monkeypatch.setattr(counterexample_mod, "d_infty_pairs", counted)
+        monkeypatch.setattr(metrics_mod, "d_infty_parametric", refuse)
+        monkeypatch.setattr(counterexample_mod, "d_infty_parametric", refuse, raising=False)
+        report = refutation_report(100)
+        assert calls == [100]
+        assert report["supremum_distance"]["all_equal_one"] is True

@@ -440,9 +440,9 @@ class TestRepeatedOffsets:
     def test_lattice_holds_the_offset_once(self):
         family = CountingFamily(random_family(seed=8, count=5))
         compactness_conditions_report(family, alpha_grid=[0.5, 1.0], delta_grid=[0.25, 0.25])
-        # each member at level 0 for the support bound, then at the three
-        # rows and one lattice level per row
-        assert family.levels == [1] * 5 + [6] * 5
+        # each member once, at the three rows (level 0 among them, for the
+        # support bound too) and one lattice level per row
+        assert family.levels == [6] * 5
 
     def test_cli_diagnostics(self, capsys):
         bodies = []
@@ -619,9 +619,9 @@ class TestStoredRowsAreNotWritten:
         assert left_modulus(family, 0.6, 0.25) == left_modulus(plain, 0.6, 0.25)
         assert right_modulus_at_zero(family, 0.5) == right_modulus_at_zero(plain, 0.5)
         assert eventually_equi_left(family, 0.7, 0.05) == eventually_equi_left(plain, 0.7, 0.05)
-        # the support bound's level 0, one levels vector per 16-row part of
-        # the report's 101 lattice rows (seven), then one per call
-        assert len(family.stored) == 11
+        # one levels vector per 16-row part of the report's 101 lattice rows
+        # (seven; the support bound reads the level-0 row), then one per call
+        assert len(family.stored) == 10
         for alphas, lower, upper in family.stored.values():
             assert lower.flags.writeable and upper.flags.writeable
             fresh_lower, fresh_upper = family.rows(alphas)
@@ -637,9 +637,21 @@ class TestPerMemberFamily:
         compactness_conditions_report(family)
         rows = 1 + len([a for a in default_report_grid([family]).levels if a > 0.0])
         assert rows > 16
-        # each member once at level 0 for the support bound, then once at
-        # the rows and the rows x 19 lattice
-        assert family.levels == [1] * 40 + [rows * 20] * 40
+        # each member once, at the rows (level 0 among them, for the support
+        # bound too) and the rows x 19 lattice
+        assert family.levels == [rows * 20] * 40
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            random_family(seed=7, count=300),
+            list(random_family(seed=8, count=5)),
+            members(40),
+            [make_un(n) for n in range(1, 6)],
+        ],
+    )
+    def test_support_radius_is_the_support_bound(self, family):
+        assert compactness_conditions_report(family).support_radius == support_bound(family)
 
 
 class BlockRecordingFamily(list):
@@ -686,8 +698,9 @@ class TestLatticeParts:
         # offsets above some alphas (NaN cells) and above 1 (NaN in row 0)
         deltas = np.array([1.5, 1.0, 0.3, 0.05, 1e-6, 2.0**-20])
         assert (alphas.size + 1) % 16 != 0
-        table, zero = family_module._moduli(family, alphas, deltas)
+        table, zero, radius = family_module._moduli(family, alphas, deltas)
         ref_table, ref_zero = part_reference(family, alphas, deltas)
+        assert radius == support_bound(family)
         assert np.isnan(table).any() and np.isnan(zero).any()
         assert table.tobytes() == ref_table.tobytes()
         assert zero.tobytes() == ref_zero.tobytes()
@@ -695,8 +708,7 @@ class TestLatticeParts:
     def test_blocks_are_wide(self):
         family = BlockRecordingFamily(random_family(seed=4, count=500))
         compactness_conditions_report(family)
-        # the support bound at level 0 in blocks of 256, then six parts of 16
-        # of the 101 rows (320 levels) in blocks of 204, and the last 5 rows
-        # (100 levels) in blocks of 256
-        support = [(256, 1), (244, 1)]
-        assert family.blocks == support + [(204, 320), (204, 320), (92, 320)] * 6 + [(256, 100), (244, 100)]
+        # six parts of 16 of the 101 rows (320 levels) in blocks of 204, and
+        # the last 5 rows (100 levels) in blocks of 256; the support bound
+        # reads the level-0 row
+        assert family.blocks == [(204, 320), (204, 320), (92, 320)] * 6 + [(256, 100), (244, 100)]

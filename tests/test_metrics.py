@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from fuzzymetrics import (
     SampledFamily,
     CutCurve1D,
     DeclaredCurvature,
+    DeclaredJump,
+    Enclosure,
     Interval,
     NonNested,
     OutOfRange,
+    d_infty_pairs,
     d_infty_parametric,
     default_report_grid,
     hausdorff_interval,
@@ -28,8 +33,8 @@ from fuzzymetrics import (
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
 from fuzzymetrics.core import _SIGN, _SLACK_ULPS, _ulps, _wrong_side
-from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
-from fuzzymetrics.serialize import dumps
+from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL
+from fuzzymetrics.serialize import decode_fuzzy, dumps
 
 
 def triangular():
@@ -63,6 +68,21 @@ def interp_curve(u):
     levels, lower, upper = u.grid.levels, u.lower, u.upper
     return CutCurve1D(
         lower_fn=lambda a: np.interp(a, levels, lower), upper_fn=lambda a: np.interp(a, levels, upper)
+    )
+
+
+
+def rising_sine():
+    """Upper endpoint 1 + 0.5 sin(40 a), declared monotone but rising from
+    a = 0 to a = 1."""
+    return CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 + 0.5 * np.sin(40 * a))
+
+
+def bump():
+    """Lower endpoint 0 at 0, one third and 1, but 0.2 at the first midpoint
+    of [1/3, 1]; upper endpoint that of make_un(1)."""
+    return CutCurve1D(
+        lower_fn=lambda a: 0.2 * np.sin(np.pi * np.clip(1.5 * a - 0.5, 0.0, 1.0)), upper_fn=make_un(1).upper_fn
     )
 
 
@@ -240,18 +260,14 @@ class TestDInftyParametric:
     def test_non_monotone_upper_endpoint_raises(self):
         # declared monotone, but 1 + 0.5 sin(40a) rises from a = 0 to a = 1; its
         # sup distance to [0, 1] is 0.5, not the 0.3726 read off the two ends
-        sine = CutCurve1D(lower_fn=lambda a: 0.0 * a, upper_fn=lambda a: 1 + 0.5 * np.sin(40 * a))
         with pytest.raises(NonNested):
-            d_infty_parametric(sine, crisp_interval(0.0, 1.0))
+            d_infty_parametric(rising_sine(), crisp_interval(0.0, 1.0))
 
     def test_non_monotone_midpoint_raises(self):
         # the lower endpoint is 0 at the split points 0, 1/3 and 1 (un(2)'s
         # piece end) but 0.2 at the first midpoint of [1/3, 1]
-        bump = CutCurve1D(
-            lower_fn=lambda a: 0.2 * np.sin(np.pi * np.clip(1.5 * a - 0.5, 0.0, 1.0)), upper_fn=make_un(1).upper_fn
-        )
         with pytest.raises(NonNested, match="between levels 0.6666666666666666 and 1.0"):
-            d_infty_parametric(bump, make_un(2))
+            d_infty_parametric(bump(), make_un(2))
 
 
 class TestPinnedEnclosures:
@@ -352,6 +368,118 @@ class TestDeclaredCurvature:
             deeper = d_infty_parametric(make_un(n), make_un(m), tol=tol, max_depth=DEFAULT_MAX_DEPTH + 30)
             assert (deeper.lower, deeper.upper) == (enc.lower, enc.upper)
 
+
+
+def jump_curve():
+    """Upper endpoint 2 - a up to one half, 1.2 - a^2 (concave) above it,
+    with the right limit declared at the jump; lower endpoint 0."""
+    return CutCurve1D(
+        lower_fn=lambda a: 0.0 * a,
+        upper_fn=lambda a: np.where(a <= 0.5, 2.0 - a, 1.2 - a * a),
+        jumps=(DeclaredJump(0.5, 0.0, 0.95),),
+        curvature=(DeclaredCurvature(0.0, 0.5, "linear", "linear"), DeclaredCurvature(0.5, 1.0, "linear", "concave")),
+    )
+
+
+TRI = decode_fuzzy(json.loads((Path(__file__).parent / "golden" / "tri.json").read_text()))
+SAMPLED = random_family(seed=23, count=6)
+
+
+@st.composite
+def search_pairs(draw):
+    """One pair of a mix: two members, a member and the limit, two sampled
+    numbers, the golden triangle or the jump curve against any of these, or
+    one number twice (by identity, or two members of one key)."""
+    member = st.integers(1, 60).map(make_un)
+    sampled = st.integers(0, len(SAMPLED) - 1).map(SAMPLED.__getitem__)
+    single = st.one_of(member, st.just(make_limit()), sampled, st.just(TRI), st.builds(jump_curve))
+    kind = draw(st.sampled_from(["members", "limit", "sampled", "mixed", "same", "same key"]))
+    if kind == "members":
+        return draw(member), draw(member)
+    if kind == "limit":
+        return tuple(draw(st.permutations([draw(member), make_limit()])))
+    if kind == "sampled":
+        return draw(sampled), draw(sampled)
+    if kind == "mixed":
+        return draw(st.one_of(st.just(TRI), st.builds(jump_curve))), draw(single)
+    if kind == "same":
+        u = draw(single)
+        return u, u
+    n = draw(st.integers(1, 60))
+    return make_un(n), make_un(n)
+
+
+class TestBatchedSearch:
+    """``d_infty_pairs`` gives every pair the enclosure of its own search."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(search_pairs(), min_size=1, max_size=8),
+        st.sampled_from([1e-6, 1e-9]),
+        st.sampled_from([DEFAULT_MAX_DEPTH, 3, 8]),
+        st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
+    )
+    def test_equals_the_per_pair_searches(self, pairs, tol, max_depth, max_nodes):
+        batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
+        alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
+        assert batch == alone
+
+    def test_budgets_bind_per_pair(self):
+        # a small node budget and a small depth each stop some pairs of one
+        # batch short of tol and leave others to close
+        pairs = [(make_un(1), make_un(2)), (make_un(3), make_limit()), (make_un(10), make_un(11)), (TRI, make_un(1))]
+        for options in ({"max_nodes": 4}, {"max_depth": 3}):
+            batch = d_infty_pairs(pairs, **options)
+            assert batch == tuple(d_infty_parametric(u, v, **options) for u, v in pairs)
+            assert any(e.width > DEFAULT_TOL for e in batch) and any(e.width <= DEFAULT_TOL for e in batch)
+        assert max(e.nodes for e in d_infty_pairs(pairs, max_nodes=4)) == 4
+
+    def test_identity_pairs_and_an_empty_batch(self):
+        u = make_un(3)
+        zero = Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)
+        assert d_infty_pairs([(u, u), (make_un(4), make_un(4)), (TRI, TRI)]) == (zero, zero, zero)
+        assert d_infty_pairs([]) == ()
+
+    def test_one_endpoints_call_per_number_for_the_refutation_pairs(self, monkeypatch):
+        calls = []
+        endpoints = CutCurve1D.endpoints
+
+        def counted(self, alphas):
+            calls.append(self)
+            return endpoints(self, alphas)
+
+        monkeypatch.setattr(CutCurve1D, "endpoints", counted)
+        limit = make_limit()
+        batch = d_infty_pairs([(u, limit) for u in members(100)])
+        # every pair closes in round 0: the limit once, each member once
+        assert len(calls) == 101 and calls.count(limit) == 1
+        assert all((e.lower, e.upper, e.attained, e.nodes) == (1.0, 1.0, False, 0) for e in batch)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)), make_un(1)), (bump(), make_un(2))],
+        ids=["false convex declaration", "non-monotone midpoint"],
+    )
+    def test_a_failing_pair_raises_its_own_error(self, bad):
+        with pytest.raises((CurvatureMismatch, NonNested)) as alone:
+            d_infty_parametric(*bad)
+        with pytest.raises(type(alone.value)) as batch:
+            d_infty_pairs([(make_un(1), make_un(2)), bad, (make_un(4), make_limit())])
+        assert str(batch.value) == str(alone.value)
+
+    def test_the_earliest_round_then_the_lowest_pair_fails_first(self):
+        # the false convex declaration and the bump fail in round 1, the
+        # rising sine in round 0
+        convex = (wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)), make_un(1))
+        bumped = (bump(), make_un(2))
+        sine = (rising_sine(), crisp_interval(0.0, 1.0))
+        for pairs, error, match in [
+            ([convex, bumped], CurvatureMismatch, "not convex between levels 0.3333333333333333 and 1.0"),
+            ([bumped, convex], NonNested, "between levels 0.6666666666666666 and 1.0"),
+            ([bumped, convex, sine], NonNested, "between levels 0.0 and 1.0"),
+        ]:
+            with pytest.raises(error, match=match):
+                d_infty_pairs([(make_un(1), make_un(2)), *pairs])
 
 def chord_excess(a, b, m, left, mid, right):
     """The chord test both checks shared before the one rule, kept as their
