@@ -191,14 +191,15 @@ class SampledFuzzy1D(_Samples):
 
     Built through :func:`make_sampled_1d`, which enforces nestedness and
     nonemptiness; direct construction assumes already-valid data.  Like a
-    :class:`CutCurve1D` it answers ``jumps``, ``hint_levels``, ``key`` and
-    ``curvature``: it declares no jump, hint level or key, and both
-    endpoints linear between grid levels (the supremum search splits at
-    every grid level, so one piece on [0, 1] says so).
+    :class:`CutCurve1D` it answers ``jumps``, ``hint_levels``, ``key``,
+    ``curvature`` and ``family``: it declares no jump, hint level, key or
+    family, and both endpoints linear between grid levels (the supremum
+    search splits at every grid level, so one piece on [0, 1] says so).
     """
 
     jumps = ()
     key = None
+    family = None
     curvature = (DeclaredCurvature(0.0, 1.0, "linear", "linear"),)
 
     def endpoints(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +250,14 @@ class CutCurve1D:
     order: the search splits at their ends and bounds a segment inside a
     piece by chords and extended secants, and raises CurvatureMismatch at an
     evaluated point that contradicts a declaration.
+
+    ``family``, when given, is ``(batch, n)``: the number is row n of a
+    batch family, so ``batch.endpoints(ns, alphas)`` gives its endpoints as
+    the row of ``n`` bit for bit, and it declares the same jumps and
+    curvature as every other row of ``batch``.  The supremum search reads
+    the rows of one family that need the same levels with one batch call
+    and looks their declarations up once.  It takes no part in comparison
+    or ``repr``.
     """
 
     lower_fn: Callable[[np.ndarray], np.ndarray]
@@ -257,6 +266,7 @@ class CutCurve1D:
     hint_levels: tuple[float, ...] = ()
     key: tuple | None = field(default=None, compare=False)
     curvature: tuple[DeclaredCurvature, ...] = ()
+    family: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len({j.alpha for j in self.jumps}) < len(self.jumps):
@@ -266,6 +276,8 @@ class CutCurve1D:
                 raise OutOfRange(
                     f"curvature pieces must be disjoint and in increasing order: {before} then {after}"
                 )
+        if self.family is not None and operator.index(self.family[1]) < 1:
+            raise BadIndex(f"a family row is 1-based, got {self.family[1]}")
 
     def endpoints(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = np.asarray(alphas, dtype=float)
@@ -287,9 +299,12 @@ FuzzyNumber1D = Union[SampledFuzzy1D, CutCurve1D]
 
 def make_sampled_1d(grid: GridLike, lower: Sequence[float], upper: Sequence[float]) -> SampledFuzzy1D:
     """Build a validated sampled fuzzy number from endpoint samples: the
-    one-member case of :func:`make_sampled_family`."""
-    one = make_sampled_family(grid, [lower], [upper])
-    return SampledFuzzy1D(one.grid, one.lower[0], one.upper[0])
+    one-member case of :func:`make_sampled_family`, whose check reads the
+    number's one stored copy as a row."""
+    g = as_grid(grid)
+    u = _stored(SampledFuzzy1D, g, lower, upper, ([lower], [upper]))
+    _check_samples(g, u.lower[None], u.upper[None])
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,17 +374,33 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
     then nested lower and upper endpoints.
     """
     g = as_grid(grid)
-    wrong_length = ValueError(f"endpoint sequences must match the grid length {len(g)}")
+    family = _stored(SampledFamily, g, lower, upper, (lower, upper))
+    _check_samples(g, family.lower, family.upper)
+    return family
+
+
+def _wrong_length(g: AlphaGrid) -> ValueError:
+    return ValueError(f"endpoint sequences must match the grid length {len(g)}")
+
+
+def _stored(carrier, g: AlphaGrid, lower, upper, rows: tuple):
+    """``carrier(g, lower, upper)``, which stores its one read-only copy of
+    the samples, not yet checked; ``rows`` holds the samples' rows as given,
+    lower then upper."""
     try:
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
+        return carrier(g, lower, upper)
     except ValueError:
         # numpy refuses rows of unequal length before any member is checked
-        if any(not hasattr(row, "__len__") or len(row) != len(g) for rows in (lower, upper) for row in rows):
-            raise wrong_length from None
+        if any(not hasattr(row, "__len__") or len(row) != len(g) for side in rows for row in side):
+            raise _wrong_length(g) from None
         raise
+
+
+def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> None:
+    """The one sample check, on ``(members, levels)`` arrays: the first bad
+    member raises the error of the first rule it breaks."""
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
-        raise wrong_length
+        raise _wrong_length(g)
     finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
     empty = (lo > hi).any(axis=1)
     lower_falls = (np.diff(lo, axis=1) < 0).any(axis=1)
@@ -384,7 +415,6 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
         if lower_falls[k]:
             raise NonNested("lower endpoints must be nondecreasing in alpha")
         raise NonNested("upper endpoints must be nonincreasing in alpha")
-    return SampledFamily(g, lo, hi)
 
 
 def _check_tolerance(value: float, name: str) -> None:

@@ -98,7 +98,9 @@ _LIMIT_CURVATURE = (
 
 
 def make_un(n: int) -> CutCurve1D:
-    """Member n of the sequence; continuous cuts with a kink at one third."""
+    """Member n of the sequence; continuous cuts with a kink at one third.
+    It declares itself row n of :func:`member_sequence`, so the supremum
+    search reads many members with one batch call."""
     n = _index(n)
     return CutCurve1D(
         lower_fn=_zeros,
@@ -107,6 +109,7 @@ def make_un(n: int) -> CutCurve1D:
         hint_levels=(ONE_THIRD,),
         key=("counterexample-un", n),
         curvature=_MEMBER_CURVATURE,
+        family=(_SEQUENCE, n),
     )
 
 
@@ -180,6 +183,9 @@ class _MemberSequence:
         return _members_endpoints(ns, alphas)
 
 
+_SEQUENCE = _MemberSequence()
+
+
 def members(n_max: int) -> tuple[CutCurve1D, ...]:
     """The finite family of the first ``n_max`` members (a tuple that also
     carries the batch ``endpoints``)."""
@@ -190,8 +196,8 @@ def members(n_max: int) -> tuple[CutCurve1D, ...]:
 
 def member_sequence() -> _MemberSequence:
     """1-based index -> member callable with batch ``endpoints``, for
-    streaming sequence scans."""
-    return _MemberSequence()
+    streaming sequence scans; every member declares itself a row of it."""
+    return _SEQUENCE
 
 
 # Constructor forms: JSON type -> (constructor, parameter names).  The object

@@ -23,14 +23,17 @@ its one-pair case.  The pairs share the rounds but keep their own budgets:
 each stops when its own frontier is empty, at its own ``max_nodes`` or at
 ``max_depth``, so every enclosure equals the one its pair gets alone, bit
 for bit.  Each round reads every distinct number with one ``endpoints``
-call over all the levels its pairs need (for the refutation's 100
-member-vs-limit pairs, 101 calls in all).  A batch raises the error of the
-lowest-index failing pair in the earliest round that fails, with that
+call over all the levels its pairs need, except the rows of a batch family
+(``CutCurve1D.family``): those that need the same levels share one call to
+the family's ``endpoints`` (for the refutation's 100 member-vs-limit pairs,
+2 calls in all: the limit's and the members').  A batch raises the error of
+the lowest-index failing pair in the earliest round that fails, with that
 pair's own message.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -171,9 +174,11 @@ _HALVES = np.array(
 _BLOCK = 1 << 14
 
 
-def _runs(pair: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in the nonempty ``pair`` starts."""
-    return np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values, or of equal rows of a 2-D array, in
+    the nonempty ``values`` starts."""
+    change = np.any(values[1:] != values[:-1], axis=tuple(range(1, values.ndim)))
+    return np.flatnonzero(np.concatenate(([True], change)))
 
 
 def _pair_max(values: np.ndarray, pair: np.ndarray, count: int, where: np.ndarray | None = None) -> np.ndarray:
@@ -216,11 +221,25 @@ def _later_max(a: np.ndarray, b) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def _batch_cuts(carriers: list, cu: np.ndarray, cv: np.ndarray, pair: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _batch_cuts(
+    carriers: list,
+    readers: list,
+    source: np.ndarray,
+    row: np.ndarray,
+    cu: np.ndarray,
+    cv: np.ndarray,
+    pair: np.ndarray,
+    levels: np.ndarray,
+) -> np.ndarray:
     """``_cuts`` rows of many pairs: column j holds the cuts of pair
     ``pair[j]``, the numbers ``carriers[cu[p]]`` and ``carriers[cv[p]]``, at
-    ``levels[j]``.  Each number is read with one ``endpoints`` call over all
-    its levels, in column order."""
+    ``levels[j]``.  Number k is row ``row[k]`` of the batch family
+    ``readers[source[k]]``, or, where ``row[k]`` is 0, is read alone, with
+    one ``endpoints`` call over all its levels.  The rows of one family that
+    need the same levels, in column order, are read with one call to the
+    family's ``endpoints``; a row that no other row of its family can share
+    a call with (none needs as many levels with the same sum of level bits)
+    is read alone too."""
     if cu.size == 1:
         return _cuts(carriers[cu[0]], carriers[cv[0]], levels)
     who = np.concatenate([cu[pair], cv[pair]])
@@ -228,10 +247,34 @@ def _batch_cuts(carriers: list, cu: np.ndarray, cv: np.ndarray, pair: np.ndarray
     lo, hi = np.empty(at.size), np.empty(at.size)
     if at.size:
         order = np.argsort(who, kind="stable")
-        starts = _runs(who[order]).tolist()
-        for start, stop in zip(starts, [*starts[1:], order.size]):
-            run = order[start:stop]
-            lo[run], hi[run] = carriers[who[run[0]]].endpoints(at[run])
+        starts = _runs(who[order])
+        sizes = np.diff(starts, append=order.size)
+        owner = who[order[starts]]
+        # the runs of one family's rows with as many levels and the same sum
+        # of level bits (which wraps; it only sorts) form a group; a run alone
+        # in its group, or of a number read alone, is read alone
+        reader = np.where(row[owner] == 0, -1 - np.arange(owner.size), source[owner])
+        key = np.stack([np.add.reduceat(at[order].view(np.int64), starts), sizes, reader], axis=1)
+        by = np.lexsort(key.T)
+        first = _runs(key[by])
+        count = np.diff(first, append=by.size)
+        shared = count > 1
+        alone = by[np.repeat(~shared, count)]
+        for start, size, k in zip(starts[alone].tolist(), sizes[alone].tolist(), owner[alone].tolist()):
+            run = order[start : start + size]
+            lo[run], hi[run] = carriers[k].endpoints(at[run])
+        for f, c in zip(first[shared].tolist(), count[shared].tolist()):
+            runs = by[f : f + c]
+            cols = order[starts[runs, None] + np.arange(sizes[runs[0]])]
+            # sorted by the bit patterns of their levels, so that the runs
+            # whose levels are identical lie together
+            bits = at[cols].view(np.int64)
+            lex = np.lexsort(bits.T)
+            runs, cols = runs[lex], cols[lex]
+            cut = [*_runs(bits[lex]).tolist(), c]
+            family = readers[source[owner[runs[0]]]]
+            for a, b in zip(cut, cut[1:]):
+                lo[cols[a:b]], hi[cols[a:b]] = family.endpoints(row[owner[runs[a:b]]], at[cols[a]])
     n = levels.size
     return np.array((lo[:n], lo[n:], -hi[:n], -hi[n:]))
 
@@ -413,9 +456,12 @@ def d_infty_pairs(
     builds the split points once for all pairs whose numbers declare the
     same jump levels, curvature pieces and grids.  Each round reads every
     distinct number (by identity) with one ``endpoints`` call over all the
-    levels its pairs need.  A batch raises the error of the lowest-index
-    failing pair in the earliest round that fails, with the message that
-    pair's own search gives.
+    levels its pairs need, except that the numbers which declare rows of one
+    batch family (``CutCurve1D.family``) and need the same levels are read
+    with one call to that family's ``endpoints``; the rows of a family
+    declare alike, so their declarations are looked up once per family.  A
+    batch raises the error of the lowest-index failing pair in the earliest
+    round that fails, with the message that pair's own search gives.
 
     The enclosures certify the floating-point endpoint functions: the
     monotone and chord bounds treat each evaluated endpoint as exact, and
@@ -429,10 +475,12 @@ def d_infty_pairs(
     if not count:
         return tuple(enclosures)
 
-    # the distinct numbers, by identity, and the pairs whose numbers declare
-    # alike, which share one layout
-    carriers, declares, index, declarations, groups, layouts = [], [], {}, {}, {}, []
-    sides, group = [], []
+    # the distinct numbers, by identity, each read by its source: its batch
+    # family, or itself; the rows of a family declare alike, so each source's
+    # declarations are looked up once, from its first number.  The pairs
+    # whose numbers declare alike share one layout
+    carriers, index, sources, readers, firsts, declares = [], {}, {}, [], [], []
+    source, row, declarations, groups, layouts, sides, group = [], [], {}, {}, [], [], []
     for i in live:
         ks = []
         for w in pairs[i]:
@@ -440,20 +488,29 @@ def d_infty_pairs(
             if k is None:
                 k = index[id(w)] = len(carriers)
                 carriers.append(w)
-                declares.append(declarations.setdefault(_declaration(w), len(declarations)))
+                reader, n = w.family or (w, 0)
+                s = sources.setdefault(id(reader), len(readers))
+                if s == len(readers):
+                    readers.append(reader)
+                    firsts.append(w)
+                    declares.append(declarations.setdefault(_declaration(w), len(declarations)))
+                source.append(s)
+                row.append(n)
             ks.append(k)
-        g = groups.setdefault((declares[ks[0]], declares[ks[1]]), len(groups))
+        g = groups.setdefault((declares[source[ks[0]]], declares[source[ks[1]]]), len(groups))
         if g == len(layouts):
             layouts.append(_split_layout(*pairs[i]))
         sides.append(ks)
         group.append(g)
     cu, cv = np.array(sides, dtype=np.intp).T
+    source, row = np.array(source, dtype=np.intp), np.array(row, dtype=np.int64)
+    read = functools.partial(_batch_cuts, carriers, readers, source, row, cu, cv)
 
     # round 0: every pair's layout, side by side in pair order
     table = np.concatenate([layouts[g] for g in group], axis=1)
     x = table[_LEVEL]
     point_pair = np.repeat(np.arange(count), [layouts[g].shape[1] for g in group])
-    cuts = _batch_cuts(carriers, cu, cv, point_pair, x)
+    cuts = read(point_pair, x)
     best_point, i = _pair_argmax(_cut_distance(cuts), point_pair, count)
     best_point_at = x[i]
 
@@ -468,14 +525,15 @@ def d_infty_pairs(
     best_limit, best_limit_at = np.full(count, -1.0), np.zeros(count)
     jumped = np.flatnonzero((slots >= 0).any(axis=0))
     if jumped.size:
+        # the right limits of each source's jumps below level 1
         value_at, values = [], []
-        for w in carriers:
+        for w in firsts:
             value_at.append(len(values))
             values.extend((j.lower_right, j.upper_right) for j in w.jumps if j.alpha < 1.0)
         value_at, values = np.array(value_at), np.array(values).T
         for k, side in enumerate((cu, cv)):
             j = jumped[slots[k, jumped] >= 0]
-            value = values[:, value_at[side[pair[j]]] + slots[k, j].astype(np.intp)]
+            value = values[:, value_at[source[side[pair[j]]]] + slots[k, j].astype(np.intp)]
             left[k, j], left[k + 2, j] = value[0], -value[1]
         h, i = _pair_argmax(_cut_distance(left[:, jumped]), pair[jumped], count)
         some = i >= 0
@@ -541,7 +599,7 @@ def d_infty_pairs(
         nodes += width
         spent += pair.size
         m = 0.5 * (seg[_A] + seg[_B])
-        mid = _batch_cuts(carriers, cu, cv, pair, m)
+        mid = read(pair, m)
         h, i = _pair_argmax(_cut_distance(mid), pair, count)
         better = h > best_point
         if better.any():

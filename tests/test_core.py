@@ -142,6 +142,21 @@ class TestMakeSampled:
             make_sampled_1d([0, 0.5, 1], lower, upper)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("make", [make_sampled_1d, make_sampled_family])
+    def test_the_caller_cannot_reach_the_stored_samples(self, make):
+        lower, upper = np.array([0.0, 0.25, 0.5]), np.array([1.0, 0.75, 0.5])
+        if make is make_sampled_family:
+            lower, upper = np.stack([lower, lower]), np.stack([upper, upper])
+        expected = lower.tolist(), upper.tolist()
+        u = make([0, 0.5, 1], lower, upper)
+        lower[...], upper[...] = 9.0, -9.0
+        assert (u.lower.tolist(), u.upper.tolist()) == expected
+        for stored in (u.lower, u.upper):
+            # one private copy: no view of the input or of a larger array
+            assert not stored.flags.writeable and stored.base is None
+            with pytest.raises(ValueError):
+                stored[0] = 0.0
+
 
 class TestAlphaCut:
     def test_triangular_interpolation(self):
@@ -588,6 +603,15 @@ def test_declared_curvature_needs_a_piece_and_a_known_name():
             upper_fn=np.ones_like,
             curvature=(DeclaredCurvature(0.0, 0.6, "linear"), DeclaredCurvature(0.5, 1.0, "linear")),
         )
+
+
+def test_a_family_row_is_1_based_and_takes_no_part_in_comparison():
+    u = make_un(3)
+    family, n = u.family
+    assert n == 3 and family.endpoints([3], [0.5])[1].tolist() == [u.endpoints(np.array([0.5]))[1].tolist()]
+    with pytest.raises(BadIndex, match="^a family row is 1-based, got 0$"):
+        dataclasses.replace(u, family=(family, 0))
+    assert dataclasses.replace(u, family=None) == u and "family" not in repr(u)
 
 
 def same_bits(x, y):

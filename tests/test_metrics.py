@@ -383,14 +383,19 @@ def jump_curve():
 
 TRI = decode_fuzzy(json.loads((Path(__file__).parent / "golden" / "tri.json").read_text()))
 SAMPLED = random_family(seed=23, count=6)
+# rows of one batch family, each object shared by every pair that draws it
+MEMBERS = members(60)
 
 
 @st.composite
 def search_pairs(draw):
     """One pair of a mix: two members, a member and the limit, two sampled
     numbers, the golden triangle or the jump curve against any of these, or
-    one number twice (by identity, or two members of one key)."""
-    member = st.integers(1, 60).map(make_un)
+    one number twice (by identity, or two members of one key).  A member is
+    built alone by ``make_un`` or is a row of ``MEMBERS``; either way it
+    declares a row of the member family, so the search reads members in
+    batch calls, and member pairs leave them ragged levels after round 0."""
+    member = st.one_of(st.integers(1, 60).map(make_un), st.sampled_from(MEMBERS))
     sampled = st.integers(0, len(SAMPLED) - 1).map(SAMPLED.__getitem__)
     single = st.one_of(member, st.just(make_limit()), sampled, st.just(TRI), st.builds(jump_curve))
     kind = draw(st.sampled_from(["members", "limit", "sampled", "mixed", "same", "same key"]))
@@ -409,6 +414,12 @@ def search_pairs(draw):
     return make_un(n), make_un(n)
 
 
+def enclosure_bits(e: Enclosure) -> tuple:
+    """An enclosure's fields, every float by its exact bits."""
+    witness = None if e.witness_alpha is None else e.witness_alpha.hex()
+    return e.lower.hex(), e.upper.hex(), e.attained, witness, e.nodes
+
+
 class TestBatchedSearch:
     """``d_infty_pairs`` gives every pair the enclosure of its own search."""
 
@@ -422,7 +433,26 @@ class TestBatchedSearch:
     def test_equals_the_per_pair_searches(self, pairs, tol, max_depth, max_nodes):
         batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
         alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
-        assert batch == alone
+        assert list(map(enclosure_bits, batch)) == list(map(enclosure_bits, alone))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.lists(search_pairs(), max_size=6), st.data())
+    def test_a_failing_pair_among_family_rows_raises_its_own_error(self, pairs, data):
+        bad = data.draw(
+            st.sampled_from(
+                [
+                    (wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)), MEMBERS[0]),
+                    (bump(), MEMBERS[1]),
+                    (MEMBERS[2], bump()),
+                ]
+            )
+        )
+        at = data.draw(st.integers(0, len(pairs)))
+        with pytest.raises((CurvatureMismatch, NonNested)) as alone:
+            d_infty_parametric(*bad)
+        with pytest.raises(type(alone.value)) as batch:
+            d_infty_pairs([*pairs[:at], bad, *pairs[at:]])
+        assert str(batch.value) == str(alone.value)
 
     def test_budgets_bind_per_pair(self):
         # a small node budget and a small depth each stop some pairs of one
@@ -441,19 +471,40 @@ class TestBatchedSearch:
         assert d_infty_pairs([]) == ()
 
     def test_one_endpoints_call_per_number_for_the_refutation_pairs(self, monkeypatch):
-        calls = []
+        calls, batch_calls = [], []
         endpoints = CutCurve1D.endpoints
+        family = type(member_sequence())
+        batch_endpoints = family.endpoints
 
         def counted(self, alphas):
             calls.append(self)
             return endpoints(self, alphas)
 
+        def batch_counted(self, ns, alphas):
+            batch_calls.append(np.array(ns))
+            return batch_endpoints(self, ns, alphas)
+
         monkeypatch.setattr(CutCurve1D, "endpoints", counted)
+        monkeypatch.setattr(family, "endpoints", batch_counted)
         limit = make_limit()
         batch = d_infty_pairs([(u, limit) for u in members(100)])
-        # every pair closes in round 0: the limit once, each member once
-        assert len(calls) == 101 and calls.count(limit) == 1
+        # every pair closes in round 0: the limit once, and the 100 members,
+        # which need the same levels, in one call to their family
+        assert calls == [limit]
+        assert len(batch_calls) == 1 and batch_calls[0].tolist() == list(range(1, 101))
         assert all((e.lower, e.upper, e.attained, e.nodes) == (1.0, 1.0, False, 0) for e in batch)
+
+    def test_family_rows_with_the_same_levels_in_another_order_are_read_apart(self):
+        # each member meets a sampled number split at 0.5 and one split at
+        # 0.25: the two members need the same levels in round 0, in another
+        # order, so their level bits have the same sum but are not the same
+        a, b = MEMBERS[0], MEMBERS[1]
+        half = make_sampled_1d([0, 0.5, 1], [0, 0.1, 0.2], [2, 1.5, 1])
+        quarter = make_sampled_1d([0, 0.25, 1], [-0.1, 0.0, 0.1], [1.5, 1.2, 0.9])
+        pairs = [(a, half), (a, quarter), (b, quarter), (b, half)]
+        batch = d_infty_pairs(pairs)
+        alone = [d_infty_parametric(u, v) for u, v in pairs]
+        assert list(map(enclosure_bits, batch)) == list(map(enclosure_bits, alone))
 
     @pytest.mark.parametrize(
         "bad",
