@@ -345,14 +345,9 @@ class SampledFamily(_Samples, abc.Sequence):
         if ns.dtype.kind not in "iu" or ns.ndim != 1 or not np.all((ns >= 1) & (ns <= len(self))):
             raise BadIndex(f"member indices must be integers in 1..{len(self)}")
         rows = ns - 1
-        levels = self.grid.levels
-        # np.interp holds the end samples outside [0, 1]
-        a = np.clip(np.atleast_1d(np.asarray(alphas, dtype=float)), 0.0, 1.0)
-        at = np.searchsorted(levels, a, side="right") - 1  # levels[at] <= a
-        node = levels[at] == a
-        seg = np.minimum(at, levels.size - 2)
-        offset = (a - levels[seg])[:, None]
-        widths = np.diff(levels)[:, None]
+        at, node, seg, offset = _segments(self.grid.levels, alphas)
+        offset = offset[:, None]
+        widths = np.diff(self.grid.levels)[:, None]
 
         def interp(samples: np.ndarray) -> np.ndarray:
             fp = np.ascontiguousarray(samples[rows].T)
@@ -365,13 +360,31 @@ class SampledFamily(_Samples, abc.Sequence):
         return interp(self.lower), interp(self.upper)
 
 
+def _segments(levels: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The segment rule of sampled endpoints on the grid ``levels``, for the
+    1-D ``alphas``: ``(at, node, seg, offset)``.
+
+    ``levels[at]`` is the last level at or below each alpha, ``node`` marks
+    the alphas that are levels, and a sample is read as slope * offset +
+    sample on segment ``seg`` (the last segment holds level 1) at ``offset``
+    = alpha - levels[seg].  Alphas are clipped to [0, 1] first, as np.interp
+    holds the end samples outside.  ``SampledFamily.endpoints`` and the
+    lattice screen of :func:`_worst_moves` both read their segments here."""
+    a = np.clip(np.atleast_1d(np.asarray(alphas, dtype=float)), 0.0, 1.0)
+    at = np.searchsorted(levels, a, side="right") - 1  # levels[at] <= a
+    node = levels[at] == a
+    seg = np.minimum(at, levels.size - 2)
+    return at, node, seg, a - levels[seg]
+
+
 def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) -> SampledFamily:
     """Build a validated family of sampled numbers on one grid.
 
     ``lower`` and ``upper`` hold one row of samples per member.  Every
     member is checked in one vectorized pass; the first bad member raises
     the error of the first rule it breaks: finite samples, nonempty cuts,
-    then nested lower and upper endpoints.
+    nested lower and upper endpoints, then slopes that a float holds on
+    every grid gap (``OutOfRange``).
     """
     g = as_grid(grid)
     family = _stored(SampledFamily, g, lower, upper, (lower, upper))
@@ -403,8 +416,15 @@ def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> None:
         raise _wrong_length(g)
     finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
     empty = (lo > hi).any(axis=1)
-    lower_falls = (np.diff(lo, axis=1) < 0).any(axis=1)
-    bad = ~finite | empty | lower_falls | (np.diff(hi, axis=1) > 0).any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower_steps, upper_steps = np.diff(lo, axis=1), np.diff(hi, axis=1)
+        # the slopes SampledFamily.endpoints takes: across a gap too narrow
+        # for its samples one overflows, and the endpoints inside read inf
+        widths = np.diff(g.levels)
+        steep = ~(np.isfinite(lower_steps / widths) & np.isfinite(upper_steps / widths))
+    lower_falls = (lower_steps < 0).any(axis=1)
+    upper_rises = (upper_steps > 0).any(axis=1)
+    bad = ~finite | empty | lower_falls | upper_rises | steep.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         if not finite[k]:
@@ -414,7 +434,13 @@ def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> None:
             raise EmptyCut(f"empty cut at alpha={g.levels[i]}: lower {lo[k, i]} > upper {hi[k, i]}")
         if lower_falls[k]:
             raise NonNested("lower endpoints must be nondecreasing in alpha")
-        raise NonNested("upper endpoints must be nonincreasing in alpha")
+        if upper_rises[k]:
+            raise NonNested("upper endpoints must be nonincreasing in alpha")
+        i = int(np.argmax(steep[k]))
+        raise OutOfRange(
+            f"endpoint slope overflows between alpha={g.levels[i]} and alpha={g.levels[i + 1]}:"
+            " the grid gap is too narrow for its samples"
+        )
 
 
 def _check_tolerance(value: float, name: str) -> None:
@@ -536,11 +562,116 @@ _LATTICE_ROWS = 16
 _MOVE_CELLS = 1 << 13
 
 
+# The lattice screen of a ``SampledFamily`` computes the moves of this many
+# steepest members of each segment and side exactly, and reads the cells it
+# cannot settle densely, at most _PACK of a row's cells to a packed row.
+_SCREEN_TOP = 4
+_PACK = 4
+_UNIT_ROUNDOFF = 2.0**-53
+
+
 def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
     """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
     point of the ``(len(rows), deltas)`` array ``lattice``; with ``reach``,
     also the largest |endpoint| of any member at each of ``rows``, as the pair
     ``(moves, reach)``.
+
+    A ``SampledFamily`` first settles what its screen can (see
+    :func:`_screen`); the cells left open are read densely, packed per row
+    up to ``_PACK`` to a packed row, padded with the row's own level (a move
+    of 0), and the reach in member blocks at ``rows`` only.  Any other
+    family is read densely (see :func:`_dense_moves`).  Either way every
+    value is the dense read's bit for bit."""
+    if not isinstance(members, SampledFamily):
+        return _dense_moves(members, rows, lattice, reach)
+    widest = np.zeros(rows.size)
+    for _, lo, hi in _member_rows(members, len(members), rows):
+        for ends in (lo, hi):
+            np.maximum(widest, np.abs(ends).max(axis=0), out=widest)
+    worst, open_cells = _screen(members, rows, lattice, np.isfinite(widest))
+    ri, ci = np.nonzero(open_cells)
+    counts = np.bincount(ri, minlength=rows.size)
+    packs = -(-counts // _PACK)
+    rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
+    at, slot = (np.cumsum(packs) - packs)[ri] + rank // _PACK, rank % _PACK
+    packed_rows = np.repeat(rows, packs)
+    packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
+    packed[at, slot] = lattice[ri, ci]
+    worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
+    return (worst, widest) if reach else worst
+
+
+def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray, finite: np.ndarray):
+    """The cells of :func:`_worst_moves` that the family's steepest members
+    settle, as ``(worst, open)``: ``worst`` holds every settled cell's value
+    (0 elsewhere) and ``open`` marks the cells left to the dense read.
+
+    A cell whose two levels are equal moves no member, so it is 0 where
+    every member's endpoints at the row are finite (``finite``).  A cell
+    whose levels a and b lie inside one grid segment j, neither a grid
+    node, reads every member i of one side as v_i(x) = fl(fl(t_ij o(x)) +
+    s_ij) at both levels, with the same computed slope t_ij =
+    fl(fl(s_i,j+1 - s_ij) / w_j) and offsets 0 <= o(x) <= w_j from
+    :func:`_segments`, as ``SampledFamily.endpoints`` does.  In the standard
+    model (each operation exact times 1 + e with |e| <= u = 2**-53, plus an
+    absolute 2**-1075 where a product underflows; sums that underflow are
+    exact) v_i(x) = t_ij o(x) + s_ij + r with |r| <= 3 u S w_j + u T +
+    2**-1074, where S = max_i |t_ij| and T the largest |sample| of the
+    segment's two columns.  So the computed move |fl(v_i(a) - v_i(b))| is at
+    most (|t_ij| |o(a) - o(b)| + E) (1 + u) with E = 6 u S w_j + 2 u T +
+    2**-1073.
+
+    The screen computes the moves of the ``_SCREEN_TOP`` steepest members
+    of the segment on both sides exactly, and bounds every other member of
+    a side through its (``_SCREEN_TOP`` + 1)-th steepest slope t*: B =
+    fl(fl(fl(t* fl|o(a) - o(b)|) (1 + 8u)) + E_j) with E_j = 32u S w_j + 16u
+    T + 2**-1022.  Each of B's roundings loses at most a factor 1 - u (and
+    2**-1075 where it underflows), which the factor 1 + 8u and the slack of
+    E_j (over five times E, and 2**-1022 for the absolute terms) cover, so B
+    is at least every other member's move.  Where both sides' B lie
+    strictly below the largest exact move C, C is the cell's dense value
+    bit for bit; a family of at most ``_SCREEN_TOP`` members has every move
+    computed and settles every such cell.  Node levels (1 among them),
+    cells across a node and cells that fail the bound are left open, and so
+    is every cell a non-finite value reaches (its comparison fails)."""
+    levels = family.grid.levels
+    widths = np.diff(levels)
+    _, row_node, row_seg, row_off = _segments(levels, rows)
+    _, node, seg, off = (x.reshape(lattice.shape) for x in _segments(levels, lattice.ravel()))
+    same = lattice == rows[:, None]
+    ri, ci = np.nonzero(~same & ~node & ~row_node[:, None] & (seg == row_seg[:, None]))
+    j, oa, ob = seg[ri, ci], row_off[ri], off[ri, ci]
+    count = len(family)
+    best = np.zeros(ri.size)
+    bounds = []
+    for samples in (family.lower, family.upper):
+        slopes = np.diff(samples, axis=1) / widths
+        steep = np.abs(slopes)
+        top = np.broadcast_to(np.arange(count)[:, None], slopes.shape)
+        if count > _SCREEN_TOP:
+            order = np.argpartition(steep, count - _SCREEN_TOP - 1, axis=0)
+            top = order[count - _SCREEN_TOP :]
+            nearest = np.take_along_axis(steep, order[count - _SCREEN_TOP - 1][None], axis=0)[0]
+            ends = np.abs(samples).max(axis=0)
+            err = 32 * _UNIT_ROUNDOFF * (steep.max(axis=0) * widths)
+            err += 16 * _UNIT_ROUNDOFF * np.maximum(ends[:-1], ends[1:]) + np.finfo(float).tiny
+            bounds.append(nearest[j] * np.abs(ob - oa) * (1 + 8 * _UNIT_ROUNDOFF) + err[j])
+        sigma = np.take_along_axis(slopes, top, axis=0)[:, j]
+        base = np.take_along_axis(samples[:, :-1], top, axis=0)[:, j]
+        moves = np.abs((sigma * ob + base) - (sigma * oa + base))
+        np.maximum(best, moves.max(axis=0, initial=0.0), out=best)
+    settled = best == best  # a NaN move goes to the dense read
+    for bound in bounds:
+        settled &= bound < best
+    worst = np.zeros(lattice.shape)
+    worst[ri[settled], ci[settled]] = best[settled]
+    open_cells = ~(same & finite[:, None])
+    open_cells[ri[settled], ci[settled]] = False
+    return worst, open_cells
+
+
+def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
+    """:func:`_worst_moves` read densely: every member at every level.
 
     A family with a batch ``endpoints`` is read one part of ``_LATTICE_ROWS``
     rows at a time, each block of members once at the part's levels; any

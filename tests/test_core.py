@@ -143,6 +143,23 @@ class TestMakeSampled:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("make", [make_sampled_1d, make_sampled_family])
+    def test_slope_that_overflows_is_refused(self, make):
+        # a rise of 1 across a gap of 1e-310 has no float slope, so every
+        # endpoint inside the gap would read inf (np.interp's too); the last
+        # rule, after the nested upper endpoints
+        lower, upper = np.array([0.0, 1.0, 1.0]), np.array([3.0, 3.0, 2.0])
+        if make is make_sampled_family:
+            lower, upper = np.stack([lower, lower]), np.stack([upper, upper])
+        with pytest.raises(OutOfRange) as raised:
+            make([0, 1e-310, 1], lower, upper)
+        assert str(raised.value) == (
+            "endpoint slope overflows between alpha=0.0 and alpha=1e-310: the grid gap is too narrow for its samples"
+        )
+        with pytest.raises(NonNested):
+            make([0, 1e-310, 1], lower, upper[..., ::-1])
+        assert make([0, 1e-310, 1], lower[..., ::-1] * 0, upper).lower.max() == 0.0
+
+    @pytest.mark.parametrize("make", [make_sampled_1d, make_sampled_family])
     def test_the_caller_cannot_reach_the_stored_samples(self, make):
         lower, upper = np.array([0.0, 0.25, 0.5]), np.array([1.0, 0.75, 0.5])
         if make is make_sampled_family:

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymetrics import (
     DEFAULT_DELTA_GRID,
+    AlphaGrid,
     CutCurve1D,
     DeclaredJump,
     EmptyFamily,
@@ -19,12 +22,14 @@ from fuzzymetrics import (
     left_modulus,
     level_convergence_report,
     make_sampled_1d,
+    make_sampled_family,
     make_un,
     random_family,
     right_modulus_at_zero,
     support_bound,
     validate_representation,
 )
+from fuzzymetrics import core
 from fuzzymetrics import family as family_module
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import members
@@ -712,3 +717,114 @@ class TestLatticeParts:
         # the last 5 rows (100 levels) in blocks of 256; the support bound
         # reads the level-0 row
         assert family.blocks == [(204, 320), (204, 320), (92, 320)] * 6 + [(256, 100), (244, 100)]
+
+
+@st.composite
+def screened_cases(draw):
+    """The grid and samples of a sampled family, with rows and a lattice as
+    ``family._moduli`` builds them: rows at grid nodes, at floats beside
+    them, at 0 and 1 and at random levels; offsets from 1e-12 up to above 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.one_of(st.integers(1, core._SCREEN_TOP + 1), st.integers(core._SCREEN_TOP + 2, 300)))
+    if draw(st.booleans()):
+        family = random_family(
+            int(rng.integers(2**32)),
+            count,
+            levels=draw(st.integers(2, 28)),
+            jump_at=draw(st.floats(0.01, 0.99)),
+            jump_size=draw(st.sampled_from([1e-9, 0.5, 4.0])),
+        )
+    else:
+        inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=28))
+        levels = np.unique(np.concatenate([[0.0, 1.0], inner]))
+        scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+        shift = draw(st.sampled_from([0.0, 3.0, -1e8]))
+        lower = shift + np.cumsum(rng.uniform(0.0, scale, (count, levels.size)), axis=1)
+        upper = lower[:, -1:] + np.cumsum(rng.uniform(0.0, scale, (count, levels.size))[:, ::-1], axis=1)[:, ::-1]
+        # copies of the first member, shifted (slopes that tie, or nearly,
+        # with moves that round apart), then constant members
+        copies = draw(st.integers(0, count))
+        shifts = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, 1e6])), (copies, 1))
+        lower[:copies], upper[:copies] = lower[0] + shifts, upper[0] + shifts
+        crisp = count - draw(st.integers(0, count))
+        lower[crisp:] = upper[crisp:] = lower[crisp:, -1:]
+        family = SampledFamily(AlphaGrid(levels), lower, upper)
+    nodes = family.grid.levels
+    alphas = np.concatenate(
+        [
+            rng.choice(nodes, size=min(nodes.size, draw(st.integers(0, 30)))),
+            [1.0],
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            rng.uniform(0.0, 1.0, draw(st.integers(0, 40))),
+        ]
+    )
+    alphas = np.unique(alphas[(alphas > 0.0) & (alphas <= 1.0)])
+    offsets = st.one_of(st.floats(1e-12, 2.0), st.floats(1e-12, 1e-2))
+    deltas = np.unique(draw(st.lists(offsets, min_size=1, max_size=12)))
+    valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
+    rows = np.append(alphas, 0.0)
+    lattice = np.where(valid, np.vstack([alphas[:, None] - deltas, deltas]), rows[:, None])
+    return family.grid, family.lower, family.upper, rows, lattice
+
+
+class TestLatticeScreen:
+    """A ``SampledFamily`` settles most lattice cells from each segment's
+    steepest members; the rest is read densely, so the moduli and the reach
+    equal the per-member ``np.interp`` read of the list bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(screened_cases())
+    def test_screened_equals_per_member(self, case):
+        grid, lower, upper, rows, lattice = case
+        try:
+            family = make_sampled_family(grid, lower, upper)
+        except OutOfRange:
+            # a grid gap too narrow for its samples is refused, never read
+            with np.errstate(over="ignore"):
+                slopes = np.diff(np.vstack([lower, upper]), axis=1) / np.diff(grid.levels)
+            assert not np.isfinite(slopes).all()
+            return
+        worst, reach = core._worst_moves(family, rows, lattice, reach=True)
+        dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
+        assert worst.tobytes() == dense_worst.tobytes()
+        assert reach.tobytes() == dense_reach.tobytes()
+
+    def test_unchecked_samples_keep_the_dense_values(self):
+        # direct construction checks nothing: a NaN sample makes every
+        # endpoint of its segment NaN, so even a row's move to its own level
+        # is NaN, as the dense read gives it
+        lower = np.tile([0.0, 1.0, 2.0], (6, 1))
+        upper = np.tile([5.0, np.nan, 3.0], (6, 1))
+        family = SampledFamily(AlphaGrid([0.0, 0.5, 1.0]), lower, upper)
+        rows = np.array([0.25, 0.75, 0.0])
+        lattice = np.array([[0.25, 0.2], [0.75, 0.7], [0.0, 0.1]])
+        worst, reach = core._worst_moves(family, rows, lattice, reach=True)
+        dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
+        assert np.isnan(worst[:2]).all()
+        assert worst.tobytes() == dense_worst.tobytes()
+        assert reach.tobytes() == dense_reach.tobytes()
+
+    def test_dense_read_is_a_small_part(self, monkeypatch):
+        family = random_family(seed=2501, count=2000)
+        read = []
+        endpoints = SampledFamily.endpoints
+
+        def counting(self, ns, alphas):
+            read.append(np.array(alphas, dtype=float))
+            return endpoints(self, ns, alphas)
+
+        monkeypatch.setattr(SampledFamily, "endpoints", counting)
+        diag = compactness_conditions_report(family)
+        alphas = np.array(sorted(diag.left_moduli))
+        deltas = np.array(sorted(DEFAULT_DELTA_GRID))
+        valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
+        rows = np.append(alphas, 0.0)
+        lattice = np.vstack([alphas[:, None] - deltas, deltas])
+        # every member is read at the rows for the reach, and at the levels of
+        # the open cells (with their rows) for the moduli; a dense read
+        # would take every one of the 101 x 19 cells
+        assert any(np.array_equal(levels, rows) for levels in read)
+        dense = np.concatenate([levels for levels in read if not np.array_equal(levels, rows)])
+        cells = np.count_nonzero(np.isin(lattice, dense) & valid)
+        assert 0 < cells < valid.size / 4
