@@ -564,9 +564,13 @@ _MOVE_CELLS = 1 << 13
 
 # The lattice screen of a ``SampledFamily`` computes the moves of this many
 # steepest members of each segment and side exactly, and reads the cells it
-# cannot settle densely, at most _PACK of a row's cells to a packed row.
+# cannot settle densely, at most _PACK of a row's cells to a packed row.  It
+# runs where the packed read would take at most _SCREEN_SHARE of the levels
+# of the dense read: on the benchmark's 9-level family about a third, on a
+# 51-level family 0.84, where the screen saved nothing at 200 members.
 _SCREEN_TOP = 4
 _PACK = 4
+_SCREEN_SHARE = 0.75
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -578,39 +582,45 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
 
     A ``SampledFamily`` first settles what its screen can (see
     :func:`_screen`); the cells left open are read densely, packed per row
-    up to ``_PACK`` to a packed row, padded with the row's own level (a move
-    of 0), and the reach in member blocks at ``rows`` only.  Any other
-    family is read densely (see :func:`_dense_moves`).  Either way every
-    value is the dense read's bit for bit."""
-    if not isinstance(members, SampledFamily):
+    up to ``_PACK`` to a packed row and padded with the row's own level (a
+    move of 0), each row in one packed row at least, which reads its reach.
+    A cell at its row's own level moves no member: it is |r - r| for the
+    row's reach r, 0 where every endpoint at the row is finite and NaN
+    otherwise.  Where the screen would not make the dense read smaller, and
+    for any other family, the whole lattice is read densely (see
+    :func:`_dense_moves`).  Either way every value is the dense read's bit
+    for bit."""
+    screened = _screen(members, rows, lattice) if isinstance(members, SampledFamily) else None
+    if screened is None:
         return _dense_moves(members, rows, lattice, reach)
-    widest = np.zeros(rows.size)
-    for _, lo, hi in _member_rows(members, len(members), rows):
-        for ends in (lo, hi):
-            np.maximum(widest, np.abs(ends).max(axis=0), out=widest)
-    worst, open_cells = _screen(members, rows, lattice, np.isfinite(widest))
+    worst, open_cells = screened
     ri, ci = np.nonzero(open_cells)
     counts = np.bincount(ri, minlength=rows.size)
-    packs = -(-counts // _PACK)
+    packs = np.maximum(-(-counts // _PACK), 1)
+    first = np.cumsum(packs) - packs  # each row's first packed row
     rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
-    at, slot = (np.cumsum(packs) - packs)[ri] + rank // _PACK, rank % _PACK
+    at, slot = first[ri] + rank // _PACK, rank % _PACK
     packed_rows = np.repeat(rows, packs)
     packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
     packed[at, slot] = lattice[ri, ci]
-    worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
+    moves, widest = _dense_moves(members, packed_rows, packed, reach=True)
+    widest = widest[first]
+    worst[ri, ci] = moves[at, slot]
+    same = np.nonzero(lattice == rows[:, None])
+    worst[same] = np.abs(widest - widest)[same[0]]
     return (worst, widest) if reach else worst
 
 
-def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray, finite: np.ndarray):
+def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     """The cells of :func:`_worst_moves` that the family's steepest members
     settle, as ``(worst, open)``: ``worst`` holds every settled cell's value
-    (0 elsewhere) and ``open`` marks the cells left to the dense read.
+    (0 elsewhere) and ``open`` marks the cells left to the dense read, which
+    are neither settled nor at their row's own level.  None where the
+    screen would not make the dense read smaller.
 
-    A cell whose two levels are equal moves no member, so it is 0 where
-    every member's endpoints at the row are finite (``finite``).  A cell
-    whose levels a and b lie inside one grid segment j, neither a grid
-    node, reads every member i of one side as v_i(x) = fl(fl(t_ij o(x)) +
-    s_ij) at both levels, with the same computed slope t_ij =
+    A cell whose levels a and b lie inside one grid segment j, neither a
+    grid node, reads every member i of one side as v_i(x) = fl(fl(t_ij
+    o(x)) + s_ij) at both levels, with the same computed slope t_ij =
     fl(fl(s_i,j+1 - s_ij) / w_j) and offsets 0 <= o(x) <= w_j from
     :func:`_segments`, as ``SampledFamily.endpoints`` does.  In the standard
     model (each operation exact times 1 + e with |e| <= u = 2**-53, plus an
@@ -633,41 +643,73 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray, finite
     bit for bit; a family of at most ``_SCREEN_TOP`` members has every move
     computed and settles every such cell.  Node levels (1 among them),
     cells across a node and cells that fail the bound are left open, and so
-    is every cell a non-finite value reaches (its comparison fails)."""
+    is every cell a non-finite value reaches (its comparison fails).
+
+    Before any slope is read, the packed read is counted as if every cell
+    inside a segment were settled: ``1 + _PACK`` levels for each packed
+    row, one at least per row.  Where that is above ``_SCREEN_SHARE`` of
+    the dense read's ``len(rows) * (1 + deltas)`` levels, as on a family
+    sampled at every row level, the screen returns None: its own passes
+    and the packed read's shorter rows would cost more than the levels
+    saved.  Only the segments that hold a cell are ranked."""
     levels = family.grid.levels
-    widths = np.diff(levels)
     _, row_node, row_seg, row_off = _segments(levels, rows)
     _, node, seg, off = (x.reshape(lattice.shape) for x in _segments(levels, lattice.ravel()))
     same = lattice == rows[:, None]
-    ri, ci = np.nonzero(~same & ~node & ~row_node[:, None] & (seg == row_seg[:, None]))
-    j, oa, ob = seg[ri, ci], row_off[ri], off[ri, ci]
-    count = len(family)
+    inside = ~same & ~node & ~row_node[:, None] & (seg == row_seg[:, None])
+    left = (~same & ~inside).sum(axis=1)
+    if np.maximum(-(-left // _PACK), 1).sum() * (1 + _PACK) > _SCREEN_SHARE * (rows.size + lattice.size):
+        return None
+    ri, ci = np.nonzero(inside)
+    used, j = np.unique(seg[ri, ci], return_inverse=True)
+    oa, ob = row_off[ri], off[ri, ci]
     best = np.zeros(ri.size)
     bounds = []
     for samples in (family.lower, family.upper):
-        slopes = np.diff(samples, axis=1) / widths
-        steep = np.abs(slopes)
-        top = np.broadcast_to(np.arange(count)[:, None], slopes.shape)
-        if count > _SCREEN_TOP:
-            order = np.argpartition(steep, count - _SCREEN_TOP - 1, axis=0)
-            top = order[count - _SCREEN_TOP :]
-            nearest = np.take_along_axis(steep, order[count - _SCREEN_TOP - 1][None], axis=0)[0]
-            ends = np.abs(samples).max(axis=0)
-            err = 32 * _UNIT_ROUNDOFF * (steep.max(axis=0) * widths)
-            err += 16 * _UNIT_ROUNDOFF * np.maximum(ends[:-1], ends[1:]) + np.finfo(float).tiny
-            bounds.append(nearest[j] * np.abs(ob - oa) * (1 + 8 * _UNIT_ROUNDOFF) + err[j])
-        sigma = np.take_along_axis(slopes, top, axis=0)[:, j]
-        base = np.take_along_axis(samples[:, :-1], top, axis=0)[:, j]
+        sigma, base, terms = _steepest(samples, used, levels[used + 1] - levels[used])
+        sigma, base = sigma[:, j], base[:, j]
         moves = np.abs((sigma * ob + base) - (sigma * oa + base))
         np.maximum(best, moves.max(axis=0, initial=0.0), out=best)
+        if terms is not None:
+            bounds.append(terms[0, j] * np.abs(ob - oa) * (1 + 8 * _UNIT_ROUNDOFF) + terms[1, j])
     settled = best == best  # a NaN move goes to the dense read
     for bound in bounds:
         settled &= bound < best
     worst = np.zeros(lattice.shape)
     worst[ri[settled], ci[settled]] = best[settled]
-    open_cells = ~(same & finite[:, None])
+    open_cells = ~same
     open_cells[ri[settled], ci[settled]] = False
     return worst, open_cells
+
+
+def _steepest(samples: np.ndarray, used: np.ndarray, widths: np.ndarray):
+    """The slopes and first samples of the ``_SCREEN_TOP`` steepest members
+    (every member, if there are no more) on each grid segment ``used`` of
+    ``widths``, as ``(sigma, base)`` of shape (members, segments), with each
+    segment's bound terms of :func:`_screen`, the rows (t*, E_j), or None
+    where no member is left to bound.  The members are ranked a few
+    segments at a time, at most about ``_MOVE_CELLS`` samples a column."""
+    count = samples.shape[0]
+    top = min(count, _SCREEN_TOP)
+    sigma, base = np.empty((top, used.size)), np.empty((top, used.size))
+    terms = np.empty((2, used.size)) if count > top else None
+    step = max(1, _MOVE_CELLS // count)
+    for first in range(0, used.size, step):
+        part = slice(first, first + step)
+        starts, ends = samples[:, used[part]], samples[:, used[part] + 1]
+        slopes = (ends - starts) / widths[part]
+        if terms is None:
+            sigma[:, part], base[:, part] = slopes, starts
+            continue
+        steep = np.abs(slopes)
+        order = np.argpartition(steep, count - top - 1, axis=0)
+        sigma[:, part] = np.take_along_axis(slopes, order[count - top :], axis=0)
+        base[:, part] = np.take_along_axis(starts, order[count - top :], axis=0)
+        terms[0, part] = np.take_along_axis(steep, order[count - top - 1][None], axis=0)[0]
+        largest = np.maximum(np.abs(starts).max(axis=0), np.abs(ends).max(axis=0))
+        terms[1, part] = 32 * _UNIT_ROUNDOFF * (steep.max(axis=0) * widths[part])
+        terms[1, part] += 16 * _UNIT_ROUNDOFF * largest + np.finfo(float).tiny
+    return sigma, base, terms
 
 
 def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -785,10 +787,33 @@ class TestLatticeScreen:
                 slopes = np.diff(np.vstack([lower, upper]), axis=1) / np.diff(grid.levels)
             assert not np.isfinite(slopes).all()
             return
-        worst, reach = core._worst_moves(family, rows, lattice, reach=True)
         dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
-        assert worst.tobytes() == dense_worst.tobytes()
-        assert reach.tobytes() == dense_reach.tobytes()
+        read = [core._worst_moves(family, rows, lattice, reach=True)]
+        # and screened even where the screen would not pay
+        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
+            read.append(core._worst_moves(family, rows, lattice, reach=True))
+        for worst, reach in read:
+            assert worst.tobytes() == dense_worst.tobytes()
+            assert reach.tobytes() == dense_reach.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shifted_copies_whose_moves_round_apart(self, seed):
+        # copies of one member, shifted: their slopes tie or differ in the
+        # last bit and their computed moves round apart, so a bound without
+        # its rounding terms, or taken at the slope 0 of the constant
+        # members, settles cells an ulp below the dense value
+        rng = np.random.default_rng(seed)
+        lower = np.cumsum(rng.uniform(0.0, 1.0, 3))
+        upper = lower[-1] + np.cumsum(rng.uniform(0.0, 1.0, 3))[::-1]
+        shifts = rng.uniform(0.0, 1.0, (40, 1))
+        crisp = np.repeat(rng.uniform(0.0, 3.0, (20, 1)), 3, axis=1)
+        lower, upper = np.vstack([lower + shifts, crisp]), np.vstack([upper + shifts, crisp])
+        family = make_sampled_family([0.0, 0.5, 1.0], lower, upper)
+        rows = rng.uniform(0.0, 1.0, 200)
+        lattice = np.clip(rows[:, None] - np.array([0.3, 0.1, 1e-3, 1e-6]), 0.0, 1.0)
+        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
+            worst = core._worst_moves(family, rows, lattice)
+        assert worst.tobytes() == core._worst_moves(list(family), rows, lattice).tobytes()
 
     def test_unchecked_samples_keep_the_dense_values(self):
         # direct construction checks nothing: a NaN sample makes every
@@ -799,7 +824,8 @@ class TestLatticeScreen:
         family = SampledFamily(AlphaGrid([0.0, 0.5, 1.0]), lower, upper)
         rows = np.array([0.25, 0.75, 0.0])
         lattice = np.array([[0.25, 0.2], [0.75, 0.7], [0.0, 0.1]])
-        worst, reach = core._worst_moves(family, rows, lattice, reach=True)
+        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
+            worst, reach = core._worst_moves(family, rows, lattice, reach=True)
         dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
         assert np.isnan(worst[:2]).all()
         assert worst.tobytes() == dense_worst.tobytes()
@@ -821,10 +847,29 @@ class TestLatticeScreen:
         valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
         rows = np.append(alphas, 0.0)
         lattice = np.vstack([alphas[:, None] - deltas, deltas])
-        # every member is read at the rows for the reach, and at the levels of
-        # the open cells (with their rows) for the moduli; a dense read
-        # would take every one of the 101 x 19 cells
-        assert any(np.array_equal(levels, rows) for levels in read)
-        dense = np.concatenate([levels for levels in read if not np.array_equal(levels, rows)])
+        # every member is read at the levels of the open cells with their
+        # rows, which give the reach too; a dense read would take every one
+        # of the 101 x 19 cells
+        dense = np.concatenate(read)
+        assert np.isin(rows, dense).all()
         cells = np.count_nonzero(np.isin(lattice, dense) & valid)
         assert 0 < cells < valid.size / 4
+
+    def test_a_family_sampled_at_every_row_is_read_whole(self, monkeypatch):
+        # every report row is a grid node, so only cells at their row's own
+        # level could be settled: the lattice is read as a list's is, in the
+        # same blocks
+        family = random_family(seed=4, count=500, levels=101)
+        listed = BlockRecordingFamily(family)
+        compactness_conditions_report(listed)
+        blocks = []
+        endpoints = SampledFamily.endpoints
+
+        def recording(self, ns, alphas):
+            blocks.append((len(ns), np.size(alphas)))
+            return endpoints(self, ns, alphas)
+
+        monkeypatch.setattr(SampledFamily, "endpoints", recording)
+        screened = compactness_conditions_report(family)
+        assert blocks == listed.blocks
+        assert dumps(screened.to_dict()) == dumps(compactness_conditions_report(list(family)).to_dict())
