@@ -79,6 +79,9 @@ CASES = {
     "family-report-family.json": FAMILY,
     "family-report-family-grid-default.json": [*FAMILY, "--grid", "default"],
     "family-report-family-small.json": FAMILY_SMALL,
+    # the default delta grid, 2**-2 .. 2**-20: its larger offsets cross grid
+    # nodes of the sampled family
+    "family-report-family-defaults.json": ["family-report", "family.json"],
     "family-report-ce_family-defaults.json": ["family-report", "ce_family.json"],
     "family-report-ce_family.json": CE_FAMILY,
     "family-report-ce_family-grid-default.json": [*CE_FAMILY, "--grid", "default"],
