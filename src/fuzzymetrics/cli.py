@@ -10,6 +10,7 @@ stdout or ``--out``.  Exit status: 0 on success, 1 on input errors, 2 when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,7 +209,11 @@ def _report(args: argparse.Namespace) -> None:
         raise VerdictFailure(verdict)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building its arguments costs more than
+    a small report, and parsing leaves it as it was (each call gets its own
+    namespace; the shared defaults are only read)."""
     parser = argparse.ArgumentParser(
         prog="fuzzymetrics",
         description="Metrics and compactness diagnostics for fuzzy numbers in alpha-cut form.",

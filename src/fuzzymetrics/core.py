@@ -184,6 +184,15 @@ class _Samples:
         object.__setattr__(self, "lower", _frozen(self.lower))
         object.__setattr__(self, "upper", _frozen(self.upper))
 
+    @classmethod
+    def _shared(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
+        """A carrier over samples another carrier already stores read-only:
+        it shares them, and a view of a read-only array stays read-only."""
+        carrier = object.__new__(cls)
+        for name, value in (("grid", grid), ("lower", lower), ("upper", upper)):
+            object.__setattr__(carrier, name, value)
+        return carrier
+
 
 @dataclass(frozen=True)
 class SampledFuzzy1D(_Samples):
@@ -303,7 +312,7 @@ def make_sampled_1d(grid: GridLike, lower: Sequence[float], upper: Sequence[floa
     number's one stored copy as a row."""
     g = as_grid(grid)
     u = _stored(SampledFuzzy1D, g, lower, upper, ([lower], [upper]))
-    _check_samples(g, u.lower[None], u.upper[None])
+    _check_samples(SampledFamily(g, u.lower[None], u.upper[None]))
     return u
 
 
@@ -313,11 +322,39 @@ class SampledFamily(_Samples, abc.Sequence):
 
     ``lower`` and ``upper`` have shape ``(count, len(grid))``; row i holds
     the samples of item i, which indexing returns as the usual
-    :class:`SampledFuzzy1D` (a slice gives a family).  Built through
-    :func:`make_sampled_family`, which validates every member; direct
-    construction assumes already-valid data.  Sampled numbers declare no
-    hint levels, so the family declares none for all of them.
+    :class:`SampledFuzzy1D` over the family's own rows, not a copy (a slice
+    gives a family).  Built through :func:`make_sampled_family`, which
+    validates every member; direct construction assumes already-valid data.
+    Sampled numbers declare no hint levels, so the family declares none for
+    all of them.
+
+    The samples are stored levels-major: ``lower`` and ``upper`` are
+    Fortran-ordered, so their transposes are ``(levels, count)`` arrays
+    with one member row per level, contiguous.  Beside them the
+    family stores, once, each side's slope on every grid segment j,
+    fl(fl(s_j+1 - s_j) / w_j) with w_j the computed gap (``slopes``, shape
+    ``(levels - 1, count)``), which ``endpoints`` and the lattice screen
+    read.
     """
+
+    slopes: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        widths = np.diff(self.grid.levels)[:, None]
+        slopes = []
+        for name in ("lower", "upper"):
+            samples = np.array(getattr(self, name), dtype=float, order="F")
+            samples.flags.writeable = False
+            object.__setattr__(self, name, samples)
+            slope = None  # samples of the wrong shape, which the check refuses
+            if samples.ndim == 2 and samples.shape[1] == len(self.grid):
+                # unchecked samples may overflow or be NaN: the check reads them
+                with np.errstate(over="ignore", invalid="ignore"):
+                    slope = np.diff(samples.T, axis=0)
+                    slope /= widths
+                slope.flags.writeable = False
+            slopes.append(slope)
+        object.__setattr__(self, "slopes", tuple(slopes))
 
     def __len__(self) -> int:
         return self.lower.shape[0]
@@ -326,38 +363,40 @@ class SampledFamily(_Samples, abc.Sequence):
         if isinstance(index, slice):
             return SampledFamily(self.grid, self.lower[index], self.upper[index])
         i = operator.index(index)
-        return SampledFuzzy1D(self.grid, self.lower[i], self.upper[i])
+        return SampledFuzzy1D._shared(self.grid, self.lower[i], self.upper[i])
 
     def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints of members ``ns`` (1-based, rows) at levels ``alphas``
         (columns).
 
         Row i equals ``self[ns[i] - 1].endpoints(alphas)`` bit for bit.  The
-        segment and offset of each level are found once per call; each array
-        then gathers the slope and the sample of those segments and takes one
-        multiply-add in ``np.interp``'s own formula, slope * (alpha - level)
-        + sample, and the stored sample at every node (a segment formula can
-        miss the last bit at level 1).  The work runs levels-major, one row
-        of members per level, so every gather copies whole rows; both
-        results are transposed views of those ``(levels, members)`` arrays.
+        segment and offset of each level are found once per call; each side
+        then gathers the stored slope and the sample of those segments and
+        takes one multiply-add in ``np.interp``'s own formula, slope *
+        (alpha - level) + sample, and the stored sample at every node (a
+        segment formula can miss the last bit at level 1).  The work runs
+        levels-major, one row of members per level, so every gather copies
+        whole rows (a slice of them for consecutive members); both results
+        are transposed views of those ``(levels, members)`` arrays.
         """
         ns = np.asarray(ns)
         if ns.dtype.kind not in "iu" or ns.ndim != 1 or not np.all((ns >= 1) & (ns <= len(self))):
             raise BadIndex(f"member indices must be integers in 1..{len(self)}")
         rows = ns - 1
+        if rows.size and rows[-1] - rows[0] == rows.size - 1 and np.all(np.diff(rows) == 1):
+            rows = slice(rows[0], rows[-1] + 1)
         at, node, seg, offset = _segments(self.grid.levels, alphas)
         offset = offset[:, None]
-        widths = np.diff(self.grid.levels)[:, None]
 
-        def interp(samples: np.ndarray) -> np.ndarray:
-            fp = np.ascontiguousarray(samples[rows].T)
-            out = np.take(np.diff(fp, axis=0) / widths, seg, axis=0)
+        def interp(samples: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+            by_level = samples.T[:, rows]
+            out = np.take(slopes[:, rows], seg, axis=0)
             out *= offset
-            out += np.take(fp, seg, axis=0)
-            out[node] = fp[at[node]]
+            out += np.take(by_level, seg, axis=0)
+            out[node] = by_level[at[node]]
             return out.T
 
-        return interp(self.lower), interp(self.upper)
+        return interp(self.lower, self.slopes[0]), interp(self.upper, self.slopes[1])
 
 
 def _segments(levels: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -388,7 +427,7 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
     """
     g = as_grid(grid)
     family = _stored(SampledFamily, g, lower, upper, (lower, upper))
-    _check_samples(g, family.lower, family.upper)
+    _check_samples(family)
     return family
 
 
@@ -409,22 +448,22 @@ def _stored(carrier, g: AlphaGrid, lower, upper, rows: tuple):
         raise
 
 
-def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> None:
-    """The one sample check, on ``(members, levels)`` arrays: the first bad
-    member raises the error of the first rule it breaks."""
+def _check_samples(family: SampledFamily) -> None:
+    """The one sample check, on a family's stored samples and slopes (the
+    slopes the endpoints take): the first bad member raises the error of the
+    first rule it breaks."""
+    g, lo, hi = family.grid, family.lower, family.upper
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
         raise _wrong_length(g)
     finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
     empty = (lo > hi).any(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower_steps, upper_steps = np.diff(lo, axis=1), np.diff(hi, axis=1)
-        # the slopes SampledFamily.endpoints takes: across a gap too narrow
-        # for its samples one overflows, and the endpoints inside read inf
-        widths = np.diff(g.levels)
-        steep = ~(np.isfinite(lower_steps / widths) & np.isfinite(upper_steps / widths))
-    lower_falls = (lower_steps < 0).any(axis=1)
-    upper_rises = (upper_steps > 0).any(axis=1)
-    bad = ~finite | empty | lower_falls | upper_rises | steep.any(axis=1)
+    # a slope has its step's sign (a gap is at most 1); across a gap too
+    # narrow for its samples one overflows, and the endpoints inside read inf
+    lower_slopes, upper_slopes = family.slopes
+    lower_falls = (lower_slopes < 0).any(axis=0)
+    upper_rises = (upper_slopes > 0).any(axis=0)
+    steep = ~(np.isfinite(lower_slopes) & np.isfinite(upper_slopes))
+    bad = ~finite | empty | lower_falls | upper_rises | steep.any(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
         if not finite[k]:
@@ -436,7 +475,7 @@ def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> None:
             raise NonNested("lower endpoints must be nondecreasing in alpha")
         if upper_rises[k]:
             raise NonNested("upper endpoints must be nonincreasing in alpha")
-        i = int(np.argmax(steep[k]))
+        i = int(np.argmax(steep[:, k]))
         raise OutOfRange(
             f"endpoint slope overflows between alpha={g.levels[i]} and alpha={g.levels[i + 1]}:"
             " the grid gap is too narrow for its samples"
@@ -562,154 +601,252 @@ _LATTICE_ROWS = 16
 _MOVE_CELLS = 1 << 13
 
 
-# The lattice screen of a ``SampledFamily`` computes the moves of this many
-# steepest members of each segment and side exactly, and reads the cells it
-# cannot settle densely, at most _PACK of a row's cells to a packed row.  It
-# runs where the packed read would take at most _SCREEN_SHARE of the levels
-# of the dense read: on the benchmark's 9-level family about a third, on a
-# 51-level family 0.84, where the screen saved nothing at 200 members.
+# The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
+# of at most this many members of each side and grid segment: the steepest of
+# each segment the cell spans, where it spans at most _SCREEN_SPAN segments,
+# else the members whose ranked move lies within a rounding margin of the
+# largest (see :func:`_screen`).  The cells it leaves open are read densely,
+# at most _PACK of a row's cells to a packed row.  A family of at most
+# _SCREEN_MEMBERS members is read densely whole, where the screen's fixed
+# cost is above the dense read's.  Ranked blocks hold at most about
+# _RANK_CELLS member moves.
 _SCREEN_TOP = 4
+_SCREEN_SPAN = 2
+_SCREEN_MEMBERS = 64
 _PACK = 4
-_SCREEN_SHARE = 0.75
+_RANK_CELLS = 1 << 16
 _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
     """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
     point of the ``(len(rows), deltas)`` array ``lattice``; with ``reach``,
-    also the largest |endpoint| of any member at each of ``rows``, as the pair
-    ``(moves, reach)``.
+    also the largest |endpoint| of any member at the last of ``rows``, as the
+    pair ``(moves, reach)``.
 
-    A ``SampledFamily`` first settles what its screen can (see
-    :func:`_screen`); the cells left open are read densely, packed per row
-    up to ``_PACK`` to a packed row and padded with the row's own level (a
-    move of 0), each row in one packed row at least, which reads its reach.
-    A cell at its row's own level moves no member: it is |r - r| for the
-    row's reach r, 0 where every endpoint at the row is finite and NaN
-    otherwise.  Where the screen would not make the dense read smaller, and
-    for any other family, the whole lattice is read densely (see
+    A ``SampledFamily`` of more than ``_SCREEN_MEMBERS`` members first
+    settles what its screen can (see :func:`_screen`); the cells left open
+    are read densely, packed per row up to ``_PACK`` to a packed row and
+    padded with the row's own level, and the reach is read with one
+    ``endpoints`` call.  Any other family is read densely whole (see
     :func:`_dense_moves`).  Either way every value is the dense read's bit
     for bit."""
-    screened = _screen(members, rows, lattice) if isinstance(members, SampledFamily) else None
-    if screened is None:
-        return _dense_moves(members, rows, lattice, reach)
-    worst, open_cells = screened
+    if not isinstance(members, SampledFamily) or len(members) <= _SCREEN_MEMBERS:
+        read = _dense_moves(members, rows, lattice, reach)
+        return (read[0], read[1][-1]) if reach else read
+    worst, open_cells = _screen(members, rows, lattice)
     ri, ci = np.nonzero(open_cells)
-    counts = np.bincount(ri, minlength=rows.size)
-    packs = np.maximum(-(-counts // _PACK), 1)
-    first = np.cumsum(packs) - packs  # each row's first packed row
-    rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
-    at, slot = first[ri] + rank // _PACK, rank % _PACK
-    packed_rows = np.repeat(rows, packs)
-    packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
-    packed[at, slot] = lattice[ri, ci]
-    moves, widest = _dense_moves(members, packed_rows, packed, reach=True)
-    widest = widest[first]
-    worst[ri, ci] = moves[at, slot]
-    same = np.nonzero(lattice == rows[:, None])
-    worst[same] = np.abs(widest - widest)[same[0]]
-    return (worst, widest) if reach else worst
+    if ri.size:
+        counts = np.bincount(ri, minlength=rows.size)
+        packs = -(-counts // _PACK)
+        first = np.cumsum(packs) - packs  # each row's first packed row
+        rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
+        at, slot = first[ri] + rank // _PACK, rank % _PACK
+        packed_rows = np.repeat(rows, packs)
+        packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
+        packed[at, slot] = lattice[ri, ci]
+        worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
+    if not reach:
+        return worst
+    lo, hi = members.endpoints(np.arange(1, len(members) + 1), rows[-1:])
+    return worst, np.maximum(np.abs(lo).max(), np.abs(hi).max())
 
 
 def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
-    """The cells of :func:`_worst_moves` that the family's steepest members
-    settle, as ``(worst, open)``: ``worst`` holds every settled cell's value
-    (0 elsewhere) and ``open`` marks the cells left to the dense read, which
-    are neither settled nor at their row's own level.  None where the
-    screen would not make the dense read smaller.
+    """The cells of :func:`_worst_moves` that the family settles without the
+    dense read, as ``(worst, open)``: ``worst`` holds every settled cell's
+    value (0 elsewhere) and ``open`` marks the cells left to the dense read.
 
-    A cell whose levels a and b lie inside one grid segment j, neither a
-    grid node, reads every member i of one side as v_i(x) = fl(fl(t_ij
-    o(x)) + s_ij) at both levels, with the same computed slope t_ij =
-    fl(fl(s_i,j+1 - s_ij) / w_j) and offsets 0 <= o(x) <= w_j from
-    :func:`_segments`, as ``SampledFamily.endpoints`` does.  In the standard
-    model (each operation exact times 1 + e with |e| <= u = 2**-53, plus an
-    absolute 2**-1075 where a product underflows; sums that underflow are
-    exact) v_i(x) = t_ij o(x) + s_ij + r with |r| <= 3 u S w_j + u T +
-    2**-1074, where S = max_i |t_ij| and T the largest |sample| of the
-    segment's two columns.  So the computed move |fl(v_i(a) - v_i(b))| is at
-    most (|t_ij| |o(a) - o(b)| + E) (1 + u) with E = 6 u S w_j + 2 u T +
-    2**-1073.
+    A cell reads every member at its two levels y <= z as
+    ``SampledFamily.endpoints`` does: the stored sample s_k at a node k, else
+    v(x) = fl(fl(t_j o(x)) + s_j) on segment j, with the stored slope t_j =
+    fl(fl(s_j+1 - s_j) / w_j) and the offset 0 <= o(x) <= w_j of
+    :func:`_segments`.  Its value is the largest computed move |fl(v(z) -
+    v(y))| of any member on either side.  The cell spans the n segments that
+    hold a part of [y, z], and overlaps each by ov_j: w_j - o(y) at the
+    first, o(z) at the last (w_j where z is a node; o(z) - o(y) where both
+    are the one segment), w_j in between.
 
-    The screen computes the moves of the ``_SCREEN_TOP`` steepest members
-    of the segment on both sides exactly, and bounds every other member of
-    a side through its (``_SCREEN_TOP`` + 1)-th steepest slope t*: B =
-    fl(fl(fl(t* fl|o(a) - o(b)|) (1 + 8u)) + E_j) with E_j = 32u S w_j + 16u
-    T + 2**-1022.  Each of B's roundings loses at most a factor 1 - u (and
-    2**-1075 where it underflows), which the factor 1 + 8u and the slack of
-    E_j (over five times E, and 2**-1022 for the absolute terms) cover, so B
-    is at least every other member's move.  Where both sides' B lie
-    strictly below the largest exact move C, C is the cell's dense value
-    bit for bit; a family of at most ``_SCREEN_TOP`` members has every move
-    computed and settles every such cell.  Node levels (1 among them),
-    cells across a node and cells that fail the bound are left open, and so
-    is every cell a non-finite value reaches (its comparison fails).
+    Rounding, in the standard model (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 2-3: each operation exact times 1 + e with
+    |e| <= u = 2**-53, plus an absolute 2**-1075 where a product or quotient
+    underflows; sums that underflow are exact).  Off a node v(x) = t_j o(x)
+    + s_j + r with |r| <= (2 + u) u |t_j| w_j + u |s_j| + 2**-1074, and
+    s_j+1 - s_j = t_j w_j + d with |d| <= 2.0001 u |t_j| w_j + 2**-1074.
+    Summed over the span, v(z) - v(y) = sum_j t_j ov_j + e with |e| <= sum_j
+    (4.001 u S_j w_j + 2 u T_j + 2**-1073), where S_j is the segment's
+    largest |slope| and T_j the largest |sample| of its two columns; the
+    computed move is |v(z) - v(y)| times 1 + e, |e| <= u.  The rounding term
+    E_j = 32 u S_j w_j + 16 u T_j + 2**-1022 is over five times the
+    segment's part of that sum.  A member's slopes on one side share the
+    side's sign, so |sum_j t_j ov_j| = sum_j |t_j| ov_j, its ranked move A.
 
-    Before any slope is read, the packed read is counted as if every cell
-    inside a segment were settled: ``1 + _PACK`` levels for each packed
-    row, one at least per row.  Where that is above ``_SCREEN_SHARE`` of
-    the dense read's ``len(rows) * (1 + deltas)`` levels, as on a family
-    sampled at every row level, the screen returns None: its own passes
-    and the packed read's shorter rows would cost more than the levels
-    saved.  Only the segments that hold a cell are ranked."""
+    Only tame segments are read: finite slopes of the side's sign and
+    samples of at most 2**1020 in magnitude, so that every endpoint on them
+    is finite.  A cell that spans any other segment, or whose row lies on
+    one, is left open.  A cell at its row's own level is 0.
+
+    First, a cell over at most ``_SCREEN_SPAN`` segments has the moves of
+    the ``_SCREEN_TOP`` steepest members of each of its segments computed
+    exactly.  Every other member has |t_j| <= t*_j, the segment's
+    (``_SCREEN_TOP`` + 1)-th steepest |slope|, on each, so its move is at
+    most B = fl(fl(fl(sum_j fl(t*_j fl(ov_j))) (1 + 8 n u)) + sum_j E_j):
+    the sum loses at most a factor (1 - u)**(n + 1), B's own roundings a
+    factor 1 - u each, which 1 + 8 n u covers, and the E_j cover e, the
+    move's rounding and every underflow.  Where both sides' B lie strictly
+    below the largest exact move C, C is the cell's value bit for bit.  A
+    family of at most ``_SCREEN_TOP`` members has every move computed.
+
+    Then every cell still open ranks all members by A on each side, a
+    product of its overlaps with the slopes of the w segments that its
+    block of cells spans.  In any order of its sums that product lies within
+    a factor 1 +- (w + 1) u (1 + w u) of A, and within w 2**-1022 where a
+    product underflows.  So a member whose ranked move lies below A_max - M,
+    with M = 4 (w + 2) u A_max + w max_j E_j + 4 w 2**-1022, moves less than
+    the member ranked A_max: M is over twice the sum of both members'
+    rounding terms, which leaves room for its own.  Where at most
+    ``_SCREEN_TOP`` members lie within M of A_max on each side, their exact
+    moves settle the cell; other cells are left open."""
     levels = family.grid.levels
-    _, row_node, row_seg, row_off = _segments(levels, rows)
-    _, node, seg, off = (x.reshape(lattice.shape) for x in _segments(levels, lattice.ravel()))
-    same = lattice == rows[:, None]
-    inside = ~same & ~node & ~row_node[:, None] & (seg == row_seg[:, None])
-    left = (~same & ~inside).sum(axis=1)
-    if np.maximum(-(-left // _PACK), 1).sum() * (1 + _PACK) > _SCREEN_SHARE * (rows.size + lattice.size):
-        return None
-    ri, ci = np.nonzero(inside)
-    used, j = np.unique(seg[ri, ci], return_inverse=True)
-    oa, ob = row_off[ri], off[ri, ci]
-    best = np.zeros(ri.size)
-    bounds = []
-    for samples in (family.lower, family.upper):
-        sigma, base, terms = _steepest(samples, used, levels[used + 1] - levels[used])
-        sigma, base = sigma[:, j], base[:, j]
-        moves = np.abs((sigma * ob + base) - (sigma * oa + base))
-        np.maximum(best, moves.max(axis=0, initial=0.0), out=best)
-        if terms is not None:
-            bounds.append(terms[0, j] * np.abs(ob - oa) * (1 + 8 * _UNIT_ROUNDOFF) + terms[1, j])
-    settled = best == best  # a NaN move goes to the dense read
-    for bound in bounds:
-        settled &= bound < best
-    worst = np.zeros(lattice.shape)
-    worst[ri[settled], ci[settled]] = best[settled]
-    open_cells = ~same
-    open_cells[ri[settled], ci[settled]] = False
-    return worst, open_cells
+    widths = np.diff(levels)
+    count = len(family)
+    rows = np.clip(rows, 0.0, 1.0)
+    cells = np.clip(lattice, 0.0, 1.0).ravel()
+    row_of = np.repeat(np.arange(rows.size), lattice.shape[1])
+    at_row = [x[row_of] for x in _segments(levels, rows)]
+    at_cell = _segments(levels, cells)
+    above = cells > rows[row_of]
+    y = tuple(np.where(above, r, c) for r, c in zip(at_row, at_cell))
+    z = tuple(np.where(above, c, r) for r, c in zip(at_row, at_cell))
+    del at_row, at_cell
+    same = cells == rows[row_of]
+    # the segments first..last that hold a part of [y, z]; a cell at its
+    # row's own level is read on its row's segment
+    first = y[2]
+    last = np.where(same, first, z[0] - z[1])
+    n = last - first + 1
+    end = np.where(z[1], widths[last], z[3])
+    ov_first = np.where(n == 1, end, widths[first]) - y[3]
+    # per side: levels-major samples, slopes and their segment terms
+    sides = [
+        (samples.T, slopes, *_segment_terms(samples.T, slopes, widths, sign))
+        for samples, slopes, sign in zip((family.lower, family.upper), family.slopes, (1.0, -1.0))
+    ]
+    wild = np.concatenate([[0], np.cumsum(~(sides[0][5] & sides[1][5]))])
+    tame = wild[last + 1] == wild[first]
+    worst = np.zeros(cells.size)
+    settled = same & tame
+
+    def settle(c, values):
+        worst[c] = values
+        settled[c] = True
+
+    one = np.nonzero(~same & tame & (n <= _SCREEN_SPAN))[0]
+    spans = np.minimum(first[one, None] + np.arange(_SCREEN_SPAN), last[one, None])
+    ends = np.nonzero(n[one] > 1)[0]
+    best = np.zeros(one.size)
+    below = np.ones(one.size, dtype=bool)
+    for by_level, slopes, top, tstar, terms, _ in sides:
+        members = top[:, spans].transpose(1, 0, 2).reshape(one.size, top.shape[0] * _SCREEN_SPAN)
+        moves = _exact_moves(by_level, slopes, [a[one] for a in y], [a[one] for a in z], members)
+        np.maximum(best, moves.max(axis=1, initial=0.0), out=best)
+        if tstar is not None:
+            bound = tstar[first[one]] * ov_first[one]
+            bound[ends] += tstar[last[one[ends]]] * end[one[ends]]
+            bound *= 1.0 + 8.0 * _UNIT_ROUNDOFF * n[one]
+            bound += terms[first[one]]
+            bound[ends] += terms[last[one[ends]]]
+            below &= bound < best
+    settle(one[below], best[below])
+
+    rest = np.nonzero(~settled & ~same & tame)[0]
+    rest = rest[np.argsort(first[rest], kind="stable")]
+    step = max(1, _RANK_CELLS // count)
+    buffer = np.empty(min(rest.size, step) * count)
+    for start in range(0, rest.size, step):
+        c = rest[start : start + step]
+        lo, hi = first[c].min(), last[c].max() + 1
+        k = np.arange(lo, hi)
+        ov = np.where((first[c, None] < k) & (k < last[c, None]), widths[lo:hi], 0.0)
+        ov[np.arange(c.size), first[c] - lo] = ov_first[c]
+        ov[np.arange(c.size), last[c] - lo] = np.where(n[c] > 1, end[c], ov_first[c])
+        w = hi - lo
+        pairs, decided = [], np.ones(c.size, dtype=bool)
+        for sign, (_, slopes, _, _, terms, _) in zip((1.0, -1.0), sides):
+            ranked = np.matmul(ov, slopes[lo:hi], out=buffer[: c.size * count].reshape(c.size, count))
+            if sign < 0:
+                np.negative(ranked, out=ranked)
+            top = ranked.max(axis=1)
+            margin = 4 * (w + 2) * _UNIT_ROUNDOFF * top + w * (terms[lo:hi].max() + 4 * np.finfo(float).tiny)
+            cell, member = np.divmod(np.flatnonzero(ranked >= (top - margin)[:, None]), count)
+            decided &= np.bincount(cell, minlength=c.size) <= _SCREEN_TOP
+            pairs.append((cell, member))
+        value = np.zeros(c.size)
+        for (by_level, slopes, *_), (cell, member) in zip(sides, pairs):
+            keep = decided[cell]
+            cell, member = cell[keep], member[keep]
+            if not cell.size:
+                continue
+            at = c[cell]
+            moves = _exact_moves(by_level, slopes, [a[at] for a in y], [a[at] for a in z], member[:, None])
+            starts = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first pair
+            value[cell[starts]] = np.maximum(value[cell[starts]], np.maximum.reduceat(moves[:, 0], starts))
+        settle(c[decided], value[decided])
+    return worst.reshape(lattice.shape), ~settled.reshape(lattice.shape)
 
 
-def _steepest(samples: np.ndarray, used: np.ndarray, widths: np.ndarray):
-    """The slopes and first samples of the ``_SCREEN_TOP`` steepest members
-    (every member, if there are no more) on each grid segment ``used`` of
-    ``widths``, as ``(sigma, base)`` of shape (members, segments), with each
-    segment's bound terms of :func:`_screen`, the rows (t*, E_j), or None
-    where no member is left to bound.  The members are ranked a few
-    segments at a time, at most about ``_MOVE_CELLS`` samples a column."""
-    count = samples.shape[0]
+def _segment_terms(by_level: np.ndarray, slopes: np.ndarray, widths: np.ndarray, sign: float):
+    """The terms of :func:`_screen` for one side of a family, per grid
+    segment, from its ``(levels, members)`` samples and ``(segments,
+    members)`` slopes: the indices of the ``_SCREEN_TOP`` steepest members
+    (every member, if there are no more), shape (top, segments); t*, the
+    next steepest |slope|, or None where no member is left to bound; E_j;
+    and whether the segment is tame, its slopes of the side's ``sign``.
+    The members are ranked a few segments at a time, at most about
+    ``_RANK_CELLS`` slopes at once."""
+    count = slopes.shape[1]
     top = min(count, _SCREEN_TOP)
-    sigma, base = np.empty((top, used.size)), np.empty((top, used.size))
-    terms = np.empty((2, used.size)) if count > top else None
-    step = max(1, _MOVE_CELLS // count)
-    for first in range(0, used.size, step):
+    segments = slopes.shape[0]
+    order = np.empty((top, segments), dtype=np.intp)
+    tstar = np.empty(segments) if count > top else None
+    steepest, signed = np.empty(segments), np.empty(segments, dtype=bool)
+    step = max(1, _RANK_CELLS // count)
+    for first in range(0, segments, step):
         part = slice(first, first + step)
-        starts, ends = samples[:, used[part]], samples[:, used[part] + 1]
-        slopes = (ends - starts) / widths[part]
-        if terms is None:
-            sigma[:, part], base[:, part] = slopes, starts
+        steep = np.abs(slopes[part])
+        steepest[part] = steep.max(axis=1)
+        signed[part] = slopes[part].min(axis=1) >= 0 if sign > 0 else slopes[part].max(axis=1) <= 0
+        if tstar is None:
+            order[:, part] = np.arange(count)[:, None]
             continue
-        steep = np.abs(slopes)
-        order = np.argpartition(steep, count - top - 1, axis=0)
-        sigma[:, part] = np.take_along_axis(slopes, order[count - top :], axis=0)
-        base[:, part] = np.take_along_axis(starts, order[count - top :], axis=0)
-        terms[0, part] = np.take_along_axis(steep, order[count - top - 1][None], axis=0)[0]
-        largest = np.maximum(np.abs(starts).max(axis=0), np.abs(ends).max(axis=0))
-        terms[1, part] = 32 * _UNIT_ROUNDOFF * (steep.max(axis=0) * widths[part])
-        terms[1, part] += 16 * _UNIT_ROUNDOFF * largest + np.finfo(float).tiny
-    return sigma, base, terms
+        ranked = np.argpartition(steep, count - top - 1, axis=1)
+        order[:, part] = ranked[:, count - top :].T
+        tstar[part] = np.take_along_axis(steep, ranked[:, count - top - 1, None], axis=1)[:, 0]
+    column = np.maximum(by_level.max(axis=1), -by_level.min(axis=1))
+    largest = np.maximum(column[:-1], column[1:])
+    terms = 32 * _UNIT_ROUNDOFF * (steepest * widths) + 16 * _UNIT_ROUNDOFF * largest + np.finfo(float).tiny
+    tame = signed & (steepest < math.inf) & (largest <= 2.0**1020)
+    return order, tstar, terms, tame
+
+
+def _exact_moves(by_level: np.ndarray, slopes: np.ndarray, y, z, members: np.ndarray) -> np.ndarray:
+    """The computed moves |fl(v(z) - v(y))| of one side, row i for the
+    members ``members[i]`` at the levels ``y[i]`` and ``z[i]``, each given by
+    its ``(at, node, seg, offset)`` of :func:`_segments`: the endpoints of
+    ``SampledFamily.endpoints`` bit for bit."""
+    count = by_level.shape[1]
+
+    def value(at, node, seg, offset):
+        v = np.take(slopes, seg[:, None] * count + members)
+        v *= offset[:, None]
+        v += np.take(by_level, seg[:, None] * count + members)
+        nodes = np.flatnonzero(node)
+        v[nodes] = np.take(by_level, at[nodes, None] * count + members[nodes])
+        return v
+
+    moves = value(*z)
+    moves -= value(*y)
+    return np.abs(moves, out=moves)
 
 
 def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):

@@ -110,15 +110,15 @@ def _moduli(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Family moduli on the (alpha, delta) lattice, NaN where delta > alpha,
     right moduli at level 0 per delta, NaN where delta > 1, and the support
-    radius (the level-0 row's largest |endpoint|); one pass over the
-    members.  An offset that does not apply moves to the row's own level, so
-    its level stays inside [0, 1]."""
+    radius (the largest |endpoint| at level 0, the last row); one pass over
+    the members.  An offset that does not apply moves to the row's own
+    level, so its level stays inside [0, 1]."""
     valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
     lattice = np.vstack([alphas[:, None] - deltas, deltas])
     rows = np.append(alphas, 0.0)
     worst, reach = _worst_moves(members, rows, np.where(valid, lattice, rows[:, None]), reach=True)
     worst[~valid] = np.nan
-    return worst[:-1], worst[-1], float(reach[-1])
+    return worst[:-1], worst[-1], float(reach)
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,26 @@ class TestArgHandling:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_consecutive_runs_share_no_state(self, tri_file, tmp_path, capsys):
+        # the parser is built once per process: no option, verdict or output
+        # path of one call may reach the next
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(["validate", tri_file, "--tol", "1e-3", "--out", str(first)]) == 0
+        assert run(["dist", tri_file, tri_file, "--strict", "--out", str(second)]) == 0
+        assert run(["--version"]) == 0
+        assert run(["family-report", str(GOLDEN_DIR / "family.json"), "--eps", "1e-9", "--strict"]) == 2
+        assert run(["--help"]) == 0
+        capsys.readouterr()
+        assert run(["validate", tri_file]) == 0
+        out = capsys.readouterr().out
+        header = json.loads(out)["header"]
+        assert header["command"] == "validate"
+        assert header["options"] == {"input": tri_file, "tol": 1e-9}
+        assert read_json(first)["header"]["options"] == {"input": tri_file, "tol": 1e-3}
+        assert read_json(second)["header"]["options"] == {"a": tri_file, "b": tri_file, "tol": 1e-9, "max_depth": 60}
+        assert run(["family-report", str(GOLDEN_DIR / "family.json"), "--eps", "1e-9", "--out", str(first)]) == 0
+        assert json.loads(first.read_text())["header"]["options"]["eps"] == 1e-9
+
     def test_emitted_numbers_reparse_identically(self, tri_file, tmp_path):
         # emitted fuzzy-number JSON round-trips at distance exactly 0
         original = decode_fuzzy(read_json(tri_file))

@@ -725,15 +725,17 @@ class TestLatticeParts:
 def screened_cases(draw):
     """The grid and samples of a sampled family, with rows and a lattice as
     ``family._moduli`` builds them: rows at grid nodes, at floats beside
-    them, at 0 and 1 and at random levels; offsets from 1e-12 up to above 1."""
+    them, at 0 and 1 and at random levels; offsets from 1e-12 up to above 1,
+    so that cells cross one node or several; and some cells moved onto grid
+    nodes on their row's side."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = draw(st.one_of(st.integers(1, core._SCREEN_TOP + 1), st.integers(core._SCREEN_TOP + 2, 300)))
     if draw(st.booleans()):
         family = random_family(
             int(rng.integers(2**32)),
             count,
-            levels=draw(st.integers(2, 28)),
-            jump_at=draw(st.floats(0.01, 0.99)),
+            levels=draw(st.one_of(st.integers(2, 28), st.just(101))),
+            jump_at=draw(st.one_of(st.none(), st.floats(0.01, 0.99))),
             jump_size=draw(st.sampled_from([1e-9, 0.5, 4.0])),
         )
     else:
@@ -767,13 +769,24 @@ def screened_cases(draw):
     valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
     rows = np.append(alphas, 0.0)
     lattice = np.where(valid, np.vstack([alphas[:, None] - deltas, deltas]), rows[:, None])
+    # a node below each row (above it at level 0) in place of some cells
+    onto = rng.random(lattice.shape) < draw(st.sampled_from([0.0, 0.2]))
+    below = nodes[rng.integers(0, np.searchsorted(nodes, rows, side="right"))]
+    lattice[onto] = np.where(rows > 0.0, below, rng.choice(nodes, rows.size))[:, None].repeat(deltas.size, 1)[onto]
     return family.grid, family.lower, family.upper, rows, lattice
+
+
+# The screen's choices, each forced: the screen at any member count, and
+# with its first step off so that every cell not at its row's level is
+# ranked
+FORCED_SCREENS = ({"_SCREEN_MEMBERS": 0}, {"_SCREEN_MEMBERS": 0, "_SCREEN_SPAN": 0})
 
 
 class TestLatticeScreen:
     """A ``SampledFamily`` settles most lattice cells from each segment's
-    steepest members; the rest is read densely, so the moduli and the reach
-    equal the per-member ``np.interp`` read of the list bit for bit."""
+    steepest members or from the members its ranking keeps; the rest is read
+    densely, so the moduli and the reach equal the per-member ``np.interp``
+    read of the list bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(screened_cases())
@@ -789,19 +802,21 @@ class TestLatticeScreen:
             return
         dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
         read = [core._worst_moves(family, rows, lattice, reach=True)]
-        # and screened even where the screen would not pay
-        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
-            read.append(core._worst_moves(family, rows, lattice, reach=True))
+        for forced in FORCED_SCREENS:
+            with mock.patch.multiple(core, **forced):
+                read.append(core._worst_moves(family, rows, lattice, reach=True))
         for worst, reach in read:
             assert worst.tobytes() == dense_worst.tobytes()
             assert reach.tobytes() == dense_reach.tobytes()
 
+    @pytest.mark.parametrize("forced", FORCED_SCREENS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shifted_copies_whose_moves_round_apart(self, seed):
+    def test_shifted_copies_whose_moves_round_apart(self, seed, forced):
         # copies of one member, shifted: their slopes tie or differ in the
-        # last bit and their computed moves round apart, so a bound without
-        # its rounding terms, or taken at the slope 0 of the constant
-        # members, settles cells an ulp below the dense value
+        # last bit and their computed moves round apart, so a bound or a
+        # ranking margin without its rounding terms, or a bound taken at the
+        # slope 0 of the constant members, settles cells an ulp below the
+        # dense value
         rng = np.random.default_rng(seed)
         lower = np.cumsum(rng.uniform(0.0, 1.0, 3))
         upper = lower[-1] + np.cumsum(rng.uniform(0.0, 1.0, 3))[::-1]
@@ -810,8 +825,8 @@ class TestLatticeScreen:
         lower, upper = np.vstack([lower + shifts, crisp]), np.vstack([upper + shifts, crisp])
         family = make_sampled_family([0.0, 0.5, 1.0], lower, upper)
         rows = rng.uniform(0.0, 1.0, 200)
-        lattice = np.clip(rows[:, None] - np.array([0.3, 0.1, 1e-3, 1e-6]), 0.0, 1.0)
-        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
+        lattice = np.clip(rows[:, None] - np.array([0.7, 0.3, 0.1, 1e-3, 1e-6]), 0.0, 1.0)
+        with mock.patch.multiple(core, **forced):
             worst = core._worst_moves(family, rows, lattice)
         assert worst.tobytes() == core._worst_moves(list(family), rows, lattice).tobytes()
 
@@ -824,15 +839,16 @@ class TestLatticeScreen:
         family = SampledFamily(AlphaGrid([0.0, 0.5, 1.0]), lower, upper)
         rows = np.array([0.25, 0.75, 0.0])
         lattice = np.array([[0.25, 0.2], [0.75, 0.7], [0.0, 0.1]])
-        with mock.patch.object(core, "_SCREEN_SHARE", math.inf):
+        with mock.patch.multiple(core, **FORCED_SCREENS[0]):
             worst, reach = core._worst_moves(family, rows, lattice, reach=True)
         dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
         assert np.isnan(worst[:2]).all()
         assert worst.tobytes() == dense_worst.tobytes()
         assert reach.tobytes() == dense_reach.tobytes()
 
-    def test_dense_read_is_a_small_part(self, monkeypatch):
-        family = random_family(seed=2501, count=2000)
+    @pytest.mark.parametrize("seed", [2501, 2502, 2503])
+    def test_dense_read_is_a_small_part(self, seed, monkeypatch):
+        family = random_family(seed=seed, count=2000)
         read = []
         endpoints = SampledFamily.endpoints
 
@@ -845,21 +861,17 @@ class TestLatticeScreen:
         alphas = np.array(sorted(diag.left_moduli))
         deltas = np.array(sorted(DEFAULT_DELTA_GRID))
         valid = np.vstack([deltas <= alphas[:, None], deltas <= 1.0])
-        rows = np.append(alphas, 0.0)
         lattice = np.vstack([alphas[:, None] - deltas, deltas])
-        # every member is read at the levels of the open cells with their
-        # rows, which give the reach too; a dense read would take every one
-        # of the 101 x 19 cells
-        dense = np.concatenate(read)
-        assert np.isin(rows, dense).all()
-        cells = np.count_nonzero(np.isin(lattice, dense) & valid)
-        assert 0 < cells < valid.size / 4
+        # the reach is one read at level 0; a dense read would take every
+        # one of the 101 x 19 cells, the screen leaves at most 5% of them
+        assert read[-1].tolist() == [0.0]
+        cells = np.count_nonzero(np.isin(lattice, np.concatenate(read)) & valid)
+        assert cells <= 0.05 * valid.size
 
-    def test_a_family_sampled_at_every_row_is_read_whole(self, monkeypatch):
-        # every report row is a grid node, so only cells at their row's own
-        # level could be settled: the lattice is read as a list's is, in the
-        # same blocks
-        family = random_family(seed=4, count=500, levels=101)
+    def test_a_small_family_is_read_whole(self, monkeypatch):
+        # at most _SCREEN_MEMBERS members the screen costs more than it
+        # saves: the lattice is read as a list's is, in the same blocks
+        family = random_family(seed=4, count=core._SCREEN_MEMBERS, levels=101)
         listed = BlockRecordingFamily(family)
         compactness_conditions_report(listed)
         blocks = []
@@ -870,6 +882,32 @@ class TestLatticeScreen:
             return endpoints(self, ns, alphas)
 
         monkeypatch.setattr(SampledFamily, "endpoints", recording)
-        screened = compactness_conditions_report(family)
+        read = compactness_conditions_report(family)
         assert blocks == listed.blocks
+        assert dumps(read.to_dict()) == dumps(compactness_conditions_report(list(family)).to_dict())
+
+    @pytest.mark.parametrize("levels", [101, 401])
+    def test_a_family_sampled_at_every_row_equals_the_list(self, levels):
+        # every report row is a grid node and most offsets span several
+        # segments: the screen settles them, with the list's bytes
+        family = random_family(seed=levels, count=300, levels=levels)
+        screened = compactness_conditions_report(family)
         assert dumps(screened.to_dict()) == dumps(compactness_conditions_report(list(family)).to_dict())
+
+
+class TestSharedRows:
+    def test_a_member_shares_the_family_rows(self):
+        family = random_family(seed=5, count=30)
+        u = family[7]
+        for mine, theirs in ((u.lower, family.lower), (u.upper, family.upper)):
+            assert np.shares_memory(mine, theirs)
+            assert mine.tolist() == theirs[7].tolist()
+            assert not mine.flags.writeable
+            with pytest.raises(ValueError):
+                mine[0] = 0.0
+            with pytest.raises(ValueError):
+                mine.flags.writeable = True
+        assert u.grid is family.grid
+        copy = make_sampled_1d(family.grid, family.lower[7], family.upper[7])
+        levels = np.linspace(0.0, 1.0, 33)
+        assert np.array(u.endpoints(levels)).tobytes() == np.array(copy.endpoints(levels)).tobytes()
