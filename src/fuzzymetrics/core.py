@@ -375,25 +375,27 @@ class SampledFamily(_Samples, abc.Sequence):
         takes one multiply-add in ``np.interp``'s own formula, slope *
         (alpha - level) + sample, and the stored sample at every node (a
         segment formula can miss the last bit at level 1).  The work runs
-        levels-major, one row of members per level, so every gather copies
-        whole rows (a slice of them for consecutive members); both results
-        are transposed views of those ``(levels, members)`` arrays.
+        levels-major, one row of members per level, so for consecutive
+        members every gather copies a slice of a stored row, whatever the
+        grid's size; both results are transposed views of those ``(levels,
+        members)`` arrays.
         """
         ns = np.asarray(ns)
         if ns.dtype.kind not in "iu" or ns.ndim != 1 or not np.all((ns >= 1) & (ns <= len(self))):
             raise BadIndex(f"member indices must be integers in 1..{len(self)}")
         rows = ns - 1
-        if rows.size and rows[-1] - rows[0] == rows.size - 1 and np.all(np.diff(rows) == 1):
-            rows = slice(rows[0], rows[-1] + 1)
         at, node, seg, offset = _segments(self.grid.levels, alphas)
         offset = offset[:, None]
+        if rows.size and rows[-1] - rows[0] == rows.size - 1 and np.all(np.diff(rows) == 1):
+            rows = slice(rows[0], rows[-1] + 1)
+        else:  # each level's row of those members
+            at, seg = at[:, None], seg[:, None]
 
         def interp(samples: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-            by_level = samples.T[:, rows]
-            out = np.take(slopes[:, rows], seg, axis=0)
+            out = slopes[seg, rows]
             out *= offset
-            out += np.take(by_level, seg, axis=0)
-            out[node] = by_level[at[node]]
+            out += samples.T[seg, rows]
+            out[node] = samples.T[at[node], rows]
             return out.T
 
         return interp(self.lower, self.slopes[0]), interp(self.upper, self.slopes[1])
@@ -408,7 +410,7 @@ def _segments(levels: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray, np.nd
     sample on segment ``seg`` (the last segment holds level 1) at ``offset``
     = alpha - levels[seg].  Alphas are clipped to [0, 1] first, as np.interp
     holds the end samples outside.  ``SampledFamily.endpoints`` and the
-    lattice screen of :func:`_worst_moves` both read their segments here."""
+    lattice screen (``lattice._screen``) both read their segments here."""
     a = np.clip(np.atleast_1d(np.asarray(alphas, dtype=float)), 0.0, 1.0)
     at = np.searchsorted(levels, a, side="right") - 1  # levels[at] <= a
     node = levels[at] == a
@@ -601,256 +603,11 @@ _LATTICE_ROWS = 16
 _MOVE_CELLS = 1 << 13
 
 
-# The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
-# of at most this many members of each side and grid segment: the steepest of
-# each segment the cell spans, where it spans at most _SCREEN_SPAN segments,
-# else the members whose ranked move lies within a rounding margin of the
-# largest (see :func:`_screen`).  The cells it leaves open are read densely,
-# at most _PACK of a row's cells to a packed row.  A family of at most
-# _SCREEN_MEMBERS members is read densely whole, where the screen's fixed
-# cost is above the dense read's.  Ranked blocks hold at most about
-# _RANK_CELLS member moves.
-_SCREEN_TOP = 4
-_SCREEN_SPAN = 2
-_SCREEN_MEMBERS = 64
-_PACK = 4
-_RANK_CELLS = 1 << 16
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
-    """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
-    point of the ``(len(rows), deltas)`` array ``lattice``; with ``reach``,
-    also the largest |endpoint| of any member at the last of ``rows``, as the
-    pair ``(moves, reach)``.
-
-    A ``SampledFamily`` of more than ``_SCREEN_MEMBERS`` members first
-    settles what its screen can (see :func:`_screen`); the cells left open
-    are read densely, packed per row up to ``_PACK`` to a packed row and
-    padded with the row's own level, and the reach is read with one
-    ``endpoints`` call.  Any other family is read densely whole (see
-    :func:`_dense_moves`).  Either way every value is the dense read's bit
-    for bit."""
-    if not isinstance(members, SampledFamily) or len(members) <= _SCREEN_MEMBERS:
-        read = _dense_moves(members, rows, lattice, reach)
-        return (read[0], read[1][-1]) if reach else read
-    worst, open_cells = _screen(members, rows, lattice)
-    ri, ci = np.nonzero(open_cells)
-    if ri.size:
-        counts = np.bincount(ri, minlength=rows.size)
-        packs = -(-counts // _PACK)
-        first = np.cumsum(packs) - packs  # each row's first packed row
-        rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
-        at, slot = first[ri] + rank // _PACK, rank % _PACK
-        packed_rows = np.repeat(rows, packs)
-        packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
-        packed[at, slot] = lattice[ri, ci]
-        worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
-    if not reach:
-        return worst
-    lo, hi = members.endpoints(np.arange(1, len(members) + 1), rows[-1:])
-    return worst, np.maximum(np.abs(lo).max(), np.abs(hi).max())
-
-
-def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
-    """The cells of :func:`_worst_moves` that the family settles without the
-    dense read, as ``(worst, open)``: ``worst`` holds every settled cell's
-    value (0 elsewhere) and ``open`` marks the cells left to the dense read.
-
-    A cell reads every member at its two levels y <= z as
-    ``SampledFamily.endpoints`` does: the stored sample s_k at a node k, else
-    v(x) = fl(fl(t_j o(x)) + s_j) on segment j, with the stored slope t_j =
-    fl(fl(s_j+1 - s_j) / w_j) and the offset 0 <= o(x) <= w_j of
-    :func:`_segments`.  Its value is the largest computed move |fl(v(z) -
-    v(y))| of any member on either side.  The cell spans the n segments that
-    hold a part of [y, z], and overlaps each by ov_j: w_j - o(y) at the
-    first, o(z) at the last (w_j where z is a node; o(z) - o(y) where both
-    are the one segment), w_j in between.
-
-    Rounding, in the standard model (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 2-3: each operation exact times 1 + e with
-    |e| <= u = 2**-53, plus an absolute 2**-1075 where a product or quotient
-    underflows; sums that underflow are exact).  Off a node v(x) = t_j o(x)
-    + s_j + r with |r| <= (2 + u) u |t_j| w_j + u |s_j| + 2**-1074, and
-    s_j+1 - s_j = t_j w_j + d with |d| <= 2.0001 u |t_j| w_j + 2**-1074.
-    Summed over the span, v(z) - v(y) = sum_j t_j ov_j + e with |e| <= sum_j
-    (4.001 u S_j w_j + 2 u T_j + 2**-1073), where S_j is the segment's
-    largest |slope| and T_j the largest |sample| of its two columns; the
-    computed move is |v(z) - v(y)| times 1 + e, |e| <= u.  The rounding term
-    E_j = 32 u S_j w_j + 16 u T_j + 2**-1022 is over five times the
-    segment's part of that sum.  A member's slopes on one side share the
-    side's sign, so |sum_j t_j ov_j| = sum_j |t_j| ov_j, its ranked move A.
-
-    Only tame segments are read: finite slopes of the side's sign and
-    samples of at most 2**1020 in magnitude, so that every endpoint on them
-    is finite.  A cell that spans any other segment, or whose row lies on
-    one, is left open.  A cell at its row's own level is 0.
-
-    First, a cell over at most ``_SCREEN_SPAN`` segments has the moves of
-    the ``_SCREEN_TOP`` steepest members of each of its segments computed
-    exactly.  Every other member has |t_j| <= t*_j, the segment's
-    (``_SCREEN_TOP`` + 1)-th steepest |slope|, on each, so its move is at
-    most B = fl(fl(fl(sum_j fl(t*_j fl(ov_j))) (1 + 8 n u)) + sum_j E_j):
-    the sum loses at most a factor (1 - u)**(n + 1), B's own roundings a
-    factor 1 - u each, which 1 + 8 n u covers, and the E_j cover e, the
-    move's rounding and every underflow.  Where both sides' B lie strictly
-    below the largest exact move C, C is the cell's value bit for bit.  A
-    family of at most ``_SCREEN_TOP`` members has every move computed.
-
-    Then every cell still open ranks all members by A on each side, a
-    product of its overlaps with the slopes of the w segments that its
-    block of cells spans.  In any order of its sums that product lies within
-    a factor 1 +- (w + 1) u (1 + w u) of A, and within w 2**-1022 where a
-    product underflows.  So a member whose ranked move lies below A_max - M,
-    with M = 4 (w + 2) u A_max + w max_j E_j + 4 w 2**-1022, moves less than
-    the member ranked A_max: M is over twice the sum of both members'
-    rounding terms, which leaves room for its own.  Where at most
-    ``_SCREEN_TOP`` members lie within M of A_max on each side, their exact
-    moves settle the cell; other cells are left open."""
-    levels = family.grid.levels
-    widths = np.diff(levels)
-    count = len(family)
-    rows = np.clip(rows, 0.0, 1.0)
-    cells = np.clip(lattice, 0.0, 1.0).ravel()
-    row_of = np.repeat(np.arange(rows.size), lattice.shape[1])
-    at_row = [x[row_of] for x in _segments(levels, rows)]
-    at_cell = _segments(levels, cells)
-    above = cells > rows[row_of]
-    y = tuple(np.where(above, r, c) for r, c in zip(at_row, at_cell))
-    z = tuple(np.where(above, c, r) for r, c in zip(at_row, at_cell))
-    del at_row, at_cell
-    same = cells == rows[row_of]
-    # the segments first..last that hold a part of [y, z]; a cell at its
-    # row's own level is read on its row's segment
-    first = y[2]
-    last = np.where(same, first, z[0] - z[1])
-    n = last - first + 1
-    end = np.where(z[1], widths[last], z[3])
-    ov_first = np.where(n == 1, end, widths[first]) - y[3]
-    # per side: levels-major samples, slopes and their segment terms
-    sides = [
-        (samples.T, slopes, *_segment_terms(samples.T, slopes, widths, sign))
-        for samples, slopes, sign in zip((family.lower, family.upper), family.slopes, (1.0, -1.0))
-    ]
-    wild = np.concatenate([[0], np.cumsum(~(sides[0][5] & sides[1][5]))])
-    tame = wild[last + 1] == wild[first]
-    worst = np.zeros(cells.size)
-    settled = same & tame
-
-    def settle(c, values):
-        worst[c] = values
-        settled[c] = True
-
-    one = np.nonzero(~same & tame & (n <= _SCREEN_SPAN))[0]
-    spans = np.minimum(first[one, None] + np.arange(_SCREEN_SPAN), last[one, None])
-    ends = np.nonzero(n[one] > 1)[0]
-    best = np.zeros(one.size)
-    below = np.ones(one.size, dtype=bool)
-    for by_level, slopes, top, tstar, terms, _ in sides:
-        members = top[:, spans].transpose(1, 0, 2).reshape(one.size, top.shape[0] * _SCREEN_SPAN)
-        moves = _exact_moves(by_level, slopes, [a[one] for a in y], [a[one] for a in z], members)
-        np.maximum(best, moves.max(axis=1, initial=0.0), out=best)
-        if tstar is not None:
-            bound = tstar[first[one]] * ov_first[one]
-            bound[ends] += tstar[last[one[ends]]] * end[one[ends]]
-            bound *= 1.0 + 8.0 * _UNIT_ROUNDOFF * n[one]
-            bound += terms[first[one]]
-            bound[ends] += terms[last[one[ends]]]
-            below &= bound < best
-    settle(one[below], best[below])
-
-    rest = np.nonzero(~settled & ~same & tame)[0]
-    rest = rest[np.argsort(first[rest], kind="stable")]
-    step = max(1, _RANK_CELLS // count)
-    buffer = np.empty(min(rest.size, step) * count)
-    for start in range(0, rest.size, step):
-        c = rest[start : start + step]
-        lo, hi = first[c].min(), last[c].max() + 1
-        k = np.arange(lo, hi)
-        ov = np.where((first[c, None] < k) & (k < last[c, None]), widths[lo:hi], 0.0)
-        ov[np.arange(c.size), first[c] - lo] = ov_first[c]
-        ov[np.arange(c.size), last[c] - lo] = np.where(n[c] > 1, end[c], ov_first[c])
-        w = hi - lo
-        pairs, decided = [], np.ones(c.size, dtype=bool)
-        for sign, (_, slopes, _, _, terms, _) in zip((1.0, -1.0), sides):
-            ranked = np.matmul(ov, slopes[lo:hi], out=buffer[: c.size * count].reshape(c.size, count))
-            if sign < 0:
-                np.negative(ranked, out=ranked)
-            top = ranked.max(axis=1)
-            margin = 4 * (w + 2) * _UNIT_ROUNDOFF * top + w * (terms[lo:hi].max() + 4 * np.finfo(float).tiny)
-            cell, member = np.divmod(np.flatnonzero(ranked >= (top - margin)[:, None]), count)
-            decided &= np.bincount(cell, minlength=c.size) <= _SCREEN_TOP
-            pairs.append((cell, member))
-        value = np.zeros(c.size)
-        for (by_level, slopes, *_), (cell, member) in zip(sides, pairs):
-            keep = decided[cell]
-            cell, member = cell[keep], member[keep]
-            if not cell.size:
-                continue
-            at = c[cell]
-            moves = _exact_moves(by_level, slopes, [a[at] for a in y], [a[at] for a in z], member[:, None])
-            starts = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first pair
-            value[cell[starts]] = np.maximum(value[cell[starts]], np.maximum.reduceat(moves[:, 0], starts))
-        settle(c[decided], value[decided])
-    return worst.reshape(lattice.shape), ~settled.reshape(lattice.shape)
-
-
-def _segment_terms(by_level: np.ndarray, slopes: np.ndarray, widths: np.ndarray, sign: float):
-    """The terms of :func:`_screen` for one side of a family, per grid
-    segment, from its ``(levels, members)`` samples and ``(segments,
-    members)`` slopes: the indices of the ``_SCREEN_TOP`` steepest members
-    (every member, if there are no more), shape (top, segments); t*, the
-    next steepest |slope|, or None where no member is left to bound; E_j;
-    and whether the segment is tame, its slopes of the side's ``sign``.
-    The members are ranked a few segments at a time, at most about
-    ``_RANK_CELLS`` slopes at once."""
-    count = slopes.shape[1]
-    top = min(count, _SCREEN_TOP)
-    segments = slopes.shape[0]
-    order = np.empty((top, segments), dtype=np.intp)
-    tstar = np.empty(segments) if count > top else None
-    steepest, signed = np.empty(segments), np.empty(segments, dtype=bool)
-    step = max(1, _RANK_CELLS // count)
-    for first in range(0, segments, step):
-        part = slice(first, first + step)
-        steep = np.abs(slopes[part])
-        steepest[part] = steep.max(axis=1)
-        signed[part] = slopes[part].min(axis=1) >= 0 if sign > 0 else slopes[part].max(axis=1) <= 0
-        if tstar is None:
-            order[:, part] = np.arange(count)[:, None]
-            continue
-        ranked = np.argpartition(steep, count - top - 1, axis=1)
-        order[:, part] = ranked[:, count - top :].T
-        tstar[part] = np.take_along_axis(steep, ranked[:, count - top - 1, None], axis=1)[:, 0]
-    column = np.maximum(by_level.max(axis=1), -by_level.min(axis=1))
-    largest = np.maximum(column[:-1], column[1:])
-    terms = 32 * _UNIT_ROUNDOFF * (steepest * widths) + 16 * _UNIT_ROUNDOFF * largest + np.finfo(float).tiny
-    tame = signed & (steepest < math.inf) & (largest <= 2.0**1020)
-    return order, tstar, terms, tame
-
-
-def _exact_moves(by_level: np.ndarray, slopes: np.ndarray, y, z, members: np.ndarray) -> np.ndarray:
-    """The computed moves |fl(v(z) - v(y))| of one side, row i for the
-    members ``members[i]`` at the levels ``y[i]`` and ``z[i]``, each given by
-    its ``(at, node, seg, offset)`` of :func:`_segments`: the endpoints of
-    ``SampledFamily.endpoints`` bit for bit."""
-    count = by_level.shape[1]
-
-    def value(at, node, seg, offset):
-        v = np.take(slopes, seg[:, None] * count + members)
-        v *= offset[:, None]
-        v += np.take(by_level, seg[:, None] * count + members)
-        nodes = np.flatnonzero(node)
-        v[nodes] = np.take(by_level, at[nodes, None] * count + members[nodes])
-        return v
-
-    moves = value(*z)
-    moves -= value(*y)
-    return np.abs(moves, out=moves)
-
-
 def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
-    """:func:`_worst_moves` read densely: every member at every level.
+    """The worst member's move H(cut(rows[i]), cut(lattice[i, j])) at every
+    point of the ``(len(rows), deltas)`` array ``lattice``, read densely:
+    every member at every level; with ``reach``, also the largest |endpoint|
+    of any member at each of ``rows``, as the pair ``(moves, reach)``.
 
     A family with a batch ``endpoints`` is read one part of ``_LATTICE_ROWS``
     rows at a time, each block of members once at the part's levels; any
@@ -944,7 +701,7 @@ def _limit_gaps(
     at level 0.
 
     Each level is probed at the offsets 2**-k, k = PROBE_K_MIN..PROBE_K_MAX,
-    and :func:`_worst_moves` reads 2,340 levels with their probes per
+    and :func:`_dense_moves` reads 2,340 levels with their probes per
     ``endpoints`` call.  A probe whose window leaves [0, 1] or straddles a
     declared jump is not kept; such a window only grows with the offset, so
     each level keeps a suffix of its smallest offsets, and the kept count is
@@ -967,7 +724,7 @@ def _limit_gaps(
         # a probe not kept reads the level itself, which stays inside [0, 1]
         # and gives a gap of 0: with fewer than three probes kept the slope
         # below is at most 0, and the gap is that of the smallest offset
-        moves = _worst_moves([u], levels[block], np.where(ok, probes, alphas))
+        moves = _dense_moves([u], levels[block], np.where(ok, probes, alphas))
         slope = (moves[:, -3] - moves[:, -1]) / (deltas[-3] - deltas[-1])
         gaps[block] = np.maximum(moves[:, -1] - np.maximum(slope, 0.0) * deltas[-1], 0.0)
         kept[block] = ok.sum(axis=1)

@@ -23,8 +23,9 @@ import numbers
 
 import numpy as np
 
-from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance, _worst_moves
+from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance
 from .errors import BadIndex, OutOfRange, ParseError
+from .lattice import _worst_moves
 from . import family as family_mod
 from .metrics import (
     DEFAULT_MAX_DEPTH,

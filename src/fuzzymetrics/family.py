@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, _worst_moves, make_sampled_family
+from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, make_sampled_family
 from .errors import EmptyFamily, OutOfRange
+from .lattice import _worst_moves
 from .metrics import default_report_grid
 
 __all__ = [

@@ -31,7 +31,7 @@ from fuzzymetrics import (
     support_bound,
     validate_representation,
 )
-from fuzzymetrics import core
+from fuzzymetrics import lattice as lattice_mod
 from fuzzymetrics import family as family_module
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import members
@@ -729,7 +729,7 @@ def screened_cases(draw):
     so that cells cross one node or several; and some cells moved onto grid
     nodes on their row's side."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = draw(st.one_of(st.integers(1, core._SCREEN_TOP + 1), st.integers(core._SCREEN_TOP + 2, 300)))
+    count = draw(st.one_of(st.integers(1, lattice_mod._SCREEN_TOP + 1), st.integers(lattice_mod._SCREEN_TOP + 2, 300)))
     if draw(st.booleans()):
         family = random_family(
             int(rng.integers(2**32)),
@@ -800,11 +800,11 @@ class TestLatticeScreen:
                 slopes = np.diff(np.vstack([lower, upper]), axis=1) / np.diff(grid.levels)
             assert not np.isfinite(slopes).all()
             return
-        dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
-        read = [core._worst_moves(family, rows, lattice, reach=True)]
+        dense_worst, dense_reach = lattice_mod._worst_moves(list(family), rows, lattice, reach=True)
+        read = [lattice_mod._worst_moves(family, rows, lattice, reach=True)]
         for forced in FORCED_SCREENS:
-            with mock.patch.multiple(core, **forced):
-                read.append(core._worst_moves(family, rows, lattice, reach=True))
+            with mock.patch.multiple(lattice_mod, **forced):
+                read.append(lattice_mod._worst_moves(family, rows, lattice, reach=True))
         for worst, reach in read:
             assert worst.tobytes() == dense_worst.tobytes()
             assert reach.tobytes() == dense_reach.tobytes()
@@ -826,9 +826,9 @@ class TestLatticeScreen:
         family = make_sampled_family([0.0, 0.5, 1.0], lower, upper)
         rows = rng.uniform(0.0, 1.0, 200)
         lattice = np.clip(rows[:, None] - np.array([0.7, 0.3, 0.1, 1e-3, 1e-6]), 0.0, 1.0)
-        with mock.patch.multiple(core, **forced):
-            worst = core._worst_moves(family, rows, lattice)
-        assert worst.tobytes() == core._worst_moves(list(family), rows, lattice).tobytes()
+        with mock.patch.multiple(lattice_mod, **forced):
+            worst = lattice_mod._worst_moves(family, rows, lattice)
+        assert worst.tobytes() == lattice_mod._worst_moves(list(family), rows, lattice).tobytes()
 
     def test_unchecked_samples_keep_the_dense_values(self):
         # direct construction checks nothing: a NaN sample makes every
@@ -839,12 +839,27 @@ class TestLatticeScreen:
         family = SampledFamily(AlphaGrid([0.0, 0.5, 1.0]), lower, upper)
         rows = np.array([0.25, 0.75, 0.0])
         lattice = np.array([[0.25, 0.2], [0.75, 0.7], [0.0, 0.1]])
-        with mock.patch.multiple(core, **FORCED_SCREENS[0]):
-            worst, reach = core._worst_moves(family, rows, lattice, reach=True)
-        dense_worst, dense_reach = core._worst_moves(list(family), rows, lattice, reach=True)
+        with mock.patch.multiple(lattice_mod, **FORCED_SCREENS[0]):
+            worst, reach = lattice_mod._worst_moves(family, rows, lattice, reach=True)
+        dense_worst, dense_reach = lattice_mod._worst_moves(list(family), rows, lattice, reach=True)
         assert np.isnan(worst[:2]).all()
         assert worst.tobytes() == dense_worst.tobytes()
         assert reach.tobytes() == dense_reach.tobytes()
+
+    def test_unchecked_falling_lower_endpoints_keep_the_dense_values(self):
+        # direct construction checks nothing: a falling lower endpoint moves
+        # against its side's sign, so its ranked move understates its move;
+        # the ranking reads only segments whose slopes have the side's sign
+        rng = np.random.default_rng(3)
+        levels = np.linspace(0.0, 1.0, 9)
+        lower = np.cumsum(rng.uniform(0.0, 0.1, (100, 9)), axis=1)
+        upper = lower[:, -1:] + 1.0 + np.cumsum(rng.uniform(0.0, 0.1, (100, 9)), axis=1)[:, ::-1]
+        lower[0] = -4.0 * levels
+        family = SampledFamily(AlphaGrid(levels), lower, upper)
+        rows = np.append(rng.uniform(0.3, 1.0, 50), 0.0)
+        lattice = np.abs(rows[:, None] - np.array([0.45, 0.3]))
+        worst = lattice_mod._worst_moves(family, rows, lattice)
+        assert worst.tobytes() == lattice_mod._worst_moves(list(family), rows, lattice).tobytes()
 
     @pytest.mark.parametrize("seed", [2501, 2502, 2503])
     def test_dense_read_is_a_small_part(self, seed, monkeypatch):
@@ -871,7 +886,7 @@ class TestLatticeScreen:
     def test_a_small_family_is_read_whole(self, monkeypatch):
         # at most _SCREEN_MEMBERS members the screen costs more than it
         # saves: the lattice is read as a list's is, in the same blocks
-        family = random_family(seed=4, count=core._SCREEN_MEMBERS, levels=101)
+        family = random_family(seed=4, count=lattice_mod._SCREEN_MEMBERS, levels=101)
         listed = BlockRecordingFamily(family)
         compactness_conditions_report(listed)
         blocks = []
