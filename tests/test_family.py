@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 from unittest import mock
 
 import numpy as np
