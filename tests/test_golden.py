@@ -7,6 +7,7 @@ written report with ``tests/golden/expected/<name>``.
 Inputs under ``tests/golden``:
 
 - ``family.json``: ``random_family(0, 20)``, encoded with ``encode_fuzzy``;
+- ``family100.json``: ``random_family(1, 100, levels=17)``, encoded alike;
 - ``ce_family.json``: counterexample members 1..10;
 - ``tri.json``: the triangle ``[0, 0.5, 1] / [0, 0.25, 0.5] / [1, 0.75, 0.5]``;
 - ``body.json``: that triangle lifted on 8 directions plus a disk of radius
@@ -80,8 +81,12 @@ CASES = {
     "family-report-family-grid-default.json": [*FAMILY, "--grid", "default"],
     "family-report-family-small.json": FAMILY_SMALL,
     # the default delta grid, 2**-2 .. 2**-20: its larger offsets cross grid
-    # nodes of the sampled family
+    # nodes of the sampled family, which has too few members to be screened
     "family-report-family-defaults.json": ["family-report", "family.json"],
+    # more members than lattice._SCREEN_MEMBERS, on 17 levels: its lattice
+    # goes through every step of the screen, and some cells to the packed
+    # dense read
+    "family-report-family100.json": ["family-report", "family100.json", "--delta-grid", "pow2:2..6"],
     "family-report-ce_family-defaults.json": ["family-report", "ce_family.json"],
     "family-report-ce_family.json": CE_FAMILY,
     "family-report-ce_family-grid-default.json": [*CE_FAMILY, "--grid", "default"],
