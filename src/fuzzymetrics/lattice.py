@@ -17,16 +17,14 @@ import numpy as np
 from .core import _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _segments
 
 # The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
-# of at most _SCREEN_TOP members per side: the steepest of each segment the
-# cell spans, where it spans at most _SCREEN_SPAN segments, else, where it
-# spans at most _RANK_SPAN, the members whose ranked move lies within a
-# rounding margin of the largest (see :func:`_screen`).  Ranked blocks hold
-# at most about _RANK_CELLS member moves.  The cells it leaves open are read
-# densely, at most _PACK of a row's cells to a packed row.  A family of at
-# most _SCREEN_MEMBERS members is read densely whole: there the screen's
-# fixed cost is above the dense read's.
+# of at most _SCREEN_TOP members per side: the steepest of its segment, where
+# it lies within one, else, where it spans at most _RANK_SPAN segments, the
+# members whose ranked move lies within a rounding margin of the largest (see
+# :func:`_screen`).  Ranked blocks hold at most about _RANK_CELLS member
+# moves.  The cells it leaves open are read densely, at most _PACK of a row's
+# cells to a packed row.  A family of at most _SCREEN_MEMBERS members is read
+# densely whole: there the screen's fixed cost is above the dense read's.
 _SCREEN_TOP = 4
-_SCREEN_SPAN = 2
 _RANK_SPAN = 4
 _SCREEN_MEMBERS = 64
 _PACK = 4
@@ -102,16 +100,16 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     is finite.  A cell that spans any other segment, or whose row lies on
     one, is left open.  A cell at its row's own level is 0.
 
-    First, a cell over at most ``_SCREEN_SPAN`` segments has the moves of
-    the ``_SCREEN_TOP`` steepest members of each of its segments computed
-    exactly.  Every other member has |t_j| <= t*_j, the segment's
-    (``_SCREEN_TOP`` + 1)-th steepest |slope|, on each, so its move is at
-    most B = fl(fl(fl(sum_j fl(t*_j fl(ov_j))) (1 + 8 n u)) + sum_j E_j):
-    the sum loses at most a factor (1 - u)**(n + 1), B's own roundings a
-    factor 1 - u each, which 1 + 8 n u covers, and the E_j cover e, the
-    move's rounding and every underflow.  Where both sides' B lie strictly
-    below the largest exact move C, C is the cell's value bit for bit.  A
-    family of at most ``_SCREEN_TOP`` members has every move computed.
+    First, a cell within one segment j has the moves of the
+    ``_SCREEN_TOP`` steepest members of j computed exactly.  Every other
+    member has |t_j| <= t*_j, the segment's (``_SCREEN_TOP`` + 1)-th
+    steepest |slope|, so its move is at most B = fl(fl(fl(t*_j fl(ov_j))
+    (1 + 8 u)) + E_j): the product loses at most a factor (1 - u)**2, B's
+    own roundings a factor 1 - u each, which 1 + 8 u covers, and E_j covers
+    e, the move's rounding and every underflow.  Where both sides' B lie
+    strictly below the largest exact move C, C is the cell's value bit for
+    bit.  A family of at most ``_SCREEN_TOP`` members has every move
+    computed.
 
     Then every cell still open over at most ``_RANK_SPAN`` segments ranks
     all members by A on each side, a product of its overlaps with the slopes
@@ -121,10 +119,12 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     product underflows.  So a member whose ranked move lies below A_max - M,
     with M = 4 (w + 2) u A_max + w max_j E_j + 4 w 2**-1022, moves less than
     the member ranked A_max: M is over twice the sum of both members'
-    rounding terms, which leaves room for its own.  Where at most
-    ``_SCREEN_TOP`` members lie within M of A_max on each side, their exact
-    moves settle the cell; other cells are left open, as are longer spans,
-    whose ranking would cost more than their dense read."""
+    rounding terms, which leaves room for its own.  A wild segment in the
+    block's window, which none of its cells spans, is ranked at slope 0 and
+    left out of max_j E_j, so that no NaN or inf reaches A_max or M.  Where
+    at most ``_SCREEN_TOP`` members lie within M of A_max on each side,
+    their exact moves settle the cell; other cells are left open, as are
+    longer spans, whose ranking would cost more than their dense read."""
     levels = family.grid.levels
     widths = np.diff(levels)
     count = len(family)
@@ -150,7 +150,8 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
         (samples.T, slopes, *_segment_terms(samples.T, slopes, widths, sign))
         for samples, slopes, sign in zip((family.lower, family.upper), family.slopes, (1.0, -1.0))
     ]
-    wild = np.concatenate([[0], np.cumsum(~(sides[0][3] & sides[1][3]))])
+    tame_segment = sides[0][3] & sides[1][3]
+    wild = np.concatenate([[0], np.cumsum(~tame_segment)])
     tame = wild[last + 1] == wild[first]
     worst = np.zeros(cells.size)
     settled = same & tame
@@ -159,26 +160,19 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
         worst[c] = values
         settled[c] = True
 
-    one = np.nonzero(~same & tame & (n <= _SCREEN_SPAN))[0]
+    one = np.nonzero(~same & tame & (n == 1))[0]
     if one.size:
-        spans = np.minimum(first[one, None] + np.arange(_SCREEN_SPAN), last[one, None])
-        # the spanned segments, and each cell's first and last among them
-        used, at = np.unique(spans, return_inverse=True)
-        at = at.reshape(spans.shape)
-        ends = np.nonzero(n[one] > 1)[0]
+        used, at = np.unique(first[one], return_inverse=True)
         best = np.zeros(one.size)
         below = np.ones(one.size, dtype=bool)
         for by_level, slopes, terms, _ in sides:
             top, tstar = _steepest(slopes, used)
-            members = top[:, at].transpose(1, 0, 2).reshape(one.size, -1)
-            moves = _exact_moves(by_level, slopes, [a[one] for a in y], [a[one] for a in z], members)
+            moves = _exact_moves(by_level, slopes, [a[one] for a in y], [a[one] for a in z], top[:, at].T)
             np.maximum(best, moves.max(axis=1), out=best)
             if tstar is not None:
-                bound = tstar[at[:, 0]] * ov_first[one]
-                bound[ends] += tstar[at[ends, -1]] * end[one[ends]]
-                bound *= 1.0 + 8.0 * _UNIT_ROUNDOFF * n[one]
+                bound = tstar[at] * ov_first[one]
+                bound *= 1.0 + 8.0 * _UNIT_ROUNDOFF
                 bound += terms[first[one]]
-                bound[ends] += terms[last[one[ends]]]
                 below &= bound < best
         settle(one[below], best[below])
 
@@ -200,13 +194,15 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
         ov[np.arange(c.size), first[c] - lo] = ov_first[c]
         ov[np.arange(c.size), last[c] - lo] = np.where(n[c] > 1, end[c], ov_first[c])
         w = hi - lo
+        ok = tame_segment[lo:hi]
         pairs, decided = [], np.ones(c.size, dtype=bool)
         for sign, (_, slopes, terms, _) in zip((1.0, -1.0), sides):
-            ranked = np.einsum("cw,wm->cm", ov, slopes[lo:hi], out=buffer[: c.size * count].reshape(c.size, count))
+            window = slopes[lo:hi] if ok.all() else np.where(ok[:, None], slopes[lo:hi], 0.0)
+            ranked = np.einsum("cw,wm->cm", ov, window, out=buffer[: c.size * count].reshape(c.size, count))
             if sign < 0:
                 np.negative(ranked, out=ranked)
             peak = ranked.max(axis=1)
-            margin = 4 * (w + 2) * _UNIT_ROUNDOFF * peak + w * (terms[lo:hi].max() + 4 * np.finfo(float).tiny)
+            margin = 4 * (w + 2) * _UNIT_ROUNDOFF * peak + w * (terms[lo:hi][ok].max() + 4 * np.finfo(float).tiny)
             cell, member = np.divmod(np.flatnonzero(ranked >= (peak - margin)[:, None]), count)
             decided &= np.bincount(cell, minlength=c.size) <= _SCREEN_TOP
             pairs.append((cell, member))

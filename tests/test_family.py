@@ -34,7 +34,7 @@ from fuzzymetrics import lattice as lattice_mod
 from fuzzymetrics import family as family_module
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import members
-from fuzzymetrics.serialize import decode_fuzzy, dumps, encode_fuzzy
+from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps, encode_fuzzy
 
 
 def crisp(x):
@@ -775,10 +775,20 @@ def screened_cases(draw):
     return family.grid, family.lower, family.upper, rows, lattice
 
 
+_STEEPEST = lattice_mod._steepest
+
+
+def _unbounded_steepest(slopes, segments):
+    # the first step's members with a NaN bound on the others, which lies
+    # below no move: it settles no cell, so every cell within one segment
+    # goes on to the ranking
+    return _STEEPEST(slopes, segments)[0], np.full(segments.size, np.nan)
+
+
 # The screen's choices, each forced: the screen at any member count, and
-# with its first step off so that every cell not at its row's level is
-# ranked
-FORCED_SCREENS = ({"_SCREEN_MEMBERS": 0}, {"_SCREEN_MEMBERS": 0, "_SCREEN_SPAN": 0})
+# with its first step settling nothing, so that every cell not at its row's
+# level is ranked
+FORCED_SCREENS = ({"_SCREEN_MEMBERS": 0}, {"_SCREEN_MEMBERS": 0, "_steepest": _unbounded_steepest})
 
 
 class TestLatticeScreen:
@@ -845,6 +855,26 @@ class TestLatticeScreen:
         assert worst.tobytes() == dense_worst.tobytes()
         assert reach.tobytes() == dense_reach.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("forced", FORCED_SCREENS)
+    def test_a_wild_segment_beside_ranked_cells_keeps_the_dense_values(self, bad, forced):
+        # direct construction checks nothing: NaN or inf samples at node 50
+        # make segments 49 and 50 wild on both sides; two cells over
+        # segments 45..47 and 52..54 are ranked in one block whose window
+        # holds both, and must keep their dense moves
+        family = random_family(seed=6, count=100, levels=101)
+        lower, upper = family.lower.copy(), family.upper.copy()
+        lower[:, 50] = upper[:, 50] = bad
+        family = SampledFamily(family.grid, lower, upper)
+        rows = np.array([0.475, 0.545, 0.0])
+        lattice = np.array([[0.455], [0.525], [0.0]])
+        with mock.patch.multiple(lattice_mod, **forced):
+            worst, reach = lattice_mod._worst_moves(family, rows, lattice, reach=True)
+        dense_worst, dense_reach = lattice_mod._worst_moves(list(family), rows, lattice, reach=True)
+        assert (dense_worst[:2] > 0.0).all()
+        assert worst.tobytes() == dense_worst.tobytes()
+        assert reach.tobytes() == dense_reach.tobytes()
+
     def test_unchecked_falling_lower_endpoints_keep_the_dense_values(self):
         # direct construction checks nothing: a falling lower endpoint moves
         # against its side's sign, so its ranked move understates its move;
@@ -899,6 +929,28 @@ class TestLatticeScreen:
         read = compactness_conditions_report(family)
         assert blocks == listed.blocks
         assert dumps(read.to_dict()) == dumps(compactness_conditions_report(list(family)).to_dict())
+
+    def test_the_screened_golden_family_reaches_every_step(self, monkeypatch):
+        # family100.json pins the screen in the golden reports: it is
+        # screened, its ranking settles cells that its first step leaves
+        # open, and the packed dense read takes the rest
+        with open("tests/golden/family100.json") as fh:
+            family = decode_family(json.load(fh))
+        assert isinstance(family, SampledFamily) and len(family) > lattice_mod._SCREEN_MEMBERS
+        opened = []
+        screen = lattice_mod._screen
+
+        def counting(*args):
+            worst, open_cells = screen(*args)
+            opened.append((np.count_nonzero(open_cells), open_cells.size))
+            return worst, open_cells
+
+        monkeypatch.setattr(lattice_mod, "_screen", counting)
+        compactness_conditions_report(family, delta_grid=[2.0 ** -k for k in range(2, 7)])
+        monkeypatch.setattr(lattice_mod, "_RANK_SPAN", 0)
+        compactness_conditions_report(family, delta_grid=[2.0 ** -k for k in range(2, 7)])
+        (ranked, cells), (unranked, _) = opened
+        assert 0 < ranked < unranked < cells
 
     @pytest.mark.parametrize("levels", [101, 401])
     def test_a_family_sampled_at_every_row_equals_the_list(self, levels):
