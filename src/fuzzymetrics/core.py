@@ -312,7 +312,8 @@ def make_sampled_1d(grid: GridLike, lower: Sequence[float], upper: Sequence[floa
     number's one stored copy as a row."""
     g = as_grid(grid)
     u = _stored(SampledFuzzy1D, g, lower, upper, ([lower], [upper]))
-    _check_samples(SampledFamily(g, u.lower[None], u.upper[None]))
+    rows = u.lower[None], u.upper[None]
+    _check_samples(g, *rows, _slopes(g, *rows))
     return u
 
 
@@ -340,21 +341,15 @@ class SampledFamily(_Samples, abc.Sequence):
     slopes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        widths = np.diff(self.grid.levels)[:, None]
-        slopes = []
         for name in ("lower", "upper"):
             samples = np.array(getattr(self, name), dtype=float, order="F")
             samples.flags.writeable = False
             object.__setattr__(self, name, samples)
-            slope = None  # samples of the wrong shape, which the check refuses
-            if samples.ndim == 2 and samples.shape[1] == len(self.grid):
-                # unchecked samples may overflow or be NaN: the check reads them
-                with np.errstate(over="ignore", invalid="ignore"):
-                    slope = np.diff(samples.T, axis=0)
-                    slope /= widths
+        slopes = _slopes(self.grid, self.lower, self.upper)
+        for slope in slopes:
+            if slope is not None:
                 slope.flags.writeable = False
-            slopes.append(slope)
-        object.__setattr__(self, "slopes", tuple(slopes))
+        object.__setattr__(self, "slopes", slopes)
 
     def __len__(self) -> int:
         return self.lower.shape[0]
@@ -429,7 +424,7 @@ def make_sampled_family(grid: GridLike, lower: np.ndarray, upper: np.ndarray) ->
     """
     g = as_grid(grid)
     family = _stored(SampledFamily, g, lower, upper, (lower, upper))
-    _check_samples(family)
+    _check_samples(g, family.lower, family.upper, family.slopes)
     return family
 
 
@@ -450,18 +445,35 @@ def _stored(carrier, g: AlphaGrid, lower, upper, rows: tuple):
         raise
 
 
-def _check_samples(family: SampledFamily) -> None:
-    """The one sample check, on a family's stored samples and slopes (the
-    slopes the endpoints take): the first bad member raises the error of the
-    first rule it breaks."""
-    g, lo, hi = family.grid, family.lower, family.upper
+def _slopes(g: AlphaGrid, *sides: np.ndarray) -> tuple:
+    """The slope of each ``(members, levels)`` sample row of each side on
+    every grid segment j, fl(fl(s_j+1 - s_j) / w_j) with w_j the computed
+    gap, levels-major with shape ``(levels - 1, members)``; None for a side
+    of the wrong shape, which the check refuses."""
+    widths = np.diff(g.levels)[:, None]
+    slopes = []
+    # unchecked samples may overflow or be NaN: the check reads them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for samples in sides:
+            slope = None
+            if samples.ndim == 2 and samples.shape[1] == len(g):
+                slope = samples.T[1:] - samples.T[:-1]
+                slope /= widths
+            slopes.append(slope)
+    return tuple(slopes)
+
+
+def _check_samples(g: AlphaGrid, lo: np.ndarray, hi: np.ndarray, slopes: tuple) -> None:
+    """The one sample check, on ``(members, levels)`` samples and their
+    ``_slopes`` (the slopes the endpoints take), lower then upper: the first
+    bad member raises the error of the first rule it breaks."""
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != len(g):
         raise _wrong_length(g)
     finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
     empty = (lo > hi).any(axis=1)
     # a slope has its step's sign (a gap is at most 1); across a gap too
     # narrow for its samples one overflows, and the endpoints inside read inf
-    lower_slopes, upper_slopes = family.slopes
+    lower_slopes, upper_slopes = slopes
     lower_falls = (lower_slopes < 0).any(axis=0)
     upper_rises = (upper_slopes > 0).any(axis=0)
     steep = ~(np.isfinite(lower_slopes) & np.isfinite(upper_slopes))
