@@ -325,18 +325,23 @@ def family_modulus_oracle(alpha: float, beta: float) -> float:
     floor(1/x*) or ceil(1/x*); n = 1 alone when ln ta = 0 (alpha = 1) or
     there is no x* > 0.
     """
-    ta = float(_inner(alpha))
-    tb = float(_inner(beta))
-    if not (0.0 < tb and beta <= alpha <= 1.0):
+    if not (0.0 < _inner(beta) and beta <= alpha <= 1.0):
         raise OutOfRange("need one third < beta <= alpha <= 1")
+    return float(_worst_member_move(alpha, beta))
+
+
+def _worst_member_move(alpha, beta) -> np.ndarray:
+    """:func:`family_modulus_oracle` at each pair of levels of the arrays
+    ``alpha`` and ``beta``, which it assumes valid."""
+    ta, tb = _inner(alpha), _inner(beta)
     la, lb = np.log(ta), np.log(tb)
-    ns = [1.0]
-    if la < 0.0 and ta > tb:
+    with np.errstate(divide="ignore", invalid="ignore"):
         x_star = np.log(lb / la) / np.log(ta / tb)
-        if x_star > 0.0:
-            ns += [max(1.0, np.floor(1.0 / x_star)), max(1.0, np.ceil(1.0 / x_star))]
-    ns = np.array(ns)
-    return float(np.max(np.exp(la / ns) - np.exp(lb / ns)))
+        inv = 1.0 / x_star
+    # members 1, floor(1/x*) and ceil(1/x*), or member 1 alone (three times)
+    inside = (la < 0.0) & (ta > tb) & (x_star > 0.0)
+    ns = np.stack([np.ones_like(ta), *(np.where(inside, np.maximum(1.0, r(inv)), 1.0) for r in (np.floor, np.ceil))])
+    return np.max(np.exp(la / ns) - np.exp(lb / ns), axis=0)
 
 
 def separation(r: float) -> float:
@@ -420,29 +425,23 @@ def refutation_report(
     above = _inner(probe_alphas) > 0.0
     margin = probe_alphas - ONE_THIRD
     deltas = np.where(above, np.minimum(0.5 * margin, 0.5 * eps * margin), 0.5 * probe_alphas)
+    lows = probe_alphas - deltas
     # one lattice read: each probe level at its delta, then level 0 at 0.25
-    rows, lattice = np.append(probe_alphas, 0.0), np.append(probe_alphas - deltas, 0.25)[:, None]
-    *moduli, right_zero = _worst_moves(fam, rows, lattice)[:, 0].tolist()
-    equi_entries = []
-    for a, delta, modulus, up in zip(probe_alphas.tolist(), deltas.tolist(), moduli, above.tolist()):
-        entry = {
-            "alpha": a,
-            "delta": delta,
-            "certified_bound": uniform_modulus_bound(a, delta, a - delta) if up else 0.0,
-            "finite_family_modulus": modulus,
-            "oracle_modulus": family_modulus_oracle(a, a - delta) if up else 0.0,
-        }
-        entry["passed"] = bool(
-            entry["certified_bound"] <= eps
-            and entry["finite_family_modulus"] <= eps
-            and entry["oracle_modulus"] <= eps
-        )
-        equi_entries.append(entry)
+    moves = _worst_moves(fam, np.append(probe_alphas, 0.0), np.append(lows, 0.25)[:, None])[:, 0]
+    moduli, right_zero = moves[:-1], float(moves[-1])
+    # uniform_modulus_bound and family_modulus_oracle at every level above
+    # one third, 0 at the others
+    certified, oracle = np.zeros((2, probe_alphas.size))
+    certified[above] = 1.5 * ((probe_alphas[above] - lows[above]) / _inner(lows[above]))
+    oracle[above] = _worst_member_move(probe_alphas[above], lows[above])
+    passed = (certified <= eps) & (moduli <= eps) & (oracle <= eps)
+    keys = ("alpha", "delta", "certified_bound", "finite_family_modulus", "oracle_modulus", "passed")
+    columns = (probe_alphas, deltas, certified, moduli, oracle, passed)
     equi_section = {
         "eps": eps,
-        "passed": bool(all(e["passed"] for e in equi_entries) and right_zero == 0.0),
+        "passed": bool(passed.all() and right_zero == 0.0),
         "right_at_zero_modulus": right_zero,
-        "entries": equi_entries,
+        "entries": [dict(zip(keys, row)) for row in zip(*(column.tolist() for column in columns))],
     }
 
     levels = grid.levels.tolist()
@@ -456,31 +455,19 @@ def refutation_report(
         "table_csv": csv_table(("alpha", "first_index"), zip(levels, first)),
     }
 
-    sup_entries = []
-    all_one = True
-    none_attained = True
     # row n - 1 equals exact_H_profile(n, grid.levels) bit for bit
     _, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
     grid_max = np.max(upper - _limit_upper(grid.levels), axis=1).tolist()
     # one search for all the member-vs-limit pairs
-    for n, enc in enumerate(d_infty_pairs([(un, limit) for un in fam], tol=tol), start=1):
-        all_one = all_one and enc.lower <= 1.0 <= enc.upper and enc.width <= tol
-        none_attained = none_attained and not enc.attained
-        sup_entries.append(
-            {
-                "n": n,
-                # the closed form (module docstring): exactly 1, never attained
-                "value": 1.0,
-                "attained": False,
-                "enclosure_lower": enc.lower,
-                "enclosure_upper": enc.upper,
-                "grid_max": grid_max[n - 1],
-            }
-        )
+    found = d_infty_pairs([(un, limit) for un in fam], tol=tol)
     sup_section = {
-        "all_equal_one": bool(all_one),
-        "attained_anywhere": bool(not none_attained),
-        "entries": sup_entries,
+        "all_equal_one": bool(np.all((found.lower <= 1.0) & (1.0 <= found.upper) & (found.width <= tol))),
+        "attained_anywhere": bool(found.attained.any()),
+        "entries": [
+            # the closed form (module docstring): exactly 1, never attained
+            {"n": n, "value": 1.0, "attained": False, "enclosure_lower": lo, "enclosure_upper": hi, "grid_max": g}
+            for n, lo, hi, g in zip(range(1, n_max + 1), found.lower.tolist(), found.upper.tolist(), grid_max)
+        ],
     }
 
     pairs = [{"n": n, "m": 5 * n, "separation": separation(5.0)} for n in (1, 2, 3, 5, 10) if n <= n_max]

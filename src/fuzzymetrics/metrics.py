@@ -34,6 +34,8 @@ pair's own message.
 from __future__ import annotations
 
 import functools
+import operator
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -58,6 +60,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_DEPTH",
     "Enclosure",
+    "Enclosures",
     "hausdorff_interval",
     "LevelProfile",
     "level_distance_profile",
@@ -141,6 +144,66 @@ class Enclosure:
 
     def to_dict(self) -> dict:
         return {"lower": self.lower, "upper": self.upper, "attained": self.attained}
+
+
+# the columns of an Enclosures record: each Enclosure field, its dtype and
+# its value for a pair of one number, which gets [0, 0] attained at level 0
+_COLUMNS = (
+    ("lower", float, 0.0),
+    ("upper", float, 0.0),
+    ("attained", bool, True),
+    ("witness_alpha", float, 0.0),
+    ("nodes", np.int64, 0),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Enclosures(abc.Sequence):
+    """The enclosures of many pairs as one record of read-only columns.
+
+    Row i of the columns holds the fields of pair i's :class:`Enclosure`,
+    which indexing returns; iteration gives them in order, and a record
+    equals a tuple of the Enclosures it holds.  The columns are read-only
+    copies of those given, and a row whose lower end is above its upper end
+    raises OutOfRange, as an Enclosure does.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    attained: np.ndarray
+    witness_alpha: np.ndarray
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        columns = [np.array(getattr(self, name), dtype=dtype) for name, dtype, _ in _COLUMNS]
+        if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+            raise OutOfRange("enclosure columns must be 1-D and of one length")
+        for (name, _, _), column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        crossed = self.lower > self.upper
+        if crossed.any():
+            i = int(np.argmax(crossed))
+            raise OutOfRange(f"enclosure {i}: lower {self.lower[i].item()} > upper {self.upper[i].item()}")
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.upper - self.lower
+
+    def __len__(self) -> int:
+        return self.lower.size
+
+    def __getitem__(self, index) -> Enclosure:
+        i = operator.index(index)
+        return Enclosure(*(getattr(self, name)[i].item() for name, _, _ in _COLUMNS))
+
+    def __iter__(self):
+        return map(Enclosure, *(getattr(self, name).tolist() for name, _, _ in _COLUMNS))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, Enclosures)) else NotImplemented
+
+    __hash__ = None
 
 
 # A frontier holds one column per open segment [a, b]: its two levels, the
@@ -426,9 +489,9 @@ def d_infty_pairs(
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
-) -> tuple[Enclosure, ...]:
+) -> Enclosures:
     """Certified enclosures of the supremum metric for many pairs at once:
-    one :class:`Enclosure` per ``(u, v)`` pair, in order.
+    one :class:`Enclosures` record with a row per ``(u, v)`` pair, in order.
 
     Branch and bound on the level axis.  Declared jumps, the ends of
     declared curvature pieces and the grid levels of sampled numbers force
@@ -469,11 +532,10 @@ def d_infty_pairs(
     """
     _check_search(tol, max_depth)
     pairs = list(pairs)
-    enclosures = [Enclosure(0.0, 0.0, attained=True, witness_alpha=0.0)] * len(pairs)
     live = [i for i, (u, v) in enumerate(pairs) if not (u is v or (u.key is not None and u.key == v.key))]
     count = len(live)
     if not count:
-        return tuple(enclosures)
+        return Enclosures(*_unsearched(len(pairs)))
 
     # the distinct numbers, by identity, each read by its source: its batch
     # family, or itself; the rows of a family declare alike, so each source's
@@ -616,10 +678,17 @@ def d_infty_pairs(
         seg = seg[:, is_open]
 
     attained = best_point >= best_limit
-    witness = np.where(attained, best_point_at, best_limit_at)
-    for i, *fields in zip(live, lower.tolist(), upper.tolist(), attained.tolist(), witness.tolist(), nodes.tolist()):
-        enclosures[i] = Enclosure(*fields)
-    return tuple(enclosures)
+    columns = lower, upper, attained, np.where(attained, best_point_at, best_limit_at), nodes
+    if count < len(pairs):
+        columns, searched = _unsearched(len(pairs)), columns
+        for column, values in zip(columns, searched):
+            column[live] = values
+    return Enclosures(*columns)
+
+
+def _unsearched(count: int) -> tuple:
+    """The columns of ``count`` pairs of one number."""
+    return tuple(np.full(count, value, dtype=dtype) for _, dtype, value in _COLUMNS)
 
 
 def d_infty_parametric(

@@ -36,32 +36,48 @@ __all__ = [
 ]
 
 
-def _leaf(obj: Any) -> str | None:
-    """JSON text of a scalar, or None for a container.
+def _bool(x: Any) -> str:
+    return "true" if x else "false"
 
-    numpy scalars are written as the Python values they hold, and NaN or
-    infinity as null, which is not valid JSON otherwise.
-    """
-    kind = type(obj)
-    if kind is float:
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if kind is str:
-        return encode_basestring(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (dict, list, tuple, np.ndarray)):
-        return None
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _leaf(float(obj))
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _refuse(x: Any) -> str:
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+# The text of a leaf in a JSON report and in a CSV cell, from the first row
+# whose types the leaf is an instance of.  numpy scalars are read as the
+# Python values they hold; JSON writes NaN and infinity as null, which is
+# not valid JSON otherwise, and marks a container by None.
+_LEAVES = (
+    ((dict, list, tuple, np.ndarray), None, str),
+    (str, encode_basestring, str),
+    ((bool, np.bool_), _bool, _bool),
+    (int, int.__repr__, str),
+    (np.integer, lambda x: int.__repr__(int(x)), str),
+    (float, _json_float, float.__repr__),
+    (np.floating, lambda x: _json_float(float(x)), lambda x: float.__repr__(float(x))),
+    (type(None), lambda x: "null", lambda x: ""),
+    (object, _refuse, str),
+)
+
+
+class _ByType(dict):
+    """One column of ``_LEAVES`` by exact type, each type looked up once."""
+
+    def __init__(self, column: int):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, kind: type):
+        text = self[kind] = next(row for row in _LEAVES if issubclass(kind, row[0]))[self.column]
+        return text
+
+
+_JSON, _CSV = _ByType(1), _ByType(2)
 
 
 def _key(key: Any) -> str:
@@ -88,31 +104,55 @@ def _key(key: Any) -> str:
     return encode_basestring(text)
 
 
-def _write(head: str, obj: Any, newline: str, parts: list[str]) -> None:
-    """Append ``head`` and the JSON text of ``obj`` to ``parts``, a scalar in
-    one piece; ``newline`` is a line break plus the indentation of the line
-    ``obj`` starts on."""
-    leaf = _leaf(obj)
-    if leaf is not None:
-        parts.append(head + leaf)
-    elif isinstance(obj, np.ndarray):
-        _write(head, obj.tolist(), newline, parts)
-    elif not obj:
-        parts.append(head + ("{}" if isinstance(obj, dict) else "[]"))
-    elif isinstance(obj, dict):
-        inner = newline + "  "
-        sep = head + "{" + inner
+# _SEPARATORS[d] for a container whose first line is indented d levels: its
+# opening as a dict and as a list, the text between its items, and its
+# closing as a dict and as a list; each depth is written once
+_SEPARATORS: dict[int, tuple[str, str, str, str, str]] = {}
+
+
+def _write(obj: Any, depth: int, parts: list[str]) -> None:
+    """Append the JSON text of ``obj``, whose first line is indented
+    ``depth`` levels, to ``parts``; a leaf inside a container is appended
+    with the text before it, in one piece."""
+    text = _JSON[type(obj)]
+    if text is not None:
+        parts.append(text(obj))
+        return
+    if isinstance(obj, np.ndarray):
+        _write(obj.tolist(), depth, parts)
+        return
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    seps = _SEPARATORS.get(depth)
+    if seps is None:
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        seps = _SEPARATORS[depth] = ("{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]")
+    open_dict, open_list, sep, close_dict, close_list = seps
+    leaf = _JSON
+    if isinstance(obj, dict):
+        head = open_dict
         for key, value in obj.items():
-            _write(f"{sep}{_key(key)}: ", value, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
+            key = encode_basestring(key) if type(key) is str else _key(key)
+            text = leaf[type(value)]
+            if text is not None:
+                parts.append(f"{head}{key}: {text(value)}")
+            else:
+                parts.append(f"{head}{key}: ")
+                _write(value, depth + 1, parts)
+            head = sep
+        parts.append(close_dict)
     else:
-        inner = newline + "  "
-        sep = head + "[" + inner
+        head = open_list
         for value in obj:
-            _write(sep, value, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "]")
+            text = leaf[type(value)]
+            if text is not None:
+                parts.append(head + text(value))
+            else:
+                parts.append(head)
+                _write(value, depth + 1, parts)
+            head = sep
+        parts.append(close_list)
 
 
 def dumps(obj: Any) -> str:
@@ -123,7 +163,7 @@ def dumps(obj: Any) -> str:
     the Python values they hold and NaN or infinity as None.
     """
     parts: list[str] = []
-    _write("", obj, "\n", parts)
+    _write(obj, 0, parts)
     parts.append("\n")
     return "".join(parts)
 
@@ -213,34 +253,24 @@ def decode_family(doc: Any) -> SampledFamily | list[FuzzyNumber1D]:
 
 def _shared_grid_family(doc: list) -> SampledFamily | None:
     """The members as one SampledFamily, or None when they are not all
-    ``sampled1d`` objects on the same levels with rows of one length."""
+    ``sampled1d`` objects on the same levels with rows of one length.
+
+    The family reads the rows straight into the one copy it stores."""
     if not all(
         isinstance(item, dict) and item.get("type") == "sampled1d" and {"alphas", "lower", "upper"} <= item.keys()
         for item in doc
     ):
         return None
     alphas = doc[0]["alphas"]
-    try:
-        if any(item["alphas"] != alphas for item in doc):
-            return None
-        lower = np.asarray([item["lower"] for item in doc], dtype=float)
-        upper = np.asarray([item["upper"] for item in doc], dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        # ragged or unconvertible rows: decoding member by member names the
-        # first bad one
-        return None
     with _invariants("sampled1d"):
-        return make_sampled_family(alphas, lower, upper)
-
-
-def _fmt(x: Any) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+        try:
+            if any(item["alphas"] != alphas for item in doc):
+                return None
+            return make_sampled_family(alphas, [item["lower"] for item in doc], [item["upper"] for item in doc])
+        except (ValueError, TypeError, OverflowError):
+            # ragged or unconvertible rows: decoding member by member names
+            # the first bad one
+            return None
 
 
 def csv_table(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -249,6 +279,7 @@ def csv_table(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     Cells are empty for None, ``true``/``false`` for booleans, the shortest
     round-trip repr for floats and ``str`` of anything else.
     """
+    cell = _CSV
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend([",".join([cell[type(x)](x) for x in row]) for row in rows])
     return "\n".join(lines) + "\n"

@@ -388,6 +388,15 @@ class TestModulusOracle:
                 checked += 1
         assert checked > 4500
 
+    def test_one_array_call_equals_the_scalar_oracle(self):
+        rng = np.random.default_rng(27)
+        alphas = np.concatenate([ONE_THIRD + np.geomspace(1e-12, 2 / 3, 60), rng.uniform(ONE_THIRD, 1.0, 300), [1.0]])
+        betas = alphas - rng.choice([0.0, 1e-9, 0.01, 0.5, 0.999], alphas.size) * (alphas - ONE_THIRD)
+        keep = _inner(betas) > 0.0
+        got = counterexample_mod._worst_member_move(alphas[keep], betas[keep])
+        alone = [family_modulus_oracle(a, b) for a, b in zip(alphas[keep].tolist(), betas[keep].tolist())]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in alone]
+
     def test_range_checks(self):
         with pytest.raises(OutOfRange):
             family_modulus_oracle(0.3, 0.2)
@@ -466,6 +475,19 @@ class TestSeparation:
 
 
 class TestRefutationReport:
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 1e-5, 0.5])
+    def test_equi_entries_are_the_scalar_bounds(self, eps):
+        section = refutation_report(10, eps)["equi_left_continuity"]
+        for e in section["entries"]:
+            a, delta = e["alpha"], e["delta"]
+            above = _inner(a) > 0.0
+            bound = uniform_modulus_bound(a, delta, a - delta) if above else 0.0
+            oracle = family_modulus_oracle(a, a - delta) if above else 0.0
+            assert (e["certified_bound"].hex(), e["oracle_modulus"].hex()) == (bound.hex(), oracle.hex())
+            assert e["passed"] is (bound <= eps and e["finite_family_modulus"] <= eps and oracle <= eps)
+        entries_pass = all(e["passed"] for e in section["entries"])
+        assert section["passed"] is (entries_pass and section["right_at_zero_modulus"] == 0.0)
+
     def test_small_report_structure(self):
         report = refutation_report(2)
         assert set(report) == {

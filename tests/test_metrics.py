@@ -15,6 +15,7 @@ from fuzzymetrics import (
     DeclaredCurvature,
     DeclaredJump,
     Enclosure,
+    Enclosures,
     Interval,
     NonNested,
     OutOfRange,
@@ -420,6 +421,19 @@ def enclosure_bits(e: Enclosure) -> tuple:
     return e.lower.hex(), e.upper.hex(), e.attained, witness, e.nodes
 
 
+def record_bits(record: Enclosures) -> list:
+    """A record's rows read from its columns, every float by its exact bits,
+    after checking that each row, read by index, gives the same bits."""
+    columns = [record.lower, record.upper, record.attained, record.witness_alpha, record.nodes]
+    assert [c.dtype.kind for c in columns] == ["f", "f", "b", "f", "i"]
+    rows = [
+        (lo.hex(), hi.hex(), attained, witness.hex(), nodes)
+        for lo, hi, attained, witness, nodes in zip(*(c.tolist() for c in columns))
+    ]
+    assert [enclosure_bits(record[i]) for i in range(len(record))] == rows
+    return rows
+
+
 class TestBatchedSearch:
     """``d_infty_pairs`` gives every pair the enclosure of its own search."""
 
@@ -433,7 +447,7 @@ class TestBatchedSearch:
     def test_equals_the_per_pair_searches(self, pairs, tol, max_depth, max_nodes):
         batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
         alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
-        assert list(map(enclosure_bits, batch)) == list(map(enclosure_bits, alone))
+        assert list(map(enclosure_bits, batch)) == record_bits(batch) == list(map(enclosure_bits, alone))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.lists(search_pairs(), max_size=6), st.data())
@@ -463,6 +477,52 @@ class TestBatchedSearch:
             assert batch == tuple(d_infty_parametric(u, v, **options) for u, v in pairs)
             assert any(e.width > DEFAULT_TOL for e in batch) and any(e.width <= DEFAULT_TOL for e in batch)
         assert max(e.nodes for e in d_infty_pairs(pairs, max_nodes=4)) == 4
+
+    def test_the_record_of_the_refutation_pairs_is_each_pairs_own_search(self):
+        limit = make_limit()
+        batch = d_infty_pairs([(u, limit) for u in members(100)])
+        alone = [enclosure_bits(d_infty_parametric(u, limit)) for u in members(100)]
+        assert isinstance(batch, Enclosures) and len(batch) == 100
+        assert record_bits(batch) == alone
+
+    def test_record_columns_are_read_only(self):
+        batch = d_infty_pairs([(make_un(1), make_un(2)), (make_un(3), make_limit())])
+        for column in (batch.lower, batch.upper, batch.attained, batch.witness_alpha, batch.nodes):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_record_copies_its_columns(self):
+        lower = np.array([0.0, 0.5])
+        record = Enclosures(lower, [0.0, 1.0], [True, False], [0.0, 0.5], [0, 3])
+        lower[0] = 1.0
+        assert record.lower.tolist() == [0.0, 0.5] and lower.flags.writeable
+        assert record[1] == Enclosure(0.5, 1.0, attained=False, witness_alpha=0.5, nodes=3)
+        assert record.width.tolist() == [0.0, 0.5]
+
+    def test_a_crossed_row_raises_out_of_range(self):
+        with pytest.raises(OutOfRange, match="enclosure 1: lower 0.75 > upper 0.5"):
+            Enclosures([0.0, 0.75, 2.0], [0.0, 0.5, 1.0], [True] * 3, [0.0] * 3, [0] * 3)
+        with pytest.raises(OutOfRange, match="1-D and of one length"):
+            Enclosures([0.0, 0.5], [0.0], [True], [0.0], [0])
+
+    def test_record_indexing_iteration_and_equality(self):
+        pairs = [(make_un(1), make_un(2)), (TRI, TRI), (make_un(3), make_limit())]
+        batch = d_infty_pairs(pairs)
+        alone = tuple(d_infty_parametric(u, v) for u, v in pairs)
+        assert batch == alone and tuple(batch) == alone and list(batch) == list(alone)
+        assert batch[-1] == alone[-1] and batch[-3] == alone[0]
+        assert batch == d_infty_pairs(pairs) and batch != d_infty_pairs(pairs[:2])
+        assert batch != alone[:2] and batch != list(alone)
+        with pytest.raises(IndexError):
+            batch[3]
+        with pytest.raises(TypeError):
+            batch[0:2]
+        empty = d_infty_pairs([])
+        assert len(empty) == 0 and tuple(empty) == () and empty == () and list(empty) == []
+        assert empty.lower.shape == (0,) and not empty.attained.any()
+        with pytest.raises(IndexError):
+            empty[-1]
 
     def test_identity_pairs_and_an_empty_batch(self):
         u = make_un(3)

@@ -19,6 +19,7 @@ from fuzzymetrics import (
     random_family,
 )
 from fuzzymetrics.serialize import (
+    csv_table,
     decode_any,
     decode_family,
     decode_fuzzy,
@@ -192,12 +193,44 @@ KEYS = st.one_of(
     FLOATS.map(np.float64),
     st.integers(0, 9).map(np.int64),  # rejected by json as a key
 )
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), FLOATS, st.text(max_size=4), NUMPY_SCALARS)
+RECORD_KEYS = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from(["%", "%s", "%%", "%(n)s", '"', 'a"b', "\\"]),
+    st.integers(-3, 3),
+    FLOATS,
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def records(draw, inner):
+    """A list of flat dicts that share their keys, as report entries are;
+    sometimes one record's keys differ or one value is nested."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(LEAVES, min_size=len(keys), max_size=len(keys)), min_size=1, max_size=5))
+    out = [dict(zip(keys, row)) for row in rows]
+    i = draw(st.integers(0, len(out) - 1))
+    change = draw(st.sampled_from(["none", "extra key", "dropped key", "reordered", "nested"]))
+    if change == "extra key":
+        out[i] = {**out[i], draw(RECORD_KEYS): draw(LEAVES)}
+    elif change == "dropped key":
+        out[i] = dict(list(out[i].items())[1:])
+    elif change == "reordered":
+        out[i] = dict(reversed(list(out[i].items())))
+    elif change == "nested":
+        out[i] = {**out[i], keys[-1]: draw(inner)}
+    return out
+
+
 DOCUMENTS = st.recursive(
     SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(KEYS, inner, max_size=4),
+        records(inner),
     ),
     max_leaves=30,
 )
@@ -231,6 +264,35 @@ class TestWriterEqualsJson:
             reference_dumps(doc)
         with pytest.raises(TypeError):
             dumps(doc)
+
+
+def reference_cell(x):
+    """A CSV cell by the rules ``csv_table`` documents."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+class TestCsvTable:
+    """``csv_table`` writes a header line and one line per row, every cell
+    by its documented rule."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.text(max_size=5), min_size=1, max_size=4),
+        st.lists(st.lists(LEAVES | st.fractions() | st.tuples(st.integers()), max_size=4), max_size=5),
+    )
+    def test_cells_follow_their_rules(self, columns, rows):
+        lines = [",".join(columns), *(",".join(reference_cell(x) for x in row) for row in rows)]
+        assert csv_table(columns, rows) == "\n".join(lines) + "\n"
+
+    def test_pinned_cells(self):
+        row = [None, True, np.bool_(False), 0.1, np.float64(1e-9), np.float32(0.5), math.nan, -math.inf, 3, np.int64(-4), "a b"]
+        assert csv_table(["c"], [row]) == "c\n,true,false,0.1,1e-09,0.5,nan,-inf,3,-4,a b\n"
 
 
 def family_docs(count=6):
