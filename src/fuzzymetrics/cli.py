@@ -17,7 +17,15 @@ import sys
 from collections import abc
 
 from . import __version__
-from .core import AlphaGrid, ValidationCheck, ValidationReport, _check_tolerance, as_grid, validate_representation
+from .core import (
+    DEFAULT_VALIDATION_TOL,
+    AlphaGrid,
+    ValidationCheck,
+    ValidationReport,
+    _check_tolerance,
+    as_grid,
+    validate_representation,
+)
 from .bodies import FuzzyBody2D
 from .counterexample import DEFAULT_EPS as CONVERGENCE_EPS, refutation_report, token_form
 from .errors import FuzzyMetricsError, OutOfRange, ParseError, VerdictFailure
@@ -231,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the cut-family axioms on one input")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_VALIDATION_TOL)
     common(p, _cmd_validate)
 
     p = sub.add_parser("dist", help="supremum metric between two fuzzy numbers")

@@ -31,7 +31,6 @@ __all__ = [
     "EquiEntry",
     "EquiContinuityReport",
     "equi_continuity_report",
-    "eventually_equi_left",
     "FamilyDiagnostics",
     "compactness_conditions_report",
     "random_family",
@@ -47,12 +46,6 @@ DEFAULT_EPS = 0.1
 CLOSEDNESS_MARKER = "not evaluated - supplied by caller assertion"
 
 
-def _tamed(modulus, eps: float):
-    """The witness convention shared by every equi-continuity search: a
-    modulus of exactly ``eps`` passes (elementwise on arrays)."""
-    return modulus <= eps
-
-
 def _require_members(family: Sequence[FuzzyNumber1D]) -> Sequence[FuzzyNumber1D]:
     """The family as a sequence; a sequence is kept as it is, so that its
     batch ``endpoints`` (if any) still serves the member rows."""
@@ -65,23 +58,13 @@ def _require_members(family: Sequence[FuzzyNumber1D]) -> Sequence[FuzzyNumber1D]
 def support_bound(family: Sequence[FuzzyNumber1D]) -> float:
     """Smallest origin-centered radius containing every member's 0-cut.
 
-    Finite families are always bounded; the radius is what matters for
-    threshold checks against an externally chosen compact set.
+    A finite family with finite endpoints is always bounded; the radius is
+    what matters for threshold checks against an externally chosen compact
+    set.  A NaN endpoint makes the radius NaN.
     """
     members = _require_members(family)
-    radius = 0.0
-    for _, lo, hi in _member_rows(members, len(members), [0.0]):
-        radius = max(radius, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    return radius
-
-
-def _offsets(delta_grid: Sequence[float] | None) -> list[float]:
-    """The distinct tested level offsets, largest first: at least one, each
-    finite and positive."""
-    deltas = list(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid)
-    if not deltas or not all(0.0 < d < math.inf for d in deltas):
-        raise OutOfRange("delta grid must hold finite positive offsets")
-    return np.unique(np.asarray(deltas, dtype=float))[::-1].tolist()
+    rows = _member_rows(members, len(members), [0.0])
+    return float(np.max([np.max(np.abs(end)) for _, lo, hi in rows for end in (lo, hi)]))
 
 
 def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) -> float:
@@ -176,7 +159,8 @@ class EquiContinuityReport:
 
 
 def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[float | None, float]:
-    """The largest tested delta whose modulus is tamed, with that modulus.
+    """The largest tested delta whose modulus is at most eps, with that
+    modulus.
 
     ``deltas`` run largest first; a NaN modulus marks an offset that does
     not apply and is skipped.  Without a witness the modulus is the last
@@ -186,7 +170,7 @@ def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[floa
     for d, m in zip(deltas, moduli):
         if math.isnan(m):
             continue
-        if _tamed(m, eps):
+        if m <= eps:
             return d, m
         modulus = m
     return None, modulus
@@ -205,17 +189,24 @@ def equi_continuity_report(
     delta fails; plus the analogous right-side entry at level 0.  Without
     ``alpha_grid`` the levels are those of ``default_report_grid([family])``
     in (0, 1]: k/100, k = 1..100, densified around the members' hint
-    levels.
+    levels.  A given level 0 is skipped; a NaN level or one outside [0, 1]
+    raises OutOfRange.
     """
     _check_tolerance(eps, "eps")
     members = _require_members(family)
     if alpha_grid is None:
         alpha_grid = default_report_grid([members]).levels
     alphas = np.unique(np.asarray(alpha_grid, dtype=float))
-    alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
+    if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+        raise OutOfRange("alpha grid levels must lie in [0, 1]")
+    alphas = alphas[alphas > 0.0]
     if alphas.size == 0:
         raise OutOfRange("alpha grid has no levels inside (0, 1]")
-    deltas = np.asarray(_offsets(delta_grid), dtype=float)
+    given = list(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid)
+    if not given or not all(0.0 < d < math.inf for d in given):
+        raise OutOfRange("delta grid must hold finite positive offsets")
+    # the distinct offsets, largest first
+    deltas = np.unique(np.asarray(given, dtype=float))[::-1]
 
     table, zero_moduli, radius = _moduli(members, alphas, deltas)
     offsets = deltas.tolist()
@@ -231,44 +222,6 @@ def equi_continuity_report(
         zero_moduli=zero_moduli,
         support_radius=radius,
     )
-
-
-def eventually_equi_left(
-    seq: Sequence[FuzzyNumber1D],
-    alpha: float,
-    eps: float,
-    n_max: int | None = None,
-    delta_grid: Sequence[float] | None = None,
-) -> tuple[int, float] | None:
-    """Find (k0, delta) taming the modulus of every member from k0 onward.
-
-    Scans the window k0 <= k <= n_max only; returns the smallest such k0
-    (preferring the smallest delta on ties) or None when no tested pair
-    works within the window.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise OutOfRange(f"alpha={alpha} outside (0, 1]")
-    _check_tolerance(eps, "eps")
-    if n_max is not None and n_max < 1:
-        raise OutOfRange("n_max must be at least 1")
-    members = _require_members(seq)
-    count = len(members) if n_max is None else min(n_max, len(members))
-    # smallest delta first, so ties keep it
-    deltas = [d for d in reversed(_offsets(delta_grid)) if d <= alpha]
-    if not deltas:
-        return None
-    levels = np.append(float(alpha), alpha - np.asarray(deltas, dtype=float))
-    last_violation = np.zeros(len(deltas), dtype=np.int64)
-    # each member's moves (rows) at each offset, as ``_worst_moves`` takes them
-    for ns, lo, hi in _member_rows(members, count, levels):
-        moves = np.maximum(np.abs(lo[:, 1:] - lo[:, :1]), np.abs(hi[:, 1:] - hi[:, :1]))
-        wild = ~_tamed(moves, eps)
-        last_violation = np.maximum(last_violation, np.max(np.where(wild, ns[:, None], 0), axis=0))
-    best: tuple[int, float] | None = None
-    for d, last in zip(deltas, last_violation.tolist()):
-        if last < count and (best is None or last + 1 < best[0]):
-            best = (last + 1, d)
-    return best
 
 
 @dataclass(frozen=True)
@@ -291,7 +244,7 @@ class FamilyDiagnostics:
     def to_dict(self) -> dict:
         return {
             "support_radius": self.support_radius,
-            "bounded": True,
+            "bounded": math.isfinite(self.support_radius),
             "left_moduli": [
                 {
                     "alpha": a,
@@ -338,7 +291,8 @@ def compactness_conditions_report(
     }
     zero_moduli = {d: m for d, m in zip(deltas, report.zero_moduli.tolist()) if d <= 1.0}
 
-    support_verdict = {"radius": radius, "bounded": True, "passed": True}
+    bounded = math.isfinite(radius)
+    support_verdict = {"radius": radius, "bounded": bounded, "passed": bounded}
     left_verdict = {
         "passed": report.left_passed,
         "eps": report.eps,

@@ -113,9 +113,11 @@ def _cut_distance(cuts: np.ndarray) -> np.ndarray:
 
 
 def level_distance_profile(u: FuzzyNumber1D, v: FuzzyNumber1D, grid: GridLike) -> LevelProfile:
-    """H(cut(u, a), cut(v, a)) at every grid level."""
-    g = as_grid(grid)
-    return LevelProfile(g.levels, _cut_distance(_cuts(u, v, g.levels)))
+    """H(cut(u, a), cut(v, a)) at every grid level: the one-row case of
+    :func:`_distance_rows`, which the ``profile`` verb reads."""
+    levels = as_grid(grid).levels
+    ((_, h),) = _distance_rows([u], 1, v, levels)
+    return LevelProfile(levels, h[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ significant digits), so identical inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import json
 import math
 from contextlib import contextmanager
 from json.encoder import encode_basestring
@@ -81,27 +82,8 @@ _JSON, _CSV = _ByType(1), _ByType(2)
 
 
 def _key(key: Any) -> str:
-    """JSON text of a dict key, turned into a string as ``json`` does."""
-    if isinstance(key, str):
-        return encode_basestring(key)
-    if isinstance(key, float):
-        if math.isfinite(key):
-            text = float.__repr__(key)
-        elif key != key:
-            text = "NaN"
-        else:
-            text = "Infinity" if key > 0 else "-Infinity"
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring(text)
+    """JSON text of a dict key that is not a ``str``, as ``json`` writes it."""
+    return json.dumps({key: 0}, ensure_ascii=False)[1:-4]
 
 
 # _SEPARATORS[d] for a container whose first line is indented d levels: its

@@ -24,7 +24,6 @@ from fuzzymetrics import (
     compactness_conditions_report,
     d_infty_parametric,
     equi_continuity_report,
-    eventually_equi_left,
     level_convergence_report,
     make_limit,
     make_sampled_1d,
@@ -543,7 +542,6 @@ def tolerance_sites():
     yield "level_convergence_report", "eps", lambda x: level_convergence_report([tri], tri, [0.0, 1.0], x, 1)
     yield "equi_continuity_report", "eps", lambda x: equi_continuity_report([tri], eps=x)
     yield "compactness_conditions_report", "eps", lambda x: compactness_conditions_report([tri], eps=x)
-    yield "eventually_equi_left", "eps", lambda x: eventually_equi_left([tri], 0.5, x)
     yield "refutation_report-eps", "eps", lambda x: refutation_report(2, eps=x)
     yield "refutation_report-tol", "tol", lambda x: refutation_report(2, tol=x)
 

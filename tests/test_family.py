@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from fuzzymetrics import (
     default_report_grid,
     dgn_bound,
     equi_continuity_report,
-    eventually_equi_left,
     left_modulus,
     level_convergence_report,
     make_sampled_1d,
@@ -60,6 +60,14 @@ def unit_jump_member(n):
     )
 
 
+def nan_at_zero():
+    """Cuts [0, 1] above level 0, and a NaN lower endpoint at level 0."""
+    return CutCurve1D(
+        lower_fn=lambda a: np.where(np.asarray(a, dtype=float) == 0.0, np.nan, 0.0),
+        upper_fn=lambda a: np.ones_like(np.asarray(a, dtype=float)),
+    )
+
+
 def closed_form_modulus(alpha, beta, n_values):
     """Oracle: the family modulus of the counterexample members from the
     printed cut formula, scanned member by member."""
@@ -91,20 +99,12 @@ class TestEmptyFamily:
             lambda fam: right_modulus_at_zero(fam, 0.25),
             equi_continuity_report,
             compactness_conditions_report,
-            lambda fam: eventually_equi_left(fam, 0.5, 0.1),
         ],
     )
     @pytest.mark.parametrize("empty", [list, tuple, iter])
     def test_rejected_everywhere(self, check, empty):
         with pytest.raises(EmptyFamily):
             check(empty([]))
-
-    @pytest.mark.parametrize("n_max", [0, -1])
-    def test_empty_window_rejected(self, n_max):
-        # a window below one member is a bad argument, as in
-        # level_convergence_report, not an empty family
-        with pytest.raises(OutOfRange, match="^n_max must be at least 1$"):
-            eventually_equi_left(members(3), 0.5, 0.1, n_max=n_max)
 
 
 class TestBatchFamily:
@@ -118,10 +118,6 @@ class TestBatchFamily:
             assert support_bound(fam) == 1.0
         assert left_modulus(batch, 0.8, 0.05) == left_modulus(plain, 0.8, 0.05)
         assert right_modulus_at_zero(batch, 0.5) == right_modulus_at_zero(plain, 0.5)
-        for n_max in (None, 257, 10):
-            assert eventually_equi_left(batch, 0.8, 0.01, n_max=n_max) == eventually_equi_left(
-                plain, 0.8, 0.01, n_max=n_max
-            )
 
     def test_compactness_report_bytes(self):
         batch = members(40)
@@ -177,8 +173,6 @@ class TestLeftModulus:
         fam = [make_un(n) for n in range(1, 5)]
         with pytest.raises(OutOfRange, match="finite positive offsets"):
             equi_continuity_report(fam, delta_grid=[0.5, bad])
-        with pytest.raises(OutOfRange, match="finite positive offsets"):
-            eventually_equi_left(fam, 0.8, 0.1, delta_grid=[0.5, bad])
 
 
 class TestRightModulusAtZero:
@@ -235,43 +229,19 @@ class TestEquiContinuityReport:
         report = equi_continuity_report([make_un(3)], alpha_grid=[0.5], eps=1e-3)
         assert report.right_at_zero.witness_delta == 0.25
 
-
-class TestEventuallyEquiLeft:
-    def test_constant_sequence_first_index_finest_offset(self):
-        seq = [crisp(0.3)] * 12
-        assert eventually_equi_left(seq, 0.5, 1e-6) == (1, 2.0 ** -20)
-
-    def test_counterexample_found_with_certificate(self):
-        seq = [make_un(n) for n in range(1, 201)]
-        found = eventually_equi_left(seq, 0.8, 0.01)
-        assert found is not None
-        k0, delta = found
-        worst = closed_form_modulus(0.8, 0.8 - delta, range(k0, 201))
-        assert worst < 0.01
-
-    def test_jump_sequence_not_found(self):
-        seq = [unit_jump_member(n) for n in range(2, 5001)]
-        found = eventually_equi_left(
-            seq, 1.0, 0.5, delta_grid=[2.0 ** -k for k in range(2, 13)]
-        )
-        assert found is None
-
-    def test_uniform_witness_implies_eventual_from_the_start(self):
-        # an equi-continuity witness for the whole family works eventually
-        # with first index 1 and the very same offset
-        fam = [make_un(n) for n in range(1, 101)]
-        report = equi_continuity_report(fam, alpha_grid=[0.8], eps=0.1)
-        delta = report.entries[0].witness_delta
-        assert delta is not None
-        assert eventually_equi_left(fam, 0.8, 0.1, delta_grid=[delta]) == (1, delta)
-
-    def test_modulus_equal_to_eps_is_a_witness_in_both_searches(self):
+    def test_modulus_equal_to_eps_is_a_witness(self):
         # the cut moves from [0.25, 1] at level 1 to [0.125, 1] at level 0.5
         fam = [make_sampled_1d([0, 1], [0, 0.25], [1, 1])]
         report = equi_continuity_report(fam, alpha_grid=[1.0], delta_grid=[0.5], eps=0.125)
         assert report.entries[0].modulus == 0.125
         assert report.entries[0].witness_delta == 0.5
-        assert eventually_equi_left(fam, 1.0, 0.125, delta_grid=[0.5]) == (1, 0.5)
+
+    @pytest.mark.parametrize("level", [1.5, np.nan, -0.25, np.inf])
+    def test_levels_outside_the_unit_interval_are_refused(self, level):
+        fam = [make_un(n) for n in range(1, 5)]
+        for report in (equi_continuity_report, compactness_conditions_report):
+            with pytest.raises(OutOfRange, match=r"^alpha grid levels must lie in \[0, 1\]$"):
+                report(fam, alpha_grid=[0.5, level])
 
 
 class TestCompactnessReport:
@@ -439,9 +409,6 @@ class TestRepeatedOffsets:
         assert dumps(compactness_conditions_report(fam, delta_grid=once * 2).to_dict()) == dumps(
             compactness_conditions_report(fam, delta_grid=once).to_dict()
         )
-        assert eventually_equi_left(fam, 0.7, 0.5, delta_grid=once * 2) == eventually_equi_left(
-            fam, 0.7, 0.5, delta_grid=once
-        )
 
     def test_lattice_holds_the_offset_once(self):
         family = CountingFamily(random_family(seed=8, count=5))
@@ -507,10 +474,6 @@ class TestColumnarEqualsList:
             a = level_convergence_report(columnar, limit, grid, eps=0.3, n_max=n_max)
             b = level_convergence_report(list(columnar), limit, grid, eps=0.3, n_max=n_max)
             assert dumps(a.to_dict()) == dumps(b.to_dict())
-
-    @pytest.mark.parametrize("alpha, eps", [(0.6, 0.2), (0.9, 0.05), (1.0, 1e-3)])
-    def test_eventually_equi_left(self, columnar, alpha, eps):
-        assert eventually_equi_left(columnar, alpha, eps) == eventually_equi_left(list(columnar), alpha, eps)
 
     def test_profile_rows(self, columnar, tmp_path, monkeypatch, capsys):
         family = tmp_path / "family.json"
@@ -624,10 +587,9 @@ class TestStoredRowsAreNotWritten:
         )
         assert left_modulus(family, 0.6, 0.25) == left_modulus(plain, 0.6, 0.25)
         assert right_modulus_at_zero(family, 0.5) == right_modulus_at_zero(plain, 0.5)
-        assert eventually_equi_left(family, 0.7, 0.05) == eventually_equi_left(plain, 0.7, 0.05)
         # one levels vector per 16-row part of the report's 101 lattice rows
         # (seven; the support bound reads the level-0 row), then one per call
-        assert len(family.stored) == 10
+        assert len(family.stored) == 9
         for alphas, lower, upper in family.stored.values():
             assert lower.flags.writeable and upper.flags.writeable
             fresh_lower, fresh_upper = family.rows(alphas)
@@ -654,10 +616,16 @@ class TestPerMemberFamily:
             list(random_family(seed=8, count=5)),
             members(40),
             [make_un(n) for n in range(1, 6)],
+            # a NaN endpoint at level 0 beside a finite member: NaN, unbounded
+            [nan_at_zero(), make_sampled_1d([0, 1], [-2, -1], [2, 1])],
         ],
     )
     def test_support_radius_is_the_support_bound(self, family):
-        assert compactness_conditions_report(family).support_radius == support_bound(family)
+        diag = compactness_conditions_report(family)
+        radius = support_bound(family)
+        assert repr(diag.support_radius) == repr(radius)
+        verdict = diag.condition_verdicts["supremum_metric_criterion"]["support_bounded"]
+        assert diag.to_dict()["bounded"] is verdict["bounded"] is verdict["passed"] is math.isfinite(radius)
 
 
 class BlockRecordingFamily(list):
