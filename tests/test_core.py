@@ -22,6 +22,7 @@ from fuzzymetrics import (
     SampledFuzzy1D,
     alpha_cut,
     compactness_conditions_report,
+    d_infty_pairs,
     d_infty_parametric,
     equi_continuity_report,
     level_convergence_report,
@@ -539,6 +540,7 @@ def tolerance_sites():
     tri = triangular()
     yield "validate_representation", "tol", lambda x: validate_representation(tri, tol=x)
     yield "d_infty_parametric", "tol", lambda x: d_infty_parametric(tri, make_un(1), tol=x)
+    yield "d_infty_pairs", "tol", lambda x: d_infty_pairs([(tri, make_un(1))], tol=x)
     yield "level_convergence_report", "eps", lambda x: level_convergence_report([tri], tri, [0.0, 1.0], x, 1)
     yield "equi_continuity_report", "eps", lambda x: equi_continuity_report([tri], eps=x)
     yield "compactness_conditions_report", "eps", lambda x: compactness_conditions_report([tri], eps=x)

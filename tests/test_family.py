@@ -99,12 +99,20 @@ class TestEmptyFamily:
             lambda fam: right_modulus_at_zero(fam, 0.25),
             equi_continuity_report,
             compactness_conditions_report,
+            # explicit grids do not get past the missing members
+            lambda fam: compactness_conditions_report(fam, alpha_grid=[0.5], delta_grid=[0.25]),
         ],
     )
     @pytest.mark.parametrize("empty", [list, tuple, iter])
     def test_rejected_everywhere(self, check, empty):
         with pytest.raises(EmptyFamily):
             check(empty([]))
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_window_rejected(self, n_max):
+        # a window below one member is a bad argument, not an empty family
+        with pytest.raises(OutOfRange, match="^n_max must be at least 1$"):
+            level_convergence_report(members(3), make_un(3), [0.5, 1.0], 0.1, n_max=n_max)
 
 
 class TestBatchFamily:
@@ -235,6 +243,21 @@ class TestEquiContinuityReport:
         report = equi_continuity_report(fam, alpha_grid=[1.0], delta_grid=[0.5], eps=0.125)
         assert report.entries[0].modulus == 0.125
         assert report.entries[0].witness_delta == 0.5
+
+    def test_constant_family_witness_is_the_coarsest_offset(self):
+        report = equi_continuity_report([crisp(0.3)] * 12, alpha_grid=[0.5], eps=1e-6)
+        assert report.passed
+        assert report.entries[0].witness_delta == DEFAULT_DELTA_GRID[0]
+        assert report.entries[0].modulus == 0.0
+
+    def test_counterexample_tail_witness_matches_the_closed_form(self):
+        tail = range(50, 201)
+        report = equi_continuity_report([make_un(n) for n in tail], alpha_grid=[0.8], eps=0.01)
+        entry = report.entries[0]
+        assert entry.witness_delta is not None
+        worst = closed_form_modulus(0.8, 0.8 - entry.witness_delta, tail)
+        assert worst <= 0.01
+        assert entry.modulus == pytest.approx(worst, abs=1e-12)
 
     @pytest.mark.parametrize("level", [1.5, np.nan, -0.25, np.inf])
     def test_levels_outside_the_unit_interval_are_refused(self, level):
@@ -474,6 +497,15 @@ class TestColumnarEqualsList:
             a = level_convergence_report(columnar, limit, grid, eps=0.3, n_max=n_max)
             b = level_convergence_report(list(columnar), limit, grid, eps=0.3, n_max=n_max)
             assert dumps(a.to_dict()) == dumps(b.to_dict())
+
+    @pytest.mark.parametrize("alpha, eps", [(0.6, 0.2), (0.9, 0.05), (1.0, 1e-3)])
+    def test_equi_continuity_at_one_level(self, columnar, alpha, eps):
+        a = equi_continuity_report(columnar, alpha_grid=[alpha], eps=eps)
+        b = equi_continuity_report(list(columnar), alpha_grid=[alpha], eps=eps)
+        assert dumps(a.to_dict()) == dumps(b.to_dict())
+        entry = a.entries[0]
+        if entry.witness_delta is not None:
+            assert entry.modulus == left_modulus(columnar, alpha, entry.witness_delta) <= eps
 
     def test_profile_rows(self, columnar, tmp_path, monkeypatch, capsys):
         family = tmp_path / "family.json"
