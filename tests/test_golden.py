@@ -60,6 +60,8 @@ CASES = {
     "dist-tri-un1.csv": [*TRI_UN1, *CSV],
     "dist-un1-un2.json": UN1_UN2,
     "dist-un1-un2.csv": [*UN1_UN2, *CSV],
+    # the benchmark's bnb-pair workload, at the default tol 1e-9
+    "dist-un1-un2-default.json": ["dist", "counterexample-un:1", "counterexample-un:2"],
     "profile-tri-limit.csv": ["profile", "tri.json", "counterexample-limit"],
     "profile-tri-limit.json": ["profile", "tri.json", "counterexample-limit", *JSON],
     "profile-un3-tri-gridfile.csv": ["profile", "counterexample-un:3", "tri.json", "--grid", "grid.json"],
