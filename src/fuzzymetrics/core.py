@@ -54,6 +54,20 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _unique(*parts) -> np.ndarray:
+    """The distinct values of all ``parts``, sorted, as ``np.unique`` gives
+    them: of equal values the first is kept (so -0.0 or 0.0, whichever
+    comes first), and all NaNs count as one.  ``np.unique`` imports
+    ``numpy.ma`` on its first call, which costs a report's set-up some
+    milliseconds and a megabyte."""
+    values = np.sort(np.concatenate([np.ravel(p) for p in parts]), kind="stable")
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[1:] &= ~np.isnan(values[:-1])  # NaNs sort last
+    return values[keep]
+
+
 @dataclass(frozen=True)
 class AlphaGrid:
     """Strictly increasing membership levels spanning [0, 1] inclusively."""
@@ -747,7 +761,7 @@ def _probe_levels(u: FuzzyNumber1D) -> np.ndarray:
     if isinstance(u, SampledFuzzy1D):
         return u.grid.levels
     extra = [j.alpha for j in u.jumps]
-    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), extra]))
+    return _unique(np.linspace(0.0, 1.0, 21), extra)
 
 
 def _curvature_check(u: FuzzyNumber1D, levels: np.ndarray) -> ValidationCheck:
@@ -758,7 +772,7 @@ def _curvature_check(u: FuzzyNumber1D, levels: np.ndarray) -> ValidationCheck:
     worst, passed = 0.0, True
     right_limits = {j.alpha: (j.lower_right, j.upper_right) for j in u.jumps}
     for p in u.curvature:
-        ends = np.union1d([p.start, p.end], levels[(levels > p.start) & (levels < p.end)])
+        ends = _unique([p.start, p.end], levels[(levels > p.start) & (levels < p.end)])
         a, b = ends[:-1], ends[1:]
         m = 0.5 * (a + b)
         cuts = np.array(u.endpoints(np.concatenate([ends, m])))

@@ -23,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance
+from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance, _unique
 from .errors import BadIndex, OutOfRange, ParseError
 from .lattice import _worst_moves
 from . import family as family_mod
@@ -420,9 +420,7 @@ def refutation_report(
         "note": "every member's 0-cut is [0, 1] by the closed form, so the whole infinite family shares this radius",
     }
 
-    probe_alphas = np.union1d(
-        np.linspace(0.05, 1.0, 20), [ONE_THIRD] + [ONE_THIRD + 10.0 ** -k for k in range(2, 7)]
-    )
+    probe_alphas = _unique(np.linspace(0.05, 1.0, 20), [ONE_THIRD] + [ONE_THIRD + 10.0 ** -k for k in range(2, 7)])
     above = _inner(probe_alphas) > 0.0
     margin = probe_alphas - ONE_THIRD
     deltas = np.where(above, np.minimum(0.5 * margin, 0.5 * eps * margin), 0.5 * probe_alphas)

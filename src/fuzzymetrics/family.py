@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, make_sampled_family
+from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, _unique, make_sampled_family
 from .errors import EmptyFamily, OutOfRange
 from .lattice import _worst_moves
 from .metrics import default_report_grid
@@ -196,7 +196,7 @@ def equi_continuity_report(
     members = _require_members(family)
     if alpha_grid is None:
         alpha_grid = default_report_grid([members]).levels
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
+    alphas = _unique(np.asarray(alpha_grid, dtype=float))
     if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
         raise OutOfRange("alpha grid levels must lie in [0, 1]")
     alphas = alphas[alphas > 0.0]
@@ -206,7 +206,7 @@ def equi_continuity_report(
     if not given or not all(0.0 < d < math.inf for d in given):
         raise OutOfRange("delta grid must hold finite positive offsets")
     # the distinct offsets, largest first
-    deltas = np.unique(np.asarray(given, dtype=float))[::-1]
+    deltas = _unique(np.asarray(given, dtype=float))[::-1]
 
     table, zero_moduli, radius = _moduli(members, alphas, deltas)
     offsets = deltas.tolist()
@@ -356,7 +356,7 @@ def random_family(
                 f"jump_at must lie strictly inside ({_JUMP_SQUEEZE}, 1): the grid gap below"
                 f" the jump has the squeeze width {_JUMP_SQUEEZE}"
             )
-        grid_levels = np.union1d(grid_levels, [jump_at - _JUMP_SQUEEZE, jump_at])
+        grid_levels = _unique(grid_levels, [jump_at - _JUMP_SQUEEZE, jump_at])
     size = grid_levels.size
     # one row per member, drawn in member order: the center (as
     # rng.uniform(-1, 1) computes it), then the lower and the upper offsets

@@ -49,6 +49,7 @@ from .core import (
     SampledFuzzy1D,
     _check_tolerance,
     _member_rows,
+    _unique,
     _ulps,
     _wrong_side,
     as_grid,
@@ -476,7 +477,7 @@ def _split_layout(u: FuzzyNumber1D, v: FuzzyNumber1D) -> np.ndarray:
     grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
     jumps = [[j.alpha for j in w.jumps if j.alpha < 1.0] for w in (u, v)]
     piece_ends = [x for w in (u, v) for p in w.curvature for x in (p.start, p.end)]
-    points = np.unique(np.concatenate([[0.0, 1.0], *jumps, piece_ends, *grids]))
+    points = _unique([0.0, 1.0], *jumps, piece_ends, *grids)
     layout = np.full((7, points.size), -1.0)
     layout[_LEVEL] = points
     layout[1:5] = np.nan
@@ -854,5 +855,5 @@ def default_report_grid(inputs: Sequence[Union[FuzzyNumber1D, SequenceLike]] = (
     if hints:
         offsets = 10.0 ** -np.arange(2, 7)
         extra = np.concatenate([np.concatenate([h + offsets, h - offsets, [h]]) for h in hints])
-        levels = np.union1d(levels, extra[(extra > 0.0) & (extra <= 1.0)])
+        levels = _unique(levels, extra[(extra > 0.0) & (extra <= 1.0)])
     return AlphaGrid(levels)

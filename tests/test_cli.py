@@ -453,9 +453,9 @@ def source_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def loads_scipy(argv):
-    """Run the CLI from the golden inputs in a fresh interpreter; whether it imported scipy."""
-    code = f"import sys; from fuzzymetrics.cli import run; assert run({argv!r}) == 0; print('scipy' in sys.modules)"
+def loads(module, argv):
+    """Run the CLI from the golden inputs in a fresh interpreter; whether it imported ``module``."""
+    code = f"import sys; from fuzzymetrics.cli import run; assert run({argv!r}) == 0; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=GOLDEN_DIR, env=source_env(), capture_output=True, text=True, check=True
     )
@@ -510,7 +510,24 @@ class TestNoVerbLoadsScipy:
         ids=lambda argv: argv[0],
     )
     def test_verb_loads_no_scipy(self, argv, tmp_path):
-        assert not loads_scipy([*argv, "--out", str(tmp_path / "report")])
+        assert not loads("scipy", [*argv, "--out", str(tmp_path / "report")])
+
+
+# np.unique and np.union1d import numpy.ma on their first call, which costs
+# a report's set-up milliseconds and a megabyte: the benchmark's four
+# commands, on golden inputs, import none of it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--n-max", "100", "--strict"],
+        ["dist", "counterexample-un:1", "counterexample-un:2"],
+        ["family-report", "family100.json"],
+        ["validate", "body.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_benchmark_verb_loads_no_numpy_ma(argv, tmp_path):
+    assert not loads("numpy.ma", [*argv, "--out", str(tmp_path / "report")])
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,30 @@ def triangular():
     return make_sampled_1d([0, 0.5, 1], [0, 0.25, 0.5], [1, 0.75, 0.5])
 
 
+class TestUnique:
+    # np.unique imports numpy.ma; its pick among -0.0 and 0.0 follows its
+    # unstable sort, where core._unique keeps the first
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, 0.25, 1 / 3, 1.0, math.nan, -math.inf]), max_size=40),
+        st.integers(1, 3),
+    )
+    def test_equals_np_unique(self, values, parts):
+        arrays = np.array_split(np.array(values, dtype=float), parts)
+        ours, theirs = core._unique(*arrays), np.unique(np.concatenate(arrays))
+        assert np.array_equal(ours, theirs, equal_nan=True)
+        zeros = [math.copysign(1.0, x) for x in values if x == 0.0]
+        if zeros:
+            assert math.copysign(1.0, ours[ours == 0.0][0]) == zeros[0]
+        if len(set(zeros)) < 2:
+            assert same_bits(ours, theirs)
+
+    def test_equals_np_unique_on_report_levels(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        extra = np.concatenate([1 / 3 + 10.0 ** -np.arange(2, 7), 1 / 3 - 10.0 ** -np.arange(2, 7), [1 / 3]])
+        for parts in ([grid, extra], [np.linspace(0.0, 1.0, 21), [1 / 3, 0.5]], [[0.0, 1.0], [1 / 3], [0.25, 0.5]]):
+            assert same_bits(core._unique(*parts), np.unique(np.concatenate(parts)))
+
+
 class TestAlphaGrid:
     def test_needs_both_endpoints(self):
         with pytest.raises(BadGrid):
