@@ -91,9 +91,10 @@ def right_modulus_at_zero(family: Sequence[FuzzyNumber1D], delta: float) -> floa
 
 def _moduli(
     members: Sequence[FuzzyNumber1D], alphas: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Family moduli on the (alpha, delta) lattice, NaN where delta > alpha,
-    right moduli at level 0 per delta, NaN where delta > 1, and the support
+    right moduli at level 0 per delta, NaN where delta > 1, where each
+    offset applies (a row per level, then one for level 0), and the support
     radius (the largest |endpoint| at level 0, the last row); one pass over
     the members.  An offset that does not apply moves to the row's own
     level, so its level stays inside [0, 1]."""
@@ -102,7 +103,7 @@ def _moduli(
     rows = np.append(alphas, 0.0)
     worst, reach = _worst_moves(members, rows, np.where(valid, lattice, rows[:, None]), reach=True)
     worst[~valid] = np.nan
-    return worst[:-1], worst[-1], float(reach)
+    return worst[:-1], worst[-1], valid, float(reach)
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,26 @@ class EquiContinuityReport:
         }
 
 
-def _witness(deltas: list[float], moduli: list[float], eps: float) -> tuple[float | None, float]:
+def _witness(
+    deltas: list[float], moduli: list[float], applies: list[bool], eps: float
+) -> tuple[float | None, float]:
     """The largest tested delta whose modulus is at most eps, with that
     modulus.
 
-    ``deltas`` run largest first; a NaN modulus marks an offset that does
-    not apply and is skipped.  Without a witness the modulus is the last
+    ``deltas`` run largest first; an offset that does not apply is skipped.
+    A NaN modulus of one that applies (a NaN endpoint) fails the level: no
+    witness, and that NaN.  Without a witness the modulus is the last
     applicable one (NaN when none applies).
     """
     modulus = math.nan
-    for d, m in zip(deltas, moduli):
-        if math.isnan(m):
+    for d, m, ok in zip(deltas, moduli, applies):
+        if not ok:
             continue
         if m <= eps:
             return d, m
         modulus = m
+        if math.isnan(m):
+            break
     return None, modulus
 
 
@@ -208,14 +214,15 @@ def equi_continuity_report(
     # the distinct offsets, largest first
     deltas = _unique(np.asarray(given, dtype=float))[::-1]
 
-    table, zero_moduli, radius = _moduli(members, alphas, deltas)
-    offsets = deltas.tolist()
+    table, zero_moduli, applies, radius = _moduli(members, alphas, deltas)
+    offsets, applies = deltas.tolist(), applies.tolist()
     entries = tuple(
-        EquiEntry(a, *_witness(offsets, row, eps)) for a, row in zip(alphas.tolist(), table.tolist())
+        EquiEntry(a, *_witness(offsets, row, ok, eps))
+        for a, row, ok in zip(alphas.tolist(), table.tolist(), applies)
     )
     return EquiContinuityReport(
         entries=entries,
-        right_at_zero=EquiEntry(0.0, *_witness(offsets, zero_moduli.tolist(), eps)),
+        right_at_zero=EquiEntry(0.0, *_witness(offsets, zero_moduli.tolist(), applies[-1], eps)),
         eps=eps,
         delta_grid=tuple(offsets),
         moduli=table,

@@ -244,6 +244,18 @@ class TestEquiContinuityReport:
         assert report.entries[0].modulus == 0.125
         assert report.entries[0].witness_delta == 0.5
 
+    def test_nan_move_fails_its_level(self):
+        # the lower endpoint is NaN at level 0.5 only: the offset 0.25 from
+        # level 0.75 reaches it, so the smaller offset 0.125, which does
+        # not, is no witness; at level 0.2 the offset 0.25 does not apply
+        u = CutCurve1D(lambda a: np.where(a == 0.5, np.nan, 0.0), np.ones_like)
+        report = equi_continuity_report([u], alpha_grid=[0.75], delta_grid=[0.25, 0.125], eps=0.1)
+        assert report.moduli.tolist()[0][1] == 0.0 and math.isnan(report.moduli[0, 0])
+        assert report.entries[0].witness_delta is None and math.isnan(report.entries[0].modulus)
+        assert not report.left_passed
+        report = equi_continuity_report([u], alpha_grid=[0.2], delta_grid=[0.25, 0.125], eps=0.1)
+        assert report.entries[0].witness_delta == 0.125 and report.left_passed
+
     def test_constant_family_witness_is_the_coarsest_offset(self):
         report = equi_continuity_report([crisp(0.3)] * 12, alpha_grid=[0.5], eps=1e-6)
         assert report.passed
@@ -704,7 +716,7 @@ class TestLatticeParts:
         # offsets above some alphas (NaN cells) and above 1 (NaN in row 0)
         deltas = np.array([1.5, 1.0, 0.3, 0.05, 1e-6, 2.0**-20])
         assert (alphas.size + 1) % 16 != 0
-        table, zero, radius = family_module._moduli(family, alphas, deltas)
+        table, zero, _, radius = family_module._moduli(family, alphas, deltas)
         ref_table, ref_zero = part_reference(family, alphas, deltas)
         assert radius == support_bound(family)
         assert np.isnan(table).any() and np.isnan(zero).any()
