@@ -60,11 +60,13 @@ def _unique(*parts) -> np.ndarray:
     comes first), and all NaNs count as one.  ``np.unique`` imports
     ``numpy.ma`` on its first call, which costs a report's set-up some
     milliseconds and a megabyte."""
-    values = np.sort(np.concatenate([np.ravel(p) for p in parts]), kind="stable")
+    values = np.concatenate(parts, axis=None)  # a new array, sorted in place
+    values.sort(kind="stable")
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
+    # NaNs sort last, so a value after a NaN is a NaN
     np.not_equal(values[1:], values[:-1], out=keep[1:])
-    keep[1:] &= ~np.isnan(values[:-1])  # NaNs sort last
+    keep[1:] &= values[:-1] == values[:-1]
     return values[keep]
 
 

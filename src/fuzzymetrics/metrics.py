@@ -7,10 +7,12 @@ one that the endpoint monotonicity of the cut axioms gives and a curvature
 envelope: where a number declares an endpoint convex, concave or linear,
 the endpoint lies between its chord and the extended secant of the
 neighbouring half-segment, a bound that shrinks with the square of the
-segment width.  The search bisects its open segments a round at a time,
+segment width.  The search bisects its open segments a level at a time,
 with one array call per number for all the midpoints of a round, and checks
 the monotonicity and the declared curvature at every point it evaluates (a
-violation raises NonNested or CurvatureMismatch).  Declared jump points, the
+violation raises NonNested or CurvatureMismatch).  A round whose frontier is
+small reads the midpoints of several levels at once and replays the levels
+one at a time from that read, with the results of one-level rounds.  Declared jump points, the
 ends of curvature pieces and the grid levels of sampled numbers are never
 straddled: they are forced split points.  A jump's one-sided limit cuts
 enter as explicit supremum candidates, so a sup that is approached (but not
@@ -224,6 +226,7 @@ _ROWS = 19
 # are read from the segment's rows, its midpoint (row 19) and the cuts there
 # (rows 20-23).
 _M, _MID = 19, range(20, 24)
+_SIDES = np.arange(2)  # the first and the second half
 _HALVES = np.array(
     [
         (_A, _M),
@@ -238,6 +241,13 @@ _HALVES = np.array(
 
 # Round 0 bounds this many segments at a time.
 _BLOCK = 1 << 14
+# A round bisects its F open segments j levels deep, the most that keeps
+# the F (2**j - 1) midpoints it reads within this many columns.  A round's
+# fixed cost is about that of this many columns or more (for one pair of
+# members about 175 us, against about 1 us per further midpoint), so a
+# frontier of one or two segments covers five or six levels a round for
+# little more than the cost of one.
+_LOOKAHEAD_COLUMNS = 64
 
 
 def _runs(values: np.ndarray) -> np.ndarray:
@@ -362,20 +372,30 @@ def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.nd
     return signs
 
 
-def _check_round(parent: np.ndarray, pair: np.ndarray, m: np.ndarray, mid: np.ndarray, halves: np.ndarray) -> None:
+def _round_flags(halves: np.ndarray):
+    """The checks of :func:`_check_round` on the ``halves`` of bisected
+    segments, side by side: whether each half is nested, and which declared
+    ``_cuts`` rows of each bisected segment lie off their side of the chord.
+    The halves hold the segment: a, m and the cuts there are the first
+    half's rows, b and the cuts there the second half's."""
+    first, second = halves[:, 0::2], halves[:, 1::2]
+    nested = (halves[_LEFT] <= halves[_RIGHT]).all(axis=0)
+    wrong, slack = _wrong_side(
+        first[_A], second[_B], first[_B], first[_LEFT], first[_RIGHT], second[_RIGHT], first[_SIGNS]
+    )
+    return nested, wrong > slack
+
+
+def _check_round(pair: np.ndarray, halves: np.ndarray) -> None:
     """Check a round as each pair's own search does, and raise the error of
     the lowest-index pair (``pair`` of each bisected segment) that fails:
     NonNested unless both cuts shrink from the left to the right end of each
-    half, else CurvatureMismatch unless each declared row of a bisected
-    segment lies on its declared side of the chord at the midpoints ``m``
-    (values ``mid``), up to the rounding slack: a convex row on or below it,
-    a concave row on or above, a linear row on it."""
-    if not m.size:
-        return
-    nested = (halves[_LEFT] <= halves[_RIGHT]).all(axis=0)
-    a, b, signs = parent[_A], parent[_B], parent[_SIGNS]
-    wrong, slack = _wrong_side(a, b, m, parent[_LEFT], mid, parent[_RIGHT], signs)
-    bad = wrong > slack
+    of its ``halves``, else CurvatureMismatch unless each declared row of a
+    bisected segment lies on its declared side of the chord at the midpoint,
+    up to the rounding slack: a convex row on or below it, a concave row on
+    or above, a linear row on it."""
+    nested, bad = _round_flags(halves)
+    a, b, signs = halves[_A, 0::2], halves[_B, 1::2], halves[_SIGNS, 0::2]
     curved = bad.any(axis=0)
     i = int(np.argmin(nested))  # half i is a half of segment i // 2
     j = int(np.argmax(curved))
@@ -447,6 +467,43 @@ def _envelope_bound(hi_a, hi_b, lo_a, lo_b) -> np.ndarray:
     return np.maximum(gaps.max(axis=0), 0.0)
 
 
+def _lookahead(seg: np.ndarray, pair: np.ndarray, depth: int, read: Callable) -> tuple:
+    """Bisect every frontier segment (``seg``, of pairs ``pair``) ``depth``
+    levels deep, with one ``read`` of the cuts at all the midpoints.
+
+    Number the n frontier segments 0..n-1 and the halves h of the tree's
+    levels n + h: the halves of segment g are 2g and 2g + 1.  Returns the
+    halves (the columns of a frontier), and per bisected segment g its
+    midpoint level, the cut distance there and whether a check of
+    :func:`_check_round` fails, and per half its bound: each the value a
+    round of one level gives.
+    """
+    n = pair.size
+    # the ends of each level's segments, a row per frontier segment
+    ends, levels = seg[[_A, _B]].T, []
+    for _ in range(depth):
+        m = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        levels.append(m.ravel())
+        split = np.empty((n, 2 * m.shape[1] + 1))
+        split[:, 0::2], split[:, 1::2] = ends, m
+        ends = split
+    m = np.concatenate(levels)
+    cuts = read(np.concatenate([np.repeat(pair, 1 << k) for k in range(depth)]), m)
+    halves = np.empty((_ROWS, 2 * m.size))
+    parent = seg
+    for k in range(depth):
+        at = slice(n * ((1 << k) - 1), n * ((2 << k) - 1))
+        out = halves[:, 2 * at.start : 2 * at.stop]
+        whole = np.concatenate((parent, m[None, at], cuts[:, at]))
+        # each segment's two halves side by side, written in place
+        np.take(whole, _HALVES, axis=0, out=out.reshape(_ROWS, -1, 2).transpose(0, 2, 1), mode="clip")
+        parent = out
+    nested, bad = _round_flags(halves)
+    fault = ~nested.reshape(-1, 2).all(axis=1) | bad.any(axis=0)
+    bound = np.minimum(_monotone_bound(halves[_LEFT], halves[_RIGHT]), _envelope_bound(*_secant_lines(halves)))
+    return halves, m, _cut_distance(cuts), fault, bound
+
+
 def _check_search(tol: float, max_depth: int) -> None:
     """Reject a search tolerance or depth no enclosure can be asked for."""
     _check_tolerance(tol, "tol")
@@ -506,7 +563,13 @@ def d_infty_pairs(
     bisects every segment whose bound exceeds its pair's best candidate by
     more than ``tol``, until the pair's bracket is narrower than ``tol``;
     when a pair's rounds would exceed ``max_nodes``, its highest bounds are
-    bisected first.  A segment whose endpoints are not monotone raises
+    bisected first.  A round bisects its open segments one level deep or,
+    when they are few, several levels: it reads every segment's midpoints
+    that deep at once, up to ``_LOOKAHEAD_COLUMNS`` of them and never so
+    deep that ``max_depth`` or ``max_nodes`` could stop a pair inside the
+    round, and replays the levels one at a time, so the enclosures, node
+    counts and errors are those of one-level rounds.  A segment whose
+    endpoints are not monotone raises
     NonNested, a midpoint off its declared side of the chord raises
     CurvatureMismatch.  When ``max_depth`` or ``max_nodes`` stops
     refinement first, the bracket is still certified, just wider than
@@ -626,13 +689,17 @@ def d_infty_pairs(
     nodes = np.zeros(count, dtype=np.int64)
     spent = 0  # the nodes of all pairs: no pair has expanded more
     active = np.ones(count, dtype=bool)
-    depth = 0  # the segments of one round share their depth
+    depth = 0  # the segments of one level share their depth
+    # each frontier segment is a column (node) of the halves of the last
+    # lookahead, whose levels are replayed one at a time; round 0's open
+    # segments are the columns of a lookahead with no level left
+    tree, node, roots, ahead = seg, np.cumsum(is_open) - 1, 0, 0
     while True:
         # lower only rises, so a segment within tol of it is never bisected:
         # drop it and keep only its bound, for upper (unexpanded is never
         # NaN, so fmax takes the larger as Python's max does)
         unexpanded = np.fmax(unexpanded, _pair_max(bound, pair, count, ~is_open))
-        bound, pair = bound[is_open], pair[is_open]
+        bound, pair, node = bound[is_open], pair[is_open], node[is_open]
         # a pair stops when its frontier is empty (every bound is within tol
         # of its lower end), on its own node budget, or at max_depth
         width = np.bincount(pair, minlength=count)
@@ -647,7 +714,7 @@ def d_infty_pairs(
             if not active.any():
                 break
             keep = active[pair]
-            seg, bound, pair = seg[:, keep], bound[keep], pair[keep]
+            node, bound, pair = node[keep], bound[keep], pair[keep]
             width[done] = 0
         if pair.size > max_nodes - spent:
             # a pair whose rounds would exceed its budget bisects its
@@ -659,26 +726,37 @@ def d_infty_pairs(
                 order = starts[p] + np.argsort(-bound[starts[p] : starts[p] + width[p]], kind="stable")
                 unexpanded[p] = max(unexpanded[p], float(bound[order[budget[p]]]))
                 keep[order[budget[p] :]] = False
-            seg, pair = seg[:, keep], pair[keep]
+            node, pair = node[keep], pair[keep]
             width = np.bincount(pair, minlength=count)
         nodes += width
         spent += pair.size
-        m = 0.5 * (seg[_A] + seg[_B])
-        mid = read(pair, m)
-        h, i = _pair_argmax(_cut_distance(mid), pair, count)
+        if not ahead:
+            # a new round: as many levels as the column budget allows and no
+            # pair's max_depth or max_nodes can stop inside the round
+            ahead = 1
+            while (
+                ahead < max_depth - depth
+                and pair.size * ((2 << ahead) - 1) <= _LOOKAHEAD_COLUMNS
+                and spent + pair.size * ((2 << ahead) - 2) <= max_nodes
+            ):
+                ahead += 1
+            tree, levels, dist, fault, bounds = _lookahead(tree[:, node - roots], pair, ahead, read)
+            roots, node = pair.size, np.arange(pair.size)
+        # one level of the lookahead, as a round of one level bisects it
+        h, i = _pair_argmax(dist[node], pair, count)
         better = h > best_point
         if better.any():
             np.copyto(best_point, h, where=better)
-            np.copyto(best_point_at, m[i], where=better)
+            np.copyto(best_point_at, levels[node[i]], where=better)
             lower = _later_max(best_point, floor)
-        parent = seg
-        seg = np.concatenate((seg, m[None], mid))[_HALVES].transpose(0, 2, 1).reshape(_ROWS, -1)
-        _check_round(parent, pair, m, mid, seg)
+        halves = (2 * node[:, None] + _SIDES).ravel()
+        if fault[node].any():
+            _check_round(pair, tree[:, halves])
         depth += 1
-        bound = np.minimum(_monotone_bound(seg[_LEFT], seg[_RIGHT]), _envelope_bound(*_secant_lines(seg)))
+        ahead -= 1
+        bound, node = bounds[halves], halves + roots
         pair = np.repeat(pair, 2)
         is_open = bound - lower[pair] > tol
-        seg = seg[:, is_open]
 
     attained = best_point >= best_limit
     columns = lower, upper, attained, np.where(attained, best_point_at, best_limit_at), nodes

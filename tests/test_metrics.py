@@ -1,7 +1,9 @@
+import collections
 import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from fuzzymetrics import (
     make_un,
     random_family,
 )
+from fuzzymetrics import metrics
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
 from fuzzymetrics.core import _SIGN, _SLACK_ULPS, _ulps, _wrong_side
@@ -434,6 +437,49 @@ def record_bits(record: Enclosures) -> list:
     return rows
 
 
+def searched_bits(pairs, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH, max_nodes=DEFAULT_MAX_NODES) -> list:
+    """The bits of each pair's enclosure, after checking that the batch
+    record and each pair's own search give the same."""
+    batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
+    alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
+    bits = record_bits(batch)
+    assert list(map(enclosure_bits, batch)) == bits == list(map(enclosure_bits, alone))
+    return bits
+
+
+def narrow_bump(c, w):
+    """bump() squeezed onto [c, c + w]: a lower endpoint that only a
+    midpoint inside it shows not monotone."""
+    return CutCurve1D(
+        lower_fn=lambda a: 0.2 * np.sin(np.pi * np.clip((a - c) / w, 0.0, 1.0)), upper_fn=make_un(1).upper_fn
+    )
+
+
+def dent(c, w):
+    """Upper endpoint 1.2 - a^2, declared concave, less 0.001 sin on
+    [c, c + w]: a dent that only a midpoint inside it shows not concave;
+    lower endpoint 0."""
+    return CutCurve1D(
+        lower_fn=lambda a: 0.0 * a,
+        upper_fn=lambda a: 1.2 - a * a - 0.001 * np.sin(np.pi * np.clip((a - c) / w, 0.0, 1.0)),
+        curvature=(DeclaredCurvature(0.0, 1.0, None, "concave"),),
+    )
+
+
+# pairs whose search raises, at bisection depth 1 or 2 (the first three),
+# 6 (the dent) and 7 (the narrow bump)
+FAILING_PAIRS = [
+    (wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)), MEMBERS[0]),
+    (bump(), MEMBERS[1]),
+    (MEMBERS[2], bump()),
+    (dent(0.58, 0.03), MEMBERS[1]),
+    (narrow_bump(0.345, 0.005), MEMBERS[0]),
+]
+# column budgets: one-level rounds, the default, and rounds as deep as
+# max_depth and max_nodes allow for the frontiers of a few pairs
+LOOKAHEADS = (0, metrics._LOOKAHEAD_COLUMNS, 1 << 10)
+
+
 class TestBatchedSearch:
     """``d_infty_pairs`` gives every pair the enclosure of its own search."""
 
@@ -445,9 +491,50 @@ class TestBatchedSearch:
         st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
     )
     def test_equals_the_per_pair_searches(self, pairs, tol, max_depth, max_nodes):
-        batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
-        alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
-        assert list(map(enclosure_bits, batch)) == record_bits(batch) == list(map(enclosure_bits, alone))
+        searched_bits(pairs, tol, max_depth, max_nodes)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(search_pairs(), min_size=1, max_size=8),
+        st.sampled_from([1e-6, 1e-9]),
+        st.sampled_from([DEFAULT_MAX_DEPTH, 3, 8]),
+        st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
+    )
+    def test_enclosures_do_not_depend_on_the_lookahead(self, pairs, tol, max_depth, max_nodes):
+        bits = []
+        for columns in LOOKAHEADS:
+            with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
+                bits.append(searched_bits(pairs, tol, max_depth, max_nodes))
+        assert bits[1] == bits[0] and bits[2] == bits[0]
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.lists(search_pairs(), max_size=6), st.sampled_from(FAILING_PAIRS), st.data())
+    def test_errors_do_not_depend_on_the_lookahead(self, pairs, bad, data):
+        at = data.draw(st.integers(0, len(pairs)))
+        errors = set()
+        for columns in LOOKAHEADS:
+            with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
+                for search in (lambda: d_infty_parametric(*bad), lambda: d_infty_pairs([*pairs[:at], bad, *pairs[at:]])):
+                    with pytest.raises((CurvatureMismatch, NonNested)) as error:
+                        search()
+                    errors.add((type(error.value), str(error.value)))
+        assert len(errors) == 1
+
+    def test_one_pair_reads_each_number_once_per_round(self, monkeypatch):
+        # after round 0 the search bisects 16 levels, one or two segments a
+        # level: rounds of several levels read each number 4 times, where
+        # rounds of one level read it 17 times
+        calls = collections.Counter()
+        endpoints = CutCurve1D.endpoints
+
+        def counted(self, alphas):
+            calls[id(self)] += 1
+            return endpoints(self, alphas)
+
+        monkeypatch.setattr(CutCurve1D, "endpoints", counted)
+        u, v = make_un(1), make_un(2)
+        assert d_infty_parametric(u, v).nodes == 31
+        assert calls.keys() == {id(u), id(v)} and calls[id(u)] == calls[id(v)] <= 6
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.lists(search_pairs(), max_size=6), st.data())
