@@ -10,11 +10,10 @@ neighbouring half-segment, a bound that shrinks with the square of the
 segment width.  The search bisects its open segments a level at a time,
 with one array call per number for all the midpoints of a round, and checks
 the monotonicity and the declared curvature at every point it evaluates (a
-violation raises NonNested or CurvatureMismatch).  A round whose frontier is
-small reads the midpoints of several levels at once and replays the levels
-one at a time from that read, with the results of one-level rounds.  Declared jump points, the
-ends of curvature pieces and the grid levels of sampled numbers are never
-straddled: they are forced split points.  A jump's one-sided limit cuts
+violation raises NonNested or CurvatureMismatch); a round with few open
+segments reads several levels at once and replays them one at a time.
+Declared jump points, the ends of curvature pieces and the grid levels of
+sampled numbers are never straddled: they are forced split points.  A jump's one-sided limit cuts
 enter as explicit supremum candidates, so a sup that is approached (but not
 attained) at a jump is still enclosed exactly; between grid levels sampled
 numbers are linear, so the sup of a sampled pair is read off the split
@@ -242,11 +241,9 @@ _HALVES = np.array(
 # Round 0 bounds this many segments at a time.
 _BLOCK = 1 << 14
 # A round bisects its F open segments j levels deep, the most that keeps
-# the F (2**j - 1) midpoints it reads within this many columns.  A round's
-# fixed cost is about that of this many columns or more (for one pair of
-# members about 175 us, against about 1 us per further midpoint), so a
-# frontier of one or two segments covers five or six levels a round for
-# little more than the cost of one.
+# its F (2**j - 1) midpoints within this many: a round's fixed cost is that
+# of this many midpoints or more (one pair of members: 175 us, against 1 us
+# a midpoint), so one or two segments cover five or six levels a round.
 _LOOKAHEAD_COLUMNS = 64
 
 
@@ -471,35 +468,33 @@ def _lookahead(seg: np.ndarray, pair: np.ndarray, depth: int, read: Callable) ->
     """Bisect every frontier segment (``seg``, of pairs ``pair``) ``depth``
     levels deep, with one ``read`` of the cuts at all the midpoints.
 
-    Number the n frontier segments 0..n-1 and the halves h of the tree's
-    levels n + h: the halves of segment g are 2g and 2g + 1.  Returns the
-    halves (the columns of a frontier), and per bisected segment g its
-    midpoint level, the cut distance there and whether a check of
-    :func:`_check_round` fails, and per half its bound: each the value a
-    round of one level gives.
-    """
+    With the n frontier segments numbered 0..n-1 and half h of any level
+    n + h, segment g has halves 2g and 2g + 1.  Returns the halves, and per
+    segment g its midpoint, the cut distance there and whether it fails a
+    check of :func:`_check_round`, and per half its bound, each as a round
+    of one level gives it."""
     n = pair.size
-    # the ends of each level's segments, a row per frontier segment
-    ends, levels = seg[[_A, _B]].T, []
-    for _ in range(depth):
-        m = 0.5 * (ends[:, :-1] + ends[:, 1:])
-        levels.append(m.ravel())
-        split = np.empty((n, 2 * m.shape[1] + 1))
-        split[:, 0::2], split[:, 1::2] = ends, m
-        ends = split
+    # each level's midpoints and their pairs, from the ends a and b of its
+    # segments in column order
+    a, b, levels, owners = seg[_A], seg[_B], [], [pair]
+    while True:
+        levels.append(0.5 * (a + b))
+        if len(levels) == depth:
+            break
+        ends = np.empty((2, a.size, 2))
+        ends[0, :, 0], ends[0, :, 1], ends[1, :, 0], ends[1, :, 1] = a, levels[-1], levels[-1], b
+        (a, b), owners = ends.reshape(2, -1), [*owners, np.repeat(owners[-1], 2)]
     m = np.concatenate(levels)
-    cuts = read(np.concatenate([np.repeat(pair, 1 << k) for k in range(depth)]), m)
-    halves = np.empty((_ROWS, 2 * m.size))
-    parent = seg
+    cuts = read(np.concatenate(owners), m)
+    # per segment its two halves; the columns of the flat view side by side
+    split = np.empty((_ROWS, m.size, 2))
+    halves, parent = split.reshape(_ROWS, -1), seg
     for k in range(depth):
         at = slice(n * ((1 << k) - 1), n * ((2 << k) - 1))
-        out = halves[:, 2 * at.start : 2 * at.stop]
-        whole = np.concatenate((parent, m[None, at], cuts[:, at]))
-        # each segment's two halves side by side, written in place
-        np.take(whole, _HALVES, axis=0, out=out.reshape(_ROWS, -1, 2).transpose(0, 2, 1), mode="clip")
-        parent = out
+        split[:, at] = np.concatenate((parent, m[None, at], cuts[:, at]))[_HALVES].transpose(0, 2, 1)
+        parent = halves[:, 2 * at.start : 2 * at.stop]
     nested, bad = _round_flags(halves)
-    fault = ~nested.reshape(-1, 2).all(axis=1) | bad.any(axis=0)
+    fault = ~(nested[0::2] & nested[1::2]) | bad.any(axis=0)
     bound = np.minimum(_monotone_bound(halves[_LEFT], halves[_RIGHT]), _envelope_bound(*_secant_lines(halves)))
     return halves, m, _cut_distance(cuts), fault, bound
 
@@ -563,12 +558,11 @@ def d_infty_pairs(
     bisects every segment whose bound exceeds its pair's best candidate by
     more than ``tol``, until the pair's bracket is narrower than ``tol``;
     when a pair's rounds would exceed ``max_nodes``, its highest bounds are
-    bisected first.  A round bisects its open segments one level deep or,
-    when they are few, several levels: it reads every segment's midpoints
-    that deep at once, up to ``_LOOKAHEAD_COLUMNS`` of them and never so
-    deep that ``max_depth`` or ``max_nodes`` could stop a pair inside the
-    round, and replays the levels one at a time, so the enclosures, node
-    counts and errors are those of one-level rounds.  A segment whose
+    bisected first.  A round with few open segments reads their midpoints
+    several levels deep at once (``_LOOKAHEAD_COLUMNS``, never so deep that
+    ``max_depth`` or ``max_nodes`` could stop a pair inside it) and replays
+    the levels one at a time, with the results of one-level rounds.  A
+    segment whose
     endpoints are not monotone raises
     NonNested, a midpoint off its declared side of the chord raises
     CurvatureMismatch.  When ``max_depth`` or ``max_nodes`` stops
@@ -690,9 +684,8 @@ def d_infty_pairs(
     spent = 0  # the nodes of all pairs: no pair has expanded more
     active = np.ones(count, dtype=bool)
     depth = 0  # the segments of one level share their depth
-    # each frontier segment is a column (node) of the halves of the last
-    # lookahead, whose levels are replayed one at a time; round 0's open
-    # segments are the columns of a lookahead with no level left
+    # each open segment is a column (node) of the last lookahead, whose
+    # levels are replayed one at a time; round 0's are a lookahead's roots
     tree, node, roots, ahead = seg, np.cumsum(is_open) - 1, 0, 0
     while True:
         # lower only rises, so a segment within tol of it is never bisected:
@@ -731,8 +724,7 @@ def d_infty_pairs(
         nodes += width
         spent += pair.size
         if not ahead:
-            # a new round: as many levels as the column budget allows and no
-            # pair's max_depth or max_nodes can stop inside the round
+            # a new round, as deep as no max_depth or max_nodes can stop
             ahead = 1
             while (
                 ahead < max_depth - depth

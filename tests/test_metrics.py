@@ -437,16 +437,6 @@ def record_bits(record: Enclosures) -> list:
     return rows
 
 
-def searched_bits(pairs, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH, max_nodes=DEFAULT_MAX_NODES) -> list:
-    """The bits of each pair's enclosure, after checking that the batch
-    record and each pair's own search give the same."""
-    batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
-    alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
-    bits = record_bits(batch)
-    assert list(map(enclosure_bits, batch)) == bits == list(map(enclosure_bits, alone))
-    return bits
-
-
 def narrow_bump(c, w):
     """bump() squeezed onto [c, c + w]: a lower endpoint that only a
     midpoint inside it shows not monotone."""
@@ -475,8 +465,8 @@ FAILING_PAIRS = [
     (dent(0.58, 0.03), MEMBERS[1]),
     (narrow_bump(0.345, 0.005), MEMBERS[0]),
 ]
-# column budgets: one-level rounds, the default, and rounds as deep as
-# max_depth and max_nodes allow for the frontiers of a few pairs
+# column budgets: one-level rounds, the default, and rounds of up to ten
+# levels, as deep as max_depth and max_nodes allow
 LOOKAHEADS = (0, metrics._LOOKAHEAD_COLUMNS, 1 << 10)
 
 
@@ -491,34 +481,15 @@ class TestBatchedSearch:
         st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
     )
     def test_equals_the_per_pair_searches(self, pairs, tol, max_depth, max_nodes):
-        searched_bits(pairs, tol, max_depth, max_nodes)
-
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        st.lists(search_pairs(), min_size=1, max_size=8),
-        st.sampled_from([1e-6, 1e-9]),
-        st.sampled_from([DEFAULT_MAX_DEPTH, 3, 8]),
-        st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
-    )
-    def test_enclosures_do_not_depend_on_the_lookahead(self, pairs, tol, max_depth, max_nodes):
+        # at every column budget, with the bits of one-level rounds
         bits = []
         for columns in LOOKAHEADS:
             with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
-                bits.append(searched_bits(pairs, tol, max_depth, max_nodes))
+                batch = d_infty_pairs(pairs, tol=tol, max_depth=max_depth, max_nodes=max_nodes)
+                alone = tuple(d_infty_parametric(u, v, tol, max_depth, max_nodes) for u, v in pairs)
+            bits.append(record_bits(batch))
+            assert list(map(enclosure_bits, batch)) == bits[-1] == list(map(enclosure_bits, alone))
         assert bits[1] == bits[0] and bits[2] == bits[0]
-
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(st.lists(search_pairs(), max_size=6), st.sampled_from(FAILING_PAIRS), st.data())
-    def test_errors_do_not_depend_on_the_lookahead(self, pairs, bad, data):
-        at = data.draw(st.integers(0, len(pairs)))
-        errors = set()
-        for columns in LOOKAHEADS:
-            with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
-                for search in (lambda: d_infty_parametric(*bad), lambda: d_infty_pairs([*pairs[:at], bad, *pairs[at:]])):
-                    with pytest.raises((CurvatureMismatch, NonNested)) as error:
-                        search()
-                    errors.add((type(error.value), str(error.value)))
-        assert len(errors) == 1
 
     def test_one_pair_reads_each_number_once_per_round(self, monkeypatch):
         # after round 0 the search bisects 16 levels, one or two segments a
@@ -539,21 +510,18 @@ class TestBatchedSearch:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.lists(search_pairs(), max_size=6), st.data())
     def test_a_failing_pair_among_family_rows_raises_its_own_error(self, pairs, data):
-        bad = data.draw(
-            st.sampled_from(
-                [
-                    (wiggle((DeclaredCurvature(0.0, 1.0, "linear", "convex"),)), MEMBERS[0]),
-                    (bump(), MEMBERS[1]),
-                    (MEMBERS[2], bump()),
-                ]
-            )
-        )
+        # at every column budget, with the error of one-level rounds
+        bad = data.draw(st.sampled_from(FAILING_PAIRS))
         at = data.draw(st.integers(0, len(pairs)))
-        with pytest.raises((CurvatureMismatch, NonNested)) as alone:
-            d_infty_parametric(*bad)
-        with pytest.raises(type(alone.value)) as batch:
-            d_infty_pairs([*pairs[:at], bad, *pairs[at:]])
-        assert str(batch.value) == str(alone.value)
+        errors = []
+        for columns in LOOKAHEADS:
+            with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
+                with pytest.raises((CurvatureMismatch, NonNested)) as alone:
+                    d_infty_parametric(*bad)
+                with pytest.raises((CurvatureMismatch, NonNested)) as batch:
+                    d_infty_pairs([*pairs[:at], bad, *pairs[at:]])
+            errors += [(type(e.value), str(e.value)) for e in (alone, batch)]
+        assert errors == errors[:1] * 6
 
     def test_budgets_bind_per_pair(self):
         # a small node budget and a small depth each stop some pairs of one
