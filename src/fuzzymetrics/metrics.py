@@ -13,11 +13,11 @@ the monotonicity and the declared curvature at every point it evaluates (a
 violation raises NonNested or CurvatureMismatch); a round with few open
 segments reads several levels at once and replays them one at a time.
 Declared jump points, the ends of curvature pieces and the grid levels of
-sampled numbers are never straddled: they are forced split points.  A jump's one-sided limit cuts
-enter as explicit supremum candidates, so a sup that is approached (but not
-attained) at a jump is still enclosed exactly; between grid levels sampled
-numbers are linear, so the sup of a sampled pair is read off the split
-points with no bisection.
+sampled numbers are never straddled: they are forced split points.  A
+jump's one-sided limit cuts enter as explicit supremum candidates, so a sup
+that is approached (but not attained) at a jump is still enclosed exactly;
+between grid levels sampled numbers are linear, so the sup of a sampled
+pair is read off the split points with no bisection.
 
 ``d_infty_pairs`` runs one search for many pairs; ``d_infty_parametric`` is
 its one-pair case.  The pairs share the rounds but keep their own budgets:
@@ -483,7 +483,8 @@ def _lookahead(seg: np.ndarray, pair: np.ndarray, depth: int, read: Callable) ->
             break
         ends = np.empty((2, a.size, 2))
         ends[0, :, 0], ends[0, :, 1], ends[1, :, 0], ends[1, :, 1] = a, levels[-1], levels[-1], b
-        (a, b), owners = ends.reshape(2, -1), [*owners, np.repeat(owners[-1], 2)]
+        a, b = ends.reshape(2, -1)
+        owners.append(np.repeat(owners[-1], 2))
     m = np.concatenate(levels)
     cuts = read(np.concatenate(owners), m)
     # per segment its two halves; the columns of the flat view side by side
@@ -562,15 +563,14 @@ def d_infty_pairs(
     several levels deep at once (``_LOOKAHEAD_COLUMNS``, never so deep that
     ``max_depth`` or ``max_nodes`` could stop a pair inside it) and replays
     the levels one at a time, with the results of one-level rounds.  A
-    segment whose
-    endpoints are not monotone raises
-    NonNested, a midpoint off its declared side of the chord raises
-    CurvatureMismatch.  When ``max_depth`` or ``max_nodes`` stops
-    refinement first, the bracket is still certified, just wider than
-    requested.  For two sampled numbers every row is linear between split
-    points, so the bound of every segment is the larger distance at its
-    ends: the bracket closes with ``lower == upper`` and no node.  A pair of
-    one number, or of two with equal keys, gets ``[0, 0]`` with no search.
+    segment whose endpoints are not monotone raises NonNested, a midpoint
+    off its declared side of the chord raises CurvatureMismatch.  When
+    ``max_depth`` or ``max_nodes`` stops refinement first, the bracket is
+    still certified, just wider than requested.  For two sampled numbers
+    every row is linear between split points, so the bound of every segment
+    is the larger distance at its ends: the bracket closes with
+    ``lower == upper`` and no node.  A pair of one number, or of two with
+    equal keys, gets ``[0, 0]`` with no search.
 
     The pairs share the rounds, not the budgets: each stops by its own rule
     (its bracket meets ``tol``, it has expanded ``max_nodes`` nodes, or the
