@@ -55,11 +55,11 @@ def _frozen(values) -> np.ndarray:
 
 
 def _unique(*parts) -> np.ndarray:
-    """The distinct values of all ``parts``, sorted, as ``np.unique`` gives
-    them: of equal values the first is kept (so -0.0 or 0.0, whichever
-    comes first), and all NaNs count as one.  ``np.unique`` imports
-    ``numpy.ma`` on its first call, which costs a report's set-up some
-    milliseconds and a megabyte."""
+    """The sorted distinct values of all ``parts`` as ``np.unique`` gives
+    them, all NaNs as one, except that of -0.0 and 0.0 the first is kept
+    where ``np.unique``'s pick follows its unstable sort.  ``np.unique``
+    imports ``numpy.ma`` on its first call, which costs a report's set-up
+    some milliseconds and a megabyte."""
     values = np.concatenate(parts, axis=None)  # a new array, sorted in place
     values.sort(kind="stable")
     keep = np.empty(values.size, dtype=bool)

@@ -420,7 +420,9 @@ def refutation_report(
         "note": "every member's 0-cut is [0, 1] by the closed form, so the whole infinite family shares this radius",
     }
 
-    probe_alphas = _unique(np.linspace(0.05, 1.0, 20), [ONE_THIRD] + [ONE_THIRD + 10.0 ** -k for k in range(2, 7)])
+    probe_alphas = _unique(
+        np.linspace(0.05, 1.0, 20), [ONE_THIRD] + [ONE_THIRD + 10.0 ** -k for k in range(2, 7)]
+    )
     above = _inner(probe_alphas) > 0.0
     margin = probe_alphas - ONE_THIRD
     deltas = np.where(above, np.minimum(0.5 * margin, 0.5 * eps * margin), 0.5 * probe_alphas)
