@@ -48,12 +48,30 @@ __all__ = ["main", "run"]
 
 
 def _load_json(path: str):
+    """The JSON document in the file ``path``.
+
+    orjson reads it; a file orjson refuses (NaN or Infinity tokens, numbers
+    beyond a double, lone surrogate escapes, invalid UTF-8, deep nesting or
+    malformed JSON) is read again with ``json.load``, whose value or error
+    stands.  orjson reads an integer outside [-2**63, 2**64) as the nearest
+    float where ``json`` reads an int.
+    """
+    import orjson  # here, so that verbs reading no file never import it
+
+    try:
+        with open(path, "rb") as fh:
+            return orjson.loads(fh.read())
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except orjson.JSONDecodeError:
+        pass
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, invalid UTF-8, or nesting past the recursion limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -230,7 +230,7 @@ def token_form(spec: str) -> dict | None:
         raise ParseError(f"bad constructor token {spec!r}: expected {len(params)} argument(s)")
     try:
         values = [json.loads(a) for a in args]
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad constructor token {spec!r}: {exc}") from exc
     return {"type": kind, **dict(zip(params, values))}
 

@@ -10,7 +10,7 @@ import pytest
 
 import fuzzymetrics
 from fuzzymetrics import counterexample
-from fuzzymetrics.cli import _kind, run
+from fuzzymetrics.cli import _kind, _load_json, run
 from fuzzymetrics.counterexample import member_sequence, members
 from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps
 from fuzzymetrics import (
@@ -530,6 +530,21 @@ def test_benchmark_verb_loads_no_numpy_ma(argv, tmp_path):
     assert not loads("numpy.ma", [*argv, "--out", str(tmp_path / "report")])
 
 
+# importing orjson costs a report's set-up some 7 ms (it imports uuid and
+# zoneinfo): only a verb that reads a file imports it
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (["counterexample", "--n-max", "100"], False),
+        (["dist", "counterexample-un:1", "counterexample-un:2"], False),
+        (["validate", "body.json"], True),
+    ],
+    ids=lambda case: case[0] if isinstance(case, list) else None,
+)
+def test_only_a_verb_reading_a_file_loads_orjson(argv, imported, tmp_path):
+    assert loads("orjson", [*argv, "--out", str(tmp_path / "report")]) is imported
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -625,3 +640,88 @@ def test_bad_inputs_are_input_errors(argv, files, message, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+DEEP_TOKEN = "counterexample-un:" + "[" * 3000
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+# what the standard library's reader raises besides JSONDecodeError is an
+# input error too: one line on stderr, status 1
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["family-report", "family.json"],
+            {"family.json": b"[\xff" + (GOLDEN_DIR / "family.json").read_bytes()[1:]},
+            "family.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte",
+        ),
+        (["validate", "deep.json"], {"deep.json": b"[" * 100_000}, f"deep.json is not valid JSON: {TOO_DEEP}"),
+        (["dist", DEEP_TOKEN, "counterexample-limit"], {}, f"bad constructor token {DEEP_TOKEN!r}: {TOO_DEEP}"),
+        pytest.param(
+            ["validate", "big.json"],
+            {"big.json": b'{"type": "counterexample-un", "n": 1' + b"0" * 5000 + b"}"},
+            "big.json is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"),
+        ),
+    ],
+    ids=["family-not-utf-8", "file-nested-too-deep", "token-nested-too-deep", "integer-past-digit-limit"],
+)
+def test_unreadable_inputs_are_input_errors(argv, files, message, tmp_path, monkeypatch, capsys):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def json_only(monkeypatch):
+    """Send every file to the standard library's reader, as before orjson."""
+    import orjson
+
+    def refuse(data):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    monkeypatch.setattr(orjson, "loads", refuse)
+
+
+class TestIntegerBeyond64Bits:
+    # orjson reads an integer outside [-2**63, 2**64) that fits a double as
+    # the nearest float, where json reads an int: 2**64 + 1 reads as 2**64.
+    # Neither integer-typed input field prints anything else for it.
+    BIG = 2**64 + 1
+
+    def read_and_run(self, argv, field, capsys):
+        """The value read for ``field`` of the last input, and what ``argv`` prints."""
+        value = _load_json(argv[-1])[field]
+        status = run(argv)
+        captured = capsys.readouterr()
+        return value, status, captured.out, captured.err
+
+    def run_both(self, argv, field, monkeypatch, capsys):
+        with_orjson = self.read_and_run(argv, field, capsys)
+        json_only(monkeypatch)
+        return with_orjson, self.read_and_run(argv, field, capsys)
+
+    def test_directions_print_the_shape_error(self, tmp_path, monkeypatch, capsys):
+        doc = {**read_json(GOLDEN_DIR / "body.json"), "directions": self.BIG}
+        (tmp_path / "body.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        shape_error = "error: support matrix shape does not match the declared direction count\n"
+        orjson_read, json_read = self.run_both(["validate", "body.json"], "directions", monkeypatch, capsys)
+        assert type(orjson_read[0]) is float and orjson_read[0] == 2**64
+        assert type(json_read[0]) is int and json_read[0] == self.BIG
+        assert orjson_read[1:] == json_read[1:] == (1, "", shape_error)
+
+    def test_member_index_prints_the_same_report(self, tmp_path, monkeypatch, capsys):
+        # past 2**53 every member has the same endpoints at every level
+        (tmp_path / "un.json").write_text(json.dumps({"type": "counterexample-un", "n": self.BIG}))
+        monkeypatch.chdir(tmp_path)
+        orjson_read, json_read = self.run_both(["validate", "un.json"], "n", monkeypatch, capsys)
+        assert type(orjson_read[0]) is float and orjson_read[0] == 2**64
+        assert type(json_read[0]) is int and json_read[0] == self.BIG
+        assert orjson_read[1:] == json_read[1:]
+        assert orjson_read[1] == 0 and json.loads(orjson_read[2])["validation"]["passed"] is True
