@@ -280,9 +280,12 @@ class CutCurve1D:
     batch family, so ``batch.endpoints(ns, alphas)`` gives its endpoints as
     the row of ``n`` bit for bit, and it declares the same jumps and
     curvature as every other row of ``batch``.  The supremum search reads
-    the rows of one family that need the same levels with one batch call
-    and looks their declarations up once.  It takes no part in comparison
-    or ``repr``.
+    each family with one call per round, in the column form: ``ns`` holds
+    one float index per level and ``alphas`` is that column of levels
+    (shape ``(len(ns), 1)``), and row i must equal the endpoints of member
+    ``ns[i]`` at ``alphas[i, 0]`` bit for bit.  It looks the rows'
+    declarations up once.  The field takes no part in comparison or
+    ``repr``.
     """
 
     lower_fn: Callable[[np.ndarray], np.ndarray]

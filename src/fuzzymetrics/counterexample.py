@@ -26,7 +26,6 @@ import numpy as np
 from .core import CutCurve1D, DeclaredCurvature, DeclaredJump, _check_tolerance, _unique
 from .errors import BadIndex, OutOfRange, ParseError
 from .lattice import _worst_moves
-from . import family as family_mod
 from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
@@ -412,7 +411,11 @@ def refutation_report(
     limit = make_limit()
     grid = default_report_grid([limit])
 
-    radius = family_mod.support_bound(fam)
+    # one read of every member on the grid, whose first level is 0: row
+    # n - 1 equals exact_H_profile(n, grid.levels) bit for bit, and column 0
+    # holds the 0-cuts that support_bound reads
+    lower, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
+    radius = float(np.max(np.abs([lower[:, 0], upper[:, 0]])))
     support_section = {
         "radius": radius,
         "bounded": math.isfinite(radius),
@@ -456,8 +459,6 @@ def refutation_report(
         "table_csv": csv_table(("alpha", "first_index"), zip(levels, first)),
     }
 
-    # row n - 1 equals exact_H_profile(n, grid.levels) bit for bit
-    _, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
     grid_max = np.max(upper - _limit_upper(grid.levels), axis=1).tolist()
     # one search for all the member-vs-limit pairs
     found = d_infty_pairs([(un, limit) for un in fam], tol=tol)

@@ -8,10 +8,11 @@ envelope: where a number declares an endpoint convex, concave or linear,
 the endpoint lies between its chord and the extended secant of the
 neighbouring half-segment, a bound that shrinks with the square of the
 segment width.  The search bisects its open segments a level at a time,
-with one array call per number for all the midpoints of a round, and checks
-the monotonicity and the declared curvature at every point it evaluates (a
-violation raises NonNested or CurvatureMismatch); a round with few open
-segments reads several levels at once and replays them one at a time.
+with one array call per number, or per batch family, for all the midpoints
+of a round, and checks the monotonicity and the declared curvature at every
+point it evaluates (a violation raises NonNested or CurvatureMismatch); a
+round with few open segments reads several levels at once and replays
+them one at a time.
 Declared jump points, the ends of curvature pieces and the grid levels of
 sampled numbers are never straddled: they are forced split points.  A
 jump's one-sided limit cuts enter as explicit supremum candidates, so a sup
@@ -23,18 +24,17 @@ pair is read off the split points with no bisection.
 its one-pair case.  The pairs share the rounds but keep their own budgets:
 each stops when its own frontier is empty, at its own ``max_nodes`` or at
 ``max_depth``, so every enclosure equals the one its pair gets alone, bit
-for bit.  Each round reads every distinct number with one ``endpoints``
-call over all the levels its pairs need, except the rows of a batch family
-(``CutCurve1D.family``): those that need the same levels share one call to
-the family's ``endpoints`` (for the refutation's 100 member-vs-limit pairs,
-2 calls in all: the limit's and the members').  A batch raises the error of
-the lowest-index failing pair in the earliest round that fails, with that
-pair's own message.
+for bit.  Each round reads every source once: a number with one
+``endpoints`` call over all the levels its pairs need, a batch family
+(``CutCurve1D.family``) with one call to its ``endpoints`` for all its rows,
+a column of one level per row (for the refutation's 100 member-vs-limit
+pairs, 2 calls in all: the limit's and the members').  A batch raises the
+error of the lowest-index failing pair in the earliest round that fails,
+with that pair's own message.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import abc
 from dataclasses import dataclass
@@ -295,61 +295,26 @@ def _later_max(a: np.ndarray, b) -> np.ndarray:
 
 
 def _batch_cuts(
-    carriers: list,
-    readers: list,
-    source: np.ndarray,
-    row: np.ndarray,
-    cu: np.ndarray,
-    cv: np.ndarray,
-    pair: np.ndarray,
-    levels: np.ndarray,
+    readers: list, source: np.ndarray, row: np.ndarray, pair: np.ndarray, levels: np.ndarray
 ) -> np.ndarray:
     """``_cuts`` rows of many pairs: column j holds the cuts of pair
-    ``pair[j]``, the numbers ``carriers[cu[p]]`` and ``carriers[cv[p]]``, at
-    ``levels[j]``.  Number k is row ``row[k]`` of the batch family
-    ``readers[source[k]]``, or, where ``row[k]`` is 0, is read alone, with
-    one ``endpoints`` call over all its levels.  The rows of one family that
-    need the same levels, in column order, are read with one call to the
-    family's ``endpoints``; a row that no other row of its family can share
-    a call with (none needs as many levels with the same sum of level bits)
-    is read alone too."""
-    if cu.size == 1:
-        return _cuts(carriers[cu[0]], carriers[cv[0]], levels)
-    who = np.concatenate([cu[pair], cv[pair]])
-    at = np.concatenate([levels, levels])
-    lo, hi = np.empty(at.size), np.empty(at.size)
+    ``pair[j]`` at ``levels[j]``.  Side k of pair p is row ``row[k, p]`` of
+    the batch family ``readers[source[k, p]]``, or, where that row is 0, the
+    number ``readers[source[k, p]]`` itself.  Each source is read with one
+    call: a number with ``endpoints`` over all its levels, a family with
+    ``endpoints(ns, levels[:, None])``, a column of one level per row."""
+    who, rows, at = source[:, pair].ravel(), row[:, pair].ravel(), np.concatenate([levels, levels])
+    ends = np.empty((2, at.size))
     if at.size:
         order = np.argsort(who, kind="stable")
-        starts = _runs(who[order])
-        sizes = np.diff(starts, append=order.size)
-        owner = who[order[starts]]
-        # the runs of one family's rows with as many levels and the same sum
-        # of level bits (which wraps; it only sorts) form a group; a run alone
-        # in its group, or of a number read alone, is read alone
-        reader = np.where(row[owner] == 0, -1 - np.arange(owner.size), source[owner])
-        key = np.stack([np.add.reduceat(at[order].view(np.int64), starts), sizes, reader], axis=1)
-        by = np.lexsort(key.T)
-        first = _runs(key[by])
-        count = np.diff(first, append=by.size)
-        shared = count > 1
-        alone = by[np.repeat(~shared, count)]
-        for start, size, k in zip(starts[alone].tolist(), sizes[alone].tolist(), owner[alone].tolist()):
-            run = order[start : start + size]
-            lo[run], hi[run] = carriers[k].endpoints(at[run])
-        for f, c in zip(first[shared].tolist(), count[shared].tolist()):
-            runs = by[f : f + c]
-            cols = order[starts[runs, None] + np.arange(sizes[runs[0]])]
-            # sorted by the bit patterns of their levels, so that the runs
-            # whose levels are identical lie together
-            bits = at[cols].view(np.int64)
-            lex = np.lexsort(bits.T)
-            runs, cols = runs[lex], cols[lex]
-            cut = [*_runs(bits[lex]).tolist(), c]
-            family = readers[source[owner[runs[0]]]]
-            for a, b in zip(cut, cut[1:]):
-                lo[cols[a:b]], hi[cols[a:b]] = family.endpoints(row[owner[runs[a:b]]], at[cols[a]])
-    n = levels.size
-    return np.array((lo[:n], lo[n:], -hi[:n], -hi[n:]))
+        for cols in np.split(order, _runs(who[order])[1:]):
+            reader = readers[who[cols[0]]]
+            if rows[cols[0]]:
+                lo, hi = reader.endpoints(rows[cols], at[cols, None])
+                ends[:, cols] = lo[:, 0], hi[:, 0]
+            else:
+                ends[:, cols] = reader.endpoints(at[cols])
+    return np.concatenate((ends[0], -ends[1])).reshape(4, levels.size)
 
 
 def _nesting_error(a: np.ndarray, b: np.ndarray, i: int) -> NonNested:
@@ -578,11 +543,11 @@ def d_infty_pairs(
     :func:`d_infty_parametric` gives that pair alone, bit for bit.  Round 0
     builds the split points once for all pairs whose numbers declare the
     same jump levels, curvature pieces and grids.  Each round reads every
-    distinct number (by identity) with one ``endpoints`` call over all the
-    levels its pairs need, except that the numbers which declare rows of one
-    batch family (``CutCurve1D.family``) and need the same levels are read
-    with one call to that family's ``endpoints``; the rows of a family
-    declare alike, so their declarations are looked up once per family.  A
+    source once: a number (by identity) with one ``endpoints`` call over all
+    the levels its pairs need, a batch family (``CutCurve1D.family``) with
+    one ``endpoints(ns, levels[:, None])`` call for all its rows, a column of
+    one level per row; the rows of a family declare alike, so their
+    declarations are looked up once per family.  A
     batch raises the error of the lowest-index failing pair in the earliest
     round that fails, with the message that pair's own search gives.
 
@@ -597,36 +562,34 @@ def d_infty_pairs(
     if not count:
         return Enclosures(*_unsearched(len(pairs)))
 
-    # the distinct numbers, by identity, each read by its source: its batch
-    # family, or itself; the rows of a family declare alike, so each source's
+    # each pair side is keyed by its source, the batch family it is a row of
+    # or else the number itself (by identity), and its row there (0 for a
+    # number); the rows of a family declare alike, so each source's
     # declarations are looked up once, from its first number.  The pairs
     # whose numbers declare alike share one layout
-    carriers, index, sources, readers, firsts, declares = [], {}, {}, [], [], []
-    source, row, declarations, groups, layouts, sides, group = [], [], {}, {}, [], [], []
+    sources, readers, firsts, declares, declarations = {}, [], [], [], {}
+    source, row, groups, layouts, group = [], [], {}, [], []
     for i in live:
-        ks = []
         for w in pairs[i]:
-            k = index.get(id(w))
-            if k is None:
-                k = index[id(w)] = len(carriers)
-                carriers.append(w)
-                reader, n = w.family or (w, 0)
-                s = sources.setdefault(id(reader), len(readers))
-                if s == len(readers):
-                    readers.append(reader)
-                    firsts.append(w)
-                    declares.append(declarations.setdefault(_declaration(w), len(declarations)))
-                source.append(s)
-                row.append(n)
-            ks.append(k)
-        g = groups.setdefault((declares[source[ks[0]]], declares[source[ks[1]]]), len(groups))
+            reader, n = w.family or (w, 0)
+            s = sources.setdefault(id(reader), len(readers))
+            if s == len(readers):
+                readers.append(reader)
+                firsts.append(w)
+                declares.append(declarations.setdefault(_declaration(w), len(declarations)))
+            source.append(s)
+            row.append(n)
+        g = groups.setdefault((declares[source[-2]], declares[source[-1]]), len(groups))
         if g == len(layouts):
             layouts.append(_split_layout(*pairs[i]))
-        sides.append(ks)
         group.append(g)
-    cu, cv = np.array(sides, dtype=np.intp).T
-    source, row = np.array(source, dtype=np.intp), np.array(row, dtype=np.int64)
-    read = functools.partial(_batch_cuts, carriers, readers, source, row, cu, cv)
+    source = np.array(source, dtype=np.intp).reshape(count, 2).T
+    # float rows: a family reads float indices, and a row past int64 fits
+    row = np.array(row, dtype=float).reshape(count, 2).T
+
+    def read(pair, levels):
+        # one pair reads its two numbers' own endpoints, with no gathering
+        return _cuts(*pairs[live[0]], levels) if count == 1 else _batch_cuts(readers, source, row, pair, levels)
 
     # round 0: every pair's layout, side by side in pair order
     table = np.concatenate([layouts[g] for g in group], axis=1)
@@ -653,9 +616,9 @@ def d_infty_pairs(
             value_at.append(len(values))
             values.extend((j.lower_right, j.upper_right) for j in w.jumps if j.alpha < 1.0)
         value_at, values = np.array(value_at), np.array(values).T
-        for k, side in enumerate((cu, cv)):
+        for k in range(2):
             j = jumped[slots[k, jumped] >= 0]
-            value = values[:, value_at[source[side[pair[j]]]] + slots[k, j].astype(np.intp)]
+            value = values[:, value_at[source[k, pair[j]]] + slots[k, j].astype(np.intp)]
             left[k, j], left[k + 2, j] = value[0], -value[1]
         h, i = _pair_argmax(_cut_distance(left[:, jumped]), pair[jumped], count)
         some = i >= 0

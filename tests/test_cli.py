@@ -725,3 +725,14 @@ class TestIntegerBeyond64Bits:
         assert type(json_read[0]) is int and json_read[0] == self.BIG
         assert orjson_read[1:] == json_read[1:]
         assert orjson_read[1] == 0 and json.loads(orjson_read[2])["validation"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "a", ["counterexample-un:9223372036854775808", "un.json"], ids=["2**63 token", "2**64 + 1 in a file"]
+    )
+    def test_member_index_is_searched(self, a, tmp_path, monkeypatch, capsys):
+        # the search keys a member by a float row, so no int64 cast overflows
+        (tmp_path / "un.json").write_text(json.dumps({"type": "counterexample-un", "n": self.BIG}))
+        monkeypatch.chdir(tmp_path)
+        assert run(["dist", a, "counterexample-limit"]) == 0
+        enclosure = json.loads(capsys.readouterr().out)["enclosure"]
+        assert [enclosure["lower"], enclosure["upper"]] == [1.0, 1.0]

@@ -30,6 +30,7 @@ from fuzzymetrics import (
     refutation_report,
     right_modulus_at_zero,
     separation,
+    support_bound,
     uniform_modulus_bound,
 )
 from fuzzymetrics.counterexample import (
@@ -100,6 +101,24 @@ class TestBatchEndpoints:
         ns = [1, 2, 255, 256, 257, 300]
         self.assert_rows_match(fam.endpoints(np.array(ns), self.LEVELS), ns)
         assert [u.key for u in fam] == [make_un(n).key for n in range(1, 301)]
+
+    @pytest.mark.parametrize(
+        "family, ns",
+        [
+            (member_sequence(), [1, 2, 2, 7, 1, 99_999, 2**63, 2**64 + 1, 7]),
+            (members(300), [300, 1, 256, 256, 2, 255, 1]),
+        ],
+        ids=["sequence", "finite family"],
+    )
+    def test_column_form_rows_equal_members_bit_for_bit(self, family, ns):
+        # one level per row, as the supremum search reads a family: indices
+        # repeat and come as integral floats, as the search's rows do
+        ns = np.resize(np.array(ns, dtype=object), self.LEVELS.size)
+        lo, hi = family.endpoints(ns.astype(float), self.LEVELS[:, None])
+        assert lo.shape == hi.shape == (ns.size, 1)
+        for i, (n, level) in enumerate(zip(ns.tolist(), self.LEVELS)):
+            lo_n, hi_n = make_un(n).endpoints(np.array([level]))
+            assert (lo[i].tobytes(), hi[i].tobytes()) == (lo_n.tobytes(), hi_n.tobytes())
 
     def test_sequence_still_builds_members(self):
         seq = member_sequence()
@@ -544,11 +563,13 @@ class TestRefutationReport:
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_moduli_equal_the_public_functions(self, n):
         fam = members(n)
-        section = refutation_report(n)["equi_left_continuity"]
+        report = refutation_report(n)
+        section = report["equi_left_continuity"]
         for entry in section["entries"]:
             expected = left_modulus(fam, entry["alpha"], entry["delta"])
             assert entry["finite_family_modulus"].hex() == expected.hex()
         assert section["right_at_zero_modulus"].hex() == right_modulus_at_zero(fam, 0.25).hex()
+        assert report["support_bound"]["radius"].hex() == support_bound(fam).hex()
 
 
 def scan_reference(n_max, eps):

@@ -603,16 +603,44 @@ class TestBatchedSearch:
         monkeypatch.setattr(family, "endpoints", batch_counted)
         limit = make_limit()
         batch = d_infty_pairs([(u, limit) for u in members(100)])
-        # every pair closes in round 0: the limit once, and the 100 members,
-        # which need the same levels, in one call to their family
+        # every pair closes in round 0: the limit once, and the 100 members
+        # in one call to their family, a row per member and round-0 level
         assert calls == [limit]
-        assert len(batch_calls) == 1 and batch_calls[0].tolist() == list(range(1, 101))
+        assert len(batch_calls) == 1 and batch_calls[0].tolist() == np.repeat(np.arange(1, 101), 3).tolist()
         assert all((e.lower, e.upper, e.attained, e.nodes) == (1.0, 1.0, False, 0) for e in batch)
+
+    def test_a_family_is_read_once_per_round(self, monkeypatch):
+        # member-vs-member pairs whose rows need other levels in every round
+        # share one read of their family per round, and no member is read
+        # alone: round 0, then one read per lookahead
+        reads, rounds = [], []
+        family = type(member_sequence())
+        endpoints, batch_endpoints, lookahead = CutCurve1D.endpoints, family.endpoints, metrics._lookahead
+
+        def counted(self, alphas):
+            reads.append(self)
+            return endpoints(self, alphas)
+
+        def batch_counted(self, ns, alphas):
+            reads.append(self)
+            return batch_endpoints(self, ns, alphas)
+
+        def counted_lookahead(*args):
+            rounds.append(args[2])
+            return lookahead(*args)
+
+        pairs = [(make_un(n), make_un(m)) for n, m in [(1, 2), (2, 3), (3, 5), (10, 11)]]
+        alone = [enclosure_bits(d_infty_parametric(u, v)) for u, v in pairs]
+        monkeypatch.setattr(CutCurve1D, "endpoints", counted)
+        monkeypatch.setattr(family, "endpoints", batch_counted)
+        monkeypatch.setattr(metrics, "_lookahead", counted_lookahead)
+        assert record_bits(d_infty_pairs(pairs)) == alone
+        assert len(rounds) > 1 and reads == [member_sequence()] * len(reads) and len(reads) <= len(rounds) + 1
 
     def test_family_rows_with_the_same_levels_in_another_order_are_read_apart(self):
         # each member meets a sampled number split at 0.5 and one split at
         # 0.25: the two members need the same levels in round 0, in another
-        # order, so their level bits have the same sum but are not the same
+        # order, and every row must still read its own level
         a, b = MEMBERS[0], MEMBERS[1]
         half = make_sampled_1d([0, 0.5, 1], [0, 0.1, 0.2], [2, 1.5, 1])
         quarter = make_sampled_1d([0, 0.25, 1], [-0.1, 0.0, 0.1], [1.5, 1.2, 0.9])
@@ -620,6 +648,14 @@ class TestBatchedSearch:
         batch = d_infty_pairs(pairs)
         alone = [d_infty_parametric(u, v) for u, v in pairs]
         assert list(map(enclosure_bits, batch)) == list(map(enclosure_bits, alone))
+
+    def test_members_past_the_int64_range_equal_their_own_searches(self):
+        # a member's row is read as a float index: 2**64 + 1 is row 2**64
+        big, bigger, limit = make_un(2**63), make_un(2**64 + 1), make_limit()
+        pairs = [(big, limit), (bigger, limit), (big, bigger), (make_un(1), bigger)]
+        batch = d_infty_pairs(pairs)
+        assert record_bits(batch) == [enclosure_bits(d_infty_parametric(u, v)) for u, v in pairs]
+        assert batch.lower[:2].tolist() == batch.upper[:2].tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize(
         "bad",
