@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -79,10 +80,13 @@ def _zeros(alphas) -> np.ndarray:
 
 def _index(n, name: str = "member index") -> int:
     """``n`` as a positive integer (an integral float counts, a boolean does
-    not); ``name`` says what it counts in the error."""
+    not) that a float holds, as a member's row and its endpoints read it;
+    ``name`` says what it counts in the error."""
     whole = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
     if isinstance(n, bool) or not whole or n < 1:
         raise BadIndex(f"{name} must be a positive integer, got {n}")
+    if n > sys.float_info.max:
+        raise BadIndex(f"{name} must be at most {sys.float_info.max!r}, the largest float")
     return int(n)
 
 

@@ -293,7 +293,7 @@ def compactness_conditions_report(
 
     deltas = report.delta_grid
     left_moduli = {
-        e.alpha: {d: m for d, m in zip(deltas, row) if not math.isnan(m)}
+        e.alpha: {d: m for d, m in zip(deltas, row) if d <= e.alpha}
         for e, row in zip(report.entries, report.moduli.tolist())
     }
     zero_moduli = {d: m for d, m in zip(deltas, report.zero_moduli.tolist()) if d <= 1.0}

@@ -17,13 +17,14 @@ import numpy as np
 from .core import _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _segments
 
 # The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
-# of at most _SCREEN_TOP members per side: the steepest of its segment, where
-# it lies within one, else, where it spans at most _RANK_SPAN segments, the
-# members whose ranked move lies within a rounding margin of the largest (see
+# of a few members per side: the _SCREEN_TOP steepest of its segment, where
+# it lies within one, else, where it spans at most _RANK_SPAN segments, every
+# member whose ranked move lies within a rounding margin of the largest (see
 # :func:`_screen`).  Ranked blocks hold at most about _RANK_CELLS member
-# moves.  The cells it leaves open are read densely, at most _PACK of a row's
-# cells to a packed row.  A family of at most _SCREEN_MEMBERS members is read
-# densely whole: there the screen's fixed cost is above the dense read's.
+# moves, and so do their candidates.  The cells it leaves open are read
+# densely, at most _PACK of a row's cells to a packed row.  A family of at
+# most _SCREEN_MEMBERS members is read densely whole: there the screen's
+# fixed cost is above the dense read's.
 _SCREEN_TOP = 4
 _RANK_SPAN = 4
 _SCREEN_MEMBERS = 64
@@ -121,10 +122,11 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     the member ranked A_max: M is over twice the sum of both members'
     rounding terms, which leaves room for its own.  A wild segment in the
     block's window, which none of its cells spans, is ranked at slope 0 and
-    left out of max_j E_j, so that no NaN or inf reaches A_max or M.  Where
-    at most ``_SCREEN_TOP`` members lie within M of A_max on each side,
-    their exact moves settle the cell; other cells are left open, as are
-    longer spans, whose ranking would cost more than their dense read."""
+    left out of max_j E_j, so that no NaN or inf reaches A_max or M.  The
+    exact moves of the members within M of A_max on each side settle the
+    cell, at most about ``_RANK_CELLS`` of them in a block, as many as it
+    ranks.  Longer spans are left open: their ranking would cost more than
+    their dense read."""
     levels = family.grid.levels
     widths = np.diff(levels)
     count = len(family)
@@ -195,7 +197,7 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
         ov[np.arange(c.size), last[c] - lo] = np.where(n[c] > 1, end[c], ov_first[c])
         w = hi - lo
         ok = tame_segment[lo:hi]
-        pairs, decided = [], np.ones(c.size, dtype=bool)
+        pairs = []
         for sign, (_, slopes, terms, _) in zip((1.0, -1.0), sides):
             window = slopes[lo:hi] if ok.all() else np.where(ok[:, None], slopes[lo:hi], 0.0)
             ranked = np.einsum("cw,wm->cm", ov, window, out=buffer[: c.size * count].reshape(c.size, count))
@@ -203,20 +205,15 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
                 np.negative(ranked, out=ranked)
             peak = ranked.max(axis=1)
             margin = 4 * (w + 2) * _UNIT_ROUNDOFF * peak + w * (terms[lo:hi][ok].max() + 4 * np.finfo(float).tiny)
-            cell, member = np.divmod(np.flatnonzero(ranked >= (peak - margin)[:, None]), count)
-            decided &= np.bincount(cell, minlength=c.size) <= _SCREEN_TOP
-            pairs.append((cell, member))
+            pairs.append(np.divmod(np.flatnonzero(ranked >= (peak - margin)[:, None]), count))
         value = np.zeros(c.size)
         for (by_level, slopes, *_), (cell, member) in zip(sides, pairs):
-            keep = decided[cell]
-            cell, member = cell[keep], member[keep]
-            if not cell.size:
-                continue
+            # every cell has a candidate per side: the member it ranks highest
             ids = c[cell]
             moves = _exact_moves(by_level, slopes, [a[ids] for a in y], [a[ids] for a in z], member[:, None])
             starts = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first pair
             value[cell[starts]] = np.maximum(value[cell[starts]], np.maximum.reduceat(moves[:, 0], starts))
-        settle(c[decided], value[decided])
+        settle(c, value)
     return worst.reshape(lattice.shape), ~settled.reshape(lattice.shape)
 
 

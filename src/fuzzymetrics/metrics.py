@@ -321,19 +321,6 @@ def _nesting_error(a: np.ndarray, b: np.ndarray, i: int) -> NonNested:
     return NonNested(f"cut endpoints are not monotone between levels {float(a[i])!r} and {float(b[i])!r}")
 
 
-def _curvature_signs(u: FuzzyNumber1D, v: FuzzyNumber1D, a: np.ndarray) -> np.ndarray:
-    """Curvature signs of the ``_cuts`` rows (+1 convex, -1 concave, 0
-    linear, nan undeclared) on the segments that start at the sorted levels
-    ``a``; a segment lies in one piece, since the piece ends are split
-    points."""
-    signs = np.full((4, a.size), np.nan)
-    for k, w in enumerate((u, v)):
-        for p in w.curvature:
-            inside = slice(*a.searchsorted((p.start, p.end)))
-            signs[k, inside], signs[k + 2, inside] = _SIGN[p.lower], -_SIGN[p.upper]
-    return signs
-
-
 def _round_flags(halves: np.ndarray):
     """The checks of :func:`_check_round` on the ``halves`` of bisected
     segments, side by side: whether each half is nested, and which declared
@@ -473,11 +460,11 @@ def _check_search(tol: float, max_depth: int) -> None:
 
 
 def _declaration(w: FuzzyNumber1D) -> tuple:
-    """What fixes a number's share of the round-0 split points and segment
-    curvature: its jump levels below 1, its curvature pieces and, for a
+    """All that fixes a number's share of a round-0 layout: its jumps below
+    level 1 (level and right limits), its curvature pieces and, for a
     sampled number, its grid."""
     return (
-        tuple(j.alpha for j in w.jumps if j.alpha < 1.0),
+        tuple(j for j in w.jumps if j.alpha < 1.0),
         tuple(w.curvature),
         w.grid if isinstance(w, SampledFuzzy1D) else None,
     )
@@ -485,23 +472,26 @@ def _declaration(w: FuzzyNumber1D) -> tuple:
 
 # A round-0 layout has one column per split point of a pair: its level, the
 # curvature signs of the ``_cuts`` rows on the segment that starts there (nan
-# at level 1, where none starts), and the slot of u's and of v's jump there
-# among their jumps below level 1, in declaration order (-1 for none).
-_LEVEL, _SLOTS = 0, slice(5, 7)
+# at level 1, where none starts), and the ``_cuts`` rows of the right-limit
+# cut of a jump declared there (nan for a side that does not jump there).
+_LEVEL, _LIMITS = 0, slice(5, 9)
 
 
-def _split_layout(u: FuzzyNumber1D, v: FuzzyNumber1D) -> np.ndarray:
-    """One pair's round-0 layout."""
-    grids = [w.grid.levels for w in (u, v) if isinstance(w, SampledFuzzy1D)]
-    jumps = [[j.alpha for j in w.jumps if j.alpha < 1.0] for w in (u, v)]
-    piece_ends = [x for w in (u, v) for p in w.curvature for x in (p.start, p.end)]
+def _split_layout(*declarations: tuple) -> np.ndarray:
+    """One pair's round-0 layout, from its two numbers' declarations."""
+    jumps = [[j.alpha for j in js] for js, _, _ in declarations]
+    piece_ends = [x for _, pieces, _ in declarations for p in pieces for x in (p.start, p.end)]
+    grids = [grid.levels for _, _, grid in declarations if grid is not None]
     points = _unique([0.0, 1.0], *jumps, piece_ends, *grids)
-    layout = np.full((7, points.size), -1.0)
+    layout = np.full((9, points.size), np.nan)
     layout[_LEVEL] = points
-    layout[1:5] = np.nan
-    layout[1:5, :-1] = _curvature_signs(u, v, points[:-1])
-    for k, levels in enumerate(jumps):
-        layout[5 + k, points.searchsorted(levels)] = np.arange(len(levels))
+    for k, (js, pieces, _) in enumerate(declarations):
+        # a segment lies in one piece, since the piece ends are split points
+        for p in pieces:
+            inside = slice(*points.searchsorted((p.start, p.end)))
+            layout[1 + k, inside], layout[3 + k, inside] = _SIGN[p.lower], -_SIGN[p.upper]
+        at = points.searchsorted(jumps[k])
+        layout[5 + k, at], layout[7 + k, at] = [j.lower_right for j in js], [-j.upper_right for j in js]
     return layout
 
 
@@ -541,8 +531,9 @@ def d_infty_pairs(
     (its bracket meets ``tol``, it has expanded ``max_nodes`` nodes, or the
     rounds reach ``max_depth``), so every enclosure equals the one
     :func:`d_infty_parametric` gives that pair alone, bit for bit.  Round 0
-    builds the split points once for all pairs whose numbers declare the
-    same jump levels, curvature pieces and grids.  Each round reads every
+    builds one layout of split points, segment curvatures and right-limit
+    cuts for all pairs whose numbers declare the same jumps (with their
+    right limits), curvature pieces and grids.  Each round reads every
     source once: a number (by identity) with one ``endpoints`` call over all
     the levels its pairs need, a batch family (``CutCurve1D.family``) with
     one ``endpoints(ns, levels[:, None])`` call for all its rows, a column of
@@ -565,24 +556,22 @@ def d_infty_pairs(
     # each pair side is keyed by its source, the batch family it is a row of
     # or else the number itself (by identity), and its row there (0 for a
     # number); the rows of a family declare alike, so each source's
-    # declarations are looked up once, from its first number.  The pairs
-    # whose numbers declare alike share one layout
-    sources, readers, firsts, declares, declarations = {}, [], [], [], {}
-    source, row, groups, layouts, group = [], [], {}, [], []
+    # declaration is read once, from its first number.  The pairs whose
+    # numbers declare alike share one layout
+    sources, readers, declares, declarations = {}, [], [], {}
+    source, row, groups, group = [], [], {}, []
     for i in live:
         for w in pairs[i]:
             reader, n = w.family or (w, 0)
             s = sources.setdefault(id(reader), len(readers))
             if s == len(readers):
                 readers.append(reader)
-                firsts.append(w)
                 declares.append(declarations.setdefault(_declaration(w), len(declarations)))
             source.append(s)
             row.append(n)
-        g = groups.setdefault((declares[source[-2]], declares[source[-1]]), len(groups))
-        if g == len(layouts):
-            layouts.append(_split_layout(*pairs[i]))
-        group.append(g)
+        group.append(groups.setdefault((declares[source[-2]], declares[source[-1]]), len(groups)))
+    kinds = list(declarations)
+    layouts = [_split_layout(kinds[du], kinds[dv]) for du, dv in groups]
     source = np.array(source, dtype=np.intp).reshape(count, 2).T
     # float rows: a family reads float indices, and a row past int64 fits
     row = np.array(row, dtype=float).reshape(count, 2).T
@@ -603,26 +592,15 @@ def d_infty_pairs(
     at = np.flatnonzero(x < 1.0)
     pair = point_pair[at]
     a, b, left, right = x[at], x[at + 1], cuts[:, at], cuts[:, at + 1]
-    signs, slots = table[1:5, at], table[_SLOTS, at]
+    signs, limits = table[1:5, at], table[_LIMITS, at]
 
     # at a jump level the segment to its right starts from the right-limit
     # cuts: a declared jump's, else the cut evaluated there
-    best_limit, best_limit_at = np.full(count, -1.0), np.zeros(count)
-    jumped = np.flatnonzero((slots >= 0).any(axis=0))
-    if jumped.size:
-        # the right limits of each source's jumps below level 1
-        value_at, values = [], []
-        for w in firsts:
-            value_at.append(len(values))
-            values.extend((j.lower_right, j.upper_right) for j in w.jumps if j.alpha < 1.0)
-        value_at, values = np.array(value_at), np.array(values).T
-        for k in range(2):
-            j = jumped[slots[k, jumped] >= 0]
-            value = values[:, value_at[source[k, pair[j]]] + slots[k, j].astype(np.intp)]
-            left[k, j], left[k + 2, j] = value[0], -value[1]
-        h, i = _pair_argmax(_cut_distance(left[:, jumped]), pair[jumped], count)
-        some = i >= 0
-        best_limit[some], best_limit_at[some] = h[some], a[jumped[i[some]]]
+    jump = ~np.isnan(limits)
+    np.copyto(left, limits, where=jump)
+    jumped = np.flatnonzero(jump.any(axis=0))
+    best_limit, i = _pair_argmax(_cut_distance(left[:, jumped]), pair[jumped], count)
+    best_limit_at = np.append(a[jumped], 0.0)[i]  # level 0 for a pair with none (i = -1)
 
     crossed = ~(left <= right).all(axis=0)
     if crossed.any():

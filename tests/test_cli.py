@@ -727,6 +727,27 @@ class TestIntegerBeyond64Bits:
         assert orjson_read[1] == 0 and json.loads(orjson_read[2])["validation"]["passed"] is True
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", f"counterexample-un:{10**400}", "counterexample-limit"],
+            ["validate", f"counterexample-un:{10**400}"],
+            ["profile", f"counterexample-un:{10**400}", "counterexample-limit"],
+            ["validate", "un.json"],
+        ],
+        ids=["dist", "validate", "profile", "validate a file"],
+    )
+    def test_member_index_past_the_float_range_is_an_input_error(self, argv, tmp_path, monkeypatch, capsys):
+        # 10**400 in a file is refused by orjson and read as an int by json
+        (tmp_path / "un.json").write_text(json.dumps({"type": "counterexample-un", "n": 10**400}))
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: invalid counterexample-un object: member index must be at most 1.7976931348623157e+308, "
+            "the largest float\n"
+        )
+
+    @pytest.mark.parametrize(
         "a", ["counterexample-un:9223372036854775808", "un.json"], ids=["2**63 token", "2**64 + 1 in a file"]
     )
     def test_member_index_is_searched(self, a, tmp_path, monkeypatch, capsys):

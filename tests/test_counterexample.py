@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -38,6 +39,7 @@ from fuzzymetrics.counterexample import (
     ONE_THIRD,
     SCAN_WINDOW,
     _closed_form_first_index,
+    _index,
     _inner,
     _members_endpoints,
     _settle_first_index,
@@ -67,6 +69,16 @@ class TestMembers:
         for bad in (0, -2, 1.5):
             with pytest.raises(BadIndex):
                 make_un(bad)
+
+    def test_an_index_no_float_holds_is_refused(self):
+        # a member's row and its endpoints read the index as a float; n_max
+        # is checked alike, before members(n_max) builds a member
+        top = int(sys.float_info.max)
+        assert make_un(top).key == ("counterexample-un", top)
+        with pytest.raises(BadIndex, match=r"^member index must be at most 1.7976931348623157e\+308, the largest float$"):
+            make_un(top + 1)
+        with pytest.raises(BadIndex, match=r"^n_max must be at most 1.7976931348623157e\+308"):
+            _index(10**400, "n_max")
 
     def test_membership_shape(self):
         # grade 1/3 + 2/3 (1-x)^n everywhere on the open support

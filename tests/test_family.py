@@ -343,6 +343,22 @@ class TestCompactnessReport:
             compactness_conditions_report(fam, alpha_grid=[0.5, 1.0])
             assert len(calls) == 1
 
+    def test_a_nan_modulus_stays_in_the_table(self):
+        # the lower endpoint is NaN at level 0.5 only: the offset 0.25 from
+        # level 0.75 reaches it, so its cell is a NaN move, kept beside the
+        # verdict it fails and written as null; an offset above its level
+        # does not apply and is left out
+        u = CutCurve1D(lambda a: np.where(a == 0.5, np.nan, 0.0), np.ones_like)
+        diag = compactness_conditions_report([u], alpha_grid=[0.75], delta_grid=[0.25, 0.125], eps=0.1)
+        (row,) = diag.left_moduli.values()
+        assert list(row) == [0.25, 0.125] and math.isnan(row[0.25]) and row[0.125] == 0.0
+        assert not diag.passed
+        assert json.loads(dumps(diag.to_dict()))["left_moduli"] == [
+            {"alpha": 0.75, "moduli": [{"delta": 0.25, "value": None}, {"delta": 0.125, "value": 0.0}]}
+        ]
+        diag = compactness_conditions_report([u], alpha_grid=[0.2], delta_grid=[0.25, 0.125], eps=0.1)
+        assert diag.left_moduli == {0.2: {0.125: 0.0}} and diag.passed
+
     def test_report_keeps_its_moduli_out_of_bytes_and_equality(self):
         fam = random_family(seed=9, count=3)
         report = equi_continuity_report(fam, alpha_grid=[0.5, 1.0], delta_grid=[0.5, 0.25])

@@ -649,6 +649,49 @@ class TestBatchedSearch:
         alone = [d_infty_parametric(u, v) for u, v in pairs]
         assert list(map(enclosure_bits, batch)) == list(map(enclosure_bits, alone))
 
+    def test_jumps_at_one_level_with_other_right_limits_equal_their_own_searches(self):
+        # four curves jump at 0.5: two with other right limits, two whose
+        # lower right limits differ only in the sign of zero; a sampled
+        # number, whose lower endpoint is 0 there too, meets each on either
+        # side, and its distance to each is approached at the right limits
+        def jumping(top, lower_right):
+            return CutCurve1D(
+                lower_fn=lambda a: 0.0 * a,
+                upper_fn=lambda a: np.where(a <= 0.5, 2.0 - a, top - a * a),
+                jumps=(DeclaredJump(0.5, lower_right, top - 0.25),),
+                curvature=(
+                    DeclaredCurvature(0.0, 0.5, "linear", "linear"),
+                    DeclaredCurvature(0.5, 1.0, "linear", "concave"),
+                ),
+            )
+
+        third = make_sampled_1d([0, 0.5, 1], [0, 0, 0], [3.0, 2.5, 1.0])
+        curves = [jumping(1.2, 0.0), jumping(1.1, 0.0), jumping(1.2, -0.0), jumping(1.1, -0.0)]
+        pairs = [pair for w in curves for pair in ((third, w), (w, third))]
+        batch = d_infty_pairs(pairs)
+        assert record_bits(batch) == [enclosure_bits(d_infty_parametric(u, v)) for u, v in pairs]
+        assert batch.upper.tolist() == [1.55, 1.55, 1.65, 1.65] * 2 and not batch.attained.any()
+
+    def test_pairs_that_declare_alike_share_one_layout(self, monkeypatch):
+        layouts = []
+        split_layout = metrics._split_layout
+
+        def counted(*args):
+            layouts.append(args)
+            return split_layout(*args)
+
+        monkeypatch.setattr(metrics, "_split_layout", counted)
+        rows = random_family(3, 46)
+        limit = make_limit()
+        for pairs in (
+            list(itertools.combinations(rows, 2)),
+            [(u, limit) for u in members(100)],
+            list(itertools.combinations(MEMBERS, 2)),
+        ):
+            layouts.clear()
+            d_infty_pairs(pairs)
+            assert len(layouts) == 1, len(pairs)
+
     def test_members_past_the_int64_range_equal_their_own_searches(self):
         # a member's row is read as a float index: 2**64 + 1 is row 2**64
         big, bigger, limit = make_un(2**63), make_un(2**64 + 1), make_limit()
