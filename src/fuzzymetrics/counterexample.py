@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import sys
+from collections import abc
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
     _check_search,
-    d_infty_pairs,
+    _d_infty_rows,
     default_report_grid,
 )
 from .serialize import csv_table
@@ -56,6 +57,10 @@ ONE_THIRD = 1.0 / 3.0
 # reported against: a level whose N(a) exceeds it counts as not reached
 SCAN_WINDOW = 100_000
 DEFAULT_EPS = 1e-3
+# the most members a refutation report takes: its peak, and that of the CLI
+# that writes it, grows by about 1.8 KB a member, so the largest report
+# stays within about 1 GB
+REPORT_MEMBERS = 500_000
 
 
 def _inner(alphas) -> np.ndarray:
@@ -162,11 +167,25 @@ def _members_endpoints(ns, alphas) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(np.zeros(hi.shape[1]), hi.shape), hi
 
 
-class _Members(tuple):
-    """Members 1..n_max; ``endpoints(ns, alphas)`` evaluates many at once.
-    Every member declares the hint level one third."""
+class _Members(abc.Sequence):
+    """Members 1..n_max, each built by ``make_un`` when indexed or iterated
+    (a slice gives a tuple of them); ``endpoints(ns, alphas)`` evaluates
+    many at once.  Every member declares the hint level one third."""
 
     hint_levels = (ONE_THIRD,)
+
+    def __init__(self, n_max: int):
+        self._rows = range(1, n_max + 1)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows[index]
+        return tuple(map(make_un, rows)) if isinstance(index, slice) else make_un(rows)
+
+    def __iter__(self):
+        return map(make_un, self._rows)
 
     def endpoints(self, ns, alphas) -> tuple[np.ndarray, np.ndarray]:
         if np.size(ns) and np.max(ns) > len(self):
@@ -191,12 +210,16 @@ class _MemberSequence:
 _SEQUENCE = _MemberSequence()
 
 
-def members(n_max: int) -> tuple[CutCurve1D, ...]:
-    """The finite family of the first ``n_max`` members (a tuple that also
-    carries the batch ``endpoints``)."""
+def members(n_max: int) -> _Members:
+    """The finite family of the first ``n_max`` members, a sequence that
+    builds a member only when indexed and also carries the batch
+    ``endpoints``."""
     if n_max < 1:
         raise BadIndex("n_max must be at least 1")
-    return _Members(make_un(n) for n in range(1, _index(n_max, "n_max") + 1))
+    n_max = _index(n_max, "n_max")
+    if n_max > sys.maxsize:
+        raise BadIndex(f"n_max must be at most {sys.maxsize}, the largest sequence length")
+    return _Members(n_max)
 
 
 def member_sequence() -> _MemberSequence:
@@ -410,15 +433,18 @@ def refutation_report(
         raise OutOfRange("n_max must be at least 2 to exhibit a sequence")
     _check_tolerance(eps, "eps")
     _check_search(tol, DEFAULT_MAX_DEPTH)
+    n_max = _index(n_max, "n_max")  # an integral float reports as its integer
+    if n_max > REPORT_MEMBERS:
+        raise OutOfRange(f"n_max must be at most {REPORT_MEMBERS}: a report takes about 2 KB a member")
     fam = members(n_max)
-    n_max = len(fam)  # an integral float reports as its integer
+    ns = np.arange(1, n_max + 1)
     limit = make_limit()
     grid = default_report_grid([limit])
 
     # one read of every member on the grid, whose first level is 0: row
     # n - 1 equals exact_H_profile(n, grid.levels) bit for bit, and column 0
     # holds the 0-cuts that support_bound reads
-    lower, upper = _members_endpoints(np.arange(1, n_max + 1), grid.levels)
+    lower, upper = _members_endpoints(ns, grid.levels)
     radius = float(np.max(np.abs([lower[:, 0], upper[:, 0]])))
     support_section = {
         "radius": radius,
@@ -464,8 +490,9 @@ def refutation_report(
     }
 
     grid_max = np.max(upper - _limit_upper(grid.levels), axis=1).tolist()
-    # one search for all the member-vs-limit pairs
-    found = d_infty_pairs([(un, limit) for un in fam], tol=tol)
+    # one search for all the member-vs-limit pairs, the members read as rows
+    # of the sequence (one is built, for the family's declaration)
+    found = _d_infty_rows(_SEQUENCE, ns, limit, tol=tol)
     sup_section = {
         "all_equal_one": bool(np.all((found.lower <= 1.0) & (1.0 <= found.upper) & (found.width <= tol))),
         "attained_anywhere": bool(found.attained.any()),

@@ -542,6 +542,13 @@ def d_infty_pairs(
     batch raises the error of the lowest-index failing pair in the earliest
     round that fails, with the message that pair's own search gives.
 
+    The set-up loops over the pairs once: it keys each side by its source
+    and its row there, two ``(2, pairs)`` columns, and reads each source's
+    declarations.  The search itself (``_search``) takes only those
+    columns, so ``_d_infty_rows`` hands it rows of one batch family against
+    one number with set-up work per source, not per pair, and builds no
+    member object (the refutation report's search).
+
     The enclosures certify the floating-point endpoint functions: the
     monotone and chord bounds treat each evaluated endpoint as exact, and
     only the secant extension is rounded outward.
@@ -556,34 +563,99 @@ def d_infty_pairs(
     # each pair side is keyed by its source, the batch family it is a row of
     # or else the number itself (by identity), and its row there (0 for a
     # number); the rows of a family declare alike, so each source's
-    # declaration is read once, from its first number.  The pairs whose
-    # numbers declare alike share one layout
-    sources, readers, declares, declarations = {}, [], [], {}
-    source, row, groups, group = [], [], {}, []
+    # declaration is read once, from its first number
+    sources, readers, declarations, source, row = {}, [], [], [], []
     for i in live:
         for w in pairs[i]:
             reader, n = w.family or (w, 0)
             s = sources.setdefault(id(reader), len(readers))
             if s == len(readers):
                 readers.append(reader)
-                declares.append(declarations.setdefault(_declaration(w), len(declarations)))
+                declarations.append(_declaration(w))
             source.append(s)
             row.append(n)
-        group.append(groups.setdefault((declares[source[-2]], declares[source[-1]]), len(groups)))
-    kinds = list(declarations)
-    layouts = [_split_layout(kinds[du], kinds[dv]) for du, dv in groups]
     source = np.array(source, dtype=np.intp).reshape(count, 2).T
     # float rows: a family reads float indices, and a row past int64 fits
     row = np.array(row, dtype=float).reshape(count, 2).T
+    numbers = pairs[live[0]] if count == 1 else None
+    searched = _search(readers, source, row, declarations, numbers, tol, max_depth, max_nodes)
+    return _spread(searched, live, len(pairs))
+
+
+def _d_infty_rows(
+    family,
+    ns,
+    v: FuzzyNumber1D,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> Enclosures:
+    """``d_infty_pairs([(family(n), v) for n in ns], ...)`` bit for bit, with
+    no member built but the first: rows ``ns`` of the batch family
+    ``family``, whose ``family(n)`` is its row n, against the number ``v``.
+
+    The set-up is per source, not per pair: the rows are one column of
+    ``row``, the family's declaration is read from its first searched row,
+    and one round-0 layout serves every pair.  A row whose member is ``v``
+    itself (``v.family == (family, n)``) gets ``[0, 0]`` with no search.
+    """
+    _check_search(tol, max_depth)
+    ns = np.asarray(ns, dtype=float)
+    reader, n = v.family or (v, 0)
+    own = reader is family  # v is row n of the family, and read with it
+    live = ns != n if own else np.ones(ns.size, dtype=bool)
+    count = int(np.count_nonzero(live))
+    if not count:
+        return Enclosures(*_unsearched(ns.size))
+    row = np.array([ns[live], np.full(count, float(n))])
+    readers = [family] if own else [family, reader]
+    declarations = [_declaration(v)] if own else [_declaration(family(row[0, 0].item())), _declaration(v)]
+    source = np.repeat([[0], [len(readers) - 1]], count, axis=1)
+    searched = _search(readers, source, row, declarations, None, tol, max_depth, max_nodes)
+    return _spread(searched, live, ns.size)
+
+
+def _search(
+    readers: list,
+    source: np.ndarray,
+    row: np.ndarray,
+    declarations: list,
+    numbers: tuple | None,
+    tol: float,
+    max_depth: int,
+    max_nodes: int,
+) -> tuple:
+    """The columns of the enclosures of the pairs of ``source`` and ``row``
+    (see :func:`_batch_cuts`), ``declarations`` holding each source's
+    :func:`_declaration`: the search of :func:`d_infty_pairs`.  ``numbers``
+    is the two numbers of a batch of one pair, which reads them with no
+    gathering, else None."""
+    count = source.shape[1]
+    # the pairs whose numbers declare alike share one layout
+    kinds = {}
+    declares = np.array([kinds.setdefault(d, len(kinds)) for d in declarations])[source]
+    key = declares[0] * len(kinds) + declares[1]
+    groups = _unique(key) if count > 1 else key
+    kinds = list(kinds)
+    layouts = [_split_layout(kinds[g // len(kinds)], kinds[g % len(kinds)]) for g in groups.tolist()]
 
     def read(pair, levels):
         # one pair reads its two numbers' own endpoints, with no gathering
-        return _cuts(*pairs[live[0]], levels) if count == 1 else _batch_cuts(readers, source, row, pair, levels)
+        return _cuts(*numbers, levels) if numbers else _batch_cuts(readers, source, row, pair, levels)
 
     # round 0: every pair's layout, side by side in pair order
-    table = np.concatenate([layouts[g] for g in group], axis=1)
+    if len(layouts) == 1:
+        table = np.tile(layouts[0], count)
+        point_pair = np.repeat(np.arange(count), layouts[0].shape[1])
+    else:
+        # pair p's columns are its group's, of the layouts side by side
+        group = groups.searchsorted(key)
+        sizes = np.array([layout.shape[1] for layout in layouts])
+        width = sizes[group]
+        point_pair = np.repeat(np.arange(count), width)
+        shift = (np.cumsum(sizes) - sizes)[group] - (np.cumsum(width) - width)
+        table = np.concatenate(layouts, axis=1)[:, np.arange(point_pair.size) + shift[point_pair]]
     x = table[_LEVEL]
-    point_pair = np.repeat(np.arange(count), [layouts[g].shape[1] for g in group])
     cuts = read(point_pair, x)
     best_point, i = _pair_argmax(_cut_distance(cuts), point_pair, count)
     best_point_at = x[i]
@@ -692,17 +764,23 @@ def d_infty_pairs(
         is_open = bound - lower[pair] > tol
 
     attained = best_point >= best_limit
-    columns = lower, upper, attained, np.where(attained, best_point_at, best_limit_at), nodes
-    if count < len(pairs):
-        columns, searched = _unsearched(len(pairs)), columns
-        for column, values in zip(columns, searched):
-            column[live] = values
-    return Enclosures(*columns)
+    return lower, upper, attained, np.where(attained, best_point_at, best_limit_at), nodes
 
 
 def _unsearched(count: int) -> tuple:
     """The columns of ``count`` pairs of one number."""
     return tuple(np.full(count, value, dtype=dtype) for _, dtype, value in _COLUMNS)
+
+
+def _spread(searched: tuple, live, count: int) -> Enclosures:
+    """The record of ``count`` pairs: the ``searched`` columns at the pairs
+    ``live`` (indices or a mask), pairs of one number elsewhere."""
+    if len(searched[0]) == count:
+        return Enclosures(*searched)
+    columns = _unsearched(count)
+    for column, values in zip(columns, searched):
+        column[live] = values
+    return Enclosures(*columns)
 
 
 def d_infty_parametric(

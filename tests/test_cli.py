@@ -15,6 +15,7 @@ from fuzzymetrics.counterexample import member_sequence, members
 from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps
 from fuzzymetrics import (
     CutCurve1D,
+    OutOfRange,
     SampledFamily,
     compactness_conditions_report,
     d_infty_parametric,
@@ -22,6 +23,7 @@ from fuzzymetrics import (
     make_sampled_1d,
     make_un,
     random_family,
+    refutation_report,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -485,6 +487,44 @@ def test_python_dash_m_runs_a_strict_verb():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN_DIR / "expected" / "counterexample-10.json").read_bytes()
+
+
+def capped(code: str, limit: int = 512 << 20) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose address space is capped at
+    ``limit`` bytes, so that a command that allocates without bound ends
+    there with a MemoryError."""
+    head = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    return subprocess.run(
+        [sys.executable, "-c", head + code], env=source_env(), capture_output=True, text=True, timeout=120
+    )
+
+
+class TestReportCap:
+    """A refutation report of too many members is refused before anything
+    is allocated (each case runs capped: without the cap it would build
+    members until memory runs out)."""
+
+    BIG = 10_000_000_000_000
+    MESSAGE = "n_max must be at most 500000: a report takes about 2 KB a member"
+
+    def test_the_cli_prints_one_error_line(self):
+        argv = ["counterexample", "--n-max", str(self.BIG)]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {self.MESSAGE}\n")
+
+    def test_the_library_raises_out_of_range(self):
+        done = capped(
+            f"from fuzzymetrics import OutOfRange, refutation_report\n"
+            f"try:\n    refutation_report({self.BIG})\nexcept OutOfRange as exc:\n    print(exc)"
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{self.MESSAGE}\n", "")
+
+    def test_the_cap_takes_the_last_member_it_names(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "REPORT_MEMBERS", 5)
+        assert refutation_report(5)["n_max"] == 5
+        for n in (6, 6.0):
+            with pytest.raises(OutOfRange, match="^n_max must be at most 5: "):
+                refutation_report(n)
 
 
 def test_kind_names_every_sequence_a_family():

@@ -72,7 +72,8 @@ class TestMembers:
 
     def test_an_index_no_float_holds_is_refused(self):
         # a member's row and its endpoints read the index as a float; n_max
-        # is checked alike, before members(n_max) builds a member
+        # is checked alike when members(n_max) is made, which builds no
+        # member
         top = int(sys.float_info.max)
         assert make_un(top).key == ("counterexample-un", top)
         with pytest.raises(BadIndex, match=r"^member index must be at most 1.7976931348623157e\+308, the largest float$"):
@@ -667,18 +668,79 @@ class TestConvergenceTable:
         assert refutation_report(100, eps)["level_convergence"]["converged"] is (eps == DEFAULT_EPS)
 
     def test_report_runs_one_search_for_all_members(self, monkeypatch):
+        # one search of the sequence's rows 1..100 against the limit, with
+        # no pair of member objects
         calls = []
 
-        def counted(pairs, *args, **kwargs):
-            calls.append(len(pairs))
-            return metrics_mod.d_infty_pairs(pairs, *args, **kwargs)
+        def counted(family, ns, *args, **kwargs):
+            calls.append((family, np.array(ns).tolist()))
+            return metrics_mod._d_infty_rows(family, ns, *args, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the refutation report searched one pair at a time")
+            raise AssertionError("the refutation report searched pairs of member objects")
 
-        monkeypatch.setattr(counterexample_mod, "d_infty_pairs", counted)
-        monkeypatch.setattr(metrics_mod, "d_infty_parametric", refuse)
-        monkeypatch.setattr(counterexample_mod, "d_infty_parametric", refuse, raising=False)
+        monkeypatch.setattr(counterexample_mod, "_d_infty_rows", counted)
+        for name in ("d_infty_pairs", "d_infty_parametric"):
+            monkeypatch.setattr(metrics_mod, name, refuse)
+            monkeypatch.setattr(counterexample_mod, name, refuse, raising=False)
         report = refutation_report(100)
-        assert calls == [100]
+        assert calls == [(member_sequence(), list(range(1, 101)))]
         assert report["supremum_distance"]["all_equal_one"] is True
+
+    def test_report_builds_at_most_one_member(self, monkeypatch):
+        # the search reads the family's declaration from one member; the
+        # moduli and the grid read the rows in batch
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return make_un(n)
+
+        expected = json.dumps(refutation_report(100))
+        monkeypatch.setattr(counterexample_mod, "make_un", counted)
+        assert json.dumps(refutation_report(100)) == expected
+        assert len(built) <= 1
+
+
+class TestLazyMembers:
+    """``members(n)`` is a sequence of rows that builds a member only when
+    indexed or iterated."""
+
+    def test_sequence_protocol(self):
+        fam = members(5)
+        assert len(fam) == 5
+        assert fam[0].key == make_un(1).key and fam[4].key == make_un(5).key
+        assert fam[-1].key == make_un(5).key and fam[-5].key == make_un(1).key
+        for bad in (5, -6, 10**30):
+            with pytest.raises(IndexError):
+                fam[bad]
+        assert isinstance(fam[1:4], tuple) and [u.key for u in fam[1:4]] == [make_un(n).key for n in (2, 3, 4)]
+        assert [u.key for u in fam[::-2]] == [make_un(n).key for n in (5, 3, 1)]
+        assert fam[7:] == ()
+        assert fam[np.int64(2)].key == make_un(3).key
+
+    def test_iteration_gives_the_members(self):
+        fam = members(300)
+        assert [u.key for u in fam] == [make_un(k).key for k in range(1, 301)]
+        assert [u.key for u in reversed(members(3))] == [make_un(k).key for k in (3, 2, 1)]
+        assert all(u.family == (member_sequence(), k) for k, u in enumerate(fam, 1))
+
+    @pytest.fixture
+    def no_member(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"member {n} was built")
+
+        monkeypatch.setattr(counterexample_mod, "make_un", refuse)
+
+    def test_no_member_is_built_until_indexed(self, no_member):
+        fam = members(10**12)
+        assert len(fam) == 10**12 and fam.hint_levels == (ONE_THIRD,)
+        _, hi = fam.endpoints(np.array([1, 10**12]), [0.5])
+        assert hi.tolist() == _upper(np.array([0.5]), np.array([[1.0], [1e12]])).tolist()
+        with pytest.raises(AssertionError, match="member 10 was built"):
+            fam[9]
+
+    def test_a_length_no_sequence_holds_is_refused(self, no_member):
+        assert len(members(sys.maxsize)) == sys.maxsize
+        with pytest.raises(BadIndex, match=f"^n_max must be at most {sys.maxsize}, the largest sequence length$"):
+            members(sys.maxsize + 1)

@@ -20,6 +20,7 @@ A change that alters a report on purpose regenerates the expected files with
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -110,6 +111,17 @@ def test_golden(name, tmp_path, monkeypatch):
     with open(os.path.join(EXPECTED_DIR, name), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
+
+
+def test_the_1000_member_refutation_report_is_pinned(tmp_path):
+    # too large to keep as a golden file: pinned by the SHA-256 of the bytes
+    # the report had when the members were still built as objects (CI pins
+    # the 10,000-member report alike)
+    out = tmp_path / "counterexample-1000.json"
+    assert run(["counterexample", "--n-max", "1000", "--strict", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "202aa708b649701d6b87795b8a2595efd167a6cb40bc5ed07f64fc5b8a0ca771"
+    )
 
 
 def _regenerate() -> None:

@@ -726,6 +726,42 @@ class TestBatchedSearch:
             with pytest.raises(error, match=match):
                 d_infty_pairs([(make_un(1), make_un(2)), *pairs])
 
+
+class TestRowsSearch:
+    """``metrics._d_infty_rows`` gives rows of the member sequence against
+    one number the enclosures of the pairs of member objects, bit for bit."""
+
+    @pytest.mark.parametrize("n", [100, 1_000, 10_000])
+    def test_the_refutation_rows_equal_the_member_pairs(self, n):
+        limit = make_limit()
+        rows = metrics._d_infty_rows(member_sequence(), np.arange(1, n + 1), limit)
+        assert record_bits(rows) == record_bits(d_infty_pairs([(u, limit) for u in members(n)]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(1, 60) | st.integers(1, 2**53), max_size=8),
+        st.data(),
+        st.sampled_from([1e-6, 1e-9]),
+        st.sampled_from([DEFAULT_MAX_DEPTH, 3, 8]),
+        st.sampled_from([DEFAULT_MAX_NODES, 4, 40]),
+    )
+    def test_equals_the_pairs_of_member_objects(self, ns, data, tol, max_depth, max_nodes):
+        # unsorted rows, repeated ones and rows up to 2**53, against any
+        # number: a member among the rows gets [0, 0] at its own row
+        own = [st.sampled_from(ns).map(make_un)] if ns else []
+        sampled = st.integers(0, len(SAMPLED) - 1).map(SAMPLED.__getitem__)
+        others = [st.just(make_limit()), st.integers(1, 60).map(make_un), sampled, st.just(TRI), st.builds(jump_curve)]
+        v = data.draw(st.one_of(*own, *others))
+        bits = []
+        for columns in LOOKAHEADS:
+            with mock.patch.object(metrics, "_LOOKAHEAD_COLUMNS", columns):
+                rows = metrics._d_infty_rows(member_sequence(), ns, v, tol, max_depth, max_nodes)
+                pairs = d_infty_pairs([(make_un(n), v) for n in ns], tol, max_depth, max_nodes)
+            bits.append(record_bits(rows))
+            assert bits[-1] == record_bits(pairs)
+        assert bits[1] == bits[0] and bits[2] == bits[0]
+
+
 def chord_excess(a, b, m, left, mid, right):
     """The chord test both checks shared before the one rule, kept as their
     reference: how far ``mid`` lies above each chord, and the slack."""
