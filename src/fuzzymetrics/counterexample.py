@@ -59,7 +59,7 @@ SCAN_WINDOW = 100_000
 DEFAULT_EPS = 1e-3
 # the most members a refutation report takes: its peak, and that of the CLI
 # that writes it, grows by about 1.8 KB a member, so the largest report
-# stays within about 1 GB
+# should stay within about 1 GB (extrapolated from a 300,000-member run)
 REPORT_MEMBERS = 500_000
 
 
@@ -435,7 +435,7 @@ def refutation_report(
     _check_search(tol, DEFAULT_MAX_DEPTH)
     n_max = _index(n_max, "n_max")  # an integral float reports as its integer
     if n_max > REPORT_MEMBERS:
-        raise OutOfRange(f"n_max must be at most {REPORT_MEMBERS}: a report takes about 2 KB a member")
+        raise OutOfRange(f"n_max must be at most {REPORT_MEMBERS}: a report takes about 1.8 KB a member")
     fam = members(n_max)
     ns = np.arange(1, n_max + 1)
     limit = make_limit()

@@ -643,18 +643,14 @@ def _search(
         # one pair reads its two numbers' own endpoints, with no gathering
         return _cuts(*numbers, levels) if numbers else _batch_cuts(readers, source, row, pair, levels)
 
-    # round 0: every pair's layout, side by side in pair order
-    if len(layouts) == 1:
-        table = np.tile(layouts[0], count)
-        point_pair = np.repeat(np.arange(count), layouts[0].shape[1])
-    else:
-        # pair p's columns are its group's, of the layouts side by side
-        group = groups.searchsorted(key)
-        sizes = np.array([layout.shape[1] for layout in layouts])
-        width = sizes[group]
-        point_pair = np.repeat(np.arange(count), width)
-        shift = (np.cumsum(sizes) - sizes)[group] - (np.cumsum(width) - width)
-        table = np.concatenate(layouts, axis=1)[:, np.arange(point_pair.size) + shift[point_pair]]
+    # round 0: every pair's layout, side by side in pair order; pair p's
+    # columns are its group's, of the layouts side by side
+    group = groups.searchsorted(key)
+    sizes = np.array([layout.shape[1] for layout in layouts])
+    width = sizes[group]
+    point_pair = np.repeat(np.arange(count), width)
+    shift = (np.cumsum(sizes) - sizes)[group] - (np.cumsum(width) - width)
+    table = np.concatenate(layouts, axis=1)[:, np.arange(point_pair.size) + shift[point_pair]]
     x = table[_LEVEL]
     cuts = read(point_pair, x)
     best_point, i = _pair_argmax(_cut_distance(cuts), point_pair, count)

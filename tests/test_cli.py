@@ -492,11 +492,11 @@ def test_python_dash_m_runs_a_strict_verb():
 def capped(code: str, limit: int = 512 << 20) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter whose address space is capped at
     ``limit`` bytes, so that a command that allocates without bound ends
-    there with a MemoryError."""
+    there with a MemoryError.  BLAS and OpenMP run one thread, so that the
+    cap does not meet their per-thread stacks on a host with many cores."""
     head = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-    return subprocess.run(
-        [sys.executable, "-c", head + code], env=source_env(), capture_output=True, text=True, timeout=120
-    )
+    env = {**source_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", head + code], env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestReportCap:
@@ -505,7 +505,7 @@ class TestReportCap:
     members until memory runs out)."""
 
     BIG = 10_000_000_000_000
-    MESSAGE = "n_max must be at most 500000: a report takes about 2 KB a member"
+    MESSAGE = "n_max must be at most 500000: a report takes about 1.8 KB a member"
 
     def test_the_cli_prints_one_error_line(self):
         argv = ["counterexample", "--n-max", str(self.BIG)]
