@@ -46,6 +46,13 @@ from .serialize import csv_table, decode_any, decode_family, dumps
 
 __all__ = ["main", "run"]
 
+# the most levels of a uniform --grid N: a family report peaks at about
+# 160 MB with 10,000 levels (1.3 GB with 100,000), whatever the family
+GRID_LEVELS = 10_000
+# the most rows (members x levels) of a profile: at about 0.7 KB a row as
+# JSON (0.27 KB as CSV) its peak stays near 730 MB (measured at 999,936 rows)
+PROFILE_ROWS = 1_000_000
+
 
 def _load_json(path: str):
     """The JSON document in the file ``path``.
@@ -110,6 +117,8 @@ def _parse_grid(spec: str | None, inputs: list):
     except ValueError:
         pass
     else:
+        if count > GRID_LEVELS:
+            raise OutOfRange(f"grid level count must be at most {GRID_LEVELS}, got {count}")
         return AlphaGrid.uniform(count)
     if not os.path.exists(spec):
         try:
@@ -170,6 +179,11 @@ def _cmd_profile(args: argparse.Namespace) -> tuple:
     grid = _parse_grid(args.grid, [seq, v])
     alphas = grid.levels.tolist()
     count = args.n_max if callable(seq) else min(args.n_max, len(seq))
+    if count * len(alphas) > PROFILE_ROWS:
+        raise OutOfRange(
+            f"a profile takes at most {PROFILE_ROWS} rows (members x levels), got {count} x {len(alphas)}: "
+            "a row takes about 0.7 KB as JSON"
+        )
     columns = ("alpha", "H") if pair else ("alpha", "n", "H")
     rows = [
         (a, h) if pair else (a, n, h)

@@ -284,10 +284,10 @@ def _closed_form_first_index(alphas, eps: float, window: int) -> np.ndarray:
     t <= 0 or t = 1 (H is 0 there), and for ``eps`` >= 1 (H < 1).
     """
     t = _inner(alphas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log1p(-eps) is -inf at eps = 1 and NaN above; either gives 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # log1p(-eps) is -inf at eps = 1 and NaN above; either gives 1, and
+        # a tiny eps makes x overflow to inf: it is capped before the cast
         x = np.log(np.where(t > 0.0, t, 1.0)) / np.log1p(-eps)
-    # a tiny eps can make x infinite: cap it before the integer cast
     return np.where(x > 1.0, np.minimum(np.ceil(x), window + 1.0), 1.0).astype(np.int64)
 
 

@@ -78,7 +78,29 @@ class _ByType(dict):
         return text
 
 
-_JSON, _CSV = _ByType(1), _ByType(2)
+_CSV = _ByType(2)
+
+
+class _Floats(dict):
+    """JSON text by float value, each value formatted once.  Zero is not
+    stored: 0.0 and -0.0 are one key, so each zero is formatted with its
+    own sign."""
+
+    def __missing__(self, x: float) -> str:
+        text = _json_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
+class _Leaves(_ByType):
+    """The JSON column of ``_LEAVES`` for one ``dumps`` call, in which a
+    ``float`` is formatted once per distinct value; kept for that call only,
+    so that it neither outlives nor grows past its report."""
+
+    def __init__(self):
+        super().__init__(1)
+        self[float] = _Floats().__getitem__
 
 
 def _key(key: Any) -> str:
@@ -92,16 +114,16 @@ def _key(key: Any) -> str:
 _SEPARATORS: dict[int, tuple[str, str, str, str, str]] = {}
 
 
-def _write(obj: Any, depth: int, parts: list[str]) -> None:
+def _write(obj: Any, depth: int, parts: list[str], leaf: _Leaves) -> None:
     """Append the JSON text of ``obj``, whose first line is indented
-    ``depth`` levels, to ``parts``; a leaf inside a container is appended
-    with the text before it, in one piece."""
-    text = _JSON[type(obj)]
+    ``depth`` levels, to ``parts``, each leaf's text from ``leaf``; a leaf
+    inside a container is appended with the text before it, in one piece."""
+    text = leaf[type(obj)]
     if text is not None:
         parts.append(text(obj))
         return
     if isinstance(obj, np.ndarray):
-        _write(obj.tolist(), depth, parts)
+        _write(obj.tolist(), depth, parts, leaf)
         return
     if not obj:
         parts.append("{}" if isinstance(obj, dict) else "[]")
@@ -111,7 +133,6 @@ def _write(obj: Any, depth: int, parts: list[str]) -> None:
         inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
         seps = _SEPARATORS[depth] = ("{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]")
     open_dict, open_list, sep, close_dict, close_list = seps
-    leaf = _JSON
     if isinstance(obj, dict):
         head = open_dict
         for key, value in obj.items():
@@ -121,7 +142,7 @@ def _write(obj: Any, depth: int, parts: list[str]) -> None:
                 parts.append(f"{head}{key}: {text(value)}")
             else:
                 parts.append(f"{head}{key}: ")
-                _write(value, depth + 1, parts)
+                _write(value, depth + 1, parts, leaf)
             head = sep
         parts.append(close_dict)
     else:
@@ -132,7 +153,7 @@ def _write(obj: Any, depth: int, parts: list[str]) -> None:
                 parts.append(head + text(value))
             else:
                 parts.append(head)
-                _write(value, depth + 1, parts)
+                _write(value, depth + 1, parts, leaf)
             head = sep
         parts.append(close_list)
 
@@ -142,10 +163,11 @@ def dumps(obj: Any) -> str:
 
     The text equals ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a
     final newline, byte for byte, once numpy scalars and arrays are read as
-    the Python values they hold and NaN or infinity as None.
+    the Python values they hold and NaN or infinity as None.  Each distinct
+    float is formatted once per call.
     """
     parts: list[str] = []
-    _write(obj, 0, parts)
+    _write(obj, 0, parts, _Leaves())
     parts.append("\n")
     return "".join(parts)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fuzzymetrics
-from fuzzymetrics import counterexample
+from fuzzymetrics import cli, counterexample
 from fuzzymetrics.cli import _kind, _load_json, run
 from fuzzymetrics.counterexample import member_sequence, members
 from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps
@@ -525,6 +525,62 @@ class TestReportCap:
         for n in (6, 6.0):
             with pytest.raises(OutOfRange, match="^n_max must be at most 5: "):
                 refutation_report(n)
+
+
+class TestProfileCap:
+    """A profile of too many rows (members x levels) is refused before any
+    row is built (capped: without the cap an infinite sequence would be
+    profiled until memory runs out)."""
+
+    def test_an_infinite_sequence_prints_one_error_line(self):
+        argv = ["profile", "counterexample-seq", "counterexample-limit", "--n-max", "10000000000"]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        message = "a profile takes at most 1000000 rows (members x levels), got 10000000000 x 112"
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {message}: a row takes about 0.7 KB as JSON\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_cap_takes_the_last_row_it_names(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(cli, "PROFILE_ROWS", 6)
+        argv = ["profile", "counterexample-seq", "counterexample-limit", "--grid", "3", "--format", fmt]
+        assert run([*argv, "--n-max", "2"]) == 0
+        assert run([*argv, "--n-max", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: a profile takes at most 6 rows (members x levels), got 3 x 3:")
+
+    def test_a_family_counts_the_members_it_holds(self, monkeypatch, capsys):
+        # family.json holds 20 members: a larger --n-max takes no more rows
+        monkeypatch.setattr(cli, "PROFILE_ROWS", 60)
+        family = str(GOLDEN_DIR / "family.json")
+        assert run(["profile", family, "counterexample-limit", "--grid", "3", "--n-max", "1000"]) == 0
+        assert run(["profile", family, "counterexample-limit", "--grid", "4", "--n-max", "1000"]) == 1
+        assert capsys.readouterr().err.startswith("error: a profile takes at most 60 rows (members x levels), got 20 x 4:")
+
+
+class TestGridCap:
+    """A uniform ``--grid N`` above ``GRID_LEVELS`` is refused before its
+    levels are made (capped: 10**8 levels took 14 GiB in a family report)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family-report", str(GOLDEN_DIR / "family.json"), "--grid", "100000000"],
+            ["profile", "counterexample-seq", "counterexample-limit", "--grid", "100000000000"],
+            ["converge", "counterexample-seq", "counterexample-limit", "--grid", "100000000000", "--n-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_huge_grid_prints_one_error_line(self, argv):
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        assert (done.returncode, done.stdout) == (1, "")
+        count = argv[argv.index("--grid") + 1]
+        assert done.stderr == f"error: grid level count must be at most 10000, got {count}\n"
+
+    def test_the_cap_takes_the_last_level_it_names(self, capsys, tmp_path):
+        argv = ["profile", "counterexample-un:1", "counterexample-limit", "--out", str(tmp_path / "p.csv"), "--grid"]
+        assert run([*argv, str(cli.GRID_LEVELS)]) == 0
+        assert (tmp_path / "p.csv").read_text().count("\n") == 1 + cli.GRID_LEVELS
+        assert run([*argv, str(cli.GRID_LEVELS + 1)]) == 1
+        assert capsys.readouterr().err == f"error: grid level count must be at most 10000, got {cli.GRID_LEVELS + 1}\n"
 
 
 def test_kind_names_every_sequence_a_family():

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -625,6 +626,15 @@ class TestConvergenceTable:
         report = refutation_report(n, eps)
         assert json.dumps(report) == json.dumps(scan_reference(n, eps))
         assert len(report["level_convergence"]["failing_alphas"]) == NOT_REACHED.get(eps, 0)
+
+    def test_a_subnormal_eps_warns_nothing(self):
+        # log1p(-eps) is about -1e-320, so ln t / log1p(-eps) overflows to
+        # inf at most levels; the cap takes it to window + 1 in silence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = refutation_report(10, eps=1e-320)
+        assert json.dumps(report) == json.dumps(scan_reference(10, 1e-320))
+        assert report["level_convergence"]["converged"] is False
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(

@@ -18,6 +18,7 @@ from fuzzymetrics import (
     make_un,
     random_family,
 )
+from fuzzymetrics import serialize
 from fuzzymetrics.serialize import (
     csv_table,
     decode_any,
@@ -236,6 +237,26 @@ DOCUMENTS = st.recursive(
 )
 
 
+@st.composite
+def pooled_documents(draw):
+    """A document whose floats come from a pool of three or four values,
+    both zeros and one or two drawn, so that values recur within it."""
+    pool = [0.0, -0.0, *draw(st.lists(FLOATS, min_size=1, max_size=2))]
+    value = st.sampled_from(pool)
+    leaves = value | value.map(np.float64) | st.integers(-2, 2)
+    return draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+            max_leaves=40,
+        )
+    )
+
+
+POOLED_DOCUMENTS = pooled_documents()
+NAN, INF = math.nan, math.inf
+
+
 class TestWriterEqualsJson:
     """``dumps`` writes the bytes of ``json.dumps(indent=2,
     ensure_ascii=False)`` on every document, and refuses what it refuses."""
@@ -253,10 +274,31 @@ class TestWriterEqualsJson:
             ({"a": {}, "b": [], "c": (), "d": np.zeros((0, 2))}, '{\n  "a": {},\n  "b": [],\n  "c": [],\n  "d": []\n}\n'),
             ({1.5: "\u00e9\n\x01", True: None, 2: np.array(3.0)}, '{\n  "1.5": "\u00e9\\n\\u0001",\n  "true": null,\n  "2": 3.0\n}\n'),
             (np.arange(4).reshape(2, 2), "[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    3\n  ]\n]\n"),
+            # 0.0 and -0.0 are one dict key: each zero keeps its own sign
+            ([0.0, -0.0, 0.0], "[\n  0.0,\n  -0.0,\n  0.0\n]\n"),
+            ({"a": -0.0, "b": 0.0, "c": -0.0}, '{\n  "a": -0.0,\n  "b": 0.0,\n  "c": -0.0\n}\n'),
+            # the same NaN and infinity objects, each seen more than once
+            ([NAN, INF, NAN, -INF, INF, NAN], "[\n" + ",\n".join(["  null"] * 6) + "\n]\n"),
+            ([0.5, np.float64(0.5), 0.5, np.float64(NAN), NAN], "[\n  0.5,\n  0.5,\n  0.5,\n  null,\n  null\n]\n"),
         ],
     )
     def test_pinned_text(self, doc, text):
         assert dumps(doc) == reference_dumps(doc) == text
+
+    def test_no_zero_outlives_its_call(self):
+        # a zero remembered from one call would print the other's sign
+        assert dumps([-0.0, 0.1, 0.0]) == "[\n  -0.0,\n  0.1,\n  0.0\n]\n"
+        assert dumps([0.0, 0.1, -0.0]) == "[\n  0.0,\n  0.1,\n  -0.0\n]\n"
+
+    def test_no_float_text_outlives_its_call(self):
+        dumps({"a": [0.1, 0.25, 0.1], "b": 0.25})
+        tables = [value for value in vars(serialize).values() if isinstance(value, dict)]
+        assert not any(isinstance(key, float) for table in tables for key in table)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(POOLED_DOCUMENTS)
+    def test_same_text_with_repeated_floats(self, doc):
+        assert written(dumps, doc) == written(reference_dumps, doc)
 
     @pytest.mark.parametrize("doc", [{"a": object()}, {np.int64(1): 0}, [b"bytes"], np.complex128(1j)])
     def test_refuses_what_json_refuses(self, doc):
