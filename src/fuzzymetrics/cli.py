@@ -47,7 +47,8 @@ from .serialize import csv_table, decode_any, decode_family, dumps
 __all__ = ["main", "run"]
 
 # the most levels of a uniform --grid N: a family report peaks at about
-# 160 MB with 10,000 levels (1.3 GB with 100,000), whatever the family
+# 160 MB with 10,000 levels (1.3 GB with 100,000), with 20 members as with
+# 200
 GRID_LEVELS = 10_000
 # the most rows (members x levels) of a profile: at about 0.7 KB a row as
 # JSON (0.27 KB as CSV) its peak stays near 730 MB (measured at 999,936 rows)
