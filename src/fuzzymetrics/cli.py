@@ -37,6 +37,7 @@ from .family import (
 from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
+    TRACE_WINDOW_CAP,
     _distance_rows,
     d_infty_parametric,
     default_report_grid,
@@ -46,13 +47,15 @@ from .serialize import csv_table, decode_any, decode_family, dumps
 
 __all__ = ["main", "run"]
 
-# the most levels of a uniform --grid N: a family report peaks at about
-# 160 MB with 10,000 levels (1.3 GB with 100,000), with 20 members as with
-# 200
+# the most levels of a --grid, a count or a file: a family report peaks at
+# about 160 MB with 10,000 levels (1.3 GB with 100,000), with 20 members as
+# with 200
 GRID_LEVELS = 10_000
-# the most rows (members x levels) of a profile: at about 0.7 KB a row as
-# JSON (0.27 KB as CSV) its peak stays near 730 MB (measured at 999,936 rows)
+# the most rows (members x levels) of a profile, or distances a traced scan
+# keeps: 999,936 rows peaked at 657 MB as JSON (170 MB as CSV)
 PROFILE_ROWS = 1_000_000
+# the most distances (members x levels) a scan reads: 52 s on a 2-vCPU VM at 112 levels
+SCAN_DISTANCES = 10**10
 
 
 def _load_json(path: str):
@@ -68,12 +71,10 @@ def _load_json(path: str):
 
     try:
         with open(path, "rb") as fh:
-            return orjson.loads(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except orjson.JSONDecodeError:
-        pass
-    try:
+            try:
+                return orjson.loads(fh.read())
+            except orjson.JSONDecodeError:
+                pass
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
@@ -114,25 +115,24 @@ def _parse_grid(spec: str | None, inputs: list):
     if spec is None or spec == "default":
         return default_report_grid(inputs)
     try:
-        count = int(spec)
+        grid, count = None, int(spec)
     except ValueError:
-        pass
-    else:
-        if count > GRID_LEVELS:
-            raise OutOfRange(f"grid level count must be at most {GRID_LEVELS}, got {count}")
-        return AlphaGrid.uniform(count)
-    if not os.path.exists(spec):
+        if not os.path.exists(spec):
+            try:
+                float(spec)
+            except ValueError:
+                pass
+            else:
+                raise ParseError(f"grid level count must be an integer, got {spec!r}")
+        doc = _load_json(spec)
         try:
-            float(spec)
-        except ValueError:
-            pass
-        else:
-            raise ParseError(f"grid level count must be an integer, got {spec!r}")
-    doc = _load_json(spec)
-    try:
-        return as_grid(doc)
-    except FuzzyMetricsError as exc:
-        raise ParseError(f"bad grid file {spec}: {exc}") from exc
+            grid = as_grid(doc)
+        except FuzzyMetricsError as exc:
+            raise ParseError(f"bad grid file {spec}: {exc}") from exc
+        count = len(grid)
+    if count > GRID_LEVELS:
+        raise OutOfRange(f"grid level count must be at most {GRID_LEVELS}, got {count}")
+    return AlphaGrid.uniform(count) if grid is None else grid
 
 
 def _parse_delta_grid(spec: str | None):
@@ -186,13 +186,13 @@ def _cmd_profile(args: argparse.Namespace) -> tuple:
             "a row takes about 0.7 KB as JSON"
         )
     columns = ("alpha", "H") if pair else ("alpha", "n", "H")
-    rows = [
+    rows = (
         (a, h) if pair else (a, n, h)
         for ns, block in _distance_rows(seq, count, v, grid.levels)
         for n, row in zip(ns.tolist(), block.tolist())
         for a, h in zip(alphas, row)
-    ]
-    # a profile may hold many rows: their JSON objects are built only for JSON
+    )
+    # a profile may hold many rows: each is built once, as its JSON object or its CSV line
     profile = [dict(zip(columns, row)) for row in rows] if args.format == "json" else None
     return "profile", profile, (columns, rows), True
 
@@ -201,6 +201,12 @@ def _cmd_converge(args: argparse.Namespace) -> tuple:
     seq = _load(args.seq, args.command, "family", "sequence")
     limit = _load(args.limit, args.command, "fuzzy number")
     grid = _parse_grid(args.grid, [seq, limit])
+    count = args.n_max if callable(seq) else min(args.n_max, len(seq))
+    got = f"(members x levels), got {count} x {len(grid)}"
+    if count * len(grid) > SCAN_DISTANCES:
+        raise OutOfRange(f"converge scans at most {SCAN_DISTANCES} distances {got}: about a minute's work")
+    if count <= TRACE_WINDOW_CAP and count * len(grid) > PROFILE_ROWS:
+        raise OutOfRange(f"a traced scan (n_max <= {TRACE_WINDOW_CAP}) keeps at most {PROFILE_ROWS} distances {got}")
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
     rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]
     verdict = report.converged or "level convergence not reached at every level"

@@ -586,11 +586,10 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
     return lo
 
 
-# A block of endpoint rows holds at most this many members (enough to
-# amortize per-call overhead) and, on long level vectors, about this many
-# values per array (so that a block stays near half a MB).
-_ROW_BLOCK = 256
-_ROW_BLOCK_CELLS = 1 << 16
+# A block of temporaries holds about this many values, so that it stays
+# near half a MB: the member rows below, the limit probes of a block of
+# levels, the lattice screen's rankings and the search's round-0 segments.
+_BLOCK_CELLS = 1 << 16
 
 
 def _member_rows(seq, count: int, alphas):
@@ -609,7 +608,7 @@ def _member_rows(seq, count: int, alphas):
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     batch = getattr(seq, "endpoints", None)
     member = seq if callable(seq) else (lambda k: seq[k - 1])
-    step = max(1, min(_ROW_BLOCK, _ROW_BLOCK_CELLS // max(alphas.size, 1)))
+    step = max(1, _BLOCK_CELLS // max(alphas.size, 1))
     for start in range(1, count + 1, step):
         ns = np.arange(start, min(start + step, count + 1))
         if batch is not None:
@@ -742,7 +741,7 @@ def _limit_gaps(
     the kept counts.
     """
     deltas = 2.0 ** -np.arange(PROBE_K_MIN, PROBE_K_MAX + 1.0)
-    step = _ROW_BLOCK_CELLS // (1 + deltas.size)
+    step = _BLOCK_CELLS // (1 + deltas.size)
     gaps, kept = np.empty(levels.size), np.empty(levels.size, dtype=np.int64)
     for start in range(0, levels.size, step):
         block = slice(start, start + step)

@@ -73,10 +73,7 @@ def _inner(alphas) -> np.ndarray:
 
 
 def _limit_upper(alphas) -> np.ndarray:
-    a = np.asarray(alphas, dtype=float)
-    t = np.atleast_1d(_inner(a))
-    out = np.where(t > 0.0, 0.0, 1.0)
-    return out.reshape(a.shape)
+    return np.where(_inner(alphas) > 0.0, 0.0, 1.0)
 
 
 def _zeros(alphas) -> np.ndarray:

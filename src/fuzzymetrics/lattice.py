@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _segments
+from .core import _BLOCK_CELLS, _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _member_rows, _segments
 
 # The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
 # of a few members per side: the _SCREEN_TOP steepest of its segment, where
 # it lies within one, else, where it spans at most _RANK_SPAN segments, every
 # member whose ranked move lies within a rounding margin of the largest (see
-# :func:`_screen`).  Ranked blocks hold at most about _RANK_CELLS member
+# :func:`_screen`).  Ranked blocks hold at most about _BLOCK_CELLS member
 # moves, and so do their candidates.  The cells it leaves open are read
 # densely, at most _PACK of a row's cells to a packed row.  A family of at
 # most _SCREEN_MEMBERS members is read densely whole: there the screen's
@@ -29,7 +29,6 @@ _SCREEN_TOP = 4
 _RANK_SPAN = 4
 _SCREEN_MEMBERS = 64
 _PACK = 4
-_RANK_CELLS = 1 << 16
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -42,10 +41,10 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
     A ``SampledFamily`` of more than ``_SCREEN_MEMBERS`` members first
     settles what its screen can (see :func:`_screen`); the cells left open
     are read densely, packed per row up to ``_PACK`` to a packed row and
-    padded with the row's own level, and the reach is read with one
-    ``endpoints`` call.  Any other family is read densely whole (see
-    ``core._dense_moves``).  Either way every value is the dense read's bit
-    for bit."""
+    padded with the row's own level, and the reach is read in member
+    blocks, as ``family.support_bound`` reads it.  Any other family is read
+    densely whole (see ``core._dense_moves``).  Either way every value is
+    the dense read's bit for bit."""
     if not isinstance(members, SampledFamily) or len(members) <= _SCREEN_MEMBERS:
         read = _dense_moves(members, rows, lattice, reach)
         return (read[0], read[1][-1]) if reach else read
@@ -63,8 +62,8 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
         worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
     if not reach:
         return worst
-    lo, hi = members.endpoints(np.arange(1, len(members) + 1), rows[-1:])
-    return worst, np.maximum(np.abs(lo).max(), np.abs(hi).max())
+    blocks = _member_rows(members, len(members), rows[-1:])
+    return worst, np.max([np.max(np.abs(end)) for _, lo, hi in blocks for end in (lo, hi)])
 
 
 def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
@@ -124,7 +123,7 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     block's window, which none of its cells spans, is ranked at slope 0 and
     left out of max_j E_j, so that no NaN or inf reaches A_max or M.  The
     exact moves of the members within M of A_max on each side settle the
-    cell, at most about ``_RANK_CELLS`` of them in a block, as many as it
+    cell, at most about ``_BLOCK_CELLS`` of them in a block, as many as it
     ranks.  Longer spans are left open: their ranking would cost more than
     their dense read."""
     levels = family.grid.levels
@@ -181,7 +180,7 @@ def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
     rest = np.nonzero(~settled & ~same & tame & (n <= _RANK_SPAN))[0]
     rest = rest[np.argsort(first[rest], kind="stable")]
     firsts = first[rest]
-    step = max(1, _RANK_CELLS // count)
+    step = max(1, _BLOCK_CELLS // count)
     buffer = np.empty(min(rest.size, step) * count)
     start = 0
     while start < rest.size:

@@ -43,6 +43,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import (
+    _BLOCK_CELLS,
     _SIGN,
     AlphaGrid,
     FuzzyNumber1D,
@@ -238,8 +239,6 @@ _HALVES = np.array(
     ]
 )
 
-# Round 0 bounds this many segments at a time.
-_BLOCK = 1 << 14
 # A round bisects its F open segments j levels deep, the most that keeps
 # its F (2**j - 1) midpoints within this many: a round's fixed cost is that
 # of this many midpoints or more (one pair of members: 175 us, against 1 us
@@ -675,9 +674,9 @@ def _search(
         # the first such segment is the lowest failing pair's first
         raise _nesting_error(a, b, int(np.argmax(crossed)))
     bound = np.empty(a.size)
-    for k in range(0, a.size, _BLOCK):
-        # a block at a time keeps the temporaries of a large sampled pair small
-        s = slice(k, k + _BLOCK)
+    for k in range(0, a.size, _BLOCK_CELLS // 4):
+        # a block (four cut rows a segment) keeps a large sampled pair's temporaries small
+        s = slice(k, k + _BLOCK_CELLS // 4)
         bound[s] = _envelope_bound(*_chord_lines(left[:, s], right[:, s], signs[:, s]))
     floor = _later_max(best_limit, 0.0)  # max(best_point, best_limit, 0.0) is max(best_point, floor)
     lower = _later_max(best_point, floor)

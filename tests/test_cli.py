@@ -557,8 +557,9 @@ class TestProfileCap:
 
 
 class TestGridCap:
-    """A uniform ``--grid N`` above ``GRID_LEVELS`` is refused before its
-    levels are made (capped: 10**8 levels took 14 GiB in a family report)."""
+    """A ``--grid`` of more than ``GRID_LEVELS`` levels is refused: a count
+    before its levels are made, a file once it is read (capped: 10**8 levels
+    took 14 GiB in a family report)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -581,6 +582,67 @@ class TestGridCap:
         assert (tmp_path / "p.csv").read_text().count("\n") == 1 + cli.GRID_LEVELS
         assert run([*argv, str(cli.GRID_LEVELS + 1)]) == 1
         assert capsys.readouterr().err == f"error: grid level count must be at most 10000, got {cli.GRID_LEVELS + 1}\n"
+
+    def test_a_grid_file_past_the_cap_prints_one_error_line(self, tmp_path):
+        # a 2 MB file of 100,000 levels sent the report past 1 GB
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(np.linspace(0.0, 1.0, 100_000).tolist()))
+        argv = ["family-report", str(GOLDEN_DIR / "family.json"), "--grid", str(grid)]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: grid level count must be at most 10000, got 100000\n"
+
+    def test_a_grid_file_takes_the_last_level_it_names(self, capsys, tmp_path):
+        argv = ["profile", "counterexample-un:1", "counterexample-limit", "--out", str(tmp_path / "p.csv"), "--grid"]
+        for count in (cli.GRID_LEVELS, cli.GRID_LEVELS + 1):
+            (tmp_path / f"{count}.json").write_text(json.dumps(np.linspace(0.0, 1.0, count).tolist()))
+        assert run([*argv, str(tmp_path / f"{cli.GRID_LEVELS}.json")]) == 0
+        assert (tmp_path / "p.csv").read_text().count("\n") == 1 + cli.GRID_LEVELS
+        assert run([*argv, str(tmp_path / f"{cli.GRID_LEVELS + 1}.json")]) == 1
+        assert capsys.readouterr().err == f"error: grid level count must be at most 10000, got {cli.GRID_LEVELS + 1}\n"
+
+
+class TestConvergeCap:
+    """A convergence scan of too many distances (members x levels) is refused
+    before the scan: one that keeps every distance (at most
+    ``TRACE_WINDOW_CAP`` members) past ``PROFILE_ROWS``, any other past
+    ``SCAN_DISTANCES``, about a minute's work."""
+
+    def test_a_scan_of_years_prints_one_error_line(self):
+        # at about 1.7 million members a second this scan would not end
+        argv = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "99999999999999999999"]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        message = "converge scans at most 10000000000 distances (members x levels), got 99999999999999999999 x 112"
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {message}: about a minute's work\n"
+
+    def test_a_traced_scan_past_the_cap_prints_one_error_line(self):
+        # 1,024 members at 10,000 levels would keep 10,240,000 distances,
+        # about 2.3 GB
+        argv = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "1024", "--grid", "10000"]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        message = "a traced scan (n_max <= 1024) keeps at most 1000000 distances (members x levels), got 1024 x 10000"
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
+    def test_the_caps_take_the_last_distance_they_name(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "PROFILE_ROWS", 6)
+        monkeypatch.setattr(cli, "SCAN_DISTANCES", 3 * 1025)
+        argv = ["converge", "counterexample-seq", "counterexample-limit", "--grid", "3", "--n-max"]
+        assert run([*argv, "2"]) == 0
+        assert run([*argv, "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: a traced scan (n_max <= 1024) keeps at most 6 distances")
+        # past TRACE_WINDOW_CAP members a scan keeps no distance
+        assert run([*argv, "1025"]) == 0
+        assert run([*argv, "1026"]) == 1
+        assert capsys.readouterr().err.startswith("error: converge scans at most 3075 distances (members x levels), got 1026 x 3:")
+
+    def test_a_family_counts_the_members_it_holds(self, monkeypatch, capsys):
+        # family.json holds 20 members: a larger --n-max scans no more
+        monkeypatch.setattr(cli, "PROFILE_ROWS", 60)
+        argv = ["converge", str(GOLDEN_DIR / "family.json"), "counterexample-limit", "--n-max", "1000", "--grid"]
+        assert run([*argv, "3"]) == 0
+        assert run([*argv, "4"]) == 1
+        assert "got 20 x 4" in capsys.readouterr().err
 
 
 def test_kind_names_every_sequence_a_family():

@@ -24,23 +24,26 @@ from fuzzymetrics import (
     compactness_conditions_report,
     d_infty_pairs,
     d_infty_parametric,
+    default_report_grid,
     equi_continuity_report,
     level_convergence_report,
     make_limit,
     make_sampled_1d,
     make_sampled_family,
     make_un,
+    members,
     membership_at,
     random_family,
     refutation_report,
     validate_representation,
 )
-from fuzzymetrics import core
+from fuzzymetrics import core, metrics
+from fuzzymetrics import lattice as lattice_mod
 from fuzzymetrics.serialize import dumps
 from fuzzymetrics.core import (
     PROBE_K_MAX,
     PROBE_K_MIN,
-    _ROW_BLOCK,
+    _BLOCK_CELLS,
     _limit_gaps,
     _member_rows,
     _probe_levels,
@@ -527,12 +530,12 @@ class TestLimitProbeBlocks:
         monkeypatch.setattr(SampledFuzzy1D, "endpoints", counting)
         u = linear_sampled(5_001)
         blocked = validate_representation(u).to_dict()
-        step = core._ROW_BLOCK_CELLS // (1 + PROBE_K_MAX - PROBE_K_MIN + 1)
+        step = core._BLOCK_CELLS // (1 + PROBE_K_MAX - PROBE_K_MIN + 1)
         assert step == 2_340
         # the probe grid, its segment ends and midpoints for the curvature
         # check, then two full blocks of levels and the rest
         assert sizes == [5_001, 10_001] + [step * 28] * 2 + [(5_001 - 2 * step) * 28]
-        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", 1 << 30)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1 << 30)
         assert dumps(validate_representation(u).to_dict()) == dumps(blocked)
         assert sizes[5:] == [5_001, 10_001, 5_001 * 28]
 
@@ -543,7 +546,7 @@ class TestLimitProbeBlocks:
         levels = np.append(np.linspace(0.0, 1.0, 5_001)[1:], 0.0)
         gaps, kept = _limit_gaps(u, levels, jumps)
         assert (gaps > 0).sum() > 1_000 and kept.min() < 20
-        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", 1 << 30)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 1 << 30)
         one_gaps, one_kept = _limit_gaps(u, levels, jumps)
         assert gaps.tobytes() == one_gaps.tobytes()
         assert kept.tolist() == one_kept.tolist()
@@ -558,6 +561,46 @@ class TestLimitProbeBlocks:
             tracemalloc.stop()
         # every probe of every level at once peaked at 52 MB here
         assert peak < 20e6
+
+
+class TestBlockBudget:
+    """One cell budget, ``core._BLOCK_CELLS``, sizes the blocks of member
+    rows, of limit probes, of the lattice screen's ranking and of round 0's
+    segments: a budget of a few dozen cells gives every report bit for bit."""
+
+    def test_a_small_budget_changes_no_byte(self, monkeypatch):
+        u, v = random_family(seed=5, count=2, levels=101)
+        limit = make_limit()
+        bounds = []  # the segments of each round-0 or bisection bound call
+        envelope_bound = metrics._envelope_bound
+
+        def counting(*lines):
+            bounds.append(lines[0].shape[-1])
+            return envelope_bound(*lines)
+
+        def dist():
+            bounds.clear()
+            return dataclasses.asdict(d_infty_parametric(u, v))
+
+        reports = {
+            "refutation": lambda: refutation_report(300),
+            "screened family": lambda: compactness_conditions_report(random_family(seed=9, count=200, levels=17)).to_dict(),
+            "converge": lambda: level_convergence_report(
+                members(600), limit, default_report_grid([limit]), eps=1e-3, n_max=600
+            ).to_dict(),
+            "validate": lambda: validate_representation(linear_sampled(5_001)).to_dict(),
+            "dist": dist,
+        }
+        monkeypatch.setattr(metrics, "_envelope_bound", counting)
+        default = {name: dumps(report()) for name, report in reports.items()}
+        segments = bounds[0]  # round 0 bounds every segment in one call
+        # every module that sizes a block by the budget reads its own binding
+        for module in (core, lattice_mod, metrics):
+            monkeypatch.setattr(module, "_BLOCK_CELLS", 48)
+        assert {name: dumps(report()) for name, report in reports.items()} == default
+        # round 0 took blocks of 12 segments (four cut rows each)
+        blocks = bounds[: -(-segments // 12)]
+        assert len(blocks) > 2 and sum(blocks) == segments and blocks[:-1] == [12] * (len(blocks) - 1)
 
 
 def tolerance_sites():
@@ -659,6 +702,12 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# the test below reads at least this many levels, so that a block of member
+# rows holds at most _BLOCK_CELLS // ROW_LEVELS members and the family drawn
+# spans more than one block
+ROW_LEVELS = 256
+
+
 @st.composite
 def shared_grid_family(draw):
     """A valid family on a random grid whose inner levels are p/q for q not
@@ -666,7 +715,7 @@ def shared_grid_family(draw):
     q = draw(st.sampled_from([3, 7, 10, 101, 1_000_003]))
     inner = draw(st.lists(st.integers(1, q - 1), max_size=9, unique=True))
     levels = np.unique(np.concatenate([[0.0, 1.0], np.asarray(inner, dtype=float) / q]))
-    count = draw(st.integers(_ROW_BLOCK + 1, 2 * _ROW_BLOCK + 40))
+    count = draw(st.integers(_BLOCK_CELLS // ROW_LEVELS + 1, 2 * (_BLOCK_CELLS // ROW_LEVELS) + 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e5]))
     lower = np.cumsum(rng.uniform(0.0, scale, (count, levels.size)), axis=1)
@@ -676,12 +725,12 @@ def shared_grid_family(draw):
 
 class TestSampledFamily:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(shared_grid_family(), st.integers(0, 300))
+    @given(shared_grid_family(), st.integers(ROW_LEVELS - 8, 300))
     def test_batch_rows_equal_np_interp_bit_for_bit(self, drawn, extra):
         fam, rng = drawn
         levels = fam.grid.levels
-        # every node, both ends, a float on either side of each node, and
-        # random levels, in a shuffled order
+        # every node, both ends, a float on either side of each node (8
+        # levels or more), and random levels, in a shuffled order
         alphas = rng.permutation(
             np.concatenate(
                 [

@@ -742,10 +742,11 @@ class TestLatticeParts:
     def test_blocks_are_wide(self):
         family = BlockRecordingFamily(random_family(seed=4, count=500))
         compactness_conditions_report(family)
-        # six parts of 16 of the 101 rows (320 levels) in blocks of 204, and
-        # the last 5 rows (100 levels) in blocks of 256; the support bound
-        # reads the level-0 row
-        assert family.blocks == [(204, 320), (204, 320), (92, 320)] * 6 + [(256, 100), (244, 100)]
+        # six parts of 16 of the 101 rows (320 levels) in blocks of 204 (the
+        # cell budget over 320), and the last 5 rows (100 levels) in one
+        # block of all 500 members; the support radius is read off the
+        # level-0 row
+        assert family.blocks == [(204, 320), (204, 320), (92, 320)] * 6 + [(500, 100)]
 
 
 @st.composite

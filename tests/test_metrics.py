@@ -36,8 +36,8 @@ from fuzzymetrics import (
 from fuzzymetrics import metrics
 from fuzzymetrics.cli import run
 from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
-from fuzzymetrics.core import _SIGN, _SLACK_ULPS, _ulps, _wrong_side
-from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL
+from fuzzymetrics.core import _BLOCK_CELLS, _SIGN, _SLACK_ULPS, _ulps, _wrong_side
+from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, TRACE_WINDOW_CAP
 from fuzzymetrics.serialize import decode_fuzzy, dumps
 
 
@@ -1015,18 +1015,22 @@ class ViewFamily(list):
 
 
 class TestScanEqualsNaiveReference:
-    """The batched scan, 256 members a block, equals the one-member-at-a-time
-    reference on both sides of a block edge."""
+    """The batched scan, ``core._BLOCK_CELLS // levels`` members a block (585
+    on the 112-level default grid, 648 on 101 levels), equals the
+    one-member-at-a-time reference on both sides of a block edge, and at the
+    longest traced window, which ends inside the second block."""
 
-    @pytest.mark.parametrize("n_max", [255, 256, 257, 600])
+    @pytest.mark.parametrize("past_edge", [-1, 0, 1, None], ids=["edge-1", "edge", "edge+1", "trace-cap"])
     @pytest.mark.parametrize("kind", ["list", "members", "sampled"])
-    def test_report_equals_reference(self, kind, n_max):
+    def test_report_equals_reference(self, kind, past_edge):
+        u = make_limit()
+        levels = np.linspace(0.0, 1.0, 101) if kind == "sampled" else default_report_grid([u]).levels
+        edge = _BLOCK_CELLS // levels.size
+        assert edge == {101: 648, 112: 585}[levels.size]
+        n_max = TRACE_WINDOW_CAP if past_edge is None else edge + past_edge
         if kind == "sampled":
             seq, u = shrinking_sampled_family(n_max)
-            levels = np.linspace(0.0, 1.0, 101)
         else:
-            u = make_limit()
-            levels = default_report_grid([u]).levels
             seq = members(n_max) if kind == "members" else [make_un(n) for n in range(1, n_max + 1)]
         # indexing a SampledFamily gives a SampledFuzzy1D, evaluated by np.interp
         rows = naive_distances(seq, u, levels, n_max)
