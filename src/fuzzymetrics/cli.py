@@ -54,8 +54,11 @@ GRID_LEVELS = 10_000
 # the most rows (members x levels) of a profile, or distances a traced scan
 # keeps: 999,936 rows peaked at 657 MB as JSON (170 MB as CSV)
 PROFILE_ROWS = 1_000_000
-# the most distances (members x levels) a scan reads: 52 s on a 2-vCPU VM at 112 levels
+# the most distances a scan reads, members x (levels + SCAN_MEMBER_LEVELS): a
+# member's own work costs about 4 levels (32, 77 and 625 ns a member at 2, 11
+# and 112 levels on a 2-vCPU VM), so the largest scan takes about a minute
 SCAN_DISTANCES = 10**10
+SCAN_MEMBER_LEVELS = 4
 
 
 def _load_json(path: str):
@@ -202,10 +205,12 @@ def _cmd_converge(args: argparse.Namespace) -> tuple:
     limit = _load(args.limit, args.command, "fuzzy number")
     grid = _parse_grid(args.grid, [seq, limit])
     count = args.n_max if callable(seq) else min(args.n_max, len(seq))
-    got = f"(members x levels), got {count} x {len(grid)}"
-    if count * len(grid) > SCAN_DISTANCES:
+    levels = len(grid)
+    if count * (levels + SCAN_MEMBER_LEVELS) > SCAN_DISTANCES:
+        got = f"(members x (levels + {SCAN_MEMBER_LEVELS})), got {count} x ({levels} + {SCAN_MEMBER_LEVELS})"
         raise OutOfRange(f"converge scans at most {SCAN_DISTANCES} distances {got}: about a minute's work")
-    if count <= TRACE_WINDOW_CAP and count * len(grid) > PROFILE_ROWS:
+    if count <= TRACE_WINDOW_CAP and count * levels > PROFILE_ROWS:
+        got = f"(members x levels), got {count} x {levels}"
         raise OutOfRange(f"a traced scan (n_max <= {TRACE_WINDOW_CAP}) keeps at most {PROFILE_ROWS} distances {got}")
     report = level_convergence_report(seq, limit, grid, eps=args.eps, n_max=args.n_max)
     rows = [(e.alpha, e.first_index, e.reached) for e in report.entries]

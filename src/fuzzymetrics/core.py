@@ -587,8 +587,9 @@ def membership_at(u: FuzzyNumber1D, x: float) -> float:
 
 
 # A block of temporaries holds about this many values, so that it stays
-# near half a MB: the member rows below, the limit probes of a block of
-# levels, the lattice screen's rankings and the search's round-0 segments.
+# near half a MB: the member rows below and the lattice parts they are read
+# in, the limit probes of a block of levels, the lattice screen's rankings
+# and its steepest members' segments, and the search's round-0 segments.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -624,13 +625,11 @@ def _member_rows(seq, count: int, alphas):
         del lo, hi
 
 
-# Lattice rows one batch ``endpoints`` call evaluates: 16 rows of the 19
-# default offsets are 320 levels, so a block holds about 200 members and
-# every array pass runs along a members axis that long.
-_LATTICE_ROWS = 16
-# Cells of one half of the reused (rows, deltas, members) move buffer: a pass
-# of moves stays near 130 KB however wide the block.
-_MOVE_CELLS = 1 << 13
+def _reach(members: Sequence[FuzzyNumber1D], level: float):
+    """The largest |endpoint| of any member at ``level``, read in member
+    blocks; NaN where an endpoint there is NaN."""
+    blocks = _member_rows(members, len(members), [level])
+    return np.max([np.max(np.abs(end)) for _, lo, hi in blocks for end in (lo, hi)])
 
 
 def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np.ndarray, reach: bool = False):
@@ -639,46 +638,34 @@ def _dense_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
     every member at every level; with ``reach``, also the largest |endpoint|
     of any member at each of ``rows``, as the pair ``(moves, reach)``.
 
-    A family with a batch ``endpoints`` is read one part of ``_LATTICE_ROWS``
-    rows at a time, each block of members once at the part's levels; any
-    other family is one part, so each member's ``endpoints`` is called once.
-    The moves are taken levels-major, in passes of at most ``_MOVE_CELLS``
-    cells (one row at least) through one reused buffer, each reduced over
-    its members into the result.  Blocks are only read: a batch
-    ``endpoints`` may return views of stored data."""
+    A family with a batch ``endpoints`` is read in parts of as many rows as
+    one block of all its members holds (one row at least); any other family
+    is one part, so each member's ``endpoints`` is called once.  A block's
+    moves are never more values than the block, and are laid out in its
+    memory order (levels-major from ``SampledFamily``, members-major from a
+    list), so that each pass runs along memory: its lower side and then its
+    upper side are reduced over its members into the result.  Blocks are
+    only read: a batch ``endpoints`` may return views of stored data."""
     r, d = lattice.shape
-    part_rows = _LATTICE_ROWS if hasattr(members, "endpoints") else r
+    part_rows = max(1, _BLOCK_CELLS // (len(members) * (1 + d))) if hasattr(members, "endpoints") else r
     worst = np.zeros(lattice.shape)
     widest = np.zeros(r)
-    buffer = np.empty(0)
     for first in range(0, r, part_rows):
-        k = min(part_rows, r - first)
-        levels = np.concatenate([rows[first : first + k], lattice[first : first + k].ravel()])
+        part = slice(first, first + part_rows)
+        k = len(rows[part])
+        levels = np.concatenate([rows[part], lattice[part].ravel()])
         for ns, lo, hi in _member_rows(members, len(members), levels):
-            m = ns.size
-            step = min(k, max(1, _MOVE_CELLS // (d * m)))
-            if buffer.size < 2 * step * d * m:
-                buffer = np.empty(2 * step * d * m)
-            at_rows = [lo.T[:k, None, :], hi.T[:k, None, :]]
-            if reach:
-                part = widest[first : first + k]
-                for ends in at_rows:
-                    np.maximum(part, np.abs(ends[:, 0]).max(axis=1), out=part)
-            at_lattice = [lo.T[k:].reshape(k, d, m), hi.T[k:].reshape(k, d, m)]
-            for start in range(0, k, step):
-                stop = min(start + step, k)
-                moves, upper = buffer[: 2 * (stop - start) * d * m].reshape(2, stop - start, d, m)
-                np.subtract(at_lattice[0][start:stop], at_rows[0][start:stop], out=moves)
+            moves = np.empty_like(lo.T[k:].reshape(k, d, -1))
+            for ends in (lo.T, hi.T):
+                if reach:
+                    np.maximum(widest[part], np.abs(ends[:k]).max(axis=1), out=widest[part])
+                np.subtract(ends[k:].reshape(moves.shape), ends[:k, None, :], out=moves)
                 np.abs(moves, out=moves)
-                np.subtract(at_lattice[1][start:stop], at_rows[1][start:stop], out=upper)
-                np.abs(upper, out=upper)
-                np.maximum(moves, upper, out=moves)
-                part = worst[first + start : first + stop]
-                np.maximum(part, moves.max(axis=2), out=part)
+                np.maximum(worst[part], moves.max(axis=2), out=worst[part])
             # free the block before the next one is evaluated: holding two
             # took 7,000-21,000 minor page faults per 2,000-member report,
             # one about 400
-            del lo, hi, at_rows, at_lattice
+            del lo, hi, ends, moves
     return (worst, widest) if reach else worst
 
 

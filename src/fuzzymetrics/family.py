@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _member_rows, _unique, make_sampled_family
+from .core import FuzzyNumber1D, SampledFamily, _check_tolerance, _reach, _unique, make_sampled_family
 from .errors import EmptyFamily, OutOfRange
 from .lattice import _worst_moves
 from .metrics import default_report_grid
@@ -62,9 +62,7 @@ def support_bound(family: Sequence[FuzzyNumber1D]) -> float:
     what matters for threshold checks against an externally chosen compact
     set.  A NaN endpoint makes the radius NaN.
     """
-    members = _require_members(family)
-    rows = _member_rows(members, len(members), [0.0])
-    return float(np.max([np.max(np.abs(end)) for _, lo, hi in rows for end in (lo, hi)]))
+    return float(_reach(_require_members(family), 0.0))
 
 
 def left_modulus(family: Sequence[FuzzyNumber1D], alpha: float, delta: float) -> float:

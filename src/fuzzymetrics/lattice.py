@@ -4,7 +4,8 @@ lattice level) cell, bit for bit as the dense read gives it.
 Any family is read densely (``core._dense_moves``).  A ``SampledFamily``
 of more than ``_SCREEN_MEMBERS`` members is screened first: most cells are
 settled from the exact moves of a few members, chosen with rounding bounds
-derived in :func:`_screen`, and only the cells left open are read densely.
+derived in :func:`_screen`, and only the cells left open are read densely,
+as a one-column lattice at their own rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _member_rows, _segments
+from .core import _BLOCK_CELLS, FuzzyNumber1D, SampledFamily, _dense_moves, _reach, _segments
 
 # The lattice screen of a ``SampledFamily`` settles a cell from the exact moves
 # of a few members per side: the _SCREEN_TOP steepest of its segment, where
@@ -22,13 +23,11 @@ from .core import _BLOCK_CELLS, _MOVE_CELLS, FuzzyNumber1D, SampledFamily, _dens
 # member whose ranked move lies within a rounding margin of the largest (see
 # :func:`_screen`).  Ranked blocks hold at most about _BLOCK_CELLS member
 # moves, and so do their candidates.  The cells it leaves open are read
-# densely, at most _PACK of a row's cells to a packed row.  A family of at
-# most _SCREEN_MEMBERS members is read densely whole: there the screen's
-# fixed cost is above the dense read's.
+# densely.  A family of at most _SCREEN_MEMBERS members is read densely
+# whole: there the screen's fixed cost is above the dense read's.
 _SCREEN_TOP = 4
 _RANK_SPAN = 4
 _SCREEN_MEMBERS = 64
-_PACK = 4
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -40,30 +39,18 @@ def _worst_moves(members: Sequence[FuzzyNumber1D], rows: np.ndarray, lattice: np
 
     A ``SampledFamily`` of more than ``_SCREEN_MEMBERS`` members first
     settles what its screen can (see :func:`_screen`); the cells left open
-    are read densely, packed per row up to ``_PACK`` to a packed row and
-    padded with the row's own level, and the reach is read in member
-    blocks, as ``family.support_bound`` reads it.  Any other family is read
-    densely whole (see ``core._dense_moves``).  Either way every value is
-    the dense read's bit for bit."""
+    are read densely as a one-column lattice, each cell at its own row, and
+    the reach is ``core._reach``, as ``family.support_bound`` reads it.  Any
+    other family is read densely whole (see ``core._dense_moves``).  Either
+    way every value is the dense read's bit for bit."""
     if not isinstance(members, SampledFamily) or len(members) <= _SCREEN_MEMBERS:
         read = _dense_moves(members, rows, lattice, reach)
         return (read[0], read[1][-1]) if reach else read
     worst, open_cells = _screen(members, rows, lattice)
     ri, ci = np.nonzero(open_cells)
     if ri.size:
-        counts = np.bincount(ri, minlength=rows.size)
-        packs = -(-counts // _PACK)
-        first = np.cumsum(packs) - packs  # each row's first packed row
-        rank = np.arange(ri.size) - (np.cumsum(counts) - counts)[ri]  # place in its row
-        at, slot = first[ri] + rank // _PACK, rank % _PACK
-        packed_rows = np.repeat(rows, packs)
-        packed = np.repeat(packed_rows[:, None], _PACK, axis=1)
-        packed[at, slot] = lattice[ri, ci]
-        worst[ri, ci] = _dense_moves(members, packed_rows, packed)[at, slot]
-    if not reach:
-        return worst
-    blocks = _member_rows(members, len(members), rows[-1:])
-    return worst, np.max([np.max(np.abs(end)) for _, lo, hi in blocks for end in (lo, hi)])
+        worst[ri, ci] = _dense_moves(members, rows[ri], lattice[ri, ci][:, None])[:, 0]
+    return (worst, _reach(members, rows[-1])) if reach else worst
 
 
 def _screen(family: SampledFamily, rows: np.ndarray, lattice: np.ndarray):
@@ -235,13 +222,13 @@ def _steepest(slopes: np.ndarray, segments: np.ndarray):
     there are no more) on each of ``segments``, shape (top, segments), and
     the next steepest |slope| t* of each, or None where no member is left to
     bound.  The members are ranked a few segments at a time, at most about
-    ``_MOVE_CELLS`` slopes at once."""
+    ``_BLOCK_CELLS`` slopes at once."""
     count = slopes.shape[1]
     top = min(count, _SCREEN_TOP)
     if count == top:
         return np.repeat(np.arange(count)[:, None], segments.size, axis=1), None
     order, tstar = np.empty((top, segments.size), dtype=np.intp), np.empty(segments.size)
-    step = max(1, _MOVE_CELLS // count)
+    step = max(1, _BLOCK_CELLS // count)
     for first in range(0, segments.size, step):
         part = slice(first, first + step)
         steep = np.abs(slopes[segments[part]])

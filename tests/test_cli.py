@@ -603,16 +603,29 @@ class TestGridCap:
 
 
 class TestConvergeCap:
-    """A convergence scan of too many distances (members x levels) is refused
-    before the scan: one that keeps every distance (at most
-    ``TRACE_WINDOW_CAP`` members) past ``PROFILE_ROWS``, any other past
-    ``SCAN_DISTANCES``, about a minute's work."""
+    """A convergence scan of too many distances is refused before the scan:
+    one that keeps every distance (at most ``TRACE_WINDOW_CAP`` members)
+    past ``PROFILE_ROWS`` (members x levels), any other past
+    ``SCAN_DISTANCES`` (members x (levels + ``SCAN_MEMBER_LEVELS``)), about
+    a minute's work on any grid."""
 
     def test_a_scan_of_years_prints_one_error_line(self):
         # at about 1.7 million members a second this scan would not end
         argv = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "99999999999999999999"]
         done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
-        message = "converge scans at most 10000000000 distances (members x levels), got 99999999999999999999 x 112"
+        message = (
+            "converge scans at most 10000000000 distances (members x (levels + 4)), "
+            "got 99999999999999999999 x (112 + 4)"
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {message}: about a minute's work\n"
+
+    def test_a_short_grid_counts_each_members_own_work(self):
+        # 5 x 10**9 members at 2 levels are 10**10 levels, but at about 31
+        # million members a second the scan would take over 2 minutes
+        argv = ["converge", "counterexample-seq", "counterexample-limit", "--n-max", "5000000000", "--grid", "2"]
+        done = capped(f"import sys; from fuzzymetrics.cli import run; sys.exit(run({argv!r}))", 1 << 30)
+        message = "converge scans at most 10000000000 distances (members x (levels + 4)), got 5000000000 x (2 + 4)"
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"error: {message}: about a minute's work\n"
 
@@ -626,7 +639,7 @@ class TestConvergeCap:
 
     def test_the_caps_take_the_last_distance_they_name(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "PROFILE_ROWS", 6)
-        monkeypatch.setattr(cli, "SCAN_DISTANCES", 3 * 1025)
+        monkeypatch.setattr(cli, "SCAN_DISTANCES", (3 + cli.SCAN_MEMBER_LEVELS) * 1025)
         argv = ["converge", "counterexample-seq", "counterexample-limit", "--grid", "3", "--n-max"]
         assert run([*argv, "2"]) == 0
         assert run([*argv, "3"]) == 1
@@ -634,7 +647,8 @@ class TestConvergeCap:
         # past TRACE_WINDOW_CAP members a scan keeps no distance
         assert run([*argv, "1025"]) == 0
         assert run([*argv, "1026"]) == 1
-        assert capsys.readouterr().err.startswith("error: converge scans at most 3075 distances (members x levels), got 1026 x 3:")
+        message = "error: converge scans at most 7175 distances (members x (levels + 4)), got 1026 x (3 + 4):"
+        assert capsys.readouterr().err.startswith(message)
 
     def test_a_family_counts_the_members_it_holds(self, monkeypatch, capsys):
         # family.json holds 20 members: a larger --n-max scans no more

@@ -565,18 +565,31 @@ class TestLimitProbeBlocks:
 
 class TestBlockBudget:
     """One cell budget, ``core._BLOCK_CELLS``, sizes the blocks of member
-    rows, of limit probes, of the lattice screen's ranking and of round 0's
-    segments: a budget of a few dozen cells gives every report bit for bit."""
+    rows, of the lattice parts, of limit probes, of the lattice screen's
+    ranking and steepest members and of round 0's segments: a budget of a
+    few dozen cells gives every report bit for bit."""
 
     def test_a_small_budget_changes_no_byte(self, monkeypatch):
         u, v = random_family(seed=5, count=2, levels=101)
         limit = make_limit()
         bounds = []  # the segments of each round-0 or bisection bound call
         envelope_bound = metrics._envelope_bound
+        blocks = []  # (members, levels) of each sampled family's batch block
+        sampled_endpoints = SampledFamily.endpoints
+        ranked = []  # (members, segments) of each steepest-members call
+        steepest = lattice_mod._steepest
 
         def counting(*lines):
             bounds.append(lines[0].shape[-1])
             return envelope_bound(*lines)
+
+        def recording(family, ns, alphas):
+            blocks.append((len(ns), np.size(alphas)))
+            return sampled_endpoints(family, ns, alphas)
+
+        def ranking(slopes, segments):
+            ranked.append((slopes.shape[1], segments.size))
+            return steepest(slopes, segments)
 
         def dist():
             bounds.clear()
@@ -590,17 +603,35 @@ class TestBlockBudget:
             ).to_dict(),
             "validate": lambda: validate_representation(linear_sampled(5_001)).to_dict(),
             "dist": dist,
+            # the lattice kernel: a sampled family read densely whole, a list
+            # read member by member, and a screened family on 101 levels
+            # whose open cells (261 of 1,919) are read densely
+            "small sampled family": lambda: compactness_conditions_report(random_family(seed=11, count=64)).to_dict(),
+            "list family": lambda: compactness_conditions_report([make_un(n) for n in range(1, 30)]).to_dict(),
+            "open cells": lambda: compactness_conditions_report(random_family(seed=7, count=100, levels=101)).to_dict(),
         }
         monkeypatch.setattr(metrics, "_envelope_bound", counting)
+        monkeypatch.setattr(SampledFamily, "endpoints", recording)
+        monkeypatch.setattr(lattice_mod, "_steepest", ranking)
         default = {name: dumps(report()) for name, report in reports.items()}
         segments = bounds[0]  # round 0 bounds every segment in one call
+        # a lattice part of 51 rows (1,020 levels) of all 64 members, and
+        # the 261 open cells (522 levels) in one part of all 100 members
+        assert {(64, 1020), (100, 522)} <= set(blocks)
+        assert (100, 100) in ranked
+        blocks.clear()
         # every module that sizes a block by the budget reads its own binding
         for module in (core, lattice_mod, metrics):
             monkeypatch.setattr(module, "_BLOCK_CELLS", 48)
         assert {name: dumps(report()) for name, report in reports.items()} == default
         # round 0 took blocks of 12 segments (four cut rows each)
-        blocks = bounds[: -(-segments // 12)]
-        assert len(blocks) > 2 and sum(blocks) == segments and blocks[:-1] == [12] * (len(blocks) - 1)
+        rounds = bounds[: -(-segments // 12)]
+        assert len(rounds) > 2 and sum(rounds) == segments and rounds[:-1] == [12] * (len(rounds) - 1)
+        # a lattice part is one row: 20 levels in blocks of 2 members, an
+        # open cell's 2 levels in blocks of 24; _steepest ranks its 100
+        # segments one at a time (48 // 100 is below 1)
+        assert {(2, 20), (24, 2), (4, 2)} <= set(blocks)
+        assert max(m * levels for m, levels in blocks if m > 1) <= 48
 
 
 def tolerance_sites():

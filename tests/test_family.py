@@ -502,8 +502,9 @@ class TestColumnarEqualsList:
 
     def test_moduli_with_more_pairs_than_levels(self, columnar):
         # alpha - delta lands on a grid level, so about 5,000 pairs share
-        # about 200 distinct levels; the 102 x 100 lattice holds 10,302
-        # levels, read 6 members a block in seven 16-row passes
+        # about 200 distinct levels; of the 102 x 100 lattice the screen
+        # leaves 1,639 cells open (2,418 with the jump), read as one column
+        # in parts of 109 cells, each one block of all 300 members
         diag = compactness_conditions_report(
             columnar, alpha_grid=np.linspace(0.0, 1.0, 101), delta_grid=[j / 100 for j in range(1, 101)]
         )
@@ -578,7 +579,9 @@ def reference_moduli(family, alphas, deltas):
 
 class TestLatticeKernel:
     """The lattice moduli equal a per-member, per-pair reference bit for bit
-    on both sides of a 32-member block edge and across 16-row passes."""
+    on both sides of a lattice part edge (a sampled family of 32 members is
+    one part, of 33 two) and across member blocks (29 members a block of a
+    list)."""
 
     @pytest.mark.parametrize("delta_grid", [None, (1.5, 0.5, 0.3, 2.0**-10)])
     @pytest.mark.parametrize("count", [31, 32, 33, 65])
@@ -647,9 +650,16 @@ class TestStoredRowsAreNotWritten:
         )
         assert left_modulus(family, 0.6, 0.25) == left_modulus(plain, 0.6, 0.25)
         assert right_modulus_at_zero(family, 0.5) == right_modulus_at_zero(plain, 0.5)
-        # one levels vector per 16-row part of the report's 101 lattice rows
-        # (seven; the support bound reads the level-0 row), then one per call
-        assert len(family.stored) == 9
+        # one levels vector per part of the report's 101 lattice rows (46,
+        # 46 and 9 rows, each one block of all 70 members), then one per call
+        assert [alphas.size for alphas, _, _ in family.stored.values()] == [920, 920, 180, 2, 2]
+        # with 1,000 offsets a row is 1,001 levels: a part is one row, read
+        # in member blocks of 65 and 5
+        deltas = np.geomspace(2.0**-20, 1.0, 1000)
+        assert dumps(compactness_conditions_report(family, delta_grid=deltas).to_dict()) == dumps(
+            compactness_conditions_report(plain, delta_grid=deltas).to_dict()
+        )
+        assert len(family.stored) == 5 + 101
         for alphas, lower, upper in family.stored.values():
             assert lower.flags.writeable and upper.flags.writeable
             fresh_lower, fresh_upper = family.rows(alphas)
@@ -720,9 +730,10 @@ def part_reference(family, alphas, deltas):
 
 
 class TestLatticeParts:
-    """A batch family's lattice is read in parts of 16 rows with member
-    blocks of about 200; the moduli equal a member-by-member reference bit
-    for bit for counts that fill no block exactly."""
+    """A batch family's lattice is read in parts of as many rows as one
+    block of all its members holds, one row at least; the moduli equal a
+    member-by-member reference bit for bit for counts that fill no block
+    exactly."""
 
     @pytest.mark.parametrize("count", [1, 203, 2000])
     @pytest.mark.parametrize("jump_at", [None, 0.6])
@@ -742,11 +753,15 @@ class TestLatticeParts:
     def test_blocks_are_wide(self):
         family = BlockRecordingFamily(random_family(seed=4, count=500))
         compactness_conditions_report(family)
-        # six parts of 16 of the 101 rows (320 levels) in blocks of 204 (the
-        # cell budget over 320), and the last 5 rows (100 levels) in one
-        # block of all 500 members; the support radius is read off the
-        # level-0 row
-        assert family.blocks == [(204, 320), (204, 320), (92, 320)] * 6 + [(500, 100)]
+        # sixteen parts of 6 of the 101 rows (120 levels; the cell budget
+        # over 500 x 20) and the last 5 rows (100 levels), each one block of
+        # all 500 members; the support radius is read off the level-0 row
+        assert family.blocks == [(500, 120)] * 16 + [(500, 100)]
+        # past 3,276 members (the budget over 20) a part is one row, read in
+        # blocks of 3,276 members and the rest
+        family = BlockRecordingFamily(random_family(seed=4, count=3500))
+        compactness_conditions_report(family)
+        assert family.blocks == [(3276, 20), (224, 20)] * 101
 
 
 @st.composite
@@ -962,7 +977,7 @@ class TestLatticeScreen:
     def test_the_screened_golden_family_reaches_every_step(self, monkeypatch):
         # family100.json pins the screen in the golden reports: it is
         # screened, its ranking settles cells that its first step leaves
-        # open, and the packed dense read takes the rest
+        # open, and the dense read of the open cells takes the rest
         with open("tests/golden/family100.json") as fh:
             family = decode_family(json.load(fh))
         assert isinstance(family, SampledFamily) and len(family) > lattice_mod._SCREEN_MEMBERS

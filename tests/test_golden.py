@@ -87,8 +87,8 @@ CASES = {
     # nodes of the sampled family, which has too few members to be screened
     "family-report-family-defaults.json": ["family-report", "family.json"],
     # more members than lattice._SCREEN_MEMBERS, on 17 levels: its lattice
-    # goes through every step of the screen, and some cells to the packed
-    # dense read
+    # goes through every step of the screen, and some cells to the dense
+    # read of the open cells
     "family-report-family100.json": ["family-report", "family100.json", "--delta-grid", "pow2:2..6"],
     "family-report-ce_family-defaults.json": ["family-report", "ce_family.json"],
     "family-report-ce_family.json": CE_FAMILY,
