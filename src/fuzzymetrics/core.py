@@ -541,37 +541,16 @@ def alpha_cut(u: FuzzyNumber1D, alpha: float) -> Interval:
     return Interval(float(lo), float(hi))
 
 
-def _crossing_level(levels: np.ndarray, values: np.ndarray, x: float, increasing: bool) -> float:
-    """Largest alpha at which a monotone piecewise-linear endpoint still
-    admits ``x`` on the inner side; 1.0 if it never crosses."""
-    if increasing:
-        admits = values <= x
-    else:
-        admits = values >= x
-    if admits[-1]:
-        return 1.0
-    # last node that still admits x; the crossing lies in the next segment
-    j = int(np.nonzero(admits)[0][-1])
-    v0, v1 = values[j], values[j + 1]
-    t = (x - v0) / (v1 - v0)
-    return float(levels[j] + t * (levels[j + 1] - levels[j]))
-
-
 def membership_at(u: FuzzyNumber1D, x: float) -> float:
-    """Membership grade of ``x``: the top level whose cut still contains it.
+    """Membership grade of ``x``: the top level whose cut still contains it,
+    u(x) = max{alpha : x in [u]_alpha}.
 
-    Exact on the piecewise-linear sampled representation; resolved by
-    bisection on cut containment for parametric curves.
+    Bisection on :func:`alpha_cut` containment for every carrier, to 2**-60
+    (to one float where floats are coarser): the cut at the grade contains x.
     """
     x = float(x)
     if math.isnan(x):
         raise OutOfRange("x is not a number")
-    if isinstance(u, SampledFuzzy1D):
-        if not (u.lower[0] <= x <= u.upper[0]):
-            return 0.0
-        a_lo = _crossing_level(u.grid.levels, u.lower, x, increasing=True)
-        a_hi = _crossing_level(u.grid.levels, u.upper, x, increasing=False)
-        return min(a_lo, a_hi)
     if alpha_cut(u, 1.0).contains(x):
         return 1.0
     if not alpha_cut(u, 0.0).contains(x):

@@ -322,12 +322,17 @@ def dgn_bound(alpha: float, delta: float, beta: float) -> float:
     only dominates every member when 3(a-d)/2 - 1/2 <= 2/3; see
     :func:`uniform_modulus_bound` for the bound valid on the whole range.
     """
-    t = float(_inner(alpha - delta))
-    if not t > 0.0:
+    if not _inner(alpha - delta) > 0.0:
         raise OutOfRange(f"alpha - delta = {alpha - delta} must exceed one third")
     if not (alpha - delta <= beta <= alpha):
         raise OutOfRange(f"beta={beta} outside [alpha-delta, alpha]")
-    return (alpha - beta) / t
+    return float(_dgn_quotient(alpha, delta, beta))
+
+
+def _dgn_quotient(alpha, delta, beta) -> np.ndarray:
+    """:func:`dgn_bound` at each triple of the arrays ``alpha``, ``delta``
+    and ``beta``, which it assumes valid."""
+    return (alpha - beta) / _inner(alpha - delta)
 
 
 def uniform_modulus_bound(alpha: float, delta: float, beta: float) -> float:
@@ -463,7 +468,7 @@ def refutation_report(
     # uniform_modulus_bound and family_modulus_oracle at every level above
     # one third, 0 at the others
     certified, oracle = np.zeros((2, probe_alphas.size))
-    certified[above] = 1.5 * ((probe_alphas[above] - lows[above]) / _inner(lows[above]))
+    certified[above] = 1.5 * _dgn_quotient(probe_alphas[above], deltas[above], lows[above])
     oracle[above] = _worst_member_move(probe_alphas[above], lows[above])
     passed = (certified <= eps) & (moduli <= eps) & (oracle <= eps)
     keys = ("alpha", "delta", "certified_bound", "finite_family_modulus", "oracle_modulus", "passed")

@@ -52,8 +52,10 @@ from fuzzymetrics.core import (
 
 
 def bisect_membership(u, x, iters=60):
-    """Independent oracle: sup level whose cut contains x, by pure bisection
-    on alpha_cut containment."""
+    """``membership_at``'s own algorithm restated: sup level whose cut
+    contains x, by pure bisection on alpha_cut containment.  The tests that
+    compare with it pin the grade's bits; the independent check is
+    ``TestMembership``'s bracket property."""
     if alpha_cut(u, 1.0).contains(x):
         return 1.0
     if not alpha_cut(u, 0.0).contains(x):
@@ -245,6 +247,52 @@ class TestAlphaCut:
                 assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
+def assert_grade_brackets(u, xs):
+    """Each x of ``xs`` lies in the cut at its grade g and, for g < 1, not in
+    the cut 2**-60 higher (one float higher where floats are coarser)."""
+    for x in np.asarray(xs, dtype=float).tolist():
+        g = membership_at(u, x)
+        assert alpha_cut(u, g).contains(x), (x, g)
+        if g < 1.0:
+            assert not alpha_cut(u, max(g + 2.0**-60, np.nextafter(g, 1.0))).contains(x), (x, g)
+
+
+def zero_cut_points(u, rng, count):
+    """``count`` uniform points of the 0-cut of ``u``, its ends and the ends
+    of its 1-cut."""
+    cut, top = alpha_cut(u, 0.0), alpha_cut(u, 1.0)
+    return np.concatenate([rng.uniform(cut.lo, cut.hi, count), [cut.lo, cut.hi, top.lo, top.hi]])
+
+
+@st.composite
+def sampled_with_points(draw):
+    """A sampled number on a grid of p/q levels, with flat segments among
+    its samples, and points of its 0-cut: uniform ones, its samples and the
+    floats beside them."""
+    q = draw(st.sampled_from([3, 7, 10, 101, 1_000_003]))
+    inner = draw(st.lists(st.integers(1, q - 1), max_size=9, unique=True))
+    levels = np.unique(np.concatenate([[0.0, 1.0], np.asarray(inner, dtype=float) / q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    steps = rng.uniform(0.0, scale, (2, levels.size)) * (rng.uniform(size=(2, levels.size)) < 0.7)
+    lower = -1.0 + np.cumsum(steps[0])
+    upper = lower[-1] + np.cumsum(steps[1][::-1])[::-1]
+    u = make_sampled_1d(levels, lower, upper)
+    samples = np.concatenate([lower, upper])
+    near = np.concatenate([samples, np.nextafter(samples, -np.inf), np.nextafter(samples, np.inf)])
+    xs = np.concatenate([zero_cut_points(u, rng, 20), near[(lower[0] <= near) & (near <= upper[0])]])
+    return u, xs
+
+
+def jump_curve():
+    """A curve whose cut jumps at 0.6, declared: both endpoints move in."""
+    return CutCurve1D(
+        lower_fn=lambda a: np.where(np.asarray(a) <= 0.6, 0.2 * np.asarray(a), 0.1 + 0.2 * np.asarray(a)),
+        upper_fn=lambda a: np.where(np.asarray(a) <= 0.6, 1.0 - 0.4 * np.asarray(a), 0.8 - 0.4 * np.asarray(a)),
+        jumps=(DeclaredJump(alpha=0.6, lower_right=0.22, upper_right=0.56),),
+    )
+
+
 class TestMembership:
     def test_peak(self):
         assert membership_at(triangular(), 0.5) == 1.0
@@ -288,6 +336,35 @@ class TestMembership:
             assert abs(membership_at(u, x) - 1.0 / 3.0) <= 1e-9
         assert membership_at(u, 0.0) == 1.0
         assert membership_at(u, 1.5) == 0.0
+
+    # u(x) = max{alpha : x in [u]_alpha}: the grade is the level whose cut
+    # still holds x, to 2**-60, on every carrier
+    def test_sampled_grades_bracket_their_points(self):
+        rng = np.random.default_rng(0)
+        for u in random_family(seed=3, count=200):
+            assert_grade_brackets(u, rng.uniform(u.lower[0], u.upper[0], 50))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sampled_with_points())
+    def test_drawn_sampled_grades_bracket_their_points(self, drawn):
+        assert_grade_brackets(*drawn)
+
+    @pytest.mark.parametrize(
+        "u",
+        [*(make_un(n) for n in (1, 2, 3, 10, 100)), make_limit(), jump_curve()],
+        ids=["un1", "un2", "un3", "un10", "un100", "limit", "jump"],
+    )
+    def test_curve_grades_bracket_their_points(self, u):
+        assert_grade_brackets(u, zero_cut_points(u, np.random.default_rng(1), 46))
+
+    def test_an_unchecked_nan_sample_is_an_empty_cut(self):
+        # direct construction checks nothing; a NaN endpoint makes the cut
+        # at its level empty, as a curve's does
+        u = SampledFuzzy1D(AlphaGrid([0.0, 0.5, 1.0]), np.array([0.0, np.nan, 1.0]), np.array([3.0, 2.5, 2.0]))
+        curve = CutCurve1D(lambda a: np.where(np.asarray(a) == 0.5, np.nan, np.asarray(a)), lambda a: 3.0 - np.asarray(a))
+        for w in (u, curve):
+            with pytest.raises(EmptyCut):
+                membership_at(w, 0.9)
 
 
 class TestValidation:

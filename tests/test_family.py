@@ -33,6 +33,7 @@ from fuzzymetrics import (
 from fuzzymetrics import lattice as lattice_mod
 from fuzzymetrics import family as family_module
 from fuzzymetrics.cli import run
+from fuzzymetrics.core import _BLOCK_CELLS
 from fuzzymetrics.counterexample import members
 from fuzzymetrics.serialize import decode_family, decode_fuzzy, dumps, encode_fuzzy
 
@@ -558,6 +559,14 @@ def lattice_family(kind, count):
     return [make_un(n) for n in range(1, count + 1)]
 
 
+def budget_parts(rows, count, offsets):
+    """The rows of each part of a batch family's dense lattice read: as many
+    as one block of its ``count`` members holds at 1 + ``offsets`` levels a
+    row, one row at least, and the rest in the last part."""
+    part = max(1, _BLOCK_CELLS // (count * (1 + offsets)))
+    return [part] * (rows // part) + ([rows % part] if rows % part else [])
+
+
 def reference_moduli(family, alphas, deltas):
     """The worst member's move per tested (alpha, delta) pair, with delta <=
     alpha, and per delta <= 1 at level 0: pair by pair, as Python floats,
@@ -579,20 +588,32 @@ def reference_moduli(family, alphas, deltas):
 
 class TestLatticeKernel:
     """The lattice moduli equal a per-member, per-pair reference bit for bit
-    on both sides of a lattice part edge (a sampled family of 32 members is
-    one part, of 33 two) and across member blocks (29 members a block of a
-    list)."""
+    on both sides of a lattice part edge.  At the 19 default offsets a part
+    holds 105, 102 and 99 rows of a family of 31, 32 and 33 members, so a
+    sampled family's 101 rows are one part up to 32 members and two from 33
+    (65 are screened), and a ``members`` family's 112 rows two or three
+    parts; at 4 offsets each lattice is one part.  A list is one part: each
+    member's ``endpoints`` is called once, with every level."""
 
     @pytest.mark.parametrize("delta_grid", [None, (1.5, 0.5, 0.3, 2.0**-10)])
     @pytest.mark.parametrize("count", [31, 32, 33, 65])
     @pytest.mark.parametrize("kind", ["sampled", "list", "members"])
     def test_moduli_equal_reference(self, kind, count, delta_grid):
         family = lattice_family(kind, count)
-        diag = compactness_conditions_report(family, delta_grid=delta_grid)
+        reader = CutCurve1D if kind == "list" else type(family)
+        with mock.patch.object(reader, "endpoints", autospec=True, side_effect=reader.endpoints) as calls:
+            diag = compactness_conditions_report(family, delta_grid=delta_grid)
         alphas = [a for a in default_report_grid([family]).levels.tolist() if a > 0.0]
         deltas = sorted(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid, reverse=True)
         left, right = reference_moduli(family, alphas, deltas)
-        assert len(alphas) > 16 * 6
+        levels = [np.size(call.args[-1]) for call in calls.call_args_list]
+        cells = (len(alphas) + 1) * (1 + len(deltas))
+        if kind == "list":
+            assert levels == [cells] * count
+        elif count <= lattice_mod._SCREEN_MEMBERS:
+            parts = [k // (1 + len(deltas)) for k in levels]
+            assert parts == budget_parts(len(alphas) + 1, count, len(deltas))
+            assert (len(parts) > 1) == (delta_grid is None and (kind == "members" or count == 33))
         assert {a: {d: m.hex() for d, m in row.items()} for a, row in diag.left_moduli.items()} == left
         assert {d: m.hex() for d, m in diag.right_modulus_at_zero.items()} == right
         a, d = alphas[40], deltas[-1]
@@ -732,8 +753,10 @@ def part_reference(family, alphas, deltas):
 class TestLatticeParts:
     """A batch family's lattice is read in parts of as many rows as one
     block of all its members holds, one row at least; the moduli equal a
-    member-by-member reference bit for bit for counts that fill no block
-    exactly."""
+    member-by-member reference bit for bit, both screened (203 and 2,000
+    members) and read densely through the family's batch ``endpoints``: one
+    part for one member, parts of 46 and 4 rows with a shorter last part
+    for 203 and 2,000."""
 
     @pytest.mark.parametrize("count", [1, 203, 2000])
     @pytest.mark.parametrize("jump_at", [None, 0.6])
@@ -742,13 +765,18 @@ class TestLatticeParts:
         alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101)[1:], family.grid.levels[1:]]))
         # offsets above some alphas (NaN cells) and above 1 (NaN in row 0)
         deltas = np.array([1.5, 1.0, 0.3, 0.05, 1e-6, 2.0**-20])
-        assert (alphas.size + 1) % 16 != 0
-        table, zero, _, radius = family_module._moduli(family, alphas, deltas)
         ref_table, ref_zero = part_reference(family, alphas, deltas)
-        assert radius == support_bound(family)
-        assert np.isnan(table).any() and np.isnan(zero).any()
-        assert table.tobytes() == ref_table.tobytes()
-        assert zero.tobytes() == ref_zero.tobytes()
+        dense = BlockRecordingFamily(family)
+        for read in (family, dense):
+            table, zero, _, radius = family_module._moduli(read, alphas, deltas)
+            assert radius == support_bound(family)
+            assert np.isnan(table).any() and np.isnan(zero).any()
+            assert table.tobytes() == ref_table.tobytes()
+            assert zero.tobytes() == ref_zero.tobytes()
+        parts = budget_parts(alphas.size + 1, count, deltas.size)
+        assert dense.blocks == [(count, k * (1 + deltas.size)) for k in parts]
+        assert (len(parts) > 1) == (count > 1)
+        assert parts[-1] < _BLOCK_CELLS // (count * (1 + deltas.size))  # no count fills its last block
 
     def test_blocks_are_wide(self):
         family = BlockRecordingFamily(random_family(seed=4, count=500))

@@ -35,7 +35,7 @@ from fuzzymetrics import (
 )
 from fuzzymetrics import metrics
 from fuzzymetrics.cli import run
-from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle
+from fuzzymetrics.counterexample import member_sequence, members, pairwise_dinf_oracle, separation
 from fuzzymetrics.core import _BLOCK_CELLS, _SIGN, _SLACK_ULPS, _ulps, _wrong_side
 from fuzzymetrics.metrics import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, TRACE_WINDOW_CAP
 from fuzzymetrics.serialize import decode_fuzzy, dumps
@@ -371,6 +371,18 @@ class TestDeclaredCurvature:
             # rounds leave the bracket where it is
             deeper = d_infty_parametric(make_un(n), make_un(m), tol=tol, max_depth=DEFAULT_MAX_DEPTH + 30)
             assert (deeper.lower, deeper.upper) == (enc.lower, enc.upper)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP items 1 and 18: the bracket of un(43), un(60) lies below g(60/43) until the search"
+        " reads members in their level coordinate t; the change that lands item 18 removes this marker",
+    )
+    def test_member_pair_bracket_contains_the_separation(self):
+        # the pair's maximizer sits at t = 1.1e-22, which no float level
+        # reaches: the alpha search brackets it in [0.11593478240358746,
+        # 0.11965336838409613], and g = 0.12199311130433979
+        enc = d_infty_parametric(make_un(43), make_un(60))
+        assert enc.lower <= separation(60 / 43) <= enc.upper
 
 
 
